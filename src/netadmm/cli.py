@@ -208,23 +208,19 @@ def _budget_summary(result: engine.RunResult) -> dict | None:
     }
 
 
-def execute_synthetic_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    """Run one synthetic experiment and write its artifacts.
+def _run_and_write(cfg: ExperimentConfig, shards, reference: np.ndarray, out_dir: Path, **extra) -> dict:
+    """Run D-PPCA on ``shards``; write and return the summary and write the trace.
 
-    Returns the summary dictionary (also written to ``summary.json``).
+    The summary scores every node's basis against ``reference`` and adds ``extra``.
     """
-    observations, ground_truth = data.generate_synthetic(cfg.synthetic_spec())
-    shards = data.partition_even(observations, cfg.num_nodes)
     result = engine.run(
-        cfg.run_config(),
-        ppca.make_dppca_factory(cfg.latent_dim),
-        shards,
-        parallel=cfg.parallel,
+        cfg.run_config(), ppca.make_dppca_factory(cfg.latent_dim), shards, parallel=cfg.parallel
     )
     bases = [model.params.W for model in result.models]
     summary = engine.run_summary(cfg.echo(), result)
-    summary.update(metrics.run_report(result.records, bases, ground_truth))
+    summary.update(metrics.run_report(result.records, bases, reference))
     summary["seed"] = cfg.seed
+    summary.update(extra)
     budget = _budget_summary(result)
     if budget is not None:
         summary["budget"] = budget
@@ -232,6 +228,16 @@ def execute_synthetic_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
     engine.write_trace_csv(result.records, out_dir / "trace.csv")
     _write_json(summary, out_dir / "summary.json")
     return summary
+
+
+def execute_synthetic_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
+    """Run one synthetic experiment and write its artifacts.
+
+    Returns the summary dictionary (also written to ``summary.json``).
+    """
+    observations, ground_truth = data.generate_synthetic(cfg.synthetic_spec())
+    shards = data.partition_even(observations, cfg.num_nodes)
+    return _run_and_write(cfg, shards, ground_truth, out_dir)
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
@@ -381,26 +387,17 @@ def cmd_sfm(cfg: ExperimentConfig) -> int:
     cfg = replace(cfg, latent_dim=SFM_LATENT_DIM)
     mm = data.load_measurements(cfg.measurements)
     shards = data.sfm_node_shards(mm, cfg.num_nodes)
-    result = engine.run(
-        cfg.run_config(), ppca.make_dppca_factory(SFM_LATENT_DIM), shards, parallel=cfg.parallel
+    summary = _run_and_write(
+        cfg,
+        shards,
+        svd_structure_basis(mm.values),
+        Path(cfg.output_dir),
+        measurements={
+            "path": str(cfg.measurements),
+            "num_frames": mm.num_frames,
+            "num_points": mm.num_points,
+        },
     )
-    oracle = svd_structure_basis(mm.values)
-    bases = [model.params.W for model in result.models]
-    summary = engine.run_summary(cfg.echo(), result)
-    summary.update(metrics.run_report(result.records, bases, oracle))
-    summary["seed"] = cfg.seed
-    summary["measurements"] = {
-        "path": str(cfg.measurements),
-        "num_frames": mm.num_frames,
-        "num_points": mm.num_points,
-    }
-    budget = _budget_summary(result)
-    if budget is not None:
-        summary["budget"] = budget
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    engine.write_trace_csv(result.records, out_dir / "trace.csv")
-    _write_json(summary, out_dir / "summary.json")
     print(
         f"sfm {cfg.scheme} on {cfg.topology}({cfg.num_nodes}): "
         f"{summary['iterations']} iterations, "

@@ -7,6 +7,12 @@ neighbor values produced before the current phase, so results are
 independent of node execution order and the phases may run their
 per-node work in parallel threads.
 
+A node's penalties for an iteration are slices of the scheduler's
+per-edge arrays: its outgoing penalties, its node penalty, and the
+edge-symmetrized penalties of the dual step. The penalty update
+evaluates a node's objective at its neighbors' parameters only when the
+scheduler will use that node's ranking weights.
+
 The simulator is an omniscient observer: it sums the per-node
 objectives into the global objective used for the convergence check
 and the trace, something a real deployment would need to aggregate
@@ -274,10 +280,10 @@ def run(
 
     pool = ThreadPoolExecutor(max_workers=min(n, os.cpu_count() or 1)) if parallel else None
 
-    def for_each_node(fn):
+    def for_each_node(fn, nodes=range(n)):
         if pool is not None:
-            return list(pool.map(fn, range(n)))
-        return [fn(i) for i in range(n)]
+            return list(pool.map(fn, nodes))
+        return [fn(i) for i in nodes]
 
     try:
         snapshots = for_each_node(lambda i: models[i].params_vector())
@@ -290,8 +296,9 @@ def run(
         history: list[float] = []
         for t in range(config.max_iterations):
             # Penalties in force for this whole iteration.
-            etas = [scheduler.edge_etas(i) for i in range(n)]
-            node_eta = [scheduler.node_eta(i) for i in range(n)]
+            edge_eta = scheduler.edge_state.eta
+            etas = scheduler.by_node(edge_eta)
+            node_eta = scheduler.node_etas()
             # The dual ascent sees each edge's two directed penalties
             # averaged. This keeps the network-wide multiplier sum
             # conserved (the two ends of an edge receive opposite,
@@ -299,10 +306,7 @@ def run(
             # homogeneous penalty the remaining iterations are standard
             # ADMM converging to the true constrained optimum instead of
             # a multiplier-shifted copy of it.
-            dual_etas = [
-                {j: 0.5 * (etas[i][j] + scheduler.eta(j, i)) for j in etas[i]}
-                for i in range(n)
-            ]
+            dual_etas = scheduler.by_node(0.5 * (edge_eta + edge_eta[scheduler.reverse]))
 
             # Phase 1: local parameter steps against last-round broadcasts.
             for_each_node(lambda i: models[i].local_step(inbox[i], etas[i]))
@@ -329,21 +333,20 @@ def run(
                     continue
                 prev = prev_navg[i] if prev_navg[i] is not None else navg[i]
                 residuals.append(local_residuals(snapshots[i], navg[i], prev, node_eta[i]))
-            if scheduler.needs_objectives:
-                f_neighbors = for_each_node(
-                    lambda i: {
-                        j: models[i].objective(
-                            inbox[i][j]
-                            if config.penalty.eval_point == "neighbor"
-                            else 0.5 * (snapshots[i] + inbox[i][j])
-                        )
-                        for j in graph.neighbors[i]
-                    }
-                )
-            else:
-                f_neighbors = [{} for _ in range(n)]
+            ranked = scheduler.ranking_nodes(t)
+            f_neighbors = for_each_node(
+                lambda i: {
+                    j: models[i].objective(
+                        inbox[i][j]
+                        if config.penalty.eval_point == "neighbor"
+                        else 0.5 * (snapshots[i] + inbox[i][j])
+                    )
+                    for j in graph.neighbors[i]
+                },
+                ranked,
+            )
             scheduler.update(
-                t, RoundSignals(residuals, f_self, f_prev_self, f_neighbors)
+                t, RoundSignals(residuals, f_self, f_prev_self, dict(zip(ranked, f_neighbors)))
             )
 
             # Phase 5: record, then check convergence and divergence.

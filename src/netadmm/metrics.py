@@ -7,6 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .engine import iterations_to_convergence
+
 __all__ = [
     "SubspaceAngleReport",
     "subspace_angle",
@@ -79,17 +81,10 @@ def run_report(records, node_bases: Sequence[np.ndarray], reference: np.ndarray)
     iterations up to the first converged one; a run that never converges
     reports the full iteration count and ``converged: False``.
     """
-    converged = False
-    iterations = len(records)
-    for record in records:
-        if record.converged:
-            converged = True
-            iterations = record.t + 1
-            break
     report = angle_report(node_bases, reference)
     return {
-        "iterations": iterations,
-        "converged": converged,
+        "iterations": iterations_to_convergence(records),
+        "converged": any(record.converged for record in records),
         "max_angle_deg": report.max_angle_deg,
         "per_node_angle_deg": list(report.per_node_angle_deg),
     }

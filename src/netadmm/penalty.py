@@ -1,4 +1,4 @@
-"""Penalty schedulers for consensus ADMM.
+"""Penalty schedules for consensus ADMM.
 
 Six schemes map per-iteration signals to per-directed-edge penalties
 ``eta[i, j]``:
@@ -23,14 +23,22 @@ Six schemes map per-iteration signals to per-directed-edge penalties
 * ``vp_nap``: same branches gated by the spending budget instead of an
   iteration cap.
 
-The module exposes both the pure update rules (unit-testable in
-isolation) and stateful per-graph schedulers driven by the engine.
+Penalty ranges: ``ap`` and ``nap`` set ``eta0 * (1 + tau_ij)`` from a
+weight in ``[-0.5, 1]``, so they stay within ``[eta0/2, 2*eta0]``. ``vp``,
+``vp_ap`` and ``vp_nap`` multiply the running penalty and have no bound:
+with ``eta0 = 10`` on the synthetic protocol, ``vp_nap`` has been seen
+between 0.008 and 40 and ``vp_ap`` between 0.35 and 40.
+
+The update rules are pure elementwise functions, of one edge's scalars or
+of arrays over many edges. :class:`PenaltyScheduler` keeps every directed
+edge's ledger in arrays and applies the scheme's rule to all at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
@@ -43,7 +51,6 @@ __all__ = [
     "EdgePenaltyState",
     "ResidualPair",
     "local_residuals",
-    "he2000_global",
     "vp_update",
     "ap_taus",
     "ap_update",
@@ -56,6 +63,8 @@ __all__ = [
 ]
 
 SCHEMES = ("fixed", "vp", "ap", "nap", "vp_ap", "vp_nap")
+
+_BUDGET_SCHEMES = ("nap", "vp_nap")
 
 _EVAL_POINTS = ("neighbor", "midpoint")
 
@@ -133,7 +142,7 @@ class PenaltyConfig:
 
 @dataclass(frozen=True)
 class EdgePenaltyState:
-    """Penalty and budget ledger of one directed edge.
+    """Penalty and budget ledger of one directed edge (scalar fields) or many (arrays).
 
     ``spent`` accumulates the absolute ranking weights charged so far,
     ``ceiling`` is the current budget allowance, and ``growth_count``
@@ -141,30 +150,30 @@ class EdgePenaltyState:
     budget``, so the ceiling stays below ``budget / (1 - alpha)``).
     """
 
-    eta: float
-    spent: float = 0.0
-    ceiling: float = 1.0
-    growth_count: int = 1
+    eta: float | np.ndarray
+    spent: float | np.ndarray = 0.0
+    ceiling: float | np.ndarray = 1.0
+    growth_count: int | np.ndarray = 1
 
     @property
-    def exhausted(self) -> bool:
+    def exhausted(self) -> bool | np.ndarray:
         return self.spent >= self.ceiling
 
 
 @dataclass(frozen=True)
 class ResidualPair:
-    """Squared primal and dual residual norms of one node."""
+    """Squared primal and dual residual norms of one node (or arrays)."""
 
-    primal_sq: float
-    dual_sq: float
-
-    @property
-    def primal_norm(self) -> float:
-        return math.sqrt(self.primal_sq)
+    primal_sq: float | np.ndarray
+    dual_sq: float | np.ndarray
 
     @property
-    def dual_norm(self) -> float:
-        return math.sqrt(self.dual_sq)
+    def primal_norm(self) -> float | np.ndarray:
+        return np.sqrt(self.primal_sq)
+
+    @property
+    def dual_norm(self) -> float | np.ndarray:
+        return np.sqrt(self.dual_sq)
 
 
 def local_residuals(theta, neighbor_avg, neighbor_avg_prev, eta_i: float) -> ResidualPair:
@@ -203,24 +212,9 @@ def local_residuals(theta, neighbor_avg, neighbor_avg_prev, eta_i: float) -> Res
     return ResidualPair(primal_sq, dual_sq)
 
 
-def _balance(eta: float, primal_norm: float, dual_norm: float, mu: float, tau: float) -> float:
-    # Residual-balancing core: grow eta when the primal residual dominates,
-    # shrink when the dual one does, leave alone otherwise.
-    if primal_norm > mu * dual_norm:
-        return eta * (1.0 + tau)
-    if dual_norm > mu * primal_norm:
-        return eta / (1.0 + tau)
-    return eta
-
-
-def he2000_global(eta: float, primal_norm: float, dual_norm: float, cfg: PenaltyConfig) -> float:
-    """Classic global residual-balancing rule (test reference only).
-
-    Operates on network-wide residual norms and a single shared penalty;
-    the simulator's first-class schemes use per-node or per-edge state
-    instead.
-    """
-    return _balance(eta, primal_norm, dual_norm, cfg.mu, cfg.tau_fixed)
+def _where(condition, if_true, if_false):
+    # np.where that hands back a scalar, not a 0-d array, for scalar inputs.
+    return np.where(condition, if_true, if_false)[()]
 
 
 def vp_update(state: EdgePenaltyState, res: ResidualPair, cfg: PenaltyConfig, t: int) -> EdgePenaltyState:
@@ -230,10 +224,11 @@ def vp_update(state: EdgePenaltyState, res: ResidualPair, cfg: PenaltyConfig, t:
     the penalty snaps back to ``eta0`` and stays there (heterogeneous
     frozen penalties would otherwise oscillate near the saddle point).
     """
-    if t >= cfg.reset_iteration:
-        return replace(state, eta=cfg.eta0)
-    eta = _balance(state.eta, res.primal_norm, res.dual_norm, cfg.mu, cfg.tau_fixed)
-    return replace(state, eta=eta)
+    step = 1.0 + cfg.tau_fixed
+    grow = res.primal_norm > cfg.mu * res.dual_norm
+    shrink = res.dual_norm > cfg.mu * res.primal_norm
+    eta = _where(grow, state.eta * step, _where(shrink, state.eta / step, state.eta))
+    return replace(state, eta=_where(t >= cfg.reset_iteration, cfg.eta0, eta))
 
 
 def ap_taus(
@@ -265,39 +260,33 @@ def ap_taus(
     return {j: k_self / kappa(f_j) - 1.0 for j, f_j in f_neighbors.items()}
 
 
-def ap_update(tau_ij: float, cfg: PenaltyConfig, t: int) -> float:
+def ap_update(tau_ij, cfg: PenaltyConfig, t: int):
     """Adaptive-penalty value: ``eta0 * (1 + tau_ij)`` until ``t_max``."""
-    if t < cfg.t_max:
-        return cfg.eta0 * (1.0 + tau_ij)
-    return cfg.eta0
+    return _where(t < cfg.t_max, cfg.eta0 * (1.0 + tau_ij), cfg.eta0)
 
 
-def _objective_change_exceeds_beta(f_curr: float, f_prev: float, cfg: PenaltyConfig) -> bool:
-    delta = abs(f_curr - f_prev)
+def _budget_step(state: EdgePenaltyState, eta, cost, f_curr, f_prev, cfg: PenaltyConfig) -> EdgePenaltyState:
+    # A live edge takes ``eta`` and pays ``cost``, an exhausted one falls
+    # back to eta0; an edge exhausted after paying whose objective still
+    # moves earns another, geometrically shrinking, slice of budget. The
+    # slices use Python's float power: numpy's rounds some differently.
+    live = np.logical_not(state.exhausted)
+    spent = _where(live, state.spent + cost, state.spent)
+    change = abs(f_curr - f_prev)
     if cfg.relative_beta:
-        delta /= abs(f_prev) + 1e-12
-    return delta > cfg.beta
+        change = change / (abs(f_prev) + 1e-12)
+    grow = (spent >= state.ceiling) & (change > cfg.beta)
+    top = int(np.max(state.growth_count, initial=0))
+    slices = np.array([cfg.alpha**n * cfg.budget for n in range(top + 1)])
+    return EdgePenaltyState(
+        eta=_where(live, eta, cfg.eta0),
+        spent=spent,
+        ceiling=_where(grow, state.ceiling + slices[state.growth_count], state.ceiling),
+        growth_count=_where(grow, state.growth_count + 1, state.growth_count),
+    )
 
 
-def _grow_ceiling(state: EdgePenaltyState, f_curr: float, f_prev: float, cfg: PenaltyConfig) -> EdgePenaltyState:
-    # Ceiling growth: an exhausted edge whose objective still moves earns
-    # another (geometrically shrinking) slice of budget.
-    if state.exhausted and _objective_change_exceeds_beta(f_curr, f_prev, cfg):
-        return replace(
-            state,
-            ceiling=state.ceiling + cfg.alpha**state.growth_count * cfg.budget,
-            growth_count=state.growth_count + 1,
-        )
-    return state
-
-
-def nap_update(
-    state: EdgePenaltyState,
-    tau_ij: float,
-    f_curr: float,
-    f_prev: float,
-    cfg: PenaltyConfig,
-) -> EdgePenaltyState:
+def nap_update(state: EdgePenaltyState, tau_ij, f_curr, f_prev, cfg: PenaltyConfig) -> EdgePenaltyState:
     """Budgeted adaptive-penalty step for one directed edge.
 
     While budget remains, behaves like ``ap_update`` and pays ``|tau_ij|``
@@ -305,19 +294,20 @@ def nap_update(
     Afterwards the ceiling may grow when the node's objective is still
     changing by more than ``beta``, which re-enables updates.
     """
-    if not state.exhausted:
-        state = replace(state, eta=cfg.eta0 * (1.0 + tau_ij), spent=state.spent + abs(tau_ij))
-    else:
-        state = replace(state, eta=cfg.eta0)
-    return _grow_ceiling(state, f_curr, f_prev, cfg)
+    return _budget_step(state, cfg.eta0 * (1.0 + tau_ij), abs(tau_ij), f_curr, f_prev, cfg)
+
+
+def _ranked_balance(eta, tau_ij, res: ResidualPair, mu: float):
+    # Residual-balancing branches with the ranking weight folded in;
+    # also reports whether a branch fired.
+    grow = res.primal_norm > mu * res.dual_norm
+    shrink = res.dual_norm > mu * res.primal_norm
+    scaled = eta * (1.0 + tau_ij)
+    return _where(grow, scaled * 2.0, _where(shrink, scaled * 0.5, eta)), grow | shrink
 
 
 def vp_ap_update(
-    state: EdgePenaltyState,
-    tau_ij: float,
-    res: ResidualPair,
-    cfg: PenaltyConfig,
-    t: int,
+    state: EdgePenaltyState, tau_ij, res: ResidualPair, cfg: PenaltyConfig, t: int
 ) -> EdgePenaltyState:
     """Combined residual-balancing and ranking step, capped at ``t_max``.
 
@@ -325,23 +315,12 @@ def vp_ap_update(
     ranking weight folded in multiplicatively; past ``t_max`` the penalty
     is reset to ``eta0``.
     """
-    if t > cfg.t_max:
-        return replace(state, eta=cfg.eta0)
-    eta = state.eta
-    if res.primal_norm > cfg.mu * res.dual_norm:
-        eta = eta * (1.0 + tau_ij) * 2.0
-    elif res.dual_norm > cfg.mu * res.primal_norm:
-        eta = eta * (1.0 + tau_ij) * 0.5
-    return replace(state, eta=eta)
+    eta, _ = _ranked_balance(state.eta, tau_ij, res, cfg.mu)
+    return replace(state, eta=_where(t > cfg.t_max, cfg.eta0, eta))
 
 
 def vp_nap_update(
-    state: EdgePenaltyState,
-    tau_ij: float,
-    f_curr: float,
-    f_prev: float,
-    res: ResidualPair,
-    cfg: PenaltyConfig,
+    state: EdgePenaltyState, tau_ij, f_curr, f_prev, res: ResidualPair, cfg: PenaltyConfig
 ) -> EdgePenaltyState:
     """Combined residual-balancing step gated by the spending budget.
 
@@ -349,216 +328,141 @@ def vp_nap_update(
     fires pays ``|tau_ij|``. An exhausted edge falls back to ``eta0``
     until (and unless) the ceiling grows again.
     """
-    if not state.exhausted:
-        if res.primal_norm > cfg.mu * res.dual_norm:
-            state = replace(
-                state,
-                eta=state.eta * (1.0 + tau_ij) * 2.0,
-                spent=state.spent + abs(tau_ij),
-            )
-        elif res.dual_norm > cfg.mu * res.primal_norm:
-            state = replace(
-                state,
-                eta=state.eta * (1.0 + tau_ij) * 0.5,
-                spent=state.spent + abs(tau_ij),
-            )
-    else:
-        state = replace(state, eta=cfg.eta0)
-    return _grow_ceiling(state, f_curr, f_prev, cfg)
+    eta, fired = _ranked_balance(state.eta, tau_ij, res, cfg.mu)
+    return _budget_step(state, eta, _where(fired, abs(tau_ij), 0.0), f_curr, f_prev, cfg)
 
 
 @dataclass
 class RoundSignals:
     """Per-iteration inputs the engine hands to a scheduler.
 
-    All lists are indexed by node id. ``f_neighbors[i]`` maps neighbor id
-    to node i's objective evaluated at that neighbor's broadcast (or the
-    edge midpoint, per config); it is only populated for schemes that
-    rank objectives.
+    All fields are indexed by node id. ``f_neighbors[i]`` maps neighbor
+    id to node i's objective evaluated at that neighbor's broadcast (or
+    the edge midpoint, per config); it is needed only for the nodes that
+    :meth:`PenaltyScheduler.ranking_nodes` names.
     """
 
     residuals: list[ResidualPair]
-    f_self: list[float] = field(default_factory=list)
-    f_prev_self: list[float] = field(default_factory=list)
-    f_neighbors: list[dict[int, float]] = field(default_factory=list)
+    f_self: list[float]
+    f_prev_self: list[float]
+    f_neighbors: Mapping[int, Mapping[int, float]] | list[Mapping[int, float]]
 
 
 class PenaltyScheduler:
-    """Base class: owns per-edge penalty state for one graph and scheme."""
+    """Per-directed-edge penalty state of one scheme on one graph.
 
-    #: whether the engine must evaluate objectives at neighbor parameters
-    needs_objectives = False
+    ``edge_state`` holds one array per ledger field in
+    ``graph.directed_edges()`` order: node i's outgoing edges are the slice
+    ``offsets[i]:offsets[i + 1]``, and edge k runs opposite to ``reverse[k]``.
+    An update broadcasts each node's signals to its outgoing edges.
+    """
 
-    def __init__(self, graph: Graph, cfg: PenaltyConfig):
+    def __init__(self, scheme: str, graph: Graph, cfg: PenaltyConfig):
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}, expected one of {', '.join(SCHEMES)}")
+        self.scheme = scheme
         self.graph = graph
         self.cfg = cfg
+        degrees = [len(nbs) for nbs in graph.neighbors]
+        self.offsets = [0, *accumulate(degrees)]
+        self.sources = np.repeat(np.arange(graph.num_nodes), degrees)
+        self._index = {edge: k for k, edge in enumerate(graph.directed_edges())}
+        self.reverse = np.array([self._index[(j, i)] for i, j in self._index], dtype=int)
+        m = len(self._index)
+        self.edge_state = EdgePenaltyState(
+            eta=np.full(m, cfg.eta0),
+            spent=np.zeros(m),
+            ceiling=np.full(m, cfg.budget),
+            growth_count=np.ones(m, dtype=int),
+        )
 
     def eta(self, i: int, j: int) -> float:
-        raise NotImplementedError
+        return float(self.edge_state.eta[self._index[(i, j)]])
 
-    def edge_etas(self, i: int) -> dict[int, float]:
-        """Current penalties on node i's outgoing edges."""
-        return {j: self.eta(i, j) for j in self.graph.neighbors[i]}
+    def state(self, i: int, j: int) -> EdgePenaltyState:
+        """Ledger of the directed edge (i, j)."""
+        k = self._index[(i, j)]
+        return EdgePenaltyState(**{name: v[k].item() for name, v in vars(self.edge_state).items()})
+
+    def by_node(self, values) -> list[dict[int, float]]:
+        """Split an array over directed edges into per-node ``{neighbor: value}``."""
+        values = np.asarray(values).tolist()
+        return [
+            dict(zip(nbs, values[self.offsets[i] : self.offsets[i + 1]]))
+            for i, nbs in enumerate(self.graph.neighbors)
+        ]
+
+    def node_etas(self) -> list[float]:
+        """Per-node penalties: the mean over the node's outgoing edges,
+        summed in edge order (``eta0`` for an isolated node).
+
+        Under ``vp`` every outgoing edge holds the node's own value, which
+        is returned as is: a mean of identical copies can round away from it.
+        """
+        etas = self.edge_state.eta.tolist()
+        spans = [etas[a:b] or [self.cfg.eta0] for a, b in zip(self.offsets, self.offsets[1:])]
+        if self.scheme == "vp":
+            return [own[0] for own in spans]
+        return [sum(own) / len(own) for own in spans]
 
     def node_eta(self, i: int) -> float:
-        """Mean penalty over node i's outgoing edges (``eta0`` if isolated)."""
-        nbs = self.graph.neighbors[i]
-        if not nbs:
-            return self.cfg.eta0
-        return sum(self.eta(i, j) for j in nbs) / len(nbs)
+        return self.node_etas()[i]
 
     def all_etas(self) -> np.ndarray:
         """Penalties of every directed edge, in edge-iteration order."""
-        values = [self.eta(i, j) for i, j in self.graph.directed_edges()]
-        if not values:
-            values = [self.cfg.eta0]  # single-node graph: report the constant
-        return np.asarray(values)
+        if not self._index:
+            return np.asarray([self.cfg.eta0])  # single-node graph: report the constant
+        return self.edge_state.eta.copy()
 
     def exhausted_edges(self) -> int:
-        """Directed edges whose budget is spent (budget schemes only)."""
-        return 0
+        """Directed edges whose budget is spent (0 outside the budget schemes)."""
+        return int(np.count_nonzero(self.edge_state.exhausted))
 
     def budget_ceilings(self) -> dict[tuple[int, int], float]:
         """Current budget ceilings per directed edge (budget schemes only)."""
-        return {}
+        if self.scheme not in _BUDGET_SCHEMES:
+            return {}
+        return dict(zip(self._index, self.edge_state.ceiling.tolist()))
+
+    def ranking_nodes(self, t: int) -> list[int]:
+        """Nodes whose ranking weights ``update(t, ...)`` will use.
+
+        ``ap`` ranks while ``t < t_max``, ``vp_ap`` while ``t <= t_max``,
+        and ``nap`` and ``vp_nap`` a node while one of its edges has budget.
+        """
+        cfg = self.cfg
+        if (self.scheme == "ap" and t < cfg.t_max) or (self.scheme == "vp_ap" and t <= cfg.t_max):
+            return list(range(self.graph.num_nodes))
+        if self.scheme in _BUDGET_SCHEMES:
+            live = self.sources[np.logical_not(self.edge_state.exhausted)]
+            return np.unique(live).tolist()
+        return []
 
     def update(self, t: int, signals: RoundSignals) -> None:
-        raise NotImplementedError
-
-    def _taus(self, i: int, signals: RoundSignals) -> dict[int, float]:
-        return ap_taus(signals.f_self[i], signals.f_neighbors[i], self.cfg.f_tie_epsilon)
-
-
-class FixedScheduler(PenaltyScheduler):
-    def eta(self, i: int, j: int) -> float:
-        return self.cfg.eta0
-
-    def update(self, t: int, signals: RoundSignals) -> None:
-        pass
-
-
-class VpScheduler(PenaltyScheduler):
-    """Per-node penalty shared by all of the node's outgoing edges."""
-
-    def __init__(self, graph: Graph, cfg: PenaltyConfig):
-        super().__init__(graph, cfg)
-        self._eta = [cfg.eta0] * graph.num_nodes
-
-    def eta(self, i: int, j: int) -> float:
-        return self._eta[i]
-
-    def node_eta(self, i: int) -> float:
-        return self._eta[i]
-
-    def update(self, t: int, signals: RoundSignals) -> None:
-        for i in range(self.graph.num_nodes):
-            state = EdgePenaltyState(eta=self._eta[i])
-            self._eta[i] = vp_update(state, signals.residuals[i], self.cfg, t).eta
-
-
-class ApScheduler(PenaltyScheduler):
-    needs_objectives = True
-
-    def __init__(self, graph: Graph, cfg: PenaltyConfig):
-        super().__init__(graph, cfg)
-        self._eta = {edge: cfg.eta0 for edge in graph.directed_edges()}
-
-    def eta(self, i: int, j: int) -> float:
-        return self._eta[(i, j)]
-
-    def update(self, t: int, signals: RoundSignals) -> None:
-        for i in range(self.graph.num_nodes):
-            taus = self._taus(i, signals)
-            for j, tau in taus.items():
-                self._eta[(i, j)] = ap_update(tau, self.cfg, t)
-
-
-class _BudgetScheduler(PenaltyScheduler):
-    """Shared state handling for the budgeted (nap-family) schemes."""
-
-    needs_objectives = True
-
-    def __init__(self, graph: Graph, cfg: PenaltyConfig):
-        super().__init__(graph, cfg)
-        self._state = {
-            edge: EdgePenaltyState(eta=cfg.eta0, ceiling=cfg.budget)
-            for edge in graph.directed_edges()
-        }
-
-    def eta(self, i: int, j: int) -> float:
-        return self._state[(i, j)].eta
-
-    def state(self, i: int, j: int) -> EdgePenaltyState:
-        return self._state[(i, j)]
-
-    def exhausted_edges(self) -> int:
-        return sum(1 for s in self._state.values() if s.exhausted)
-
-    def budget_ceilings(self) -> dict[tuple[int, int], float]:
-        return {edge: s.ceiling for edge, s in self._state.items()}
-
-
-class NapScheduler(_BudgetScheduler):
-    def update(self, t: int, signals: RoundSignals) -> None:
-        for i in range(self.graph.num_nodes):
-            taus = self._taus(i, signals)
-            for j, tau in taus.items():
-                self._state[(i, j)] = nap_update(
-                    self._state[(i, j)],
-                    tau,
-                    signals.f_self[i],
-                    signals.f_prev_self[i],
-                    self.cfg,
-                )
-
-
-class VpApScheduler(PenaltyScheduler):
-    needs_objectives = True
-
-    def __init__(self, graph: Graph, cfg: PenaltyConfig):
-        super().__init__(graph, cfg)
-        self._eta = {edge: cfg.eta0 for edge in graph.directed_edges()}
-
-    def eta(self, i: int, j: int) -> float:
-        return self._eta[(i, j)]
-
-    def update(self, t: int, signals: RoundSignals) -> None:
-        for i in range(self.graph.num_nodes):
-            taus = self._taus(i, signals)
-            res = signals.residuals[i]
-            for j, tau in taus.items():
-                state = EdgePenaltyState(eta=self._eta[(i, j)])
-                self._eta[(i, j)] = vp_ap_update(state, tau, res, self.cfg, t).eta
-
-
-class VpNapScheduler(_BudgetScheduler):
-    def update(self, t: int, signals: RoundSignals) -> None:
-        for i in range(self.graph.num_nodes):
-            taus = self._taus(i, signals)
-            res = signals.residuals[i]
-            for j, tau in taus.items():
-                self._state[(i, j)] = vp_nap_update(
-                    self._state[(i, j)],
-                    tau,
-                    signals.f_self[i],
-                    signals.f_prev_self[i],
-                    res,
-                    self.cfg,
-                )
-
-
-_SCHEDULERS = {
-    "fixed": FixedScheduler,
-    "vp": VpScheduler,
-    "ap": ApScheduler,
-    "nap": NapScheduler,
-    "vp_ap": VpApScheduler,
-    "vp_nap": VpNapScheduler,
-}
+        cfg = self.cfg
+        tau = np.zeros(len(self.sources))
+        for i in self.ranking_nodes(t):
+            weights = ap_taus(signals.f_self[i], signals.f_neighbors[i], cfg.f_tie_epsilon)
+            tau[self.offsets[i] : self.offsets[i + 1]] = [weights[j] for j in self.graph.neighbors[i]]
+        src = self.sources
+        primal_sq, dual_sq = np.array([(r.primal_sq, r.dual_sq) for r in signals.residuals]).T
+        res = ResidualPair(primal_sq[src], dual_sq[src])
+        f_curr = np.asarray(signals.f_self, dtype=float)[src]
+        f_prev = np.asarray(signals.f_prev_self, dtype=float)[src]
+        state = self.edge_state
+        if self.scheme == "vp":
+            state = vp_update(state, res, cfg, t)
+        elif self.scheme == "ap":
+            state = replace(state, eta=ap_update(tau, cfg, t))
+        elif self.scheme == "nap":
+            state = nap_update(state, tau, f_curr, f_prev, cfg)
+        elif self.scheme == "vp_ap":
+            state = vp_ap_update(state, tau, res, cfg, t)
+        elif self.scheme == "vp_nap":
+            state = vp_nap_update(state, tau, f_curr, f_prev, res, cfg)
+        self.edge_state = state
 
 
 def make_scheduler(scheme: str, graph: Graph, cfg: PenaltyConfig) -> PenaltyScheduler:
     """Instantiate the scheduler for a scheme name from :data:`SCHEMES`."""
-    if scheme not in _SCHEDULERS:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {', '.join(SCHEMES)}")
-    return _SCHEDULERS[scheme](graph, cfg)
+    return PenaltyScheduler(scheme, graph, cfg)

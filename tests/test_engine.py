@@ -249,3 +249,64 @@ def test_trace_csv_format(tmp_path):
     assert lines[1].startswith("0,1.23456789012,")
     assert lines[2].endswith(",1")
     assert iterations_to_convergence(records) == 2
+
+
+class CountingModel(QuadraticModel):
+    """Quadratic model that counts objective evaluations at given parameters."""
+
+    def __init__(self, center):
+        super().__init__(center)
+        self.neighbor_evals = 0
+
+    def objective(self, params=None):
+        if params is not None:
+            self.neighbor_evals += 1
+        return super().objective(params)
+
+
+def _per_iteration_evals(scheme, topology, num_nodes, penalty, iterations):
+    rng = np.random.default_rng(4)
+    centers = [rng.normal(size=3) * (i + 1) for i in range(num_nodes)]
+    evals, live_nodes = [], []
+    seen = [0] * num_nodes
+
+    def hook(t, scheduler, models):
+        evals.append([m.neighbor_evals - s for m, s in zip(models, seen)])
+        seen[:] = [m.neighbor_evals for m in models]
+        # nodes with an edge not yet exhausted, as the next update sees them
+        live_nodes.append(
+            {
+                i
+                for i, nbs in enumerate(scheduler.graph.neighbors)
+                if any(not scheduler.state(i, j).exhausted for j in nbs)
+            }
+        )
+
+    cfg = RunConfig(
+        topology=topology,
+        num_nodes=num_nodes,
+        scheme=scheme,
+        penalty=penalty,
+        max_iterations=iterations,
+        convergence_tol=1e-30,
+    )
+    run(cfg, lambda i, s, r: CountingModel(s), centers, trace_hook=hook)
+    return evals, live_nodes
+
+
+def test_ap_skips_neighbor_objectives_from_t_max():
+    evals, _ = _per_iteration_evals("ap", "ring", 5, PenaltyConfig(t_max=6), 12)
+    assert len(evals) == 12
+    for t, per_node in enumerate(evals):
+        assert per_node == ([2] * 5 if t < 6 else [0] * 5), t
+
+
+def test_nap_skips_neighbor_objectives_of_exhausted_nodes():
+    degrees = [2, 2, 3, 3, 2, 2]  # cluster(6)
+    evals, live_nodes = _per_iteration_evals("nap", "cluster", 6, PenaltyConfig(budget=2.0), 25)
+    mixed = 0
+    for t in range(1, len(evals)):
+        live = live_nodes[t - 1]
+        assert evals[t] == [d if i in live else 0 for i, d in enumerate(degrees)], t
+        mixed += 0 < len(live) < 6
+    assert mixed > 5
