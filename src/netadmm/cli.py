@@ -246,6 +246,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
         f"{cfg.scheme} on {cfg.topology}({cfg.num_nodes}), seed {cfg.seed}: "
         f"{summary['iterations']} iterations, "
         f"max angle {summary['max_angle_deg']:.2f} deg, "
+        f"consensus gap {summary['consensus_gap_deg']:.2f} deg, "
         f"converged={summary['converged']}"
     )
     return 0 if summary["converged"] else 2

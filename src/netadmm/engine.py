@@ -11,7 +11,8 @@ A node's penalties for an iteration are slices of the scheduler's
 per-edge arrays: its outgoing penalties, its node penalty, and the
 edge-symmetrized penalties of the dual step. The penalty update
 evaluates a node's objective at its neighbors' parameters only when the
-scheduler will use that node's ranking weights.
+scheduler will use that node's ranking weights, in one batched
+``objectives`` call per node.
 
 The simulator is an omniscient observer: it sums the per-node
 objectives into the global objective used for the convergence check
@@ -80,6 +81,15 @@ class ConsensusModel(abc.ABC):
     @abc.abstractmethod
     def objective(self, params: np.ndarray | None = None) -> float:
         """Local objective at the given flat parameters (own if None)."""
+
+    def objectives(self, params: np.ndarray) -> list[float]:
+        """Local objective at each row of a (K, P) stack of flat parameters.
+
+        The engine ranks a node's neighbors with one call; this default
+        loops over ``objective``, and models with a batched kernel
+        override it.
+        """
+        return [self.objective(p) for p in params]
 
     @abc.abstractmethod
     def local_step(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]) -> None:
@@ -292,6 +302,17 @@ def run(
         initial_objective = math.fsum(f_prev_self)
         prev_navg: list[np.ndarray | None] = [None] * n
 
+        def neighbor_objectives(i):
+            # Node i's objective at this round's broadcasts of its neighbors
+            # (or the midpoints with its own), in one batched call.
+            nbs = graph.neighbors[i]
+            if not nbs:
+                return {}
+            points = np.stack([inbox[i][j] for j in nbs])
+            if config.penalty.eval_point != "neighbor":
+                points = 0.5 * (snapshots[i] + points)
+            return dict(zip(nbs, models[i].objectives(points)))
+
         records: list[IterationRecord] = []
         history: list[float] = []
         for t in range(config.max_iterations):
@@ -334,17 +355,7 @@ def run(
                 prev = prev_navg[i] if prev_navg[i] is not None else navg[i]
                 residuals.append(local_residuals(snapshots[i], navg[i], prev, node_eta[i]))
             ranked = scheduler.ranking_nodes(t)
-            f_neighbors = for_each_node(
-                lambda i: {
-                    j: models[i].objective(
-                        inbox[i][j]
-                        if config.penalty.eval_point == "neighbor"
-                        else 0.5 * (snapshots[i] + inbox[i][j])
-                    )
-                    for j in graph.neighbors[i]
-                },
-                ranked,
-            )
+            f_neighbors = for_each_node(neighbor_objectives, ranked)
             scheduler.update(
                 t, RoundSignals(residuals, f_self, f_prev_self, dict(zip(ranked, f_neighbors)))
             )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -13,6 +14,7 @@ __all__ = [
     "SubspaceAngleReport",
     "subspace_angle",
     "angle_report",
+    "consensus_gap_deg",
     "run_report",
     "lower_median",
     "aggregate_reports",
@@ -73,6 +75,15 @@ def angle_report(bases: Sequence[np.ndarray], reference: np.ndarray) -> Subspace
     return SubspaceAngleReport(angles, max(angles))
 
 
+def consensus_gap_deg(bases: Sequence[np.ndarray]) -> float:
+    """Largest principal angle between any two node subspaces, in degrees.
+
+    0 for a single node. Unlike the angles to a reference, this shows
+    whether the nodes agree with each other.
+    """
+    return max((subspace_angle(a, b) for a, b in combinations(bases, 2)), default=0.0)
+
+
 def run_report(records, node_bases: Sequence[np.ndarray], reference: np.ndarray) -> dict:
     """Summarize one completed run.
 
@@ -80,6 +91,9 @@ def run_report(records, node_bases: Sequence[np.ndarray], reference: np.ndarray)
     ``converged`` attributes). Iterations-to-convergence counts completed
     iterations up to the first converged one; a run that never converges
     reports the full iteration count and ``converged: False``.
+    ``consensus_gap_deg`` is the largest pairwise angle between the
+    nodes' final subspaces: a run can stop "converged" with its nodes
+    far apart.
     """
     report = angle_report(node_bases, reference)
     return {
@@ -87,6 +101,7 @@ def run_report(records, node_bases: Sequence[np.ndarray], reference: np.ndarray)
         "converged": any(record.converged for record in records),
         "max_angle_deg": report.max_angle_deg,
         "per_node_angle_deg": list(report.per_node_angle_deg),
+        "consensus_gap_deg": consensus_gap_deg(node_bases),
     }
 
 

@@ -13,22 +13,35 @@ broadcasts. The M-step cycles the three closed-form block updates
 blocks) until the block values stop moving, i.e. to a stationary point
 of the node's augmented Lagrangian; with no neighbors and zero
 multipliers this is exactly the centralized M-step.
+
+Every step works on a shard's sufficient statistics, the sample-covariance
+form of Tipping & Bishop (1999): the count ``n``, the mean ``x̄`` and a
+factor ``F`` with ``F Fᵀ = Σ (x_n − x̄)(x_n − x̄)ᵀ``. ``F`` is the centred
+shard when N ≤ D and the triangular QR factor when N > D, so once the
+shard is reduced no step touches a D x N array, and one E-step, M-step
+cycle or likelihood costs O(D·M·min(D, N)).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .engine import ConsensusModel
 
+_EPS = float(np.finfo(float).eps)
+
 __all__ = [
+    "ParamView",
     "PpcaParams",
+    "ShardStats",
     "LatentMoments",
     "DppcaMultipliers",
+    "shard_stats",
+    "unpack",
     "initial_params",
     "e_step",
     "negative_log_likelihood",
@@ -40,73 +53,120 @@ __all__ = [
 ]
 
 
-@dataclass
-class PpcaParams:
-    """Model parameters: projection ``W`` (D x M), mean ``mu``, precision ``a``."""
+class ParamView(NamedTuple):
+    """Parameters ``(W, mu, a)`` as the kernel reads them, unvalidated.
+
+    A leading batch axis is allowed: ``W`` K x D x M, ``mu`` K x D and
+    ``a`` of length K hold K parameter sets.
+    """
 
     W: np.ndarray
     mu: np.ndarray
-    a: float
-
-    def __post_init__(self) -> None:
-        self.W = np.asarray(self.W, dtype=float)
-        self.mu = np.asarray(self.mu, dtype=float)
-        self.a = float(self.a)
-        if self.W.ndim != 2 or self.mu.ndim != 1 or self.W.shape[0] != self.mu.shape[0]:
-            raise ValueError("W must be D x M and mu length D")
-        if self.W.shape[0] < self.W.shape[1] or self.W.shape[1] < 1:
-            raise ValueError("need ambient dim >= latent dim >= 1")
-        if not self.a > 0:
-            raise ValueError("noise precision a must be > 0")
-        if not (np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.mu))):
-            raise ValueError("parameters must be finite")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def latent_dim(self) -> int:
-        return self.W.shape[1]
+    a: float | np.ndarray
 
     def to_vector(self) -> np.ndarray:
-        """Flatten as ``vec(W)``, then ``mu``, then ``a``."""
+        """Flatten one parameter set as ``vec(W)``, then ``mu``, then ``a``."""
         return np.concatenate([self.W.ravel(), self.mu, [self.a]])
+
+
+class PpcaParams(ParamView):
+    """Validated parameters: projection ``W`` (D x M), mean ``mu``, precision ``a``."""
+
+    __slots__ = ()
+
+    def __new__(cls, W, mu, a) -> "PpcaParams":
+        W = np.asarray(W, dtype=float)
+        mu = np.asarray(mu, dtype=float)
+        a = float(a)
+        if W.ndim != 2 or mu.ndim != 1 or W.shape[0] != mu.shape[0]:
+            raise ValueError("W must be D x M and mu length D")
+        if W.shape[0] < W.shape[1] or W.shape[1] < 1:
+            raise ValueError("need ambient dim >= latent dim >= 1")
+        if not a > 0:
+            raise ValueError("noise precision a must be > 0")
+        if not (np.all(np.isfinite(W)) and np.all(np.isfinite(mu))):
+            raise ValueError("parameters must be finite")
+        return super().__new__(cls, W, mu, a)
 
     @staticmethod
     def from_vector(vec: np.ndarray, ambient_dim: int, latent_dim: int) -> "PpcaParams":
         vec = np.asarray(vec, dtype=float)
-        dm = ambient_dim * latent_dim
-        if vec.shape != (dm + ambient_dim + 1,):
+        if vec.shape != (_vector_size(ambient_dim, latent_dim),):
             raise ValueError("flat parameter vector has wrong length")
-        return PpcaParams(
-            vec[:dm].reshape(ambient_dim, latent_dim),
-            vec[dm : dm + ambient_dim],
-            vec[-1],
-        )
-
-    def copy(self) -> "PpcaParams":
-        return PpcaParams(self.W.copy(), self.mu.copy(), self.a)
+        return PpcaParams(*unpack(vec, ambient_dim, latent_dim))
 
 
-@dataclass
-class LatentMoments:
-    """Posterior latent moments: means ``ez`` (M x N) and the shared
-    posterior covariance ``cov`` (M x M), so that
-    ``E[z_n z_n^T] = cov + ez_n ez_n^T``."""
+def _vector_size(ambient_dim: int, latent_dim: int) -> int:
+    return ambient_dim * latent_dim + ambient_dim + 1
 
-    ez: np.ndarray
+
+def unpack(vecs: np.ndarray, ambient_dim: int, latent_dim: int) -> ParamView:
+    """Views of flat parameter vectors, one per row of ``vecs`` (or one vector).
+
+    The inverse of ``PpcaParams.to_vector`` without copies or checks:
+    a (K, P) stack gives ``W`` K x D x M, ``mu`` K x D and ``a`` (K,).
+    """
+    dm = ambient_dim * latent_dim
+    lead = vecs.shape[:-1]
+    return ParamView(
+        vecs[..., :dm].reshape(lead + (ambient_dim, latent_dim)),
+        vecs[..., dm : dm + ambient_dim],
+        vecs[..., -1] if lead else float(vecs[-1]),
+    )
+
+
+class ShardStats(NamedTuple):
+    """Sufficient statistics of a D x N shard for the PPCA likelihood.
+
+    ``factor`` (D x min(D, N)) satisfies
+    ``factor @ factor.T = Σ (x_n − mean)(x_n − mean)ᵀ``, and ``scatter``
+    is its squared Frobenius norm ``Σ |x_n − mean|²``.
+    """
+
+    n: int
+    mean: np.ndarray
+    factor: np.ndarray
+    scatter: float
+
+
+def shard_stats(data: np.ndarray) -> ShardStats:
+    """Check a D x N shard and reduce it to its statistics.
+
+    Raises ``ValueError`` when the shard is not 2-d, is empty or holds
+    non-finite values.
+    """
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2:
+        raise ValueError(f"shard must be a 2-d D x N array, got shape {data.shape}")
+    if data.size == 0:
+        raise ValueError(f"shard is empty, shape {data.shape}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("shard holds non-finite values")
+    d, n = data.shape
+    mean = data.mean(axis=1)
+    centred = data - mean[:, None]
+    # Centred samples on the rows of the QR input: R^T R = centred centred^T.
+    factor = centred if n <= d else np.ascontiguousarray(np.linalg.qr(centred.T, mode="r").T)
+    return ShardStats(n, mean, factor, float(np.sum(centred**2)))
+
+
+class LatentMoments(NamedTuple):
+    """Posterior latent moments of a shard, summed over its samples.
+
+    ``cov`` is the posterior covariance shared by all samples (M x M),
+    ``sum_ez`` is ``Σ E[z_n]``, ``sum_ezz`` is ``Σ E[z_n z_nᵀ]`` and
+    ``sum_cez`` is ``Σ (x_n − x̄) E[z_n]ᵀ``, the cross moment of the
+    centred samples (``Σ x_n E[z_n]ᵀ = sum_cez + x̄ sum_ezᵀ``). Keeping
+    it centred avoids cancellation when the data sit far from the origin.
+    """
+
     cov: np.ndarray
-
-    def ezz(self, n: int) -> np.ndarray:
-        return self.cov + np.outer(self.ez[:, n], self.ez[:, n])
-
-    def sum_ezz(self) -> np.ndarray:
-        return self.ez.shape[1] * self.cov + self.ez @ self.ez.T
+    sum_ez: np.ndarray
+    sum_ezz: np.ndarray
+    sum_cez: np.ndarray
 
 
-@dataclass
-class DppcaMultipliers:
+class DppcaMultipliers(NamedTuple):
     """Lagrange multipliers of one node, one per parameter block."""
 
     lam: np.ndarray
@@ -127,49 +187,77 @@ def initial_params(data: np.ndarray, latent_dim: int, rng: np.random.Generator) 
     return PpcaParams(w, data.mean(axis=1), 1.0)
 
 
-def e_step(params: PpcaParams, data: np.ndarray) -> LatentMoments:
-    """Posterior latent moments given current parameters.
+def e_step(params: ParamView, stats: ShardStats) -> LatentMoments:
+    """Posterior latent moments given current parameters, summed over the shard.
 
     The posterior of ``z`` given ``x`` is Gaussian with mean
     ``Minv W^T (x - mu)`` and covariance ``Minv / a`` where
-    ``M = W^T W + I / a``.
+    ``M = W^T W + I / a``. With ``E = Minv Wᵀ F`` and
+    ``e = Minv Wᵀ (x̄ − mu)`` the sums are ``Σ E[z_n] = n e``,
+    ``Σ E[z_n z_nᵀ] = n Minv / a + E Eᵀ + n e eᵀ`` and
+    ``Σ (x_n − x̄) E[z_n]ᵀ = F Eᵀ``.
     """
     w, a = params.W, params.a
-    m_mat = w.T @ w + np.eye(params.latent_dim) / a
+    m = w.shape[1]
+    m_mat = w.T @ w + np.eye(m) / a
     if not np.all(np.isfinite(m_mat)):
         raise np.linalg.LinAlgError("latent normal equations are not finite")
+    k = stats.factor.shape[1]
+    rhs = np.hstack([w.T @ stats.factor, (w.T @ (stats.mean - params.mu))[:, None], np.eye(m)])
     try:
-        ez = np.linalg.solve(m_mat, w.T @ (data - params.mu[:, None]))
-        cov = np.linalg.solve(m_mat, np.eye(params.latent_dim)) / a
+        sol = np.linalg.solve(m_mat, rhs)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "latent normal equations are numerically singular"
         ) from exc
-    return LatentMoments(ez, 0.5 * (cov + cov.T))
+    ez_factor, ez_mean, cov = sol[:, :k], sol[:, k], sol[:, k + 1 :] / a
+    cov = 0.5 * (cov + cov.T)
+    n = stats.n
+    return LatentMoments(
+        cov,
+        n * ez_mean,
+        n * cov + ez_factor @ ez_factor.T + n * np.outer(ez_mean, ez_mean),
+        stats.factor @ ez_factor.T,
+    )
 
 
-def negative_log_likelihood(params: PpcaParams, data: np.ndarray) -> float:
-    """Negative marginal log-likelihood of ``data`` under the model.
+def negative_log_likelihood(params: ParamView, stats: ShardStats) -> float | np.ndarray:
+    """Negative marginal log-likelihood of the shard under the model.
 
-    The marginal of each sample is ``N(mu, W W^T + I/a)``; this is the
-    local objective both the ranking penalties and the convergence check
-    consume.
+    The marginal of each sample is ``N(mu, C)`` with ``C = W Wᵀ + I/a``;
+    this is the local objective both the ranking penalties and the
+    convergence check consume. With ``G = Wᵀ W + I/a`` (M x M), the
+    determinant lemma gives ``logdet C = (M − D) log a + logdet G``, and
+    for any ``y``, ``yᵀ C⁻¹ y = a |y − W z|² + |z|²`` at ``z = G⁻¹ Wᵀ y``
+    (Woodbury). Applied to the columns of ``F`` and to ``√n (x̄ − mu)``
+    this sums squares, free of cancellation.
+
+    ``params`` may hold a batch of K parameter sets (see ``ParamView``);
+    the result is then an array of K values.
     """
-    d, n = data.shape
-    cov = params.W @ params.W.T + np.eye(d) / params.a
+    w, mu = params.W, params.mu
+    a = np.asarray(params.a, dtype=float)
+    d, m = w.shape[-2:]
+    wt = np.swapaxes(w, -1, -2)
+    gram = wt @ w + np.eye(m) / a[..., None, None]
     try:
-        chol = np.linalg.cholesky(cov)
+        chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("marginal covariance is not positive definite") from exc
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    white = np.linalg.solve(chol, data - params.mu[:, None])
-    quad = float(np.sum(white**2))
-    return 0.5 * (n * d * np.log(2.0 * np.pi) + n * logdet + quad)
+    n = stats.n
+    factor = np.broadcast_to(stats.factor, w.shape[:-2] + stats.factor.shape)
+    y = np.concatenate([factor, math.sqrt(n) * (stats.mean - mu)[..., None]], axis=-1)
+    z = np.linalg.solve(gram, wt @ y)
+    quad = a * np.sum((y - w @ z) ** 2, axis=(-2, -1)) + np.sum(z**2, axis=(-2, -1))
+    log_diag = np.log(np.diagonal(chol, axis1=-2, axis2=-1))
+    logdet = (m - d) * np.log(a) + 2.0 * np.sum(log_diag, axis=-1)
+    nll = 0.5 * (n * d * math.log(2.0 * math.pi) + n * logdet + quad)
+    return float(nll) if nll.ndim == 0 else nll
 
 
 def _mu_update(
     moments: LatentMoments,
-    data: np.ndarray,
+    stats: ShardStats,
     w: np.ndarray,
     a: float,
     gamma: np.ndarray,
@@ -178,15 +266,19 @@ def _mu_update(
 ) -> np.ndarray:
     # mu = [a sum_n (x_n - W E[z_n]) - 2 gamma + sum_j eta_ij (mu_i + mu_j)]
     #      / (N a + 2 sum_j eta_ij)
-    n = data.shape[1]
-    data_term = a * (data.sum(axis=1) - w @ moments.ez.sum(axis=1))
+    n = stats.n
+    data_term = a * (n * stats.mean - w @ moments.sum_ez)
     return (data_term - 2.0 * gamma + mu_anchor) / (n * a + 2.0 * eta_sum)
+
+
+def _cross_moment(moments: LatentMoments, stats: ShardStats, mu: np.ndarray) -> np.ndarray:
+    # sum_n (x_n - mu) E[z_n]^T
+    return moments.sum_cez + (stats.mean - mu)[:, None] * moments.sum_ez
 
 
 def _w_update(
     moments: LatentMoments,
-    data: np.ndarray,
-    mu: np.ndarray,
+    cross: np.ndarray,
     a: float,
     lam: np.ndarray,
     eta_sum: float,
@@ -194,11 +286,13 @@ def _w_update(
 ) -> np.ndarray:
     # W [a sum_n E[z z^T] + 2 sum_j eta_ij I] =
     #     a sum_n (x_n - mu) E[z_n]^T - 2 lambda + sum_j eta_ij (W_i + W_j)
-    m = moments.ez.shape[0]
-    lhs = a * moments.sum_ezz() + 2.0 * eta_sum * np.eye(m)
-    rhs = a * ((data - mu[:, None]) @ moments.ez.T) - 2.0 * lam + w_anchor
+    m = moments.sum_ezz.shape[0]
+    lhs = a * moments.sum_ezz + 2.0 * eta_sum * np.eye(m)
+    rhs = a * cross - 2.0 * lam + w_anchor
+    # lhs is symmetric, so W = rhs lhs^-1; an M x M inverse and one
+    # product cost a fraction of a solve against D right-hand sides.
     try:
-        return np.linalg.solve(lhs, rhs.T).T
+        return rhs @ np.linalg.inv(lhs)
     except np.linalg.LinAlgError:
         ridge = 1e-10 * max(1.0, float(np.trace(lhs)) / m)
         warnings.warn(
@@ -206,22 +300,22 @@ def _w_update(
             f"{ridge:.3e}",
             RuntimeWarning,
         )
-        return np.linalg.solve(lhs + ridge * np.eye(m), rhs.T).T
+        return rhs @ np.linalg.inv(lhs + ridge * np.eye(m))
 
 
 def _expected_residual(
-    moments: LatentMoments, data: np.ndarray, w: np.ndarray, mu: np.ndarray
+    moments: LatentMoments, stats: ShardStats, cross: np.ndarray, w: np.ndarray, mu: np.ndarray
 ) -> float:
     # sum_n E |x_n - W z_n - mu|^2 under the posterior moments. Floored at
     # relative epsilon: near-perfect reconstructions cancel to rounding
     # noise of unstable sign, and the precision update needs a positive
     # value (the precision then saturates instead of overflowing).
-    centered = data - mu[:, None]
-    energy = float(np.sum(centered**2))
+    offset = stats.mean - mu
+    energy = stats.scatter + stats.n * float(offset @ offset)
     total = energy
-    total -= 2.0 * float(np.sum(centered * (w @ moments.ez)))
-    total += float(np.sum((w.T @ w) * moments.sum_ezz()))
-    return max(total, np.finfo(float).eps * (1.0 + energy))
+    total -= 2.0 * float(np.vdot(w, cross))
+    total += float(np.vdot(w.T @ w, moments.sum_ezz))
+    return max(total, _EPS * (1.0 + energy))
 
 
 def _a_update(
@@ -252,76 +346,72 @@ def _a_update(
 
 def consensus_m_step(
     moments: LatentMoments,
-    data: np.ndarray,
-    params: PpcaParams,
+    stats: ShardStats,
+    params: ParamView,
     multipliers: DppcaMultipliers,
-    neighbor_params: Mapping[int, PpcaParams],
-    eta: Mapping[int, float],
+    neighbors: np.ndarray,
+    eta: Sequence[float] | np.ndarray,
     max_cycles: int = 500,
     tol: float = 1e-12,
-) -> PpcaParams:
+) -> ParamView:
     """Minimize the node's augmented Lagrangian over (mu, W, a).
 
+    ``neighbors`` holds the neighbors' broadcasts as rows (K x P, in the
+    layout of ``PpcaParams.to_vector``) and ``eta`` their K penalties.
     The three block updates are closed forms (the precision block via
     the positive root of its stationarity quadratic) and are cycled,
     each consuming the freshest other blocks, until no block moves by
     more than ``tol`` relatively. Consensus anchors are the midpoints of
     the entry parameters and the neighbors' broadcasts and stay fixed
     throughout. With no neighbors and zero multipliers this reduces to
-    the centralized EM M-step.
+    the centralized EM M-step. Raises ``ValueError`` when a block turns
+    non-finite, e.g. from a non-finite neighbor broadcast.
     """
-    eta_sum = float(sum(eta.values()))
-    mu_anchor = np.zeros_like(params.mu)
-    w_anchor = np.zeros_like(params.W)
-    a_anchor = 0.0
-    for j, nb in neighbor_params.items():
-        mu_anchor += eta[j] * (params.mu + nb.mu)
-        w_anchor += eta[j] * (params.W + nb.W)
-        a_anchor += eta[j] * (params.a + nb.a)
+    eta = np.asarray(eta, dtype=float)
+    d = stats.mean.shape[0]
+    eta_sum = float(eta.sum())
+    anchor = unpack(eta @ (params.to_vector() + neighbors), d, params.W.shape[1])
 
-    n = data.shape[1]
-    d = params.ambient_dim
     w, mu, a = params.W, params.mu, params.a
     for _ in range(max_cycles):
-        mu_new = _mu_update(moments, data, w, a, multipliers.gamma, eta_sum, mu_anchor)
-        w_new = _w_update(moments, data, mu_new, a, multipliers.lam, eta_sum, w_anchor)
-        residual = _expected_residual(moments, data, w_new, mu_new)
-        a_new = _a_update(residual, n, d, multipliers.beta, eta_sum, a_anchor)
+        mu_new = _mu_update(moments, stats, w, a, multipliers.gamma, eta_sum, anchor.mu)
+        cross = _cross_moment(moments, stats, mu_new)
+        w_new = _w_update(moments, cross, a, multipliers.lam, eta_sum, anchor.W)
+        residual = _expected_residual(moments, stats, cross, w_new, mu_new)
+        a_new = _a_update(residual, stats.n, d, multipliers.beta, eta_sum, anchor.a)
         delta = max(
-            _rel_change(mu_new, mu), _rel_change(w_new, w), _rel_change(a_new, a)
+            _rel_change(mu_new, mu), _rel_change(w_new, w), abs(a_new - a) / (1.0 + abs(a))
         )
         w, mu, a = w_new, mu_new, a_new
         if delta < tol:
             break
-    return PpcaParams(w, mu, a)
+        if not math.isfinite(delta):
+            raise ValueError("M-step produced non-finite parameters")
+    return ParamView(w, mu, float(a))
 
 
-def _rel_change(new, old) -> float:
-    num = float(np.linalg.norm(np.ravel(np.asarray(new) - np.asarray(old))))
-    den = 1.0 + float(np.linalg.norm(np.ravel(np.asarray(old))))
-    return num / den
+def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
+    diff = new - old
+    return math.sqrt(np.vdot(diff, diff)) / (1.0 + math.sqrt(np.vdot(old, old)))
 
 
 def consensus_multiplier_step(
-    params: PpcaParams,
-    neighbor_params: Mapping[int, PpcaParams],
-    eta: Mapping[int, float],
+    params: ParamView,
+    neighbors: np.ndarray,
+    eta: Sequence[float] | np.ndarray,
     multipliers: DppcaMultipliers,
 ) -> DppcaMultipliers:
     """Dual ascent: penalty-weighted sum of consensus errors, halved.
 
     Each multiplier gains ``(1/2) sum_j eta_ij (own_block - neighbor_block)``
-    evaluated at the current round's broadcasts; all three blocks use the
-    same form.
+    evaluated at the current round's broadcasts (rows of ``neighbors``,
+    as in ``consensus_m_step``); all three blocks use the same form.
     """
-    lam = multipliers.lam.copy()
-    gamma = multipliers.gamma.copy()
-    beta = multipliers.beta
-    for j, nb in neighbor_params.items():
-        lam += 0.5 * eta[j] * (params.W - nb.W)
-        gamma += 0.5 * eta[j] * (params.mu - nb.mu)
-        beta += 0.5 * eta[j] * (params.a - nb.a)
-    return DppcaMultipliers(lam, gamma, beta)
+    eta = np.asarray(eta, dtype=float)
+    step = unpack(0.5 * (eta @ (params.to_vector() - neighbors)), *params.W.shape)
+    return DppcaMultipliers(
+        multipliers.lam + step.W, multipliers.gamma + step.mu, multipliers.beta + step.a
+    )
 
 
 def centralized_em(
@@ -335,69 +425,83 @@ def centralized_em(
 
     Runs a fixed number of iterations; each M-step exactly minimizes the
     expected complete-data objective, so the data log-likelihood never
-    decreases. Requires more samples than latent dimensions and data
-    with nonzero variance.
+    decreases. Requires finite 2-d data with more samples than latent
+    dimensions and nonzero variance about the mean.
     """
-    d, n = data.shape
+    stats = shard_stats(data)
+    d, n = stats.mean.shape[0], stats.n
     if n <= latent_dim:
         raise ValueError(f"need more samples than latent dimensions, got {n} <= {latent_dim}")
-    if float(np.var(data)) == 0.0:
-        raise ValueError("degenerate data: zero variance")
+    if stats.scatter == 0.0:
+        raise ValueError("degenerate data: zero variance about the mean")
     if init is None:
-        init = initial_params(data, latent_dim, rng if rng is not None else np.random.default_rng(0))
-    params = init.copy()
+        rng = rng if rng is not None else np.random.default_rng(0)
+        init = initial_params(np.asarray(data, dtype=float), latent_dim, rng)
+    params: ParamView = init
     no_multipliers = DppcaMultipliers.zeros(d, latent_dim)
+    no_neighbors = np.empty((0, _vector_size(d, latent_dim)))
     for _ in range(iterations):
-        moments = e_step(params, data)
-        params = consensus_m_step(moments, data, params, no_multipliers, {}, {})
-    return params
+        moments = e_step(params, stats)
+        params = consensus_m_step(moments, stats, params, no_multipliers, no_neighbors, [])
+    return PpcaParams(*params)
 
 
 class DppcaModel(ConsensusModel):
     """One node's PPCA model for the consensus engine.
 
-    Owns a data shard, a parameter copy, and the multipliers; flattening
+    Reduces its shard to ``ShardStats`` on construction and keeps no
+    D x N array; holds a parameter copy and the multipliers. Flattening
     follows ``PpcaParams.to_vector`` (projection, mean, precision).
     """
 
     def __init__(self, shard: np.ndarray, latent_dim: int, rng: np.random.Generator):
-        self.data = np.asarray(shard, dtype=float)
-        self.latent_dim = latent_dim
-        self.params = initial_params(self.data, latent_dim, rng)
-        self.multipliers = DppcaMultipliers.zeros(self.data.shape[0], latent_dim)
+        self.stats = shard_stats(shard)
+        self.params: ParamView = initial_params(np.asarray(shard, dtype=float), latent_dim, rng)
+        self.multipliers = DppcaMultipliers.zeros(*self.params.W.shape)
 
     def params_vector(self) -> np.ndarray:
         return self.params.to_vector()
 
     def objective(self, params: np.ndarray | None = None) -> float:
         if params is None:
-            return negative_log_likelihood(self.params, self.data)
-        unpacked = PpcaParams.from_vector(params, self.data.shape[0], self.latent_dim)
-        return negative_log_likelihood(unpacked, self.data)
+            return negative_log_likelihood(self.params, self.stats)
+        return negative_log_likelihood(
+            unpack(np.asarray(params, dtype=float), *self.params.W.shape), self.stats
+        )
 
-    def _unflatten(self, neighbors: Mapping[int, np.ndarray]) -> dict[int, PpcaParams]:
-        d = self.data.shape[0]
-        return {
-            j: PpcaParams.from_vector(vec, d, self.latent_dim)
-            for j, vec in neighbors.items()
-        }
+    def objectives(self, params: np.ndarray) -> list[float]:
+        return negative_log_likelihood(unpack(params, *self.params.W.shape), self.stats).tolist()
+
+    def _stack(
+        self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        size = _vector_size(*self.params.W.shape)
+        vecs = np.array(list(neighbors.values()), dtype=float).reshape(len(neighbors), size)
+        return vecs, np.fromiter((eta[j] for j in neighbors), float, len(neighbors))
 
     def local_step(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]) -> None:
-        moments = e_step(self.params, self.data)
+        moments = e_step(self.params, self.stats)
         self.params = consensus_m_step(
-            moments, self.data, self.params, self.multipliers, self._unflatten(neighbors), eta
+            moments, self.stats, self.params, self.multipliers, *self._stack(neighbors, eta)
         )
 
     def multiplier_step(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]) -> None:
         self.multipliers = consensus_multiplier_step(
-            self.params, self._unflatten(neighbors), eta, self.multipliers
+            self.params, *self._stack(neighbors, eta), self.multipliers
         )
 
 
 def make_dppca_factory(latent_dim: int):
-    """Model factory for :func:`netadmm.engine.run`."""
+    """Model factory for :func:`netadmm.engine.run`.
+
+    Raises ``ValueError`` naming the node when its shard is not a
+    finite, non-empty 2-d array.
+    """
 
     def factory(node_id: int, shard: np.ndarray, rng: np.random.Generator) -> DppcaModel:
-        return DppcaModel(shard, latent_dim, rng)
+        try:
+            return DppcaModel(shard, latent_dim, rng)
+        except ValueError as exc:
+            raise ValueError(f"node {node_id}: {exc}") from exc
 
     return factory

@@ -101,7 +101,7 @@ def test_single_node_oracle_equivalence():
     with criterion("single-node oracle equivalence"):
         rng = np.random.default_rng(3)
         observations = rng.standard_normal((10, 100))
-        for scheme in ("fixed", "vp", "nap"):
+        for scheme in ("fixed", "vp", "ap", "nap"):
             cfg = engine.RunConfig(
                 topology="complete",
                 num_nodes=1,
@@ -147,10 +147,11 @@ def _lagrangian_value_fn(moments, X, mult, neighbors, eta, anchors):
 
     def value(w, mu, a):
         centered = X - mu[:, None]
+        cross = moments.sum_cez + np.outer(X.mean(axis=1), moments.sum_ez)  # sum_n x_n E[z_n]^T
         resid = (
             float(np.sum(centered**2))
-            - 2.0 * float(np.sum(centered * (w @ moments.ez)))
-            + float(np.sum((w.T @ w) * moments.sum_ezz()))
+            - 2.0 * float(np.sum(w * (cross - np.outer(mu, moments.sum_ez))))
+            + float(np.sum((w.T @ w) * moments.sum_ezz))
         )
         total = 0.5 * a * resid - 0.5 * n * d * np.log(a)
         total += (
@@ -199,7 +200,8 @@ def test_m_step_stationarity():
             }
             # heterogeneous penalties across the node's edges
             eta = {j: float(rng.uniform(1.0, 20.0)) for j in range(k)}
-            moments = ppca.e_step(params, X)
+            stats = ppca.shard_stats(X)
+            moments = ppca.e_step(params, stats)
             anchors = {
                 j: (
                     0.5 * (params.W + nb.W),
@@ -208,7 +210,12 @@ def test_m_step_stationarity():
                 )
                 for j, nb in neighbors.items()
             }
-            out = ppca.consensus_m_step(moments, X, params, mult, neighbors, eta)
+            broadcasts = np.zeros((0, d * m + d + 1))
+            if neighbors:
+                broadcasts = np.stack([nb.to_vector() for nb in neighbors.values()])
+            out = ppca.consensus_m_step(
+                moments, stats, params, mult, broadcasts, [eta[j] for j in neighbors]
+            )
             fn = _lagrangian_value_fn(moments, X, mult, neighbors, eta, anchors)
             value = fn(out.W, out.mu, out.a)
 

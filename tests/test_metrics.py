@@ -6,6 +6,7 @@ from netadmm.engine import IterationRecord
 from netadmm.metrics import (
     aggregate_reports,
     angle_report,
+    consensus_gap_deg,
     lower_median,
     run_report,
     speedup,
@@ -95,6 +96,27 @@ def test_run_report_never_converges():
     out = run_report(records, [ref], ref)
     assert out["iterations"] == 5
     assert out["converged"] is False
+
+
+def test_consensus_gap_is_largest_pairwise_angle():
+    # three planes through e1 in R^4: the second column turned by +30 and
+    # -30 degrees from e2 toward e3, so the nodes at +-30 are 60 apart
+    # while each is only 30 degrees from the first node
+    e1, e2, e3 = np.eye(4)[:, :3].T
+    turn = np.radians(30.0)
+
+    def plane(angle):
+        return np.column_stack([e1, np.cos(angle) * e2 + np.sin(angle) * e3])
+
+    rng = np.random.default_rng(4)
+    bases = [plane(0.0), 2.5 * plane(turn), plane(-turn) @ rng.normal(size=(2, 2))]
+    assert consensus_gap_deg(bases) == pytest.approx(60.0, abs=1e-9)
+    assert consensus_gap_deg(bases[:2]) == pytest.approx(30.0, abs=1e-9)
+    assert consensus_gap_deg(bases[:1]) == 0.0
+    records = [_record(0, True)]
+    report = run_report(records, bases, plane(0.0))
+    assert report["consensus_gap_deg"] == pytest.approx(60.0, abs=1e-9)
+    assert report["max_angle_deg"] == pytest.approx(30.0, abs=1e-9)
 
 
 def test_lower_median():
