@@ -8,8 +8,18 @@ centralized EM oracle, synthetic data and measurement-matrix loaders,
 and subspace-angle evaluation.
 """
 
-from . import cli, data, engine, metrics, penalty, ppca, topology
+import importlib
+
+from . import data, engine, metrics, penalty, ppca, topology
 
 __all__ = ["cli", "data", "engine", "metrics", "penalty", "ppca", "topology"]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The command line loads on first use, so importing the library does
+    # not compile it.
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -81,7 +81,6 @@ class ExperimentConfig:
     angle_filter_deg: float | None = None
     # execution
     output_dir: str = "runs"
-    parallel: bool = False
     jobs: int = 1
 
     def penalty_config(self) -> PenaltyConfig:
@@ -213,9 +212,7 @@ def _run_and_write(cfg: ExperimentConfig, shards, reference: np.ndarray, out_dir
 
     The summary scores every node's basis against ``reference`` and adds ``extra``.
     """
-    result = engine.run(
-        cfg.run_config(), ppca.make_dppca_factory(cfg.latent_dim), shards, parallel=cfg.parallel
-    )
+    result = engine.run(cfg.run_config(), ppca.make_dppca_factory(cfg.latent_dim), shards)
     bases = [model.params.W for model in result.models]
     summary = engine.run_summary(cfg.echo(), result)
     summary.update(metrics.run_report(result.records, bases, reference))
@@ -434,7 +431,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--noise-variance", dest="noise_variance", type=float)
     parser.add_argument("--data-seed", dest="data_seed", type=int)
     parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--parallel", action="store_const", const=True, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

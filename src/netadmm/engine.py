@@ -4,15 +4,16 @@ Each iteration runs four barrier-separated phases over all nodes:
 local parameter step, broadcast, multiplier step, then the penalty
 (and, for budgeted schemes, budget) update. A node only ever sees
 neighbor values produced before the current phase, so results are
-independent of node execution order and the phases may run their
-per-node work in parallel threads.
+independent of node execution order.
 
-A node's penalties for an iteration are slices of the scheduler's
-per-edge arrays: its outgoing penalties, its node penalty, and the
-edge-symmetrized penalties of the dual step. The penalty update
-evaluates a node's objective at its neighbors' parameters only when the
-scheduler will use that node's ranking weights, in one batched
-``objectives`` call per node.
+Each phase is one call on a :class:`NodeGroup` that holds all nodes:
+broadcasts are the rows of one (J, P) matrix and penalties are the
+scheduler's arrays over directed edges. The default group loops over
+the models' per-node methods; a model class with stacked kernels (D-PPCA)
+runs each phase for all nodes at once. Neighbor means and residuals are
+array operations, and the penalty update evaluates objectives at
+neighbors' parameters only for the nodes whose ranking weights the
+scheduler will use, in one call for all of their edges.
 
 The simulator is an omniscient observer: it sums the per-node
 objectives into the global objective used for the convergence check
@@ -26,7 +27,6 @@ import abc
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -46,6 +46,7 @@ from .topology import Graph, TOPOLOGIES, build_graph
 
 __all__ = [
     "ConsensusModel",
+    "NodeGroup",
     "QuadraticModel",
     "RunConfig",
     "IterationRecord",
@@ -98,6 +99,73 @@ class ConsensusModel(abc.ABC):
     @abc.abstractmethod
     def multiplier_step(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]) -> None:
         """Dual ascent on the multipliers given current-round broadcasts."""
+
+    @classmethod
+    def group(cls, models: Sequence["ConsensusModel"], graph: Graph) -> "NodeGroup":
+        """All nodes of a run as one :class:`NodeGroup`.
+
+        The engine calls this once per run, on the models' class when they
+        all share it. This default loops over the per-node methods; a model
+        class with stacked kernels returns a group that runs each phase for
+        all nodes at once.
+        """
+        return NodeGroup(models, graph)
+
+
+class NodeGroup:
+    """The nodes of one run; each phase is one call over all of them.
+
+    Broadcasts are the rows of a (J, P) matrix, and penalties are arrays
+    over the graph's directed edges in ``graph.directed_edges()`` order.
+    This default calls each model's per-node methods in node order.
+    """
+
+    def __init__(self, models: Sequence[ConsensusModel], graph: Graph):
+        self.models, self.graph = list(models), graph
+        self._offsets = np.cumsum([0, *map(len, graph.neighbors)]).tolist()
+
+    def params_matrix(self) -> np.ndarray:
+        """Every node's flat parameters, one row per node."""
+        return np.stack([m.params_vector() for m in self.models])
+
+    def objectives(self) -> np.ndarray:
+        """Every node's objective at its own parameters."""
+        return np.array([m.objective() for m in self.models], dtype=float)
+
+    def m_step_counts(self) -> tuple[int, int]:
+        """Inner solver cycles of the local steps so far, and the node steps
+        that stopped at the cycle cap, summed over the models that count
+        them (``m_step_counts()``); (0, 0) without such a solver."""
+        counts = [m.m_step_counts() for m in self.models if hasattr(m, "m_step_counts")]
+        return tuple(int(sum(c)) for c in zip(*counts)) if counts else (0, 0)
+
+    def _per_node(self, step: str, theta: np.ndarray, eta: np.ndarray) -> None:
+        inboxes, eta, off = broadcast_round(self.graph, theta), eta.tolist(), self._offsets
+        for i, (model, nbs) in enumerate(zip(self.models, self.graph.neighbors)):
+            getattr(model, step)(inboxes[i], dict(zip(nbs, eta[off[i] : off[i + 1]])))
+
+    def local_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
+        """Local steps against the broadcasts ``theta`` with per-edge penalties ``eta``."""
+        self._per_node("local_step", theta, eta)
+
+    def multiplier_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
+        """Dual ascent against the broadcasts ``theta`` with per-edge penalties ``eta``."""
+        self._per_node("multiplier_step", theta, eta)
+
+    def neighbor_objectives(self, nodes: Sequence[int], points: np.ndarray) -> np.ndarray:
+        """Objectives of ``nodes`` (ascending) at the rows of ``points``.
+
+        ``points`` holds one row per outgoing edge of each node in
+        ``nodes``, in directed-edge order; each node scores its rows in
+        one ``objectives`` call.
+        """
+        values, start = [], 0
+        for i in nodes:
+            k = len(self.graph.neighbors[i])
+            if k:
+                values.extend(self.models[i].objectives(points[start : start + k]))
+            start += k
+        return np.array(values, dtype=float)
 
 
 class QuadraticModel(ConsensusModel):
@@ -192,12 +260,18 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class RunResult:
-    """Outcome of one simulation run."""
+    """Outcome of one simulation run.
+
+    ``m_step_cycles`` and ``m_step_cap_hits`` are the node group's totals
+    (see :meth:`NodeGroup.m_step_counts`).
+    """
 
     records: list[IterationRecord]
     models: list[ConsensusModel]
     graph: Graph
     scheduler: PenaltyScheduler
+    m_step_cycles: int = 0
+    m_step_cap_hits: int = 0
 
     @property
     def converged(self) -> bool:
@@ -243,7 +317,6 @@ def run(
     config: RunConfig,
     model_factory: Callable[[int, np.ndarray, np.random.Generator], ConsensusModel],
     shards: Sequence[np.ndarray],
-    parallel: bool = False,
     trace_hook: Callable[[int, PenaltyScheduler, list[ConsensusModel]], None] | None = None,
 ) -> RunResult:
     """Simulate consensus ADMM until convergence or the iteration cap.
@@ -257,11 +330,7 @@ def run(
         node's model; the generators are spawned deterministically from
         the run seed.
     shards : sequence of ndarray
-        Per-node data, one entry per node.
-    parallel : bool
-        Execute each phase's per-node work in a thread pool. Results are
-        collected in node order, so output is identical to the
-        single-threaded mode.
+        Per-node data, one entry per node, all with the same number of rows.
     trace_hook : callable, optional
         Called as ``hook(t, scheduler, models)`` after each iteration's
         record, for diagnostics that need scheduler internals.
@@ -273,6 +342,9 @@ def run(
 
     Raises
     ------
+    ValueError
+        Before the first iteration, if the shard count or the shards' row
+        counts do not match.
     DivergenceError
         If the global objective turns non-finite or exceeds 1e12 times
         its initial magnitude.
@@ -283,117 +355,101 @@ def run(
         raise ValueError(
             f"got {len(shards)} data shards for {config.num_nodes} nodes"
         )
+    counts = [np.shape(shard)[0] if np.ndim(shard) else 0 for shard in shards]
+    for i, count in enumerate(counts):
+        if count != counts[0]:
+            raise ValueError(f"node {i}: shard has {count} rows, node 0 has {counts[0]}")
     n = graph.num_nodes
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(n)]
     models = [model_factory(i, shards[i], rngs[i]) for i in range(n)]
     scheduler = make_scheduler(config.scheme, graph, config.penalty)
+    model_cls = type(models[0])
+    if any(type(m) is not model_cls for m in models):
+        model_cls = ConsensusModel
+    nodes = model_cls.group(models, graph)
+    sources, targets = scheduler.sources, scheduler.targets
+    degrees = scheduler.degrees[:, None]
+    midpoint = config.penalty.eval_point != "neighbor"
 
-    pool = ThreadPoolExecutor(max_workers=min(n, os.cpu_count() or 1)) if parallel else None
+    theta = nodes.params_matrix()
+    f_prev_self = nodes.objectives()
+    initial_objective = math.fsum(f_prev_self)
+    prev_navg = None
+    no_residual = np.zeros(n)
+    records: list[IterationRecord] = []
+    history: list[float] = []
+    for t in range(config.max_iterations):
+        # Penalties in force for this whole iteration.
+        edge_eta = scheduler.edge_state.eta
+        node_eta = scheduler.node_etas()
+        # The dual ascent sees each edge's two directed penalties
+        # averaged. This keeps the network-wide multiplier sum
+        # conserved (the two ends of an edge receive opposite,
+        # equally-weighted increments), so once a scheme resets to a
+        # homogeneous penalty the remaining iterations are standard
+        # ADMM converging to the true constrained optimum instead of
+        # a multiplier-shifted copy of it.
+        dual_eta = 0.5 * (edge_eta + edge_eta[scheduler.reverse])
 
-    def for_each_node(fn, nodes=range(n)):
-        if pool is not None:
-            return list(pool.map(fn, nodes))
-        return [fn(i) for i in nodes]
+        # Phase 1: local parameter steps against last-round broadcasts.
+        nodes.local_step(theta, edge_eta)
 
-    try:
-        snapshots = for_each_node(lambda i: models[i].params_vector())
-        inbox = broadcast_round(graph, snapshots)
-        f_prev_self = for_each_node(lambda i: models[i].objective())
-        initial_objective = math.fsum(f_prev_self)
-        prev_navg: list[np.ndarray | None] = [None] * n
+        # Phase 2: synchronous broadcast of the new parameters.
+        theta = nodes.params_matrix()
 
-        def neighbor_objectives(i):
-            # Node i's objective at this round's broadcasts of its neighbors
-            # (or the midpoints with its own), in one batched call.
-            nbs = graph.neighbors[i]
-            if not nbs:
-                return {}
-            points = np.stack([inbox[i][j] for j in nbs])
-            if config.penalty.eval_point != "neighbor":
-                points = 0.5 * (snapshots[i] + points)
-            return dict(zip(nbs, models[i].objectives(points)))
+        # Phase 3: dual ascent with the edge-symmetrized penalties.
+        nodes.multiplier_step(theta, dual_eta)
 
-        records: list[IterationRecord] = []
-        history: list[float] = []
-        for t in range(config.max_iterations):
-            # Penalties in force for this whole iteration.
-            edge_eta = scheduler.edge_state.eta
-            etas = scheduler.by_node(edge_eta)
-            node_eta = scheduler.node_etas()
-            # The dual ascent sees each edge's two directed penalties
-            # averaged. This keeps the network-wide multiplier sum
-            # conserved (the two ends of an edge receive opposite,
-            # equally-weighted increments), so once a scheme resets to a
-            # homogeneous penalty the remaining iterations are standard
-            # ADMM converging to the true constrained optimum instead of
-            # a multiplier-shifted copy of it.
-            dual_etas = scheduler.by_node(0.5 * (edge_eta + edge_eta[scheduler.reverse]))
-
-            # Phase 1: local parameter steps against last-round broadcasts.
-            for_each_node(lambda i: models[i].local_step(inbox[i], etas[i]))
-
-            # Phase 2: synchronous broadcast of the new parameters.
-            snapshots = for_each_node(lambda i: models[i].params_vector())
-            inbox = broadcast_round(graph, snapshots)
-
-            # Phase 3: dual ascent with the edge-symmetrized penalties.
-            for_each_node(lambda i: models[i].multiplier_step(inbox[i], dual_etas[i]))
-
-            # Phase 4: penalty (and budget) update from this round's signals.
-            f_self = for_each_node(lambda i: models[i].objective())
-            navg = [
-                np.mean([inbox[i][j] for j in graph.neighbors[i]], axis=0)
-                if graph.neighbors[i]
-                else None
-                for i in range(n)
-            ]
-            residuals = []
-            for i in range(n):
-                if navg[i] is None:
-                    residuals.append(ResidualPair(0.0, 0.0))
-                    continue
-                prev = prev_navg[i] if prev_navg[i] is not None else navg[i]
-                residuals.append(local_residuals(snapshots[i], navg[i], prev, node_eta[i]))
-            ranked = scheduler.ranking_nodes(t)
-            f_neighbors = for_each_node(neighbor_objectives, ranked)
-            scheduler.update(
-                t, RoundSignals(residuals, f_self, f_prev_self, dict(zip(ranked, f_neighbors)))
-            )
-
-            # Phase 5: record, then check convergence and divergence.
-            objective = math.fsum(f_self)
-            history.append(objective)
-            all_etas = scheduler.all_etas()
-            record = IterationRecord(
-                t=t,
-                objective=objective,
-                max_primal=max(r.primal_norm for r in residuals),
-                max_dual=max(r.dual_norm for r in residuals),
-                eta_min=float(all_etas.min()),
-                eta_max=float(all_etas.max()),
-                eta_mean=float(all_etas.mean()),
-                converged=convergence_check(history, config.convergence_tol),
-                exhausted_edges=scheduler.exhausted_edges(),
-            )
-            records.append(record)
-            if trace_hook is not None:
-                trace_hook(t, scheduler, models)
-            if not math.isfinite(objective) or abs(objective) > _DIVERGENCE_FACTOR * max(
-                1.0, abs(initial_objective)
-            ):
-                raise DivergenceError(
-                    f"objective diverged at iteration {t}: {objective!r}", records
-                )
-
+        # Phase 4: penalty (and budget) update from this round's signals.
+        f_self = nodes.objectives()
+        residuals = ResidualPair(no_residual, no_residual)
+        if len(sources):
+            navg = scheduler.node_sums(theta[targets]) / degrees
+            prev = navg if prev_navg is None else prev_navg
+            residuals = local_residuals(theta, navg, prev, node_eta)
             prev_navg = navg
-            f_prev_self = f_self
-            if record.converged:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        ranked = scheduler.ranking_nodes(t)
+        f_neighbors = np.zeros(len(sources))
+        if ranked and len(sources):
+            # Each ranking node's objective at its neighbors' broadcasts
+            # (or the midpoints with its own), one call for all edges.
+            rows = np.flatnonzero(np.isin(sources, ranked))
+            points = theta[targets[rows]]
+            if midpoint:
+                points = 0.5 * (theta[sources[rows]] + points)
+            f_neighbors[rows] = nodes.neighbor_objectives(ranked, points)
+        scheduler.update(t, RoundSignals(residuals, f_self, f_prev_self, f_neighbors))
 
-    return RunResult(records, models, graph, scheduler)
+        # Phase 5: record, then check convergence and divergence.
+        objective = math.fsum(f_self)
+        history.append(objective)
+        all_etas = scheduler.all_etas()
+        record = IterationRecord(
+            t=t,
+            objective=objective,
+            max_primal=float(np.sqrt(residuals.primal_sq).max()),
+            max_dual=float(np.sqrt(residuals.dual_sq).max()),
+            eta_min=float(all_etas.min()),
+            eta_max=float(all_etas.max()),
+            eta_mean=float(all_etas.mean()),
+            converged=convergence_check(history, config.convergence_tol),
+            exhausted_edges=scheduler.exhausted_edges(),
+        )
+        records.append(record)
+        if trace_hook is not None:
+            trace_hook(t, scheduler, models)
+        if not math.isfinite(objective) or abs(objective) > _DIVERGENCE_FACTOR * max(
+            1.0, abs(initial_objective)
+        ):
+            raise DivergenceError(
+                f"objective diverged at iteration {t}: {objective!r}", records
+            )
+
+        f_prev_self = f_self
+        if record.converged:
+            break
+
+    return RunResult(records, models, graph, scheduler, *nodes.m_step_counts())
 
 
 TRACE_COLUMNS = (
@@ -452,4 +508,5 @@ def run_summary(config_echo: dict, result: RunResult) -> dict:
             "eta_mean": last.eta_mean,
             "exhausted_edges": last.exhausted_edges,
         },
+        "m_step": {"cycles": result.m_step_cycles, "cap_hits": result.m_step_cap_hits},
     }

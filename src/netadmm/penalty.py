@@ -36,9 +36,7 @@ edge's ledger in arrays and applies the scheme's rule to all at once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
@@ -176,7 +174,7 @@ class ResidualPair:
         return np.sqrt(self.dual_sq)
 
 
-def local_residuals(theta, neighbor_avg, neighbor_avg_prev, eta_i: float) -> ResidualPair:
+def local_residuals(theta, neighbor_avg, neighbor_avg_prev, eta_i) -> ResidualPair:
     """Per-node consensus residuals from flattened parameter vectors.
 
     The primal residual measures the gap between the node's parameters
@@ -187,18 +185,19 @@ def local_residuals(theta, neighbor_avg, neighbor_avg_prev, eta_i: float) -> Res
     Parameters
     ----------
     theta : ndarray
-        Node's own flattened parameters.
+        Node's own flattened parameters, or one row per node.
     neighbor_avg : ndarray
         Unweighted mean of the neighbors' current flattened parameters.
     neighbor_avg_prev : ndarray
         Same average from the previous round.
-    eta_i : float
-        Node's current penalty (scales the dual residual).
+    eta_i : float or ndarray
+        Node's current penalty (scales the dual residual), one per row.
 
     Returns
     -------
     ResidualPair
-        Squared norms ``|theta - avg|^2`` and ``eta_i^2 |avg - avg_prev|^2``.
+        Squared norms ``|theta - avg|^2`` and ``eta_i^2 |avg - avg_prev|^2``
+        (floats, or arrays with one entry per row).
     """
     theta = np.asarray(theta, dtype=float)
     avg = np.asarray(neighbor_avg, dtype=float)
@@ -207,9 +206,9 @@ def local_residuals(theta, neighbor_avg, neighbor_avg_prev, eta_i: float) -> Res
         raise ValueError(
             f"parameter blocks disagree in shape: {theta.shape}, {avg.shape}, {avg_prev.shape}"
         )
-    primal_sq = float(np.sum((theta - avg) ** 2))
-    dual_sq = float(eta_i**2 * np.sum((avg - avg_prev) ** 2))
-    return ResidualPair(primal_sq, dual_sq)
+    primal_sq = np.sum((theta - avg) ** 2, axis=-1)
+    dual_sq = np.asarray(eta_i) ** 2 * np.sum((avg - avg_prev) ** 2, axis=-1)
+    return ResidualPair(primal_sq[()], dual_sq[()])
 
 
 def _where(condition, if_true, if_false):
@@ -244,20 +243,21 @@ def ap_taus(
     estimate. When all evaluations tie to within ``tie_epsilon``
     (relative), all weights are zero and plain consensus takes over.
     """
-    values = [f_self, *f_neighbors.values()]
-    if not all(math.isfinite(v) for v in values):
+    values = np.array([f_self, *f_neighbors.values()], dtype=float)
+    if not np.all(np.isfinite(values)):
         raise ValueError("objective evaluations must be finite for penalty ranking")
-    f_max = max(values)
-    f_min = min(values)
+    taus = _rank_weights(f_self, values[1:], values.min(), values.max(), tie_epsilon)
+    return dict(zip(f_neighbors, taus.tolist()))
+
+
+def _rank_weights(f_self, f_neighbor, f_min, f_max, tie_epsilon):
+    # kappa(f) = (f - f_min) / span + 1 and tau = kappa(f_self) / kappa(f_j) - 1,
+    # elementwise; 0 where the neighborhood ties.
     span = f_max - f_min
-    if span <= tie_epsilon * max(1.0, abs(f_max)):
-        return {j: 0.0 for j in f_neighbors}
-
-    def kappa(f: float) -> float:
-        return (f - f_min) / span + 1.0
-
-    k_self = kappa(f_self)
-    return {j: k_self / kappa(f_j) - 1.0 for j, f_j in f_neighbors.items()}
+    tie = span <= tie_epsilon * np.maximum(1.0, np.abs(f_max))
+    span = np.where(tie, 1.0, span)
+    tau = ((f_self - f_min) / span + 1.0) / ((f_neighbor - f_min) / span + 1.0) - 1.0
+    return np.where(tie, 0.0, tau)
 
 
 def ap_update(tau_ij, cfg: PenaltyConfig, t: int):
@@ -336,16 +336,19 @@ def vp_nap_update(
 class RoundSignals:
     """Per-iteration inputs the engine hands to a scheduler.
 
-    All fields are indexed by node id. ``f_neighbors[i]`` maps neighbor
-    id to node i's objective evaluated at that neighbor's broadcast (or
-    the edge midpoint, per config); it is needed only for the nodes that
-    :meth:`PenaltyScheduler.ranking_nodes` names.
+    ``residuals`` holds one ``ResidualPair`` per node, or one pair of
+    arrays over the nodes; ``f_self`` and ``f_prev_self`` are indexed by
+    node id. ``f_neighbors`` gives node i's objective evaluated at each
+    neighbor's broadcast (or the edge midpoint, per config), either as
+    ``f_neighbors[i][j]`` or as one array in directed-edge order. It is
+    read only for the nodes that :meth:`PenaltyScheduler.ranking_nodes`
+    names.
     """
 
-    residuals: list[ResidualPair]
-    f_self: list[float]
-    f_prev_self: list[float]
-    f_neighbors: Mapping[int, Mapping[int, float]] | list[Mapping[int, float]]
+    residuals: list[ResidualPair] | ResidualPair
+    f_self: list[float] | np.ndarray
+    f_prev_self: list[float] | np.ndarray
+    f_neighbors: Mapping[int, Mapping[int, float]] | list[Mapping[int, float]] | np.ndarray
 
 
 class PenaltyScheduler:
@@ -353,8 +356,11 @@ class PenaltyScheduler:
 
     ``edge_state`` holds one array per ledger field in
     ``graph.directed_edges()`` order: node i's outgoing edges are the slice
-    ``offsets[i]:offsets[i + 1]``, and edge k runs opposite to ``reverse[k]``.
-    An update broadcasts each node's signals to its outgoing edges.
+    ``offsets[i]:offsets[i + 1]``, edge k runs from ``sources[k]`` to
+    ``targets[k]``, and its opposite is ``reverse[k]``. ``slots[s, i]`` is
+    node i's s-th outgoing edge, or the out-of-range index ``len(sources)``
+    past its degree. An update broadcasts each node's signals to its
+    outgoing edges.
     """
 
     def __init__(self, scheme: str, graph: Graph, cfg: PenaltyConfig):
@@ -363,12 +369,15 @@ class PenaltyScheduler:
         self.scheme = scheme
         self.graph = graph
         self.cfg = cfg
-        degrees = [len(nbs) for nbs in graph.neighbors]
-        self.offsets = [0, *accumulate(degrees)]
-        self.sources = np.repeat(np.arange(graph.num_nodes), degrees)
+        self.sources, self.targets = graph.edge_arrays()
+        self.degrees = np.bincount(self.sources, minlength=graph.num_nodes)
+        self.offsets = np.concatenate([[0], np.cumsum(self.degrees)])
         self._index = {edge: k for k, edge in enumerate(graph.directed_edges())}
         self.reverse = np.array([self._index[(j, i)] for i, j in self._index], dtype=int)
         m = len(self._index)
+        rank = np.arange(m) - self.offsets[self.sources]
+        self.slots = np.full((self.degrees.max(initial=0), graph.num_nodes), m)
+        self.slots[rank, self.sources] = np.arange(m)
         self.edge_state = EdgePenaltyState(
             eta=np.full(m, cfg.eta0),
             spent=np.zeros(m),
@@ -384,29 +393,31 @@ class PenaltyScheduler:
         k = self._index[(i, j)]
         return EdgePenaltyState(**{name: v[k].item() for name, v in vars(self.edge_state).items()})
 
-    def by_node(self, values) -> list[dict[int, float]]:
-        """Split an array over directed edges into per-node ``{neighbor: value}``."""
-        values = np.asarray(values).tolist()
-        return [
-            dict(zip(nbs, values[self.offsets[i] : self.offsets[i + 1]]))
-            for i, nbs in enumerate(self.graph.neighbors)
-        ]
+    def node_sums(self, values: np.ndarray) -> np.ndarray:
+        """Sum each node's outgoing-edge values (leading axis) in edge order.
 
-    def node_etas(self) -> list[float]:
+        The sum runs left to right, one slot at a time, as Python's ``sum``
+        over the node's edges would; an isolated node sums to 0.
+        """
+        padded = np.concatenate([values, np.zeros((1,) + values.shape[1:])])
+        return padded[self.slots].sum(axis=0)
+
+    def node_etas(self) -> np.ndarray:
         """Per-node penalties: the mean over the node's outgoing edges,
         summed in edge order (``eta0`` for an isolated node).
 
         Under ``vp`` every outgoing edge holds the node's own value, which
         is returned as is: a mean of identical copies can round away from it.
         """
-        etas = self.edge_state.eta.tolist()
-        spans = [etas[a:b] or [self.cfg.eta0] for a, b in zip(self.offsets, self.offsets[1:])]
+        eta = self.edge_state.eta
+        if not eta.size:
+            return np.full(self.graph.num_nodes, self.cfg.eta0)
         if self.scheme == "vp":
-            return [own[0] for own in spans]
-        return [sum(own) / len(own) for own in spans]
+            return eta[self.offsets[:-1]]
+        return self.node_sums(eta) / self.degrees
 
     def node_eta(self, i: int) -> float:
-        return self.node_etas()[i]
+        return float(self.node_etas()[i])
 
     def all_etas(self) -> np.ndarray:
         """Penalties of every directed edge, in edge-iteration order."""
@@ -438,16 +449,36 @@ class PenaltyScheduler:
             return np.unique(live).tolist()
         return []
 
+    def _ranking_taus(self, nodes: list[int], f_self: np.ndarray, f_neighbors) -> np.ndarray:
+        # ``ap_taus`` of every outgoing edge of ``nodes`` at once; the other
+        # edges see a tie (all values 0) and get 0.
+        if not nodes or not len(self.sources):
+            return np.zeros(len(self.sources))
+        ranked = np.zeros(self.graph.num_nodes, dtype=bool)
+        ranked[nodes] = True
+        on = ranked[self.sources]
+        if isinstance(f_neighbors, np.ndarray):
+            f_edge = np.where(on, f_neighbors, 0.0)
+        else:
+            f_edge = np.array([f_neighbors[i][j] if ranked[i] else 0.0 for i, j in self._index])
+        f_own = np.where(ranked, f_self, 0.0)
+        if not (np.all(np.isfinite(f_own)) and np.all(np.isfinite(f_edge))):
+            raise ValueError("objective evaluations must be finite for penalty ranking")
+        starts, src = self.offsets[:-1], self.sources
+        lo = np.minimum(np.minimum.reduceat(f_edge, starts), f_own)
+        hi = np.maximum(np.maximum.reduceat(f_edge, starts), f_own)
+        return _rank_weights(f_own[src], f_edge, lo[src], hi[src], self.cfg.f_tie_epsilon)
+
     def update(self, t: int, signals: RoundSignals) -> None:
         cfg = self.cfg
-        tau = np.zeros(len(self.sources))
-        for i in self.ranking_nodes(t):
-            weights = ap_taus(signals.f_self[i], signals.f_neighbors[i], cfg.f_tie_epsilon)
-            tau[self.offsets[i] : self.offsets[i + 1]] = [weights[j] for j in self.graph.neighbors[i]]
+        f_self = np.asarray(signals.f_self, dtype=float)
+        tau = self._ranking_taus(self.ranking_nodes(t), f_self, signals.f_neighbors)
+        res = signals.residuals
+        if not isinstance(res, ResidualPair):
+            res = ResidualPair(*np.array([(r.primal_sq, r.dual_sq) for r in res]).T)
         src = self.sources
-        primal_sq, dual_sq = np.array([(r.primal_sq, r.dual_sq) for r in signals.residuals]).T
-        res = ResidualPair(primal_sq[src], dual_sq[src])
-        f_curr = np.asarray(signals.f_self, dtype=float)[src]
+        res = ResidualPair(np.asarray(res.primal_sq)[src], np.asarray(res.dual_sq)[src])
+        f_curr = f_self[src]
         f_prev = np.asarray(signals.f_prev_self, dtype=float)[src]
         state = self.edge_state
         if self.scheme == "vp":

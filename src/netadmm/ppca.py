@@ -30,7 +30,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .engine import ConsensusModel
+from .engine import ConsensusModel, NodeGroup
+from .topology import Graph
 
 _EPS = float(np.finfo(float).eps)
 
@@ -45,9 +46,12 @@ __all__ = [
     "initial_params",
     "e_step",
     "negative_log_likelihood",
+    "MStep",
+    "m_step",
     "consensus_m_step",
     "consensus_multiplier_step",
     "centralized_em",
+    "DppcaNodes",
     "DppcaModel",
     "make_dppca_factory",
 ]
@@ -187,6 +191,30 @@ def initial_params(data: np.ndarray, latent_dim: int, rng: np.random.Generator) 
     return PpcaParams(w, data.mean(axis=1), 1.0)
 
 
+# Named tuples of stacked nodes, field by field. Stacked parameters are
+# unvalidated views, whatever they came from.
+def _kind(nt) -> type:
+    return ParamView if isinstance(nt, ParamView) else type(nt)
+
+
+def _lead(nt):
+    return _kind(nt)(*(np.asarray(f)[None] for f in nt))
+
+
+def _take(nt, rows):
+    return _kind(nt)(*(f[rows] for f in nt))
+
+
+def _concat(nts):
+    return _kind(nts[0])(*(np.concatenate(f) for f in zip(*nts)))
+
+
+def _vdot(x: np.ndarray, y: np.ndarray, block_ndim: int) -> np.ndarray:
+    # Inner products of the trailing ``block_ndim`` axes (contiguous blocks).
+    flat = x.shape[: x.ndim - block_ndim] + (-1,)
+    return np.vecdot(x.reshape(flat), y.reshape(flat))
+
+
 def e_step(params: ParamView, stats: ShardStats) -> LatentMoments:
     """Posterior latent moments given current parameters, summed over the shard.
 
@@ -196,28 +224,41 @@ def e_step(params: ParamView, stats: ShardStats) -> LatentMoments:
     ``e = Minv Wᵀ (x̄ − mu)`` the sums are ``Σ E[z_n] = n e``,
     ``Σ E[z_n z_nᵀ] = n Minv / a + E Eᵀ + n e eᵀ`` and
     ``Σ (x_n − x̄) E[z_n]ᵀ = F Eᵀ``.
+
+    ``params`` and ``stats`` may hold J nodes on a leading axis, and so
+    does the result. Zero columns of a padded ``factor`` add exact zeros.
     """
-    w, a = params.W, params.a
-    m = w.shape[1]
-    m_mat = w.T @ w + np.eye(m) / a
+    w, a = params.W, np.asarray(params.a, dtype=float)[..., None, None]
+    m = w.shape[-1]
+    wt = np.swapaxes(w, -1, -2)
+    m_mat = wt @ w + np.eye(m) / a
     if not np.all(np.isfinite(m_mat)):
         raise np.linalg.LinAlgError("latent normal equations are not finite")
-    k = stats.factor.shape[1]
-    rhs = np.hstack([w.T @ stats.factor, (w.T @ (stats.mean - params.mu))[:, None], np.eye(m)])
+    k = stats.factor.shape[-1]
+    rhs = np.concatenate(
+        [
+            wt @ stats.factor,
+            wt @ (stats.mean - params.mu)[..., None],
+            np.broadcast_to(np.eye(m), m_mat.shape),
+        ],
+        axis=-1,
+    )
     try:
         sol = np.linalg.solve(m_mat, rhs)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "latent normal equations are numerically singular"
         ) from exc
-    ez_factor, ez_mean, cov = sol[:, :k], sol[:, k], sol[:, k + 1 :] / a
-    cov = 0.5 * (cov + cov.T)
-    n = stats.n
+    ez_factor, ez_mean, cov = sol[..., :k], sol[..., k], sol[..., k + 1 :] / a
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    n = np.asarray(stats.n, dtype=float)[..., None, None]
     return LatentMoments(
         cov,
-        n * ez_mean,
-        n * cov + ez_factor @ ez_factor.T + n * np.outer(ez_mean, ez_mean),
-        stats.factor @ ez_factor.T,
+        n[..., 0] * ez_mean,
+        n * cov
+        + ez_factor @ np.swapaxes(ez_factor, -1, -2)
+        + n * (ez_mean[..., :, None] * ez_mean[..., None, :]),
+        stats.factor @ np.swapaxes(ez_factor, -1, -2),
     )
 
 
@@ -232,8 +273,9 @@ def negative_log_likelihood(params: ParamView, stats: ShardStats) -> float | np.
     (Woodbury). Applied to the columns of ``F`` and to ``√n (x̄ − mu)``
     this sums squares, free of cancellation.
 
-    ``params`` may hold a batch of K parameter sets (see ``ParamView``);
-    the result is then an array of K values.
+    ``params`` may hold a batch of K parameter sets (see ``ParamView``),
+    scored against one shard's ``stats`` or, row by row, against K
+    stacked ones; the result is then an array of K values.
     """
     w, mu = params.W, params.mu
     a = np.asarray(params.a, dtype=float)
@@ -244,104 +286,214 @@ def negative_log_likelihood(params: ParamView, stats: ShardStats) -> float | np.
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("marginal covariance is not positive definite") from exc
-    n = stats.n
-    factor = np.broadcast_to(stats.factor, w.shape[:-2] + stats.factor.shape)
-    y = np.concatenate([factor, math.sqrt(n) * (stats.mean - mu)[..., None]], axis=-1)
+    n = np.asarray(stats.n, dtype=float)
+    factor = np.broadcast_to(stats.factor, w.shape[:-2] + stats.factor.shape[-2:])
+    y = np.concatenate([factor, (np.sqrt(n)[..., None] * (stats.mean - mu))[..., None]], axis=-1)
     z = np.linalg.solve(gram, wt @ y)
-    quad = a * np.sum((y - w @ z) ** 2, axis=(-2, -1)) + np.sum(z**2, axis=(-2, -1))
+    y -= w @ z
+    quad = a * _vdot(y, y, 2) + _vdot(z, z, 2)
     log_diag = np.log(np.diagonal(chol, axis1=-2, axis2=-1))
     logdet = (m - d) * np.log(a) + 2.0 * np.sum(log_diag, axis=-1)
     nll = 0.5 * (n * d * math.log(2.0 * math.pi) + n * logdet + quad)
     return float(nll) if nll.ndim == 0 else nll
 
 
+# The block updates take one node's arrays, or J nodes' arrays stacked on
+# a leading axis.
+
+
 def _mu_update(
     moments: LatentMoments,
     stats: ShardStats,
     w: np.ndarray,
-    a: float,
+    a: float | np.ndarray,
     gamma: np.ndarray,
-    eta_sum: float,
+    eta_sum: float | np.ndarray,
     mu_anchor: np.ndarray,
 ) -> np.ndarray:
     # mu = [a sum_n (x_n - W E[z_n]) - 2 gamma + sum_j eta_ij (mu_i + mu_j)]
     #      / (N a + 2 sum_j eta_ij)
-    n = stats.n
-    data_term = a * (n * stats.mean - w @ moments.sum_ez)
-    return (data_term - 2.0 * gamma + mu_anchor) / (n * a + 2.0 * eta_sum)
+    n = np.asarray(stats.n, dtype=float)[..., None]
+    a = np.asarray(a, dtype=float)[..., None]
+    data_term = a * (n * stats.mean - (w @ moments.sum_ez[..., None])[..., 0])
+    return (data_term - 2.0 * gamma + mu_anchor) / (n * a + 2.0 * np.asarray(eta_sum)[..., None])
 
 
 def _cross_moment(moments: LatentMoments, stats: ShardStats, mu: np.ndarray) -> np.ndarray:
     # sum_n (x_n - mu) E[z_n]^T
-    return moments.sum_cez + (stats.mean - mu)[:, None] * moments.sum_ez
+    return moments.sum_cez + (stats.mean - mu)[..., :, None] @ moments.sum_ez[..., None, :]
+
+
+def _inverse(lhs: np.ndarray) -> np.ndarray:
+    # Inverse of each symmetric M x M system; a singular one is retried
+    # with a small ridge and a warning.
+    try:
+        return np.linalg.inv(lhs)
+    except np.linalg.LinAlgError:
+        pass
+    m = lhs.shape[-1]
+    flat = lhs.reshape(-1, m, m)
+    out = np.empty_like(flat)
+    for k, mat in enumerate(flat):
+        try:
+            out[k] = np.linalg.inv(mat)
+        except np.linalg.LinAlgError:
+            ridge = 1e-10 * max(1.0, float(np.trace(mat)) / m)
+            warnings.warn(
+                "projection normal equations singular; retrying with ridge "
+                f"{ridge:.3e}",
+                RuntimeWarning,
+            )
+            out[k] = np.linalg.inv(mat + ridge * np.eye(m))
+    return out.reshape(lhs.shape)
 
 
 def _w_update(
     moments: LatentMoments,
     cross: np.ndarray,
-    a: float,
+    a: float | np.ndarray,
     lam: np.ndarray,
-    eta_sum: float,
+    eta_sum: float | np.ndarray,
     w_anchor: np.ndarray,
 ) -> np.ndarray:
     # W [a sum_n E[z z^T] + 2 sum_j eta_ij I] =
     #     a sum_n (x_n - mu) E[z_n]^T - 2 lambda + sum_j eta_ij (W_i + W_j)
-    m = moments.sum_ezz.shape[0]
-    lhs = a * moments.sum_ezz + 2.0 * eta_sum * np.eye(m)
+    m = moments.sum_ezz.shape[-1]
+    a = np.asarray(a, dtype=float)[..., None, None]
+    lhs = a * moments.sum_ezz + (2.0 * np.asarray(eta_sum))[..., None, None] * np.eye(m)
     rhs = a * cross - 2.0 * lam + w_anchor
     # lhs is symmetric, so W = rhs lhs^-1; an M x M inverse and one
     # product cost a fraction of a solve against D right-hand sides.
-    try:
-        return rhs @ np.linalg.inv(lhs)
-    except np.linalg.LinAlgError:
-        ridge = 1e-10 * max(1.0, float(np.trace(lhs)) / m)
-        warnings.warn(
-            "projection normal equations singular; retrying with ridge "
-            f"{ridge:.3e}",
-            RuntimeWarning,
-        )
-        return rhs @ np.linalg.inv(lhs + ridge * np.eye(m))
+    return rhs @ _inverse(lhs)
 
 
 def _expected_residual(
     moments: LatentMoments, stats: ShardStats, cross: np.ndarray, w: np.ndarray, mu: np.ndarray
-) -> float:
-    # sum_n E |x_n - W z_n - mu|^2 under the posterior moments. Floored at
-    # relative epsilon: near-perfect reconstructions cancel to rounding
-    # noise of unstable sign, and the precision update needs a positive
-    # value (the precision then saturates instead of overflowing).
+) -> float | np.ndarray:
+    # sum_n E |x_n - W z_n - mu|^2 under the posterior moments,
+    #   scatter + n |x̄ - mu|^2 - 2 <W, cross> + <W, W sum_ezz>.
+    # Floored at relative epsilon: near-perfect reconstructions cancel to
+    # rounding noise of unstable sign, and the precision update needs a
+    # positive value (the precision then saturates instead of overflowing).
     offset = stats.mean - mu
-    energy = stats.scatter + stats.n * float(offset @ offset)
-    total = energy
-    total -= 2.0 * float(np.vdot(w, cross))
-    total += float(np.vdot(w.T @ w, moments.sum_ezz))
-    return max(total, _EPS * (1.0 + energy))
+    energy = stats.scatter + stats.n * np.vecdot(offset, offset)
+    total = energy + _vdot(w, w @ moments.sum_ezz - 2.0 * cross, 2)
+    return np.maximum(total, _EPS * (1.0 + energy))
 
 
 def _a_update(
-    residual: float,
-    num_samples: int,
+    residual: float | np.ndarray,
+    num_samples: int | np.ndarray,
     ambient_dim: int,
-    beta_mult: float,
-    eta_sum: float,
-    a_anchor: float,
-) -> float:
+    beta_mult: float | np.ndarray,
+    eta_sum: float | np.ndarray,
+    a_anchor: float | np.ndarray,
+) -> float | np.ndarray:
     # Stationarity in a is the scalar quadratic
     #   (2 eta_sum) a^2 + (residual/2 + 2 beta - a_anchor) a - N D / 2 = 0,
-    # which has exactly one positive root whenever eta_sum > 0.
-    nd_half = 0.5 * num_samples * ambient_dim
+    # which has exactly one positive root whenever eta_sum > 0. With no
+    # positive stationary point (eta_sum = 0 and b <= 0) it falls back to
+    # the maximum-likelihood noise update.
+    nd_half = 0.5 * np.asarray(num_samples, dtype=float) * ambient_dim
     b = 0.5 * residual + 2.0 * beta_mult - a_anchor
-    if eta_sum > 0:
-        a2 = 2.0 * eta_sum
-        disc = b * b + 4.0 * a2 * nd_half
-        return (-b + np.sqrt(disc)) / (2.0 * a2)
-    if b > 0:
-        return nd_half / b
-    # No positive stationary point; fall back to the maximum-likelihood
-    # noise update.
-    if residual <= 0:
+    a2 = 2.0 * np.asarray(eta_sum, dtype=float)
+    quadratic = a2 > 0
+    root = (-b + np.sqrt(b * b + 4.0 * a2 * nd_half)) / np.where(quadratic, 2.0 * a2, 1.0)
+    if quadratic.all():
+        return root
+    linear = np.logical_not(quadratic) & (b > 0)
+    if np.any(np.logical_not(quadratic | linear) & (residual <= 0)):
         raise ValueError("degenerate data: zero expected reconstruction residual")
-    return 2.0 * nd_half / residual
+    fallback = np.where(linear, nd_half / np.where(linear, b, 1.0), 2.0 * nd_half / residual)
+    return np.where(quadratic, root, fallback)[()]
+
+
+class MStep(NamedTuple):
+    """Outcome of a stacked M-step: the new parameters, each node's block
+    cycles, and which nodes stopped at ``max_cycles`` without converging."""
+
+    params: ParamView
+    cycles: np.ndarray
+    capped: np.ndarray
+
+
+def m_step(
+    moments: LatentMoments,
+    stats: ShardStats,
+    params: ParamView,
+    multipliers: DppcaMultipliers,
+    anchor: ParamView,
+    eta_sum: np.ndarray,
+    max_cycles: int = 500,
+    tol: float = 1e-12,
+) -> MStep:
+    """Minimize J nodes' augmented Lagrangians over (mu, W, a) at once.
+
+    Every argument holds the J nodes on a leading axis. ``anchor`` is
+    each node's ``Σ_j η_ij (θ_i + θ_j)`` in parameter layout, summed over
+    its neighbors from its entry parameters and their broadcasts, and
+    ``eta_sum`` its ``Σ_j η_ij``. The three block updates are closed forms
+    (the precision block via the positive root of its stationarity
+    quadratic) and are cycled, each consuming the freshest other blocks.
+    A node stops, and its rows freeze, once no block moved by more than
+    ``tol`` relatively in its last cycle or after ``max_cycles`` cycles;
+    the cycles run only over the nodes still active. With no neighbors
+    and zero multipliers a node's update is the centralized EM M-step.
+
+    Raises ``ValueError`` when a block turns non-finite, e.g. from a
+    non-finite neighbor broadcast. Warns with ``RuntimeWarning`` when a
+    node stops at ``max_cycles``.
+    """
+    w, mu, a = params.W.copy(), params.mu.copy(), np.array(params.a, dtype=float)
+    stats = stats._replace(n=np.asarray(stats.n, dtype=float))
+    cycles = np.zeros(len(a), dtype=int)
+    d = mu.shape[-1]
+    # What a cycle reads, and the entry values with their squared norms,
+    # restricted to the nodes still active.
+    active = np.arange(len(a))
+    fixed = (moments, stats, multipliers, anchor, eta_sum)
+    cur = (w, mu, a, _vdot(w, w, 2), np.vecdot(mu, mu))
+    for _ in range(max_cycles):
+        mo, st, mult, anc, es = fixed
+        w_old, mu_old, a_old, w_sq, mu_sq = cur
+        mu_new = _mu_update(mo, st, w_old, a_old, mult.gamma, es, anc.mu)
+        cross = _cross_moment(mo, st, mu_new)
+        w_new = _w_update(mo, cross, a_old, mult.lam, es, anc.W)
+        residual = _expected_residual(mo, st, cross, w_new, mu_new)
+        a_new = _a_update(residual, st.n, d, mult.beta, es, anc.a)
+        w_diff, mu_diff = w_new - w_old, mu_new - mu_old
+        w_new_sq, mu_new_sq = _vdot(w_new, w_new, 2), np.vecdot(mu_new, mu_new)
+        delta = np.maximum(
+            np.maximum(
+                np.sqrt(np.vecdot(mu_diff, mu_diff)) / (1.0 + np.sqrt(mu_sq)),
+                np.sqrt(_vdot(w_diff, w_diff, 2)) / (1.0 + np.sqrt(w_sq)),
+            ),
+            np.abs(a_new - a_old) / (1.0 + np.abs(a_old)),
+        )
+        cycles[active] += 1
+        done = delta < tol
+        if not (done | np.isfinite(delta)).all():
+            raise ValueError("M-step produced non-finite parameters")
+        cur = (w_new, mu_new, a_new, w_new_sq, mu_new_sq)
+        if done.any():
+            rows = active[done]
+            w[rows], mu[rows], a[rows] = w_new[done], mu_new[done], a_new[done]
+            keep = np.logical_not(done)
+            active = active[keep]
+            if not active.size:
+                break
+            fixed = tuple(_take(x, keep) if isinstance(x, tuple) else x[keep] for x in fixed)
+            cur = tuple(x[keep] for x in cur)
+    capped = np.zeros(len(a), dtype=bool)
+    if active.size:
+        w[active], mu[active], a[active] = cur[:3]
+        capped[active] = True
+        warnings.warn(
+            f"M-step stopped at max_cycles={max_cycles} on {active.size} node(s) "
+            "before converging",
+            RuntimeWarning,
+        )
+    return MStep(ParamView(w, mu, a), cycles, capped)
 
 
 def consensus_m_step(
@@ -354,45 +506,26 @@ def consensus_m_step(
     max_cycles: int = 500,
     tol: float = 1e-12,
 ) -> ParamView:
-    """Minimize the node's augmented Lagrangian over (mu, W, a).
+    """Minimize one node's augmented Lagrangian over (mu, W, a).
 
     ``neighbors`` holds the neighbors' broadcasts as rows (K x P, in the
     layout of ``PpcaParams.to_vector``) and ``eta`` their K penalties.
-    The three block updates are closed forms (the precision block via
-    the positive root of its stationarity quadratic) and are cycled,
-    each consuming the freshest other blocks, until no block moves by
-    more than ``tol`` relatively. Consensus anchors are the midpoints of
-    the entry parameters and the neighbors' broadcasts and stay fixed
-    throughout. With no neighbors and zero multipliers this reduces to
-    the centralized EM M-step. Raises ``ValueError`` when a block turns
-    non-finite, e.g. from a non-finite neighbor broadcast.
+    Consensus anchors are the midpoints of the entry parameters and the
+    neighbors' broadcasts and stay fixed throughout. This runs
+    :func:`m_step` on a stack of one node; see there for the cycling,
+    its stopping rule and its errors.
     """
     eta = np.asarray(eta, dtype=float)
-    d = stats.mean.shape[0]
-    eta_sum = float(eta.sum())
-    anchor = unpack(eta @ (params.to_vector() + neighbors), d, params.W.shape[1])
-
-    w, mu, a = params.W, params.mu, params.a
-    for _ in range(max_cycles):
-        mu_new = _mu_update(moments, stats, w, a, multipliers.gamma, eta_sum, anchor.mu)
-        cross = _cross_moment(moments, stats, mu_new)
-        w_new = _w_update(moments, cross, a, multipliers.lam, eta_sum, anchor.W)
-        residual = _expected_residual(moments, stats, cross, w_new, mu_new)
-        a_new = _a_update(residual, stats.n, d, multipliers.beta, eta_sum, anchor.a)
-        delta = max(
-            _rel_change(mu_new, mu), _rel_change(w_new, w), abs(a_new - a) / (1.0 + abs(a))
-        )
-        w, mu, a = w_new, mu_new, a_new
-        if delta < tol:
-            break
-        if not math.isfinite(delta):
-            raise ValueError("M-step produced non-finite parameters")
-    return ParamView(w, mu, float(a))
-
-
-def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
-    diff = new - old
-    return math.sqrt(np.vdot(diff, diff)) / (1.0 + math.sqrt(np.vdot(old, old)))
+    d, m = params.W.shape
+    anchor = unpack((eta @ (params.to_vector() + neighbors))[None], d, m)
+    out = m_step(
+        *map(_lead, (moments, stats, params, multipliers)),
+        anchor,
+        np.array([eta.sum()]),
+        max_cycles,
+        tol,
+    ).params
+    return ParamView(out.W[0], out.mu[0], float(out.a[0]))
 
 
 def consensus_multiplier_step(
@@ -446,56 +579,165 @@ def centralized_em(
     return PpcaParams(*params)
 
 
+class DppcaNodes(NodeGroup):
+    """Statistics, parameters and multipliers of J D-PPCA nodes on a leading axis.
+
+    Shard factors narrower than the widest are padded with zero columns.
+    Each phase runs the stacked kernels once for all nodes; the anchors
+    ``Σ_j η_ij (θ_i + θ_j)`` and the multiplier increments are one product
+    each with the penalty-weighted adjacency matrix.
+    """
+
+    def __init__(
+        self,
+        stats: ShardStats,
+        params: ParamView,
+        multipliers: DppcaMultipliers,
+        max_cycles: int,
+        graph: Graph,
+    ):
+        self.stats, self.params, self.multipliers = stats, params, multipliers
+        self.max_cycles, self.graph = max_cycles, graph
+        # per node: M-step block cycles and steps stopped at max_cycles
+        self.counts = np.zeros((graph.num_nodes, 2), dtype=int)
+        self.sources, self.targets = graph.edge_arrays()
+        self.degrees = np.bincount(self.sources, minlength=graph.num_nodes)
+
+    @classmethod
+    def of(cls, models: Sequence["DppcaModel"], graph: Graph) -> "DppcaNodes":
+        """Stack the models' rows into one group and point each model at its row."""
+        parts = [(m._nodes, m._rows) for m in models]
+        width = max(nodes.stats.factor.shape[-1] for nodes, _ in parts)
+
+        def padded(stats: ShardStats) -> ShardStats:
+            pad = width - stats.factor.shape[-1]
+            return stats._replace(factor=np.pad(stats.factor, ((0, 0), (0, 0), (0, pad))))
+
+        stats = _concat([padded(_take(nodes.stats, rows)) for nodes, rows in parts])
+        params = _concat([_take(nodes.params, rows) for nodes, rows in parts])
+        mults = _concat([_take(nodes.multipliers, rows) for nodes, rows in parts])
+        group = cls(stats, params, mults, models[0].max_cycles, graph)
+        group.counts = np.concatenate([nodes.counts[rows] for nodes, rows in parts])
+        for i, model in enumerate(models):
+            model._nodes, model._rows = group, slice(i, i + 1)
+        return group
+
+    def params_matrix(self) -> np.ndarray:
+        p = self.params
+        return np.concatenate([p.W.reshape(len(p.a), -1), p.mu, p.a[:, None]], axis=1)
+
+    def objectives(self) -> np.ndarray:
+        return negative_log_likelihood(self.params, self.stats)
+
+    def m_step_counts(self) -> tuple[int, int]:
+        return tuple(self.counts.sum(axis=0).tolist())
+
+    def _weights(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        adj = np.zeros((self.graph.num_nodes,) * 2)
+        adj[self.sources, self.targets] = eta
+        return adj.sum(axis=1), adj
+
+    def local_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
+        eta_sum, adj = self._weights(eta)
+        self.step_rows(slice(None), eta_sum[:, None] * theta + adj @ theta, eta_sum)
+
+    def multiplier_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
+        eta_sum, adj = self._weights(eta)
+        self.dual_rows(slice(None), 0.5 * (eta_sum[:, None] * theta - adj @ theta))
+
+    def neighbor_objectives(self, nodes: Sequence[int], points: np.ndarray) -> np.ndarray:
+        stats = _take(self.stats, np.repeat(nodes, self.degrees[nodes]))
+        return negative_log_likelihood(unpack(points, *self.params.W.shape[1:]), stats)
+
+    def step_rows(self, rows: slice, anchor: np.ndarray, eta_sum: np.ndarray) -> None:
+        """E-step and M-step of the nodes ``rows`` against flat anchors, one row each."""
+        stats, params = _take(self.stats, rows), _take(self.params, rows)
+        mults = _take(self.multipliers, rows)
+        anchor = unpack(anchor, *params.W.shape[1:])
+        out = m_step(e_step(params, stats), stats, params, mults, anchor, eta_sum, self.max_cycles)
+        for field, new in zip(self.params, out.params):
+            field[rows] = new
+        self.counts[rows] += np.stack([out.cycles, out.capped], axis=1)
+
+    def dual_rows(self, rows: slice, increments: np.ndarray) -> None:
+        """Add flat multiplier increments, one row each, to the nodes ``rows``."""
+        for field, step in zip(self.multipliers, unpack(increments, *self.params.W.shape[1:])):
+            field[rows] += step
+
+
 class DppcaModel(ConsensusModel):
     """One node's PPCA model for the consensus engine.
 
-    Reduces its shard to ``ShardStats`` on construction and keeps no
-    D x N array; holds a parameter copy and the multipliers. Flattening
-    follows ``PpcaParams.to_vector`` (projection, mean, precision).
+    Reduces its shard to ``ShardStats`` on construction and keeps no D x N
+    array. Its statistics, parameters and multipliers are the rows
+    ``_rows`` of a :class:`DppcaNodes`: a group of its own until the engine
+    stacks a run's nodes (:meth:`group`), so ``params`` and ``multipliers``
+    read the node's live values. The per-node methods run the stacked
+    kernels on those rows; the engine's grouped phases run them on all
+    rows at once and do not call the per-node methods. Flattening follows
+    ``PpcaParams.to_vector``.
     """
 
+    #: block cycles one M-step may run per node
+    max_cycles = 500
+
     def __init__(self, shard: np.ndarray, latent_dim: int, rng: np.random.Generator):
-        self.stats = shard_stats(shard)
-        self.params: ParamView = initial_params(np.asarray(shard, dtype=float), latent_dim, rng)
-        self.multipliers = DppcaMultipliers.zeros(*self.params.W.shape)
+        stats = shard_stats(shard)
+        params = initial_params(np.asarray(shard, dtype=float), latent_dim, rng)
+        mults = DppcaMultipliers.zeros(*params.W.shape)
+        alone = Graph(1, ((),))
+        self._nodes = DppcaNodes(*map(_lead, (stats, params, mults)), self.max_cycles, alone)
+        self._rows = slice(0, 1)
+
+    @classmethod
+    def group(cls, models: Sequence["DppcaModel"], graph: Graph) -> DppcaNodes:
+        return DppcaNodes.of(models, graph)
+
+    @property
+    def params(self) -> ParamView:
+        w, mu, a = _take(self._nodes.params, self._rows)
+        return ParamView(w[0], mu[0], float(a[0]))
+
+    @property
+    def multipliers(self) -> DppcaMultipliers:
+        lam, gamma, beta = _take(self._nodes.multipliers, self._rows)
+        return DppcaMultipliers(lam[0], gamma[0], float(beta[0]))
+
+    def m_step_counts(self) -> tuple[int, int]:
+        """This node's M-step block cycles and its steps stopped at ``max_cycles``."""
+        return tuple(self._nodes.counts[self._rows].sum(axis=0).tolist())
 
     def params_vector(self) -> np.ndarray:
         return self.params.to_vector()
 
     def objective(self, params: np.ndarray | None = None) -> float:
-        if params is None:
-            return negative_log_likelihood(self.params, self.stats)
-        return negative_log_likelihood(
-            unpack(np.asarray(params, dtype=float), *self.params.W.shape), self.stats
-        )
+        vec = self.params_vector() if params is None else np.asarray(params, dtype=float)
+        return self.objectives(vec[None])[0]
 
     def objectives(self, params: np.ndarray) -> list[float]:
-        return negative_log_likelihood(unpack(params, *self.params.W.shape), self.stats).tolist()
+        stats = _take(self._nodes.stats, self._rows)
+        return negative_log_likelihood(unpack(params, *self.params.W.shape), stats).tolist()
 
-    def _stack(
-        self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        size = _vector_size(*self.params.W.shape)
-        vecs = np.array(list(neighbors.values()), dtype=float).reshape(len(neighbors), size)
-        return vecs, np.fromiter((eta[j] for j in neighbors), float, len(neighbors))
+    def _inbox(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]):
+        # Own vector, neighbor broadcasts as rows, and their penalties.
+        own = self.params_vector()
+        vecs = np.array(list(neighbors.values()), dtype=float).reshape(len(neighbors), own.size)
+        return own, vecs, np.fromiter((eta[j] for j in neighbors), float, len(neighbors))
 
     def local_step(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]) -> None:
-        moments = e_step(self.params, self.stats)
-        self.params = consensus_m_step(
-            moments, self.stats, self.params, self.multipliers, *self._stack(neighbors, eta)
-        )
+        own, vecs, etas = self._inbox(neighbors, eta)
+        self._nodes.step_rows(self._rows, (etas @ (own + vecs))[None], etas.sum()[None])
 
     def multiplier_step(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]) -> None:
-        self.multipliers = consensus_multiplier_step(
-            self.params, *self._stack(neighbors, eta), self.multipliers
-        )
+        own, vecs, etas = self._inbox(neighbors, eta)
+        self._nodes.dual_rows(self._rows, (0.5 * (etas @ (own - vecs)))[None])
 
 
 def make_dppca_factory(latent_dim: int):
     """Model factory for :func:`netadmm.engine.run`.
 
-    Raises ``ValueError`` naming the node when its shard is not a
-    finite, non-empty 2-d array.
+    Raises ``ValueError`` naming the node when its shard is not a finite,
+    non-empty 2-d array.
     """
 
     def factory(node_id: int, shard: np.ndarray, rng: np.random.Generator) -> DppcaModel:

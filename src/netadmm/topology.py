@@ -12,6 +12,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 __all__ = [
     "Graph",
     "TOPOLOGIES",
@@ -45,6 +47,12 @@ class Graph:
         for i in range(self.num_nodes):
             for j in self.neighbors[i]:
                 yield (i, j)
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sources and targets of the directed edges, in ``directed_edges()`` order."""
+        sources = np.repeat(np.arange(self.num_nodes), [len(nbs) for nbs in self.neighbors])
+        targets = np.array([j for nbs in self.neighbors for j in nbs], dtype=int)
+        return sources, targets
 
     def num_undirected_edges(self) -> int:
         return sum(self.degree(i) for i in range(self.num_nodes)) // 2

@@ -392,14 +392,14 @@ def test_synthetic_sfm_against_svd_oracle(tmp_path):
 
 
 def test_determinism_across_runs_and_modes(tmp_path):
-    with criterion("byte-identical traces (serial and parallel)"):
+    with criterion("byte-identical traces across reruns"):
         spec = data.SyntheticSpec(
             num_samples=160, ambient_dim=10, latent_dim=3, noise_variance=0.2, seed=0
         )
         observations, _ = data.generate_synthetic(spec)
         shards = data.partition_even(observations, 8)
 
-        def trace(tag, parallel):
+        def trace(tag):
             cfg = engine.RunConfig(
                 topology="complete",
                 num_nodes=8,
@@ -408,17 +408,9 @@ def test_determinism_across_runs_and_modes(tmp_path):
                 convergence_tol=1e-3,
                 seed=4,
             )
-            result = engine.run(
-                cfg, ppca.make_dppca_factory(3), shards, parallel=parallel
-            )
+            result = engine.run(cfg, ppca.make_dppca_factory(3), shards)
             path = tmp_path / f"{tag}.csv"
             engine.write_trace_csv(result.records, path)
             return path.read_bytes()
 
-        serial_1 = trace("serial_1", False)
-        serial_2 = trace("serial_2", False)
-        parallel_1 = trace("parallel_1", True)
-        parallel_2 = trace("parallel_2", True)
-        assert serial_1 == serial_2
-        assert parallel_1 == parallel_2
-        assert serial_1 == parallel_1
+        assert trace("serial_1") == trace("serial_2")

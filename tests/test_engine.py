@@ -187,8 +187,7 @@ class PhaseProbeModel(ConsensusModel):
             assert vec[1] == self.round, "multiplier step must see current round"
 
 
-@pytest.mark.parametrize("parallel", [False, True])
-def test_phase_purity(parallel):
+def test_phase_purity():
     cfg = RunConfig(
         topology="ring",
         num_nodes=6,
@@ -200,7 +199,6 @@ def test_phase_purity(parallel):
         cfg,
         lambda i, s, r: PhaseProbeModel(i),
         [np.zeros(1)] * 6,
-        parallel=parallel,
     )
     assert all(model.round == 6 for model in result.models)
 
@@ -211,7 +209,7 @@ def test_seeded_determinism_and_parallel_equivalence(tmp_path):
 
     from netadmm.ppca import make_dppca_factory
 
-    def trace_bytes(parallel):
+    def trace_bytes(tag):
         cfg = RunConfig(
             topology="complete",
             num_nodes=4,
@@ -220,21 +218,33 @@ def test_seeded_determinism_and_parallel_equivalence(tmp_path):
             convergence_tol=1e-30,
             seed=9,
         )
-        result = run(cfg, make_dppca_factory(2), shards, parallel=parallel)
-        path = tmp_path / f"trace_{parallel}.csv"
+        result = run(cfg, make_dppca_factory(2), shards)
+        path = tmp_path / f"trace_{tag}.csv"
         write_trace_csv(result.records, path)
         return path.read_bytes()
 
-    serial_a = trace_bytes(False)
-    serial_b = trace_bytes(False)
-    threaded = trace_bytes(True)
-    assert serial_a == serial_b == threaded
+    assert trace_bytes("a") == trace_bytes("b")
 
 
 def test_shard_count_mismatch_rejected():
     cfg = RunConfig(topology="complete", num_nodes=3, scheme="fixed")
     with pytest.raises(ValueError, match="shards"):
         run(cfg, _quadratic_factory, [np.zeros(2)] * 2)
+
+
+def test_mismatched_shard_rows_rejected_before_first_iteration():
+    rng = np.random.default_rng(3)
+    shards = [rng.normal(size=(rows, 8)) for rows in (5, 6, 5)]
+    built = []
+
+    def factory(node_id, shard, rng):
+        built.append(node_id)
+        return QuadraticModel(shard[:, 0])
+
+    cfg = RunConfig(topology="complete", num_nodes=3, scheme="fixed", max_iterations=3)
+    with pytest.raises(ValueError, match=r"^node 1: shard has 6 rows, node 0 has 5$"):
+        run(cfg, factory, shards)
+    assert built == []
 
 
 def test_trace_csv_format(tmp_path):

@@ -558,3 +558,181 @@ def test_nan_neighbor_broadcast_ends_run_with_error():
     cfg = engine.RunConfig(topology="complete", num_nodes=3, scheme="ap", max_iterations=5)
     with pytest.raises(ValueError, match="non-finite"):
         engine.run(cfg, factory, shards)
+
+
+# ------------------------------------------------- stacked node group
+
+
+def _ragged_nodes():
+    # Five nodes with shards of 3, 4, 6, 9 and 20 samples in D=6: the first
+    # three keep their centred shard as factor (padded to 6 columns when
+    # stacked), the last two a 6 x 6 QR factor.
+    from netadmm.ppca import DppcaModel
+
+    rng = np.random.default_rng(21)
+    shards = [rng.normal(size=(6, n)) + rng.normal(size=(6, 1)) for n in (3, 4, 6, 9, 20)]
+    return shards, [DppcaModel(x, 2, np.random.default_rng(i)) for i, x in enumerate(shards)]
+
+
+def test_stacked_phases_match_one_node_at_a_time():
+    from netadmm.ppca import DppcaNodes
+    from netadmm.topology import build_complete
+
+    shards, singles = _ragged_nodes()
+    _, stacked = _ragged_nodes()
+    graph = build_complete(5)
+    group = DppcaNodes.of(stacked, graph)
+    assert group.stats.factor.shape == (5, 6, 6)
+    rng = np.random.default_rng(22)
+    edges = list(graph.directed_edges())
+
+    def inboxes(theta, eta):
+        for i, model in enumerate(singles):
+            nbs = graph.neighbors[i]
+            etas = {j: eta[edges.index((i, j))] for j in nbs}
+            yield model, {j: theta[j] for j in nbs}, etas
+
+    def assert_rows_match():
+        for i, model in enumerate(singles):
+            got, want = stacked[i].params, model.params
+            np.testing.assert_allclose(got.W, want.W, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got.mu, want.mu, rtol=1e-12, atol=0)
+            assert got.a == pytest.approx(want.a, rel=1e-12)
+            got, want = stacked[i].multipliers, model.multipliers
+            np.testing.assert_allclose(got.lam, want.lam, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(got.gamma, want.gamma, rtol=1e-12, atol=1e-15)
+            assert got.beta == pytest.approx(want.beta, rel=1e-12, abs=1e-15)
+
+    # E-step on padded stacked statistics against each node's own
+    moments = e_step(group.params, group.stats)
+    for i, x in enumerate(shards):
+        own = e_step(singles[i].params, shard_stats(x))
+        for got, want in zip(moments, own):
+            np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-13)
+
+    for _ in range(3):
+        theta = group.params_matrix()
+        eta = rng.uniform(1.0, 20.0, size=len(edges))
+        group.local_step(theta, eta)
+        for model, inbox, etas in inboxes(theta, eta):
+            model.local_step(inbox, etas)
+        theta = group.params_matrix()
+        dual = rng.uniform(1.0, 20.0, size=len(edges))
+        group.multiplier_step(theta, dual)
+        for model, inbox, etas in inboxes(theta, dual):
+            model.multiplier_step(inbox, etas)
+        assert_rows_match()
+
+    # own objectives, and ranking objectives at every neighbor's broadcast
+    theta = group.params_matrix()
+    np.testing.assert_allclose(
+        group.objectives(), [m.objective() for m in singles], rtol=1e-12
+    )
+    nodes = [0, 2, 4]
+    points = np.concatenate([theta[list(graph.neighbors[i])] for i in nodes])
+    want = [v for i in nodes for v in singles[i].objectives(theta[list(graph.neighbors[i])])]
+    np.testing.assert_allclose(group.neighbor_objectives(nodes, points), want, rtol=1e-12)
+    cycles, cap_hits = group.m_step_counts()
+    assert cycles == sum(m.m_step_counts()[0] for m in singles) > 0 and cap_hits == 0
+
+
+def test_m_step_freezes_converged_rows():
+    # One node enters at its own M-step fixed point and stops after a cycle
+    # or two; the others keep cycling without touching its rows.
+    from netadmm.ppca import DppcaNodes, m_step
+    from netadmm.topology import build_complete
+
+    _, models = _ragged_nodes()
+    group = DppcaNodes.of(models, build_complete(5))
+    rng = np.random.default_rng(23)
+    params = group.params
+    anchor = unpack(rng.normal(size=(5, 6 * 2 + 6 + 1)), 6, 2)
+    anchor = anchor._replace(a=np.abs(anchor.a))
+    eta_sum = rng.uniform(5.0, 40.0, size=5)
+    mults = group.multipliers
+    moments = e_step(params, group.stats)
+    first = m_step(moments, group.stats, params, mults, anchor, eta_sum)
+    start = params._replace(
+        W=params.W.copy(), mu=params.mu.copy(), a=params.a.copy()
+    )
+    start.W[0], start.mu[0], start.a[0] = first.params.W[0], first.params.mu[0], first.params.a[0]
+    out = m_step(moments, group.stats, start, mults, anchor, eta_sum)
+    assert out.cycles[0] < out.cycles.max()
+    assert not out.capped.any()
+
+    def take(nt, i):
+        return type(nt)(*(np.asarray(f)[[i]] for f in nt))
+
+    for i in range(5):
+        alone = m_step(
+            take(moments, i),
+            take(group.stats, i),
+            take(start, i),
+            take(mults, i),
+            take(anchor, i),
+            eta_sum[[i]],
+        )
+        assert alone.cycles[0] == out.cycles[i]
+        # bit for bit: a frozen row is exactly the node's own result
+        np.testing.assert_array_equal(out.params.W[i], alone.params.W[0])
+        np.testing.assert_array_equal(out.params.mu[i], alone.params.mu[0])
+        assert out.params.a[i] == alone.params.a[0]
+
+
+def test_m_step_cycle_cap_is_counted_and_warned(tmp_path):
+    from netadmm import engine
+    from netadmm.ppca import DppcaModel, make_dppca_factory
+
+    class OneCycle(DppcaModel):
+        max_cycles = 1
+
+    rng = np.random.default_rng(24)
+    shards = [rng.normal(size=(4, 10)) for _ in range(3)]
+    cfg = engine.RunConfig(
+        topology="complete", num_nodes=3, scheme="fixed", max_iterations=4, convergence_tol=1e-300
+    )
+    with pytest.warns(RuntimeWarning, match="max_cycles=1"):
+        capped = engine.run(cfg, lambda i, shard, r: OneCycle(shard, 2, r), shards)
+    assert (capped.m_step_cycles, capped.m_step_cap_hits) == (12, 12)
+    assert engine.run_summary({}, capped)["m_step"] == {"cycles": 12, "cap_hits": 12}
+    free = engine.run(cfg, make_dppca_factory(2), shards)
+    assert free.m_step_cycles > 12 and free.m_step_cap_hits == 0
+    assert [m.m_step_counts() for m in capped.models] == [(4, 4)] * 3
+
+    def mixed(i, shard, r):
+        # models of two classes run through the per-node loop, which
+        # still sums the nodes' counts
+        return (OneCycle if i else DppcaModel)(shard, 2, r)
+
+    with pytest.warns(RuntimeWarning, match="max_cycles=1"):
+        looped = engine.run(cfg, mixed, shards)
+    assert looped.m_step_cap_hits == 8
+    assert looped.m_step_cycles == 8 + looped.models[0].m_step_counts()[0]
+    path = tmp_path / "trace.csv"
+    engine.write_trace_csv(capped.records, path)
+    assert path.read_text().splitlines()[0] == ",".join(engine.TRACE_COLUMNS)
+
+
+@pytest.mark.parametrize("topology", ["ring", "cluster"])
+def test_network_multiplier_sums_stay_zero(topology):
+    # Symmetrized dual penalties give the two ends of an edge opposite
+    # increments, so every block's multipliers sum to zero over the network.
+    from netadmm import data, engine
+    from netadmm.penalty import SCHEMES
+    from netadmm.ppca import make_dppca_factory
+
+    spec = data.SyntheticSpec(num_samples=200, ambient_dim=8, latent_dim=2, seed=0)
+    shards = data.partition_even(data.generate_synthetic(spec)[0], 20)
+    for scheme in SCHEMES:
+        cfg = engine.RunConfig(
+            topology=topology, num_nodes=20, scheme=scheme, max_iterations=40,
+            convergence_tol=1e-300, seed=1,
+        )
+        result = engine.run(cfg, make_dppca_factory(2), shards)
+        assert len(result.records) == 40
+        for block in ("lam", "gamma", "beta"):
+            rows = np.array([getattr(m.multipliers, block) for m in result.models])
+            rows = rows.reshape(20, -1)
+            scale = np.linalg.norm(rows, axis=1).sum()
+            assert scale > 0
+            assert np.linalg.norm(rows.sum(axis=0)) <= 1e-10 * scale, (scheme, block)
