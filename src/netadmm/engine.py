@@ -122,7 +122,6 @@ class NodeGroup:
 
     def __init__(self, models: Sequence[ConsensusModel], graph: Graph):
         self.models, self.graph = list(models), graph
-        self._offsets = np.cumsum([0, *map(len, graph.neighbors)]).tolist()
 
     def params_matrix(self) -> np.ndarray:
         """Every node's flat parameters, one row per node."""
@@ -140,7 +139,7 @@ class NodeGroup:
         return tuple(int(sum(c)) for c in zip(*counts)) if counts else (0, 0)
 
     def _per_node(self, step: str, theta: np.ndarray, eta: np.ndarray) -> None:
-        inboxes, eta, off = broadcast_round(self.graph, theta), eta.tolist(), self._offsets
+        inboxes, eta, off = broadcast_round(self.graph, theta), eta.tolist(), self.graph.offsets
         for i, (model, nbs) in enumerate(zip(self.models, self.graph.neighbors)):
             getattr(model, step)(inboxes[i], dict(zip(nbs, eta[off[i] : off[i + 1]])))
 
@@ -367,8 +366,8 @@ def run(
     if any(type(m) is not model_cls for m in models):
         model_cls = ConsensusModel
     nodes = model_cls.group(models, graph)
-    sources, targets = scheduler.sources, scheduler.targets
-    degrees = scheduler.degrees[:, None]
+    sources, targets = graph.edge_arrays()
+    degrees = graph.degrees[:, None]
     midpoint = config.penalty.eval_point != "neighbor"
 
     theta = nodes.params_matrix()
@@ -404,7 +403,7 @@ def run(
         f_self = nodes.objectives()
         residuals = ResidualPair(no_residual, no_residual)
         if len(sources):
-            navg = scheduler.node_sums(theta[targets]) / degrees
+            navg = graph.neighbor_rows(theta).sum(axis=0) / degrees
             prev = navg if prev_navg is None else prev_navg
             residuals = local_residuals(theta, navg, prev, node_eta)
             prev_navg = navg

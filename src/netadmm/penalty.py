@@ -355,11 +355,9 @@ class PenaltyScheduler:
     """Per-directed-edge penalty state of one scheme on one graph.
 
     ``edge_state`` holds one array per ledger field in
-    ``graph.directed_edges()`` order: node i's outgoing edges are the slice
-    ``offsets[i]:offsets[i + 1]``, edge k runs from ``sources[k]`` to
-    ``targets[k]``, and its opposite is ``reverse[k]``. ``slots[s, i]`` is
-    node i's s-th outgoing edge, or the out-of-range index ``len(sources)``
-    past its degree. An update broadcasts each node's signals to its
+    ``graph.directed_edges()`` order (see :class:`Graph` for that layout):
+    edge k runs from ``sources[k]`` to ``targets[k]``, and its opposite is
+    ``reverse[k]``. An update broadcasts each node's signals to its
     outgoing edges.
     """
 
@@ -370,14 +368,9 @@ class PenaltyScheduler:
         self.graph = graph
         self.cfg = cfg
         self.sources, self.targets = graph.edge_arrays()
-        self.degrees = np.bincount(self.sources, minlength=graph.num_nodes)
-        self.offsets = np.concatenate([[0], np.cumsum(self.degrees)])
         self._index = {edge: k for k, edge in enumerate(graph.directed_edges())}
         self.reverse = np.array([self._index[(j, i)] for i, j in self._index], dtype=int)
         m = len(self._index)
-        rank = np.arange(m) - self.offsets[self.sources]
-        self.slots = np.full((self.degrees.max(initial=0), graph.num_nodes), m)
-        self.slots[rank, self.sources] = np.arange(m)
         self.edge_state = EdgePenaltyState(
             eta=np.full(m, cfg.eta0),
             spent=np.zeros(m),
@@ -393,15 +386,6 @@ class PenaltyScheduler:
         k = self._index[(i, j)]
         return EdgePenaltyState(**{name: v[k].item() for name, v in vars(self.edge_state).items()})
 
-    def node_sums(self, values: np.ndarray) -> np.ndarray:
-        """Sum each node's outgoing-edge values (leading axis) in edge order.
-
-        The sum runs left to right, one slot at a time, as Python's ``sum``
-        over the node's edges would; an isolated node sums to 0.
-        """
-        padded = np.concatenate([values, np.zeros((1,) + values.shape[1:])])
-        return padded[self.slots].sum(axis=0)
-
     def node_etas(self) -> np.ndarray:
         """Per-node penalties: the mean over the node's outgoing edges,
         summed in edge order (``eta0`` for an isolated node).
@@ -413,8 +397,8 @@ class PenaltyScheduler:
         if not eta.size:
             return np.full(self.graph.num_nodes, self.cfg.eta0)
         if self.scheme == "vp":
-            return eta[self.offsets[:-1]]
-        return self.node_sums(eta) / self.degrees
+            return eta[self.graph.offsets[:-1]]
+        return self.graph.node_sums(eta) / self.graph.degrees
 
     def node_eta(self, i: int) -> float:
         return float(self.node_etas()[i])
@@ -464,7 +448,7 @@ class PenaltyScheduler:
         f_own = np.where(ranked, f_self, 0.0)
         if not (np.all(np.isfinite(f_own)) and np.all(np.isfinite(f_edge))):
             raise ValueError("objective evaluations must be finite for penalty ranking")
-        starts, src = self.offsets[:-1], self.sources
+        starts, src = self.graph.offsets[:-1], self.sources
         lo = np.minimum(np.minimum.reduceat(f_edge, starts), f_own)
         hi = np.maximum(np.maximum.reduceat(f_edge, starts), f_own)
         return _rank_weights(f_own[src], f_edge, lo[src], hi[src], self.cfg.f_tie_epsilon)

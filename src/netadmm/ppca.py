@@ -49,6 +49,7 @@ __all__ = [
     "MStep",
     "m_step",
     "consensus_m_step",
+    "multiplier_step",
     "consensus_multiplier_step",
     "centralized_em",
     "DppcaNodes",
@@ -209,10 +210,21 @@ def _concat(nts):
     return _kind(nts[0])(*(np.concatenate(f) for f in zip(*nts)))
 
 
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Inner products over the last axis; a row-by-column product runs one
+    # BLAS dot per row, the dot ``np.vdot`` and ``np.vecdot`` run.
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+# ``np.vecdot`` (numpy >= 2) gives the same dots at less call overhead,
+# which counts in the M-step's block cycles.
+_inner = getattr(np, "vecdot", _row_dots)
+
+
 def _vdot(x: np.ndarray, y: np.ndarray, block_ndim: int) -> np.ndarray:
     # Inner products of the trailing ``block_ndim`` axes (contiguous blocks).
     flat = x.shape[: x.ndim - block_ndim] + (-1,)
-    return np.vecdot(x.reshape(flat), y.reshape(flat))
+    return _inner(x.reshape(flat), y.reshape(flat))
 
 
 def e_step(params: ParamView, stats: ShardStats) -> LatentMoments:
@@ -376,7 +388,7 @@ def _expected_residual(
     # rounding noise of unstable sign, and the precision update needs a
     # positive value (the precision then saturates instead of overflowing).
     offset = stats.mean - mu
-    energy = stats.scatter + stats.n * np.vecdot(offset, offset)
+    energy = stats.scatter + stats.n * _inner(offset, offset)
     total = energy + _vdot(w, w @ moments.sum_ezz - 2.0 * cross, 2)
     return np.maximum(total, _EPS * (1.0 + energy))
 
@@ -406,6 +418,42 @@ def _a_update(
         raise ValueError("degenerate data: zero expected reconstruction residual")
     fallback = np.where(linear, nd_half / np.where(linear, b, 1.0), 2.0 * nd_half / residual)
     return np.where(quadratic, root, fallback)[()]
+
+
+# Neighbor terms of J nodes at once. ``own`` holds the nodes' flat
+# parameters (J x P, in the layout of ``PpcaParams.to_vector``);
+# ``inbox[s, i]`` is the broadcast node i receives over its s-th edge and
+# ``eta[s, i]`` that edge's penalty, both zero past the node's degree (see
+# ``Graph.neighbor_rows``). The edge terms are summed over the slots in order.
+# Both kernels build the terms in ``inbox``, which they overwrite: at 20
+# nodes every further (S, J, P) temporary cost as much as the whole sum.
+
+
+def _anchors(own: np.ndarray, inbox: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Each node's sum_j eta_ij (theta_i + theta_j), flat, and its sum_j eta_ij.
+    terms = np.add(own, inbox, out=inbox)
+    terms *= eta[..., None]
+    return terms.sum(axis=0), eta.sum(axis=0)
+
+
+def multiplier_step(
+    multipliers: DppcaMultipliers, own: np.ndarray, inbox: np.ndarray, eta: np.ndarray
+) -> DppcaMultipliers:
+    """Dual ascent of J nodes at once: penalty-weighted consensus errors, halved.
+
+    Each multiplier gains ``(1/2) Σ_j η_ij (own_block − neighbor_block)``,
+    evaluated at the current round's broadcasts; all three blocks use the
+    same form. ``multipliers`` holds the J nodes on a leading axis, and
+    ``own``, ``inbox`` and ``eta`` are laid out as for the anchors of the
+    M-step (flat own parameters, broadcasts and penalties per edge slot);
+    ``inbox`` is overwritten.
+    """
+    terms = np.subtract(own, inbox, out=inbox)
+    terms *= eta[..., None]
+    step = unpack(0.5 * terms.sum(axis=0), *multipliers.lam.shape[-2:])
+    return DppcaMultipliers(
+        multipliers.lam + step.W, multipliers.gamma + step.mu, multipliers.beta + step.a
+    )
 
 
 class MStep(NamedTuple):
@@ -452,7 +500,7 @@ def m_step(
     # restricted to the nodes still active.
     active = np.arange(len(a))
     fixed = (moments, stats, multipliers, anchor, eta_sum)
-    cur = (w, mu, a, _vdot(w, w, 2), np.vecdot(mu, mu))
+    cur = (w, mu, a, _vdot(w, w, 2), _inner(mu, mu))
     for _ in range(max_cycles):
         mo, st, mult, anc, es = fixed
         w_old, mu_old, a_old, w_sq, mu_sq = cur
@@ -462,10 +510,10 @@ def m_step(
         residual = _expected_residual(mo, st, cross, w_new, mu_new)
         a_new = _a_update(residual, st.n, d, mult.beta, es, anc.a)
         w_diff, mu_diff = w_new - w_old, mu_new - mu_old
-        w_new_sq, mu_new_sq = _vdot(w_new, w_new, 2), np.vecdot(mu_new, mu_new)
+        w_new_sq, mu_new_sq = _vdot(w_new, w_new, 2), _inner(mu_new, mu_new)
         delta = np.maximum(
             np.maximum(
-                np.sqrt(np.vecdot(mu_diff, mu_diff)) / (1.0 + np.sqrt(mu_sq)),
+                np.sqrt(_inner(mu_diff, mu_diff)) / (1.0 + np.sqrt(mu_sq)),
                 np.sqrt(_vdot(w_diff, w_diff, 2)) / (1.0 + np.sqrt(w_sq)),
             ),
             np.abs(a_new - a_old) / (1.0 + np.abs(a_old)),
@@ -515,13 +563,11 @@ def consensus_m_step(
     :func:`m_step` on a stack of one node; see there for the cycling,
     its stopping rule and its errors.
     """
-    eta = np.asarray(eta, dtype=float)
-    d, m = params.W.shape
-    anchor = unpack((eta @ (params.to_vector() + neighbors))[None], d, m)
+    anchor, eta_sum = _anchors(*_inbox_of_one(params, neighbors, eta))
     out = m_step(
         *map(_lead, (moments, stats, params, multipliers)),
-        anchor,
-        np.array([eta.sum()]),
+        unpack(anchor, *params.W.shape),
+        eta_sum,
         max_cycles,
         tol,
     ).params
@@ -534,17 +580,21 @@ def consensus_multiplier_step(
     eta: Sequence[float] | np.ndarray,
     multipliers: DppcaMultipliers,
 ) -> DppcaMultipliers:
-    """Dual ascent: penalty-weighted sum of consensus errors, halved.
+    """Dual ascent of one node: :func:`multiplier_step` on a stack of one.
 
-    Each multiplier gains ``(1/2) sum_j eta_ij (own_block - neighbor_block)``
-    evaluated at the current round's broadcasts (rows of ``neighbors``,
-    as in ``consensus_m_step``); all three blocks use the same form.
+    ``neighbors`` holds the current round's broadcasts as rows and ``eta``
+    their penalties, as in ``consensus_m_step``.
     """
-    eta = np.asarray(eta, dtype=float)
-    step = unpack(0.5 * (eta @ (params.to_vector() - neighbors)), *params.W.shape)
-    return DppcaMultipliers(
-        multipliers.lam + step.W, multipliers.gamma + step.mu, multipliers.beta + step.a
+    lam, gamma, beta = multiplier_step(
+        _lead(multipliers), *_inbox_of_one(params, neighbors, eta)
     )
+    return DppcaMultipliers(lam[0], gamma[0], float(beta[0]))
+
+
+def _inbox_of_one(params: ParamView, neighbors: np.ndarray, eta) -> tuple:
+    # One node's own vector, broadcasts (copied) and penalties in the slot layout.
+    eta = np.asarray(eta, dtype=float)[:, None]
+    return params.to_vector()[None], np.array(neighbors, dtype=float)[:, None], eta
 
 
 def centralized_em(
@@ -583,9 +633,9 @@ class DppcaNodes(NodeGroup):
     """Statistics, parameters and multipliers of J D-PPCA nodes on a leading axis.
 
     Shard factors narrower than the widest are padded with zero columns.
-    Each phase runs the stacked kernels once for all nodes; the anchors
-    ``Σ_j η_ij (θ_i + θ_j)`` and the multiplier increments are one product
-    each with the penalty-weighted adjacency matrix.
+    Each phase runs the stacked kernels once for all nodes, on the
+    broadcasts and penalties laid out by edge slot (``Graph.neighbor_rows``
+    and ``Graph.by_slot``).
     """
 
     def __init__(
@@ -600,8 +650,6 @@ class DppcaNodes(NodeGroup):
         self.max_cycles, self.graph = max_cycles, graph
         # per node: M-step block cycles and steps stopped at max_cycles
         self.counts = np.zeros((graph.num_nodes, 2), dtype=int)
-        self.sources, self.targets = graph.edge_arrays()
-        self.degrees = np.bincount(self.sources, minlength=graph.num_nodes)
 
     @classmethod
     def of(cls, models: Sequence["DppcaModel"], graph: Graph) -> "DppcaNodes":
@@ -632,21 +680,17 @@ class DppcaNodes(NodeGroup):
     def m_step_counts(self) -> tuple[int, int]:
         return tuple(self.counts.sum(axis=0).tolist())
 
-    def _weights(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        adj = np.zeros((self.graph.num_nodes,) * 2)
-        adj[self.sources, self.targets] = eta
-        return adj.sum(axis=1), adj
+    def _inbox(self, theta: np.ndarray, eta: np.ndarray) -> tuple:
+        return theta, self.graph.neighbor_rows(theta), self.graph.by_slot(eta)
 
     def local_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
-        eta_sum, adj = self._weights(eta)
-        self.step_rows(slice(None), eta_sum[:, None] * theta + adj @ theta, eta_sum)
+        self.step_rows(slice(None), *_anchors(*self._inbox(theta, eta)))
 
     def multiplier_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
-        eta_sum, adj = self._weights(eta)
-        self.dual_rows(slice(None), 0.5 * (eta_sum[:, None] * theta - adj @ theta))
+        self.multipliers = multiplier_step(self.multipliers, *self._inbox(theta, eta))
 
     def neighbor_objectives(self, nodes: Sequence[int], points: np.ndarray) -> np.ndarray:
-        stats = _take(self.stats, np.repeat(nodes, self.degrees[nodes]))
+        stats = _take(self.stats, np.repeat(nodes, self.graph.degrees[nodes]))
         return negative_log_likelihood(unpack(points, *self.params.W.shape[1:]), stats)
 
     def step_rows(self, rows: slice, anchor: np.ndarray, eta_sum: np.ndarray) -> None:
@@ -659,11 +703,6 @@ class DppcaNodes(NodeGroup):
             field[rows] = new
         self.counts[rows] += np.stack([out.cycles, out.capped], axis=1)
 
-    def dual_rows(self, rows: slice, increments: np.ndarray) -> None:
-        """Add flat multiplier increments, one row each, to the nodes ``rows``."""
-        for field, step in zip(self.multipliers, unpack(increments, *self.params.W.shape[1:])):
-            field[rows] += step
-
 
 class DppcaModel(ConsensusModel):
     """One node's PPCA model for the consensus engine.
@@ -672,10 +711,10 @@ class DppcaModel(ConsensusModel):
     array. Its statistics, parameters and multipliers are the rows
     ``_rows`` of a :class:`DppcaNodes`: a group of its own until the engine
     stacks a run's nodes (:meth:`group`), so ``params`` and ``multipliers``
-    read the node's live values. The per-node methods run the stacked
-    kernels on those rows; the engine's grouped phases run them on all
-    rows at once and do not call the per-node methods. Flattening follows
-    ``PpcaParams.to_vector``.
+    return copies of the node's current values. The per-node methods run
+    the stacked kernels on those rows; the engine's grouped phases run them
+    on all rows at once and do not call the per-node methods. Flattening
+    follows ``PpcaParams.to_vector``.
     """
 
     #: block cycles one M-step may run per node
@@ -696,12 +735,12 @@ class DppcaModel(ConsensusModel):
     @property
     def params(self) -> ParamView:
         w, mu, a = _take(self._nodes.params, self._rows)
-        return ParamView(w[0], mu[0], float(a[0]))
+        return ParamView(w[0].copy(), mu[0].copy(), float(a[0]))
 
     @property
     def multipliers(self) -> DppcaMultipliers:
         lam, gamma, beta = _take(self._nodes.multipliers, self._rows)
-        return DppcaMultipliers(lam[0], gamma[0], float(beta[0]))
+        return DppcaMultipliers(lam[0].copy(), gamma[0].copy(), float(beta[0]))
 
     def m_step_counts(self) -> tuple[int, int]:
         """This node's M-step block cycles and its steps stopped at ``max_cycles``."""
@@ -719,18 +758,19 @@ class DppcaModel(ConsensusModel):
         return negative_log_likelihood(unpack(params, *self.params.W.shape), stats).tolist()
 
     def _inbox(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]):
-        # Own vector, neighbor broadcasts as rows, and their penalties.
-        own = self.params_vector()
-        vecs = np.array(list(neighbors.values()), dtype=float).reshape(len(neighbors), own.size)
-        return own, vecs, np.fromiter((eta[j] for j in neighbors), float, len(neighbors))
+        # Neighbor broadcasts as rows, and their penalties.
+        size = _vector_size(*self._nodes.params.W.shape[1:])
+        vecs = np.array(list(neighbors.values()), dtype=float).reshape(len(neighbors), size)
+        return vecs, np.fromiter((eta[j] for j in neighbors), float, len(neighbors))
 
     def local_step(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]) -> None:
-        own, vecs, etas = self._inbox(neighbors, eta)
-        self._nodes.step_rows(self._rows, (etas @ (own + vecs))[None], etas.sum()[None])
+        inbox = _inbox_of_one(self.params, *self._inbox(neighbors, eta))
+        self._nodes.step_rows(self._rows, *_anchors(*inbox))
 
     def multiplier_step(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]) -> None:
-        own, vecs, etas = self._inbox(neighbors, eta)
-        self._nodes.dual_rows(self._rows, (0.5 * (etas @ (own - vecs)))[None])
+        new = consensus_multiplier_step(self.params, *self._inbox(neighbors, eta), self.multipliers)
+        for field, value in zip(self._nodes.multipliers, new):
+            field[self._rows] = value
 
 
 def make_dppca_factory(latent_dim: int):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -34,6 +35,11 @@ class Graph:
         num_nodes: Number of nodes.
         neighbors: Tuple indexed by node id; entry ``i`` is the sorted
             tuple of node i's one-hop neighbors.
+
+    Directed edges are ordered as ``directed_edges()`` yields them, node by
+    node; ``degrees``, ``offsets``, ``edge_arrays()``, ``by_slot``,
+    ``neighbor_rows`` and ``node_sums`` give that layout as arrays,
+    computed once per graph.
     """
 
     num_nodes: int
@@ -48,11 +54,67 @@ class Graph:
             for j in self.neighbors[i]:
                 yield (i, j)
 
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Every node's degree, by node id."""
+        return _frozen(np.array([len(nbs) for nbs in self.neighbors], dtype=int))
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Node i's outgoing edges are ``offsets[i]:offsets[i + 1]`` in edge order."""
+        return _frozen(np.concatenate([[0], np.cumsum(self.degrees)]))
+
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        sources = np.repeat(np.arange(self.num_nodes), self.degrees)
+        targets = np.array([j for nbs in self.neighbors for j in nbs], dtype=int)
+        return _frozen(sources), _frozen(targets)
+
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Sources and targets of the directed edges, in ``directed_edges()`` order."""
-        sources = np.repeat(np.arange(self.num_nodes), [len(nbs) for nbs in self.neighbors])
-        targets = np.array([j for nbs in self.neighbors for j in nbs], dtype=int)
-        return sources, targets
+        return self._edges
+
+    @cached_property
+    def _slots(self) -> np.ndarray:
+        # _slots[s, i] is node i's s-th outgoing edge, or the out-of-range
+        # index len(sources) past its degree.
+        sources, _ = self._edges
+        slots = np.full((self.degrees.max(initial=0), self.num_nodes), len(sources))
+        slots[np.arange(len(sources)) - self.offsets[sources], sources] = np.arange(len(sources))
+        return _frozen(slots)
+
+    def by_slot(self, values: np.ndarray) -> np.ndarray:
+        """Per-edge values (leading axis in edge order) laid out by node.
+
+        Entry ``[s, i]`` of the (max degree, num_nodes, ...) result is the
+        value of node i's s-th outgoing edge, or zero past its degree.
+        """
+        padded = np.concatenate([values, np.zeros((1,) + values.shape[1:])])
+        return padded[self._slots]
+
+    @cached_property
+    def _slot_targets(self) -> np.ndarray:
+        # The neighbor behind each slot, or num_nodes past the node's degree.
+        _, targets = self._edges
+        return _frozen(np.append(targets, self.num_nodes)[self._slots])
+
+    def neighbor_rows(self, node_values: np.ndarray) -> np.ndarray:
+        """Per-node values (leading axis by node id) laid out by edge slot.
+
+        Entry ``[s, i]`` of the (max degree, num_nodes, ...) result is the
+        value of node i's s-th neighbor, or zero past its degree: the same
+        as ``by_slot(node_values[targets])`` without the per-edge copy.
+        """
+        padded = np.concatenate([node_values, np.zeros((1,) + node_values.shape[1:])])
+        return padded[self._slot_targets]
+
+    def node_sums(self, values: np.ndarray) -> np.ndarray:
+        """Sum each node's outgoing-edge values (leading axis) in edge order.
+
+        The sum runs left to right, one slot at a time, as Python's ``sum``
+        over the node's edges would; an isolated node sums to 0.
+        """
+        return self.by_slot(values).sum(axis=0)
 
     def num_undirected_edges(self) -> int:
         return sum(self.degree(i) for i in range(self.num_nodes)) // 2
@@ -89,6 +151,12 @@ class Graph:
                     raise ValueError(f"asymmetric edge ({i}, {j})")
         if not self.is_connected():
             raise ValueError("graph is not connected")
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    # Layout arrays are cached on the immutable graph and shared.
+    array.flags.writeable = False
+    return array
 
 
 def _from_adjacency(adjacency: dict[int, set[int]], n: int) -> Graph:

@@ -486,6 +486,17 @@ def test_multiplier_increment_linear_in_eta():
     assert double.beta == pytest.approx(2.0 * single.beta, rel=1e-12)
 
 
+def test_row_dots_match_vdot_bit_for_bit():
+    # the kernel's inner products on numpy 1.x, where np.vecdot is missing
+    from netadmm.ppca import _row_dots
+
+    rng = np.random.default_rng(26)
+    for shape in [(20, 100), (5, 600), (4, 50), (1, 7)]:
+        x, y = rng.normal(size=shape), rng.normal(size=shape)
+        want = [np.vdot(u, v) for u, v in zip(x, y)]
+        assert _row_dots(x, y).tolist() == want
+
+
 # ------------------------------------------------------------ node model
 
 
@@ -517,6 +528,33 @@ def test_model_keeps_no_per_sample_array():
     held = _arrays(model)
     assert held, "walker found no arrays"
     assert all(n not in a.shape for a in held), [a.shape for a in held]
+
+
+def test_trace_hook_sees_each_iterations_parameters():
+    # a hook that stores params without copying keeps that iteration's values
+    from netadmm import engine
+    from netadmm.ppca import make_dppca_factory
+
+    rng = np.random.default_rng(25)
+    shards = [rng.normal(size=(5, 12)) for _ in range(3)]
+    cfg = engine.RunConfig(
+        topology="complete", num_nodes=3, scheme="fixed", max_iterations=4, convergence_tol=1e-300
+    )
+    stored = []
+    result = engine.run(
+        cfg,
+        make_dppca_factory(2),
+        shards,
+        trace_hook=lambda t, s, models: stored.append(
+            [(m.params.W, m.multipliers.lam) for m in models]
+        ),
+    )
+    assert len(stored) == 4
+    for node in range(3):
+        for t in range(3):
+            for block in range(2):
+                assert not np.array_equal(stored[t][node][block], stored[t + 1][node][block])
+        np.testing.assert_array_equal(stored[-1][node][0], result.models[node].params.W)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from netadmm.topology import (
@@ -114,3 +115,22 @@ def test_validate_catches_disconnection():
     g = Graph(4, ((1,), (0,), (3,), (2,)))
     with pytest.raises(ValueError, match="not connected"):
         g.validate()
+
+
+def test_edge_layout_and_node_sums_on_ragged_graph():
+    # cluster(6) has degrees 2, 2, 3, 3, 2, 2
+    g = build_cluster(6)
+    edges = list(g.directed_edges())
+    sources, targets = g.edge_arrays()
+    assert list(zip(sources.tolist(), targets.tolist())) == edges
+    assert g.degrees.tolist() == [g.degree(i) for i in range(6)]
+    assert g.offsets.tolist() == [0, 2, 4, 7, 10, 12, 14]
+    values = [0.1 * k + 1.0 / (k + 3) for k in range(len(edges))]
+    want = [sum(v for (i, _), v in zip(edges, values) if i == node) for node in range(6)]
+    assert g.node_sums(np.array(values)).tolist() == want
+    laid = g.by_slot(np.array(values))
+    assert laid.shape == (3, 6)
+    assert laid[2].tolist() == [0.0, 0.0, values[6], values[9], 0.0, 0.0]
+    nodes = np.arange(12.0).reshape(6, 2)
+    np.testing.assert_array_equal(g.neighbor_rows(nodes), g.by_slot(nodes[targets]))
+
