@@ -131,12 +131,13 @@ class NodeGroup:
         """Every node's objective at its own parameters."""
         return np.array([m.objective() for m in self.models], dtype=float)
 
-    def m_step_counts(self) -> tuple[int, int]:
-        """Inner solver cycles of the local steps so far, and the node steps
-        that stopped at the cycle cap, summed over the models that count
-        them (``m_step_counts()``); (0, 0) without such a solver."""
+    def m_step_counts(self) -> tuple[int, int, int]:
+        """Inner solver steps of the local steps so far, the node steps that
+        stopped at the step cap and those that needed a ridge retry, summed
+        over the models that count them (``m_step_counts()``); zeros
+        without such a solver."""
         counts = [m.m_step_counts() for m in self.models if hasattr(m, "m_step_counts")]
-        return tuple(int(sum(c)) for c in zip(*counts)) if counts else (0, 0)
+        return tuple(int(sum(c)) for c in zip(*counts)) if counts else (0, 0, 0)
 
     def _per_node(self, step: str, theta: np.ndarray, eta: np.ndarray) -> None:
         inboxes, eta, off = broadcast_round(self.graph, theta), eta.tolist(), self.graph.offsets
@@ -261,8 +262,8 @@ class DivergenceError(RuntimeError):
 class RunResult:
     """Outcome of one simulation run.
 
-    ``m_step_cycles`` and ``m_step_cap_hits`` are the node group's totals
-    (see :meth:`NodeGroup.m_step_counts`).
+    ``m_step_cycles``, ``m_step_cap_hits`` and ``m_step_ridge`` are the
+    node group's totals (see :meth:`NodeGroup.m_step_counts`).
     """
 
     records: list[IterationRecord]
@@ -271,6 +272,7 @@ class RunResult:
     scheduler: PenaltyScheduler
     m_step_cycles: int = 0
     m_step_cap_hits: int = 0
+    m_step_ridge: int = 0
 
     @property
     def converged(self) -> bool:
@@ -507,5 +509,9 @@ def run_summary(config_echo: dict, result: RunResult) -> dict:
             "eta_mean": last.eta_mean,
             "exhausted_edges": last.exhausted_edges,
         },
-        "m_step": {"cycles": result.m_step_cycles, "cap_hits": result.m_step_cap_hits},
+        "m_step": {
+            "cycles": result.m_step_cycles,
+            "cap_hits": result.m_step_cap_hits,
+            "ridge": result.m_step_ridge,
+        },
     }

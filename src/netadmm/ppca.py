@@ -8,18 +8,19 @@ oracle for the distributed variant.
 In the distributed variant every node keeps its own parameter copy and
 augments the expected complete-data objective with multiplier and
 penalty terms that pull it toward the midpoints of its neighbors' last
-broadcasts. The M-step cycles the three closed-form block updates
-(mean, then projection, then precision, each against the freshest other
-blocks) until the block values stop moving, i.e. to a stationary point
-of the node's augmented Lagrangian; with no neighbors and zero
-multipliers this is exactly the centralized M-step.
+broadcasts. The M-step finds a stationary point of the node's augmented
+Lagrangian: for a fixed noise precision the projection and the mean solve
+one linear system on the augmented latent ``[z; 1]``, and a secant
+iteration on the precision alone finds the precision that its own
+stationarity condition returns. With no neighbors and zero multipliers
+this is exactly the centralized M-step.
 
 Every step works on a shard's sufficient statistics, the sample-covariance
 form of Tipping & Bishop (1999): the count ``n``, the mean ``x̄`` and a
 factor ``F`` with ``F Fᵀ = Σ (x_n − x̄)(x_n − x̄)ᵀ``. ``F`` is the centred
 shard when N ≤ D and the triangular QR factor when N > D, so once the
-shard is reduced no step touches a D x N array, and one E-step, M-step
-cycle or likelihood costs O(D·M·min(D, N)).
+shard is reduced no step touches a D x N array: one E-step or likelihood
+costs O(D·M·min(D, N)), and one precision step of the M-step O(D·M²).
 """
 
 from __future__ import annotations
@@ -34,6 +35,18 @@ from .engine import ConsensusModel, NodeGroup
 from .topology import Graph
 
 _EPS = float(np.finfo(float).eps)
+# A node stops its precision steps once its expected residual falls below
+# this fraction of its data's energy about mu, i.e. once its noise variance
+# 1/a is this small relative to the data's. The residual is then a
+# cancellation of terms of the energy's size, whose rounding the precision
+# inherits, so its change need not fall below tol: on exact rank-M data the
+# steps would run to max_cycles. The benchmark workloads stay above 9e-5.
+_NOISE_FLOOR = math.sqrt(_EPS)
+# Bytes of one (rows, D, min(D, N) + 1) array in a batch of ranking
+# likelihoods: the batch is scored in chunks of at most this size, so its
+# memory stays flat as the number of ranking edges grows with J². The
+# benchmark workloads' batches (at most 1.3 MB) fit in one chunk.
+_NLL_BATCH_BYTES = 8 << 20
 
 __all__ = [
     "ParamView",
@@ -217,7 +230,7 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # ``np.vecdot`` (numpy >= 2) gives the same dots at less call overhead,
-# which counts in the M-step's block cycles.
+# which counts in the M-step's precision steps.
 _inner = getattr(np, "vecdot", _row_dots)
 
 
@@ -310,87 +323,44 @@ def negative_log_likelihood(params: ParamView, stats: ShardStats) -> float | np.
     return float(nll) if nll.ndim == 0 else nll
 
 
-# The block updates take one node's arrays, or J nodes' arrays stacked on
-# a leading axis.
-
-
-def _mu_update(
-    moments: LatentMoments,
-    stats: ShardStats,
-    w: np.ndarray,
-    a: float | np.ndarray,
-    gamma: np.ndarray,
-    eta_sum: float | np.ndarray,
-    mu_anchor: np.ndarray,
-) -> np.ndarray:
-    # mu = [a sum_n (x_n - W E[z_n]) - 2 gamma + sum_j eta_ij (mu_i + mu_j)]
-    #      / (N a + 2 sum_j eta_ij)
-    n = np.asarray(stats.n, dtype=float)[..., None]
-    a = np.asarray(a, dtype=float)[..., None]
-    data_term = a * (n * stats.mean - (w @ moments.sum_ez[..., None])[..., 0])
-    return (data_term - 2.0 * gamma + mu_anchor) / (n * a + 2.0 * np.asarray(eta_sum)[..., None])
-
-
-def _cross_moment(moments: LatentMoments, stats: ShardStats, mu: np.ndarray) -> np.ndarray:
-    # sum_n (x_n - mu) E[z_n]^T
-    return moments.sum_cez + (stats.mean - mu)[..., :, None] @ moments.sum_ez[..., None, :]
-
-
-def _inverse(lhs: np.ndarray) -> np.ndarray:
-    # Inverse of each symmetric M x M system; a singular one is retried
-    # with a small ridge and a warning.
+def _inverse(lhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Inverses of a stack of symmetric systems, and which of them were
+    # singular: those are retried with a small ridge and a warning.
+    ridged = np.zeros(len(lhs), dtype=bool)
     try:
-        return np.linalg.inv(lhs)
+        return np.linalg.inv(lhs), ridged
     except np.linalg.LinAlgError:
         pass
-    m = lhs.shape[-1]
-    flat = lhs.reshape(-1, m, m)
-    out = np.empty_like(flat)
-    for k, mat in enumerate(flat):
+    size = lhs.shape[-1]
+    out = np.empty_like(lhs)
+    for k, mat in enumerate(lhs):
         try:
             out[k] = np.linalg.inv(mat)
         except np.linalg.LinAlgError:
-            ridge = 1e-10 * max(1.0, float(np.trace(mat)) / m)
+            ridge = 1e-10 * max(1.0, float(np.trace(mat)) / size)
             warnings.warn(
-                "projection normal equations singular; retrying with ridge "
-                f"{ridge:.3e}",
+                f"M-step normal equations singular; retrying with ridge {ridge:.3e}",
                 RuntimeWarning,
             )
-            out[k] = np.linalg.inv(mat + ridge * np.eye(m))
-    return out.reshape(lhs.shape)
-
-
-def _w_update(
-    moments: LatentMoments,
-    cross: np.ndarray,
-    a: float | np.ndarray,
-    lam: np.ndarray,
-    eta_sum: float | np.ndarray,
-    w_anchor: np.ndarray,
-) -> np.ndarray:
-    # W [a sum_n E[z z^T] + 2 sum_j eta_ij I] =
-    #     a sum_n (x_n - mu) E[z_n]^T - 2 lambda + sum_j eta_ij (W_i + W_j)
-    m = moments.sum_ezz.shape[-1]
-    a = np.asarray(a, dtype=float)[..., None, None]
-    lhs = a * moments.sum_ezz + (2.0 * np.asarray(eta_sum))[..., None, None] * np.eye(m)
-    rhs = a * cross - 2.0 * lam + w_anchor
-    # lhs is symmetric, so W = rhs lhs^-1; an M x M inverse and one
-    # product cost a fraction of a solve against D right-hand sides.
-    return rhs @ _inverse(lhs)
+            out[k] = np.linalg.inv(mat + ridge * np.eye(size))
+            ridged[k] = True
+    return out, ridged
 
 
 def _expected_residual(
-    moments: LatentMoments, stats: ShardStats, cross: np.ndarray, w: np.ndarray, mu: np.ndarray
-) -> float | np.ndarray:
-    # sum_n E |x_n - W z_n - mu|^2 under the posterior moments,
-    #   scatter + n |x̄ - mu|^2 - 2 <W, cross> + <W, W sum_ezz>.
+    moments: LatentMoments, stats: ShardStats, w: np.ndarray, offset: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # sum_n E |x_n - W z_n - mu|^2 under the posterior moments, with
+    # offset = mu - x̄ and cross = sum_n (x_n - mu) E[z_n]^T:
+    #   energy - 2 <W, cross> + <W, W sum_ezz>,
+    # and the data's energy about mu, scatter + n |offset|^2.
     # Floored at relative epsilon: near-perfect reconstructions cancel to
     # rounding noise of unstable sign, and the precision update needs a
     # positive value (the precision then saturates instead of overflowing).
-    offset = stats.mean - mu
     energy = stats.scatter + stats.n * _inner(offset, offset)
+    cross = moments.sum_cez - offset[..., :, None] * moments.sum_ez[..., None, :]
     total = energy + _vdot(w, w @ moments.sum_ezz - 2.0 * cross, 2)
-    return np.maximum(total, _EPS * (1.0 + energy))
+    return np.maximum(total, _EPS * (1.0 + energy)), energy
 
 
 def _a_update(
@@ -457,12 +427,14 @@ def multiplier_step(
 
 
 class MStep(NamedTuple):
-    """Outcome of a stacked M-step: the new parameters, each node's block
-    cycles, and which nodes stopped at ``max_cycles`` without converging."""
+    """Outcome of a stacked M-step: the new parameters, each node's
+    precision steps, which nodes stopped at ``max_cycles`` without
+    converging, and which needed the ridge retry of a singular system."""
 
     params: ParamView
     cycles: np.ndarray
     capped: np.ndarray
+    ridge: np.ndarray
 
 
 def m_step(
@@ -475,73 +447,102 @@ def m_step(
     max_cycles: int = 500,
     tol: float = 1e-12,
 ) -> MStep:
-    """Minimize J nodes' augmented Lagrangians over (mu, W, a) at once.
+    """Minimize J nodes' augmented Lagrangians over (W, mu, a) at once.
 
     Every argument holds the J nodes on a leading axis. ``anchor`` is
     each node's ``Σ_j η_ij (θ_i + θ_j)`` in parameter layout, summed over
     its neighbors from its entry parameters and their broadcasts, and
-    ``eta_sum`` its ``Σ_j η_ij``. The three block updates are closed forms
-    (the precision block via the positive root of its stationarity
-    quadratic) and are cycled, each consuming the freshest other blocks.
-    A node stops, and its rows freeze, once no block moved by more than
-    ``tol`` relatively in its last cycle or after ``max_cycles`` cycles;
-    the cycles run only over the nodes still active. With no neighbors
-    and zero multipliers a node's update is the centralized EM M-step.
+    ``eta_sum`` its ``Σ_j η_ij``.
 
-    Raises ``ValueError`` when a block turns non-finite, e.g. from a
+    For a fixed precision ``a`` the stationarity conditions of W and mu
+    are one linear system in ``[W mu]``, the M-step of Tipping & Bishop
+    (1999) on the augmented latent ``[z; 1]``: ``[W mu] K = R`` with
+    ``K = a Σ E[[z; 1][z; 1]ᵀ] + 2 Σ_j η_ij I``, one (M+1) x (M+1) matrix
+    for all D rows. The precision's own stationarity quadratic at
+    ``(W(a), mu(a))`` gives ``g(a)``, and only this scalar map is iterated:
+    secant steps on ``g(a) − a``, or the plain step ``g(a)`` where the
+    secant step is not positive and finite. A node stops, and its rows
+    freeze, once ``|g(a) − a| < tol (1 + |a|)``, once its expected
+    residual is below √ε of its energy about mu (its noise variance is then
+    at rounding level relative to the data's), or after ``max_cycles``
+    steps; the steps run only over the nodes still active. A node returns
+    ``(W(a), mu(a), g(a))`` of its last step, so the result depends on the
+    entry precision but not on the entry W and mu. With no neighbors and
+    zero multipliers a node's update is the centralized EM M-step.
+
+    Raises ``ValueError`` when the parameters turn non-finite, e.g. from a
     non-finite neighbor broadcast. Warns with ``RuntimeWarning`` when a
-    node stops at ``max_cycles``.
+    node stops at ``max_cycles`` and when a singular ``K`` is retried with
+    a ridge.
     """
-    w, mu, a = params.W.copy(), params.mu.copy(), np.array(params.a, dtype=float)
-    stats = stats._replace(n=np.asarray(stats.n, dtype=float))
-    cycles = np.zeros(len(a), dtype=int)
-    d = mu.shape[-1]
-    # What a cycle reads, and the entry values with their squared norms,
-    # restricted to the nodes still active.
-    active = np.arange(len(a))
-    fixed = (moments, stats, multipliers, anchor, eta_sum)
-    cur = (w, mu, a, _vdot(w, w, 2), _inner(mu, mu))
+    if max_cycles < 1:
+        raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
+    num, d, m = params.W.shape
+    eta_sum = np.asarray(eta_sum, dtype=float)
+    # The a-independent parts of K = a gram + 2 eta I and of R. R is taken
+    # about the shard mean, mu = x̄ + nu, which removes x̄ from its data part:
+    #   [W nu] K = a [sum_cez, 0] + [A_W - 2 lam, A_mu - 2 gamma - 2 eta x̄].
+    gram = np.empty((num, m + 1, m + 1))
+    gram[:, :m, :m] = moments.sum_ezz
+    gram[:, :m, m] = gram[:, m, :m] = moments.sum_ez
+    gram[:, m, m] = stats.n
+    pull = np.concatenate(
+        [
+            anchor.W - 2.0 * multipliers.lam,
+            (anchor.mu - 2.0 * multipliers.gamma - 2.0 * eta_sum[:, None] * stats.mean)[..., None],
+        ],
+        axis=-1,
+    )
+    w, mu, a = np.empty_like(params.W), np.empty_like(params.mu), np.empty(num)
+    cycles = np.zeros(num, dtype=int)
+    capped, ridge = np.zeros(num, dtype=bool), np.zeros(num, dtype=bool)
+    # What a step reads, restricted to the nodes still active, and the
+    # secant state: the current precision, the previous one and its g - a.
+    active = np.arange(num)
+    fixed = (moments, stats, gram, pull, eta_sum, multipliers.beta, anchor.a)
+    a_cur = np.array(params.a, dtype=float)
+    a_prev = f_prev = np.full(num, np.nan)
     for _ in range(max_cycles):
-        mo, st, mult, anc, es = fixed
-        w_old, mu_old, a_old, w_sq, mu_sq = cur
-        mu_new = _mu_update(mo, st, w_old, a_old, mult.gamma, es, anc.mu)
-        cross = _cross_moment(mo, st, mu_new)
-        w_new = _w_update(mo, cross, a_old, mult.lam, es, anc.W)
-        residual = _expected_residual(mo, st, cross, w_new, mu_new)
-        a_new = _a_update(residual, st.n, d, mult.beta, es, anc.a)
-        w_diff, mu_diff = w_new - w_old, mu_new - mu_old
-        w_new_sq, mu_new_sq = _vdot(w_new, w_new, 2), _inner(mu_new, mu_new)
-        delta = np.maximum(
-            np.maximum(
-                np.sqrt(_inner(mu_diff, mu_diff)) / (1.0 + np.sqrt(mu_sq)),
-                np.sqrt(_vdot(w_diff, w_diff, 2)) / (1.0 + np.sqrt(w_sq)),
-            ),
-            np.abs(a_new - a_old) / (1.0 + np.abs(a_old)),
-        )
+        mo, st, gr, pl, es, beta, a_anc = fixed
+        inv, ridged = _inverse(a_cur[:, None, None] * gr + 2.0 * es[:, None, None] * np.eye(m + 1))
+        rhs = pl.copy()
+        rhs[..., :m] += a_cur[:, None, None] * mo.sum_cez
+        # K is symmetric, so [W nu] = R K^-1: one (M+1) x (M+1) inverse and
+        # one product cost a fraction of a solve against D right-hand sides.
+        sol = rhs @ inv
+        w_new, nu = sol[..., :m], sol[..., m]
+        residual, energy = _expected_residual(mo, st, w_new, nu)
+        a_new = _a_update(residual, st.n, d, beta, es, a_anc)
+        f_cur = a_new - a_cur
         cycles[active] += 1
-        done = delta < tol
-        if not (done | np.isfinite(delta)).all():
+        ridge[active] |= ridged
+        if not np.isfinite(f_cur).all():
             raise ValueError("M-step produced non-finite parameters")
-        cur = (w_new, mu_new, a_new, w_new_sq, mu_new_sq)
-        if done.any():
-            rows = active[done]
-            w[rows], mu[rows], a[rows] = w_new[done], mu_new[done], a_new[done]
-            keep = np.logical_not(done)
+        done = (np.abs(f_cur) < tol * (1.0 + np.abs(a_cur))) | (residual < _NOISE_FLOOR * energy)
+        last = done | (cycles[active] == max_cycles)
+        if last.any():
+            rows = active[last]
+            w[rows], mu[rows], a[rows] = w_new[last], st.mean[last] + nu[last], a_new[last]
+            capped[active[last & ~done]] = True
+            keep = ~last
             active = active[keep]
             if not active.size:
                 break
             fixed = tuple(_take(x, keep) if isinstance(x, tuple) else x[keep] for x in fixed)
-            cur = tuple(x[keep] for x in cur)
-    capped = np.zeros(len(a), dtype=bool)
-    if active.size:
-        w[active], mu[active], a[active] = cur[:3]
-        capped[active] = True
+            a_cur, a_prev, f_prev, f_cur, a_new = (
+                x[keep] for x in (a_cur, a_prev, f_prev, f_cur, a_new)
+            )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            secant = a_cur - f_cur * (a_cur - a_prev) / (f_cur - f_prev)
+        usable = np.isfinite(secant) & (secant > 0)
+        a_prev, f_prev, a_cur = a_cur, f_cur, np.where(usable, secant, a_new)
+    if capped.any():
         warnings.warn(
-            f"M-step stopped at max_cycles={max_cycles} on {active.size} node(s) "
+            f"M-step stopped at max_cycles={max_cycles} on {int(capped.sum())} node(s) "
             "before converging",
             RuntimeWarning,
         )
-    return MStep(ParamView(w, mu, a), cycles, capped)
+    return MStep(ParamView(w, mu, a), cycles, capped, ridge)
 
 
 def consensus_m_step(
@@ -560,8 +561,8 @@ def consensus_m_step(
     layout of ``PpcaParams.to_vector``) and ``eta`` their K penalties.
     Consensus anchors are the midpoints of the entry parameters and the
     neighbors' broadcasts and stay fixed throughout. This runs
-    :func:`m_step` on a stack of one node; see there for the cycling,
-    its stopping rule and its errors.
+    :func:`m_step` on a stack of one node; see there for the solve, its
+    stopping rules and its errors.
     """
     anchor, eta_sum = _anchors(*_inbox_of_one(params, neighbors, eta))
     out = m_step(
@@ -648,8 +649,9 @@ class DppcaNodes(NodeGroup):
     ):
         self.stats, self.params, self.multipliers = stats, params, multipliers
         self.max_cycles, self.graph = max_cycles, graph
-        # per node: M-step block cycles and steps stopped at max_cycles
-        self.counts = np.zeros((graph.num_nodes, 2), dtype=int)
+        # per node: M-step precision steps, steps stopped at max_cycles and
+        # steps that needed the ridge retry
+        self.counts = np.zeros((graph.num_nodes, 3), dtype=int)
 
     @classmethod
     def of(cls, models: Sequence["DppcaModel"], graph: Graph) -> "DppcaNodes":
@@ -677,7 +679,7 @@ class DppcaNodes(NodeGroup):
     def objectives(self) -> np.ndarray:
         return negative_log_likelihood(self.params, self.stats)
 
-    def m_step_counts(self) -> tuple[int, int]:
+    def m_step_counts(self) -> tuple[int, int, int]:
         return tuple(self.counts.sum(axis=0).tolist())
 
     def _inbox(self, theta: np.ndarray, eta: np.ndarray) -> tuple:
@@ -690,8 +692,19 @@ class DppcaNodes(NodeGroup):
         self.multipliers = multiplier_step(self.multipliers, *self._inbox(theta, eta))
 
     def neighbor_objectives(self, nodes: Sequence[int], points: np.ndarray) -> np.ndarray:
-        stats = _take(self.stats, np.repeat(nodes, self.graph.degrees[nodes]))
-        return negative_log_likelihood(unpack(points, *self.params.W.shape[1:]), stats)
+        owners = np.repeat(nodes, self.graph.degrees[nodes])
+        d, m = self.params.W.shape[1:]
+        # Each row holds D x (min(D, N) + 1) temporaries: score as many rows
+        # at once as fit _NLL_BATCH_BYTES.
+        rows = max(1, _NLL_BATCH_BYTES // (8 * d * (self.stats.factor.shape[-1] + 1)))
+        return np.concatenate(
+            [
+                negative_log_likelihood(
+                    unpack(points[k : k + rows], d, m), _take(self.stats, owners[k : k + rows])
+                )
+                for k in range(0, max(len(owners), 1), rows)
+            ]
+        )
 
     def step_rows(self, rows: slice, anchor: np.ndarray, eta_sum: np.ndarray) -> None:
         """E-step and M-step of the nodes ``rows`` against flat anchors, one row each."""
@@ -701,7 +714,7 @@ class DppcaNodes(NodeGroup):
         out = m_step(e_step(params, stats), stats, params, mults, anchor, eta_sum, self.max_cycles)
         for field, new in zip(self.params, out.params):
             field[rows] = new
-        self.counts[rows] += np.stack([out.cycles, out.capped], axis=1)
+        self.counts[rows] += np.stack([out.cycles, out.capped, out.ridge], axis=1)
 
 
 class DppcaModel(ConsensusModel):
@@ -717,7 +730,7 @@ class DppcaModel(ConsensusModel):
     follows ``PpcaParams.to_vector``.
     """
 
-    #: block cycles one M-step may run per node
+    #: precision steps one M-step may run per node
     max_cycles = 500
 
     def __init__(self, shard: np.ndarray, latent_dim: int, rng: np.random.Generator):
@@ -742,8 +755,9 @@ class DppcaModel(ConsensusModel):
         lam, gamma, beta = _take(self._nodes.multipliers, self._rows)
         return DppcaMultipliers(lam[0].copy(), gamma[0].copy(), float(beta[0]))
 
-    def m_step_counts(self) -> tuple[int, int]:
-        """This node's M-step block cycles and its steps stopped at ``max_cycles``."""
+    def m_step_counts(self) -> tuple[int, int, int]:
+        """This node's M-step precision steps, its steps stopped at
+        ``max_cycles`` and its steps that needed the ridge retry."""
         return tuple(self._nodes.counts[self._rows].sum(axis=0).tolist())
 
     def params_vector(self) -> np.ndarray:

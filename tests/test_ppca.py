@@ -5,17 +5,20 @@ from scipy.stats import multivariate_normal
 from netadmm.metrics import subspace_angle
 from netadmm.ppca import (
     DppcaMultipliers,
+    LatentMoments,
+    ParamView,
     PpcaParams,
     centralized_em,
     consensus_m_step,
     consensus_multiplier_step,
     e_step,
     initial_params,
+    m_step,
     negative_log_likelihood,
     shard_stats,
     unpack,
 )
-from netadmm.ppca import _mu_update
+from netadmm.ppca import _lead
 
 
 def _random_params(rng, d, m, a=None):
@@ -267,39 +270,82 @@ def _no_multipliers(d, m):
     return DppcaMultipliers.zeros(d, m)
 
 
-def test_mu_block_without_neighbors_is_centralized_mean_update():
+def _one_node_m_step(X, params, mult=None, anchor=None, eta_sum=0.0):
+    # m_step on a stack of one node; the anchor defaults to no neighbors
+    d, m = params.W.shape
+    mult = _no_multipliers(d, m) if mult is None else mult
+    anchor = ParamView(np.zeros((d, m)), np.zeros(d), 0.0) if anchor is None else anchor
+    stats, params, mult, anchor = map(_lead, (shard_stats(X), params, mult, anchor))
+    out = m_step(e_step(params, stats), stats, params, mult, anchor, np.array([eta_sum])).params
+    return ParamView(out.W[0], out.mu[0], float(out.a[0]))
+
+
+def _augmented_moments(params, X):
+    # per-sample sums over the augmented latent [z; 1]: Σ x [E z; 1]ᵀ and
+    # Σ E[[z; 1][z; 1]ᵀ], with the posterior covariance (WᵀW + I/a)⁻¹ / a
+    d, m = params.W.shape
+    ez = np.vstack([_posterior_means(params, X), np.ones(X.shape[1])])
+    cov = np.zeros((m + 1, m + 1))
+    cov[:m, :m] = np.linalg.inv(params.W.T @ params.W + np.eye(m) / params.a) / params.a
+    return X @ ez.T, X.shape[1] * cov + ez @ ez.T
+
+
+def test_joint_solve_without_neighbors_is_augmented_latent_regression():
+    # no neighbors and zero multipliers: [W mu] is the regression of the
+    # samples on the augmented latent, whatever the precision
     rng = np.random.default_rng(10)
     d, m, n = 4, 2, 9
     X = rng.normal(size=(d, n))
     params = _random_params(rng, d, m)
-    moments = e_step(params, shard_stats(X))
-    mu = _mu_update(
-        moments, shard_stats(X), params.W, params.a, np.zeros(d), 0.0, np.zeros(d)
-    )
-    expected = (X.sum(axis=1) - params.W @ _posterior_means(params, X).sum(axis=1)) / n
-    np.testing.assert_allclose(mu, expected, rtol=1e-12)
+    out = _one_node_m_step(X, params)
+    cross, gram = _augmented_moments(params, X)
+    expected = cross @ np.linalg.inv(gram)
+    np.testing.assert_allclose(out.W, expected[:, :m], rtol=1e-12)
+    np.testing.assert_allclose(out.mu, expected[:, m], rtol=1e-12)
 
 
-def test_mu_block_convex_combination_when_neighbors_agree():
-    # all neighbors at the node's own mean: data term and anchor mix with
-    # weights N a and 2 sum(eta)
+def test_joint_solve_penalty_weighted_when_anchors_are_own_parameters():
+    # every anchor at the node's own parameters, zero multipliers: the data
+    # regression and [W_i mu_i] mix with weights a Σ E[z̃ z̃ᵀ] and 2 Σ_j η_ij I
     rng = np.random.default_rng(11)
     d, m, n = 3, 2, 6
     X = rng.normal(size=(d, n))
     params = _random_params(rng, d, m, a=2.0)
-    stats = shard_stats(X)
-    moments = e_step(params, stats)
-    etas = {1: 4.0, 2: 6.0}
-    eta_sum = sum(etas.values())
-    anchor = sum(e * (params.mu + params.mu) for e in etas.values())
-    mu = _mu_update(moments, stats, params.W, params.a, np.zeros(d), eta_sum, anchor)
-    data_mean = (X.sum(axis=1) - params.W @ _posterior_means(params, X).sum(axis=1)) / n
-    weight_data = n * params.a
-    weight_anchor = 2.0 * eta_sum
-    expected = (weight_data * data_mean + weight_anchor * params.mu) / (
-        weight_data + weight_anchor
+    etas = [4.0, 6.0]
+    eta_sum = sum(etas)
+    anchor = ParamView(*(sum(e * 2.0 * np.asarray(f) for e in etas) for f in params))
+    out = _one_node_m_step(X, params, anchor=anchor, eta_sum=eta_sum)
+    cross, gram = _augmented_moments(params, X)
+    own = np.column_stack([params.W, params.mu])
+    # W and mu are exact for the precision of the last step, which the
+    # returned precision follows to well within 1e-12 relative
+    a = out.a
+    expected = (a * cross + 2.0 * eta_sum * own) @ np.linalg.inv(
+        a * gram + 2.0 * eta_sum * np.eye(m + 1)
     )
-    np.testing.assert_allclose(mu, expected, rtol=1e-12)
+    np.testing.assert_allclose(out.W, expected[:, :m], rtol=1e-12)
+    np.testing.assert_allclose(out.mu, expected[:, m], rtol=1e-12)
+
+
+def test_m_step_depends_on_entry_precision_only():
+    # W and mu are solved afresh for each precision, so entry W and mu
+    # with the same entry a give the same result bit for bit
+    rng = np.random.default_rng(27)
+    d, m, n = 5, 2, 8
+    X = rng.normal(size=(d, n))
+    params = _random_params(rng, d, m)
+    mult = DppcaMultipliers(
+        0.3 * rng.standard_normal((d, m)), 0.3 * rng.standard_normal(d), 0.2
+    )
+    anchor = ParamView(rng.normal(size=(d, m)), rng.normal(size=d), 5.0)
+    moments = e_step(params, shard_stats(X))
+    outs = [
+        m_step(*map(_lead, (moments, shard_stats(X), entry, mult, anchor)), np.array([7.0]))
+        for entry in (params, _random_params(rng, d, m, a=params.a))
+    ]
+    for got, want in zip(outs[0].params, outs[1].params):
+        np.testing.assert_array_equal(got, want)
+    assert outs[0].cycles[0] == outs[1].cycles[0]
 
 
 def _node_lagrangian(moments, X, mult, neighbors, eta, anchors):
@@ -407,17 +453,43 @@ def test_m_step_decreases_node_lagrangian():
     assert fun(out.W, out.mu, out.a) <= fun(params.W, params.mu, params.a) + 1e-9
 
 
-def test_w_block_singular_system_recovers_with_ridge():
-    # zero latent moments and no neighbors make the normal equations
-    # singular; the update falls back to a ridge solve with a warning
-    from netadmm.ppca import LatentMoments, _cross_moment, _w_update
+def _zero_moments(d, m):
+    return LatentMoments(np.zeros((m, m)), np.zeros(m), np.zeros((m, m)), np.zeros((d, m)))
 
-    moments = LatentMoments(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)), np.zeros((3, 2)))
-    X = np.random.default_rng(16).normal(size=(3, 4))
-    cross = _cross_moment(moments, shard_stats(X), np.zeros(3))
+
+def test_singular_joint_system_recovers_with_ridge():
+    # zero latent moments and no neighbors make K singular; the solve is
+    # retried with a ridge and a warning, and the node is reported
+    d, m = 3, 2
+    X = np.random.default_rng(16).normal(size=(d, 4))
+    params = PpcaParams(np.ones((d, m)), np.zeros(d), 1.0)
+    anchor = ParamView(np.zeros((d, m)), np.zeros(d), 0.0)
+    inputs = (_zero_moments(d, m), shard_stats(X), params, _no_multipliers(d, m), anchor)
     with pytest.warns(RuntimeWarning, match="ridge"):
-        out = _w_update(moments, cross, 1.0, np.zeros((3, 2)), 0.0, np.zeros((3, 2)))
-    assert np.all(np.isfinite(out))
+        out = m_step(*map(_lead, inputs), np.zeros(1))
+    assert all(np.all(np.isfinite(f)) for f in out.params)
+    assert out.ridge.tolist() == [True] and not out.capped.any()
+
+
+def test_ridge_retries_are_counted(monkeypatch):
+    # one node alone (no penalties) with zero latent moments: K is singular
+    # in every M-step, and the run counts each node step that retried it
+    from netadmm import engine, ppca
+
+    def zero_e_step(params, stats):
+        zeros = _zero_moments(*params.W.shape[1:])
+        return LatentMoments(*(np.zeros((len(params.a),) + f.shape) for f in zeros))
+
+    monkeypatch.setattr(ppca, "e_step", zero_e_step)
+    rng = np.random.default_rng(28)
+    cfg = engine.RunConfig(
+        topology="complete", num_nodes=1, scheme="fixed", max_iterations=2, convergence_tol=1e-300
+    )
+    with pytest.warns(RuntimeWarning, match="ridge"):
+        result = engine.run(cfg, ppca.make_dppca_factory(2), [rng.normal(size=(4, 10))])
+    assert len(result.records) == 2 and result.m_step_ridge == 2
+    assert result.models[0].m_step_counts()[1:] == (0, 2)
+    assert engine.run_summary({}, result)["m_step"] == {"cycles": 3, "cap_hits": 0, "ridge": 2}
 
 
 def test_network_consensus_at_convergence():
@@ -670,8 +742,33 @@ def test_stacked_phases_match_one_node_at_a_time():
     points = np.concatenate([theta[list(graph.neighbors[i])] for i in nodes])
     want = [v for i in nodes for v in singles[i].objectives(theta[list(graph.neighbors[i])])]
     np.testing.assert_allclose(group.neighbor_objectives(nodes, points), want, rtol=1e-12)
-    cycles, cap_hits = group.m_step_counts()
-    assert cycles == sum(m.m_step_counts()[0] for m in singles) > 0 and cap_hits == 0
+    cycles, cap_hits, ridge = group.m_step_counts()
+    assert cycles == sum(m.m_step_counts()[0] for m in singles) > 0 and cap_hits == ridge == 0
+
+
+def test_ranking_objectives_in_chunks_match_one_batch(monkeypatch):
+    from netadmm import ppca
+    from netadmm.topology import build_complete
+
+    _, models = _ragged_nodes()
+    graph = build_complete(5)
+    group = ppca.DppcaNodes.of(models, graph)
+    theta = group.params_matrix()
+    nodes = [0, 1, 2, 3, 4]
+    points = np.concatenate([theta[list(graph.neighbors[i])] for i in nodes])
+    whole = group.neighbor_objectives(nodes, points)
+    calls = []
+
+    def counted(params, stats):
+        calls.append(len(params.a))
+        return negative_log_likelihood(params, stats)
+
+    monkeypatch.setattr(ppca, "negative_log_likelihood", counted)
+    # three rows of D x (6 + 1) per chunk: 20 edges in chunks of 3, 3, ..., 2
+    monkeypatch.setattr(ppca, "_NLL_BATCH_BYTES", 3 * 8 * 6 * 7)
+    chunked = group.neighbor_objectives(nodes, points)
+    assert calls == [3] * 6 + [2]
+    np.testing.assert_array_equal(chunked, whole)
 
 
 def test_m_step_freezes_converged_rows():
@@ -732,10 +829,10 @@ def test_m_step_cycle_cap_is_counted_and_warned(tmp_path):
     with pytest.warns(RuntimeWarning, match="max_cycles=1"):
         capped = engine.run(cfg, lambda i, shard, r: OneCycle(shard, 2, r), shards)
     assert (capped.m_step_cycles, capped.m_step_cap_hits) == (12, 12)
-    assert engine.run_summary({}, capped)["m_step"] == {"cycles": 12, "cap_hits": 12}
+    assert engine.run_summary({}, capped)["m_step"] == {"cycles": 12, "cap_hits": 12, "ridge": 0}
     free = engine.run(cfg, make_dppca_factory(2), shards)
     assert free.m_step_cycles > 12 and free.m_step_cap_hits == 0
-    assert [m.m_step_counts() for m in capped.models] == [(4, 4)] * 3
+    assert [m.m_step_counts() for m in capped.models] == [(4, 4, 0)] * 3
 
     def mixed(i, shard, r):
         # models of two classes run through the per-node loop, which
