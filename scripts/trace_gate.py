@@ -1,0 +1,139 @@
+"""Reference traces of the CLI, and a comparison of two sets of them.
+
+The reference set is 27 runs of ``netadmm run`` at the CLI defaults
+(20 nodes, 500 x 20 synthetic data, M = 5, eta0 = 10, 300 iterations,
+tolerance 1e-3):
+
+- all six schemes on complete(20) and ring(20), run seeds 1 and 2;
+- vp, vp_ap and vp_nap on cluster(20) at eta0 = 3, run seed 1.
+
+Write a set, one directory per run holding ``trace.csv`` and
+``summary.json``::
+
+    python scripts/trace_gate.py write OUT_DIR [--src SRC_DIR]
+
+``--src`` puts another checkout's ``src`` first on the import path, so
+the same script writes the set of an older commit. Compare two sets::
+
+    python scripts/trace_gate.py compare BASE_DIR NEW_DIR [--rtol 1e-9]
+
+The comparison reports, per run, whether the traces are byte-identical,
+whether they have the same rows (iteration count) and converged flags,
+and the largest relative difference of any numeric field. It exits 1
+when a run is missing, rows or flags differ, or a field differs by more
+than ``--rtol`` relative.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import io
+import sys
+from pathlib import Path
+
+SCHEMES = ("fixed", "vp", "ap", "nap", "vp_ap", "vp_nap")
+
+
+def reference_runs() -> list[tuple[str, list[str]]]:
+    """The reference runs as (directory name, ``netadmm run`` flags)."""
+    runs = [
+        (
+            f"{scheme}_{topology}_{seed}",
+            ["--scheme", scheme, "--topology", topology, "--seed", str(seed)],
+        )
+        for scheme in SCHEMES
+        for topology in ("complete", "ring")
+        for seed in (1, 2)
+    ]
+    runs += [
+        (f"{scheme}_cluster_eta3", ["--scheme", scheme, "--topology", "cluster", "--eta0", "3"])
+        for scheme in ("vp", "vp_ap", "vp_nap")
+    ]
+    return runs
+
+
+def write(out_dir: Path, src: Path | None) -> None:
+    src = src if src is not None else Path(__file__).resolve().parents[1] / "src"
+    sys.path.insert(0, str(src.resolve()))
+    from netadmm import cli
+
+    for name, flags in reference_runs():
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            code = cli.main(["run", *flags, "--output-dir", str(out_dir / name)])
+        print(f"{name}: exit {code}: {printed.getvalue().strip()}")
+
+
+def _rows(path: Path) -> list[list[str]]:
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _field_diff(base: str, new: str) -> float:
+    a, b = float(base), float(new)
+    if a == b:
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def compare(base_dir: Path, new_dir: Path, rtol: float) -> bool:
+    """Print one line per run and a total; true when every run passes."""
+    ok, identical, worst = True, 0, (0.0, "")
+    runs = [name for name, _ in reference_runs()]
+    for name in runs:
+        base, new = base_dir / name / "trace.csv", new_dir / name / "trace.csv"
+        if not (base.exists() and new.exists()):
+            print(f"{name}: missing trace")
+            ok = False
+            continue
+        if base.read_bytes() == new.read_bytes():
+            identical += 1
+            print(f"{name}: byte-identical")
+            continue
+        b_rows, n_rows = _rows(base), _rows(new)
+        header = b_rows[0]
+        flag = header.index("converged")
+        same_rows = len(b_rows) == len(n_rows) and b_rows[0] == n_rows[0]
+        same_flags = same_rows and all(x[flag] == y[flag] for x, y in zip(b_rows, n_rows))
+        run_worst, column = 0.0, ""
+        if same_rows:
+            for x, y in zip(b_rows[1:], n_rows[1:]):
+                for k, (u, v) in enumerate(zip(x, y)):
+                    if k != flag and _field_diff(u, v) > run_worst:
+                        run_worst, column = _field_diff(u, v), header[k]
+        if run_worst > worst[0]:
+            worst = (run_worst, f"{name} {column}")
+        passed = same_rows and same_flags and run_worst <= rtol
+        ok &= passed
+        print(
+            f"{name}: rows {len(b_rows) - 1} -> {len(n_rows) - 1}, "
+            f"flags {'same' if same_flags else 'DIFFER'}, worst field {run_worst:.3g} ({column})"
+            + ("" if passed else "  FAIL")
+        )
+    print(
+        f"{identical} of {len(runs)} byte-identical; worst relative field difference "
+        f"{worst[0]:.3g}{' in ' + worst[1] if worst[1] else ''}; {'PASS' if ok else 'FAIL'}"
+    )
+    return ok
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_write = sub.add_parser("write", help="write the 27 reference traces")
+    p_write.add_argument("out_dir", type=Path)
+    p_write.add_argument("--src", type=Path, help="import netadmm from this src directory")
+    p_compare = sub.add_parser("compare", help="compare two sets of reference traces")
+    p_compare.add_argument("base_dir", type=Path)
+    p_compare.add_argument("new_dir", type=Path)
+    p_compare.add_argument("--rtol", type=float, default=1e-9)
+    args = parser.parse_args(argv)
+    if args.command == "write":
+        write(args.out_dir, args.src)
+        return 0
+    return 0 if compare(args.base_dir, args.new_dir, args.rtol) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,8 +19,13 @@ Every step works on a shard's sufficient statistics, the sample-covariance
 form of Tipping & Bishop (1999): the count ``n``, the mean ``x̄`` and a
 factor ``F`` with ``F Fᵀ = Σ (x_n − x̄)(x_n − x̄)ᵀ``. ``F`` is the centred
 shard when N ≤ D and the triangular QR factor when N > D, so once the
-shard is reduced no step touches a D x N array: one E-step or likelihood
-costs O(D·M·min(D, N)), and one precision step of the M-step O(D·M²).
+shard is reduced no step touches a D x N array. The E-step and the
+likelihood share one latent solve, a Cholesky factorization of the M x M
+matrix ``G = Wᵀ W + I/a``, at O(D·M·min(D, N)); a node group keeps the
+solve of its own objectives for the next E-step, so each node factors
+``G`` once per iteration. The M-step forms the Gram products of its
+right-hand side once, at O(D·M²), runs its precision steps on
+(M+1) x (M+1) matrices alone, and forms W and mu once at the end.
 """
 
 from __future__ import annotations
@@ -44,9 +49,9 @@ _EPS = float(np.finfo(float).eps)
 _NOISE_FLOOR = math.sqrt(_EPS)
 # Bytes of one (rows, D, min(D, N) + 1) array in a batch of ranking
 # likelihoods: the batch is scored in chunks of at most this size, so its
-# memory stays flat as the number of ranking edges grows with J². The
-# benchmark workloads' batches (at most 1.3 MB) fit in one chunk.
-_NLL_BATCH_BYTES = 8 << 20
+# temporaries stay in cache and its memory flat as the number of ranking
+# edges grows with J². Larger fresh temporaries page-fault on every call.
+_NLL_BATCH_BYTES = 512 << 10
 
 __all__ = [
     "ParamView",
@@ -240,51 +245,93 @@ def _vdot(x: np.ndarray, y: np.ndarray, block_ndim: int) -> np.ndarray:
     return _inner(x.reshape(flat), y.reshape(flat))
 
 
+class _Latent(NamedTuple):
+    # One latent solve at a parameter set: G⁻¹ for G = WᵀW + I/a, logdet G,
+    # and z = G⁻¹ Wᵀ [F, √n (x̄ − mu)], one M x (min(D, N) + 1) block per set.
+    g_inv: np.ndarray
+    logdet: np.ndarray
+    z: np.ndarray
+
+
+def _samples(params: ParamView, stats: ShardStats) -> np.ndarray:
+    # [F, √n (x̄ − mu)]: the centred samples' factor and the weighted mean
+    # offset, one D x (min(D, N) + 1) block per parameter set.
+    n = np.asarray(stats.n, dtype=float)
+    factor = np.broadcast_to(stats.factor, params.W.shape[:-2] + stats.factor.shape[-2:])
+    offset = np.sqrt(n)[..., None] * (stats.mean - params.mu)
+    return np.concatenate([factor, offset[..., None]], axis=-1)
+
+
+def _latent(params: ParamView, samples: np.ndarray) -> _Latent:
+    # The E-step and the likelihood share this solve: one batched Cholesky
+    # factor L of G gives logdet G and, by forward substitution, L⁻¹ and so
+    # G⁻¹ = L⁻ᵀ L⁻¹. numpy has no batched triangular solve; M is small, so
+    # the substitution runs row by row over the whole batch.
+    w, a = params.W, np.asarray(params.a, dtype=float)
+    m = w.shape[-1]
+    wt = np.swapaxes(w, -1, -2)
+    gram = wt @ w + np.eye(m) / a[..., None, None]
+    if not np.all(np.isfinite(gram)):
+        raise np.linalg.LinAlgError("latent normal equations are non-finite")
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError("latent normal equations are not positive definite") from exc
+    l_inv = np.zeros_like(chol)
+    for i in range(m):
+        row = -(chol[..., i : i + 1, :i] @ l_inv[..., :i, :])[..., 0, :]
+        row[..., i] += 1.0
+        l_inv[..., i, :] = row / chol[..., i, i, None]
+    g_inv = np.swapaxes(l_inv, -1, -2) @ l_inv
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return _Latent(g_inv, logdet, g_inv @ (wt @ samples))
+
+
+def _moments(latent: _Latent, params: ParamView, stats: ShardStats) -> LatentMoments:
+    # The moment sums of e_step from a latent solve at params.
+    k = stats.factor.shape[-1]
+    a = np.asarray(params.a, dtype=float)[..., None, None]
+    n = np.asarray(stats.n, dtype=float)[..., None, None]
+    cov = latent.g_inv / a
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    z = latent.z
+    return LatentMoments(
+        cov,
+        np.sqrt(n[..., 0]) * z[..., k],
+        n * cov + z @ np.swapaxes(z, -1, -2),
+        stats.factor @ np.swapaxes(z[..., :k], -1, -2),
+    )
+
+
 def e_step(params: ParamView, stats: ShardStats) -> LatentMoments:
     """Posterior latent moments given current parameters, summed over the shard.
 
     The posterior of ``z`` given ``x`` is Gaussian with mean
-    ``Minv W^T (x - mu)`` and covariance ``Minv / a`` where
-    ``M = W^T W + I / a``. With ``E = Minv Wᵀ F`` and
-    ``e = Minv Wᵀ (x̄ − mu)`` the sums are ``Σ E[z_n] = n e``,
-    ``Σ E[z_n z_nᵀ] = n Minv / a + E Eᵀ + n e eᵀ`` and
-    ``Σ (x_n − x̄) E[z_n]ᵀ = F Eᵀ``.
+    ``G⁻¹ Wᵀ (x − mu)`` and covariance ``G⁻¹ / a`` where
+    ``G = Wᵀ W + I / a``. With ``E = G⁻¹ Wᵀ F`` and
+    ``e = G⁻¹ Wᵀ (x̄ − mu)`` the sums are ``Σ E[z_n] = n e``,
+    ``Σ E[z_n z_nᵀ] = n G⁻¹ / a + Z Zᵀ`` with ``Z = [E, √n e]``, and
+    ``Σ (x_n − x̄) E[z_n]ᵀ = F Eᵀ``. ``G`` is factored once, by Cholesky;
+    the likelihood uses the same solve.
 
     ``params`` and ``stats`` may hold J nodes on a leading axis, and so
     does the result. Zero columns of a padded ``factor`` add exact zeros.
+    Raises ``LinAlgError`` when ``G`` is not finite.
     """
-    w, a = params.W, np.asarray(params.a, dtype=float)[..., None, None]
-    m = w.shape[-1]
-    wt = np.swapaxes(w, -1, -2)
-    m_mat = wt @ w + np.eye(m) / a
-    if not np.all(np.isfinite(m_mat)):
-        raise np.linalg.LinAlgError("latent normal equations are not finite")
-    k = stats.factor.shape[-1]
-    rhs = np.concatenate(
-        [
-            wt @ stats.factor,
-            wt @ (stats.mean - params.mu)[..., None],
-            np.broadcast_to(np.eye(m), m_mat.shape),
-        ],
-        axis=-1,
-    )
-    try:
-        sol = np.linalg.solve(m_mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "latent normal equations are numerically singular"
-        ) from exc
-    ez_factor, ez_mean, cov = sol[..., :k], sol[..., k], sol[..., k + 1 :] / a
-    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
-    n = np.asarray(stats.n, dtype=float)[..., None, None]
-    return LatentMoments(
-        cov,
-        n[..., 0] * ez_mean,
-        n * cov
-        + ez_factor @ np.swapaxes(ez_factor, -1, -2)
-        + n * (ez_mean[..., :, None] * ez_mean[..., None, :]),
-        stats.factor @ np.swapaxes(ez_factor, -1, -2),
-    )
+    return _moments(_latent(params, _samples(params, stats)), params, stats)
+
+
+def _objective(params: ParamView, stats: ShardStats) -> tuple[np.ndarray, _Latent]:
+    # negative_log_likelihood as an array, and the latent solve it used.
+    y = _samples(params, stats)
+    latent = _latent(params, y)
+    y -= params.W @ latent.z
+    a = np.asarray(params.a, dtype=float)
+    d, m = params.W.shape[-2:]
+    n = np.asarray(stats.n, dtype=float)
+    quad = a * _vdot(y, y, 2) + _vdot(latent.z, latent.z, 2)
+    logdet = (m - d) * np.log(a) + latent.logdet
+    return 0.5 * (n * d * math.log(2.0 * math.pi) + n * logdet + quad), latent
 
 
 def negative_log_likelihood(params: ParamView, stats: ShardStats) -> float | np.ndarray:
@@ -296,30 +343,14 @@ def negative_log_likelihood(params: ParamView, stats: ShardStats) -> float | np.
     determinant lemma gives ``logdet C = (M − D) log a + logdet G``, and
     for any ``y``, ``yᵀ C⁻¹ y = a |y − W z|² + |z|²`` at ``z = G⁻¹ Wᵀ y``
     (Woodbury). Applied to the columns of ``F`` and to ``√n (x̄ − mu)``
-    this sums squares, free of cancellation.
+    this sums squares, free of cancellation. ``G`` is factored once, by
+    the Cholesky decomposition the E-step shares.
 
     ``params`` may hold a batch of K parameter sets (see ``ParamView``),
     scored against one shard's ``stats`` or, row by row, against K
     stacked ones; the result is then an array of K values.
     """
-    w, mu = params.W, params.mu
-    a = np.asarray(params.a, dtype=float)
-    d, m = w.shape[-2:]
-    wt = np.swapaxes(w, -1, -2)
-    gram = wt @ w + np.eye(m) / a[..., None, None]
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError("marginal covariance is not positive definite") from exc
-    n = np.asarray(stats.n, dtype=float)
-    factor = np.broadcast_to(stats.factor, w.shape[:-2] + stats.factor.shape[-2:])
-    y = np.concatenate([factor, (np.sqrt(n)[..., None] * (stats.mean - mu))[..., None]], axis=-1)
-    z = np.linalg.solve(gram, wt @ y)
-    y -= w @ z
-    quad = a * _vdot(y, y, 2) + _vdot(z, z, 2)
-    log_diag = np.log(np.diagonal(chol, axis1=-2, axis2=-1))
-    logdet = (m - d) * np.log(a) + 2.0 * np.sum(log_diag, axis=-1)
-    nll = 0.5 * (n * d * math.log(2.0 * math.pi) + n * logdet + quad)
+    nll = _objective(params, stats)[0]
     return float(nll) if nll.ndim == 0 else nll
 
 
@@ -348,18 +379,30 @@ def _inverse(lhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _expected_residual(
-    moments: LatentMoments, stats: ShardStats, w: np.ndarray, offset: np.ndarray
+    k_inv: np.ndarray,
+    a: np.ndarray,
+    gram: np.ndarray,
+    cc: np.ndarray,
+    cp: np.ndarray,
+    cross: np.ndarray,
+    pp: np.ndarray,
+    scatter: np.ndarray,
+    n: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    # sum_n E |x_n - W z_n - mu|^2 under the posterior moments, with
-    # offset = mu - x̄ and cross = sum_n (x_n - mu) E[z_n]^T:
-    #   energy - 2 <W, cross> + <W, W sum_ezz>,
-    # and the data's energy about mu, scatter + n |offset|^2.
+    # sum_n E |x_n - W z_n - mu|^2 at [W nu] = X = R K^-1, R = a C + P (see
+    # m_step), and the data's energy about mu = x̄ + nu, from (M+1) x (M+1)
+    # products alone: with cc = CᵀC, cp = CᵀP, cross = cp + cpᵀ, pp = PᵀP,
+    #   <X, C> = <K^-1, a cc + cp>,  XᵀX = K^-1 RᵀR K^-1,
+    #   RᵀR = a (a cc + cross) + pp,
+    #   residual = scatter - 2 <X, C> + <XᵀX, gram>,
+    #   energy = scatter + n |nu|^2 = scatter + n (XᵀX)[M, M].
     # Floored at relative epsilon: near-perfect reconstructions cancel to
     # rounding noise of unstable sign, and the precision update needs a
     # positive value (the precision then saturates instead of overflowing).
-    energy = stats.scatter + stats.n * _inner(offset, offset)
-    cross = moments.sum_cez - offset[..., :, None] * moments.sum_ez[..., None, :]
-    total = energy + _vdot(w, w @ moments.sum_ezz - 2.0 * cross, 2)
+    a = a[:, None, None]
+    xx = k_inv @ (a * (a * cc + cross) + pp) @ k_inv
+    energy = scatter + n * xx[:, -1, -1]
+    total = scatter - 2.0 * _vdot(k_inv, a * cc + cp, 2) + _vdot(xx, gram, 2)
     return np.maximum(total, _EPS * (1.0 + energy)), energy
 
 
@@ -461,11 +504,16 @@ def m_step(
     for all D rows. The precision's own stationarity quadratic at
     ``(W(a), mu(a))`` gives ``g(a)``, and only this scalar map is iterated:
     secant steps on ``g(a) − a``, or the plain step ``g(a)`` where the
-    secant step is not positive and finite. A node stops, and its rows
-    freeze, once ``|g(a) − a| < tol (1 + |a|)``, once its expected
-    residual is below √ε of its energy about mu (its noise variance is then
-    at rounding level relative to the data's), or after ``max_cycles``
-    steps; the steps run only over the nodes still active. A node returns
+    secant step is not positive and finite. ``g(a)`` depends on R only
+    through (M+1) x (M+1) Gram products, formed once, so a precision step
+    costs O(M³) whatever D; ``[W mu]`` is formed once per node, at its last
+    step. A node stops, and its rows freeze, once
+    ``|g(a) − a| < (tol + ε·energy/residual)(1 + |a|)``, the second term
+    being the rounding level of ``g(a)`` (its residual cancels terms of the
+    size of the data's energy about mu); once its expected residual is
+    below √ε of that energy (its noise variance is then at rounding level
+    relative to the data's); or after ``max_cycles`` steps. The steps run
+    only over the nodes still active. A node returns
     ``(W(a), mu(a), g(a))`` of its last step, so the result depends on the
     entry precision but not on the entry W and mu. With no neighbors and
     zero multipliers a node's update is the centralized EM M-step.
@@ -479,9 +527,9 @@ def m_step(
         raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
     num, d, m = params.W.shape
     eta_sum = np.asarray(eta_sum, dtype=float)
-    # The a-independent parts of K = a gram + 2 eta I and of R. R is taken
-    # about the shard mean, mu = x̄ + nu, which removes x̄ from its data part:
-    #   [W nu] K = a [sum_cez, 0] + [A_W - 2 lam, A_mu - 2 gamma - 2 eta x̄].
+    # The a-independent parts of K = a gram + 2 eta I and of R = a C + P.
+    # R is taken about the shard mean, mu = x̄ + nu, which removes x̄ from
+    # its data part: C = [sum_cez, 0], P = [A_W - 2 lam, A_mu - 2 gamma - 2 eta x̄].
     gram = np.empty((num, m + 1, m + 1))
     gram[:, :m, :m] = moments.sum_ezz
     gram[:, :m, m] = gram[:, m, :m] = moments.sum_ez
@@ -493,42 +541,50 @@ def m_step(
         ],
         axis=-1,
     )
-    w, mu, a = np.empty_like(params.W), np.empty_like(params.mu), np.empty(num)
+    # The precision steps read C and P only through their Gram products,
+    # formed once here; [W nu] = R K^-1 is formed once per node at the end.
+    cez_t = np.swapaxes(moments.sum_cez, -1, -2)
+    cc, cp = np.zeros((2, num, m + 1, m + 1))
+    cc[:, :m, :m] = cez_t @ moments.sum_cez
+    cp[:, :m] = cez_t @ pull
+    cross, pp = cp + np.swapaxes(cp, -1, -2), np.swapaxes(pull, -1, -2) @ pull
+    # Each node's precision at its last step and K^-1 there, and g(a) there.
+    a_last, k_inv_last, a = np.empty(num), np.empty((num, m + 1, m + 1)), np.empty(num)
     cycles = np.zeros(num, dtype=int)
     capped, ridge = np.zeros(num, dtype=bool), np.zeros(num, dtype=bool)
     # What a step reads, restricted to the nodes still active, and the
     # secant state: the current precision, the previous one and its g - a.
     active = np.arange(num)
-    fixed = (moments, stats, gram, pull, eta_sum, multipliers.beta, anchor.a)
+    scatter, n = np.asarray(stats.scatter, dtype=float), np.asarray(stats.n, dtype=float)
+    fixed = (gram, cc, cp, cross, pp, scatter, n, eta_sum, multipliers.beta, anchor.a)
     a_cur = np.array(params.a, dtype=float)
     a_prev = f_prev = np.full(num, np.nan)
     for _ in range(max_cycles):
-        mo, st, gr, pl, es, beta, a_anc = fixed
-        inv, ridged = _inverse(a_cur[:, None, None] * gr + 2.0 * es[:, None, None] * np.eye(m + 1))
-        rhs = pl.copy()
-        rhs[..., :m] += a_cur[:, None, None] * mo.sum_cez
-        # K is symmetric, so [W nu] = R K^-1: one (M+1) x (M+1) inverse and
-        # one product cost a fraction of a solve against D right-hand sides.
-        sol = rhs @ inv
-        w_new, nu = sol[..., :m], sol[..., m]
-        residual, energy = _expected_residual(mo, st, w_new, nu)
-        a_new = _a_update(residual, st.n, d, beta, es, a_anc)
+        gr, *prod, sc, nn, es, beta, a_anc = fixed
+        lhs = a_cur[:, None, None] * gr + 2.0 * es[:, None, None] * np.eye(m + 1)
+        k_inv, ridged = _inverse(lhs)
+        residual, energy = _expected_residual(k_inv, a_cur, gr, *prod, sc, nn)
+        a_new = _a_update(residual, nn, d, beta, es, a_anc)
         f_cur = a_new - a_cur
         cycles[active] += 1
         ridge[active] |= ridged
         if not np.isfinite(f_cur).all():
             raise ValueError("M-step produced non-finite parameters")
-        done = (np.abs(f_cur) < tol * (1.0 + np.abs(a_cur))) | (residual < _NOISE_FLOOR * energy)
+        # The residual cancels terms of the energy's size, so g(a) carries a
+        # relative rounding error of about eps * energy / residual: tol alone
+        # can fall below it on near-noiseless data.
+        slack = tol + _EPS * energy / residual
+        done = (np.abs(f_cur) < slack * (1.0 + np.abs(a_cur))) | (residual < _NOISE_FLOOR * energy)
         last = done | (cycles[active] == max_cycles)
         if last.any():
             rows = active[last]
-            w[rows], mu[rows], a[rows] = w_new[last], st.mean[last] + nu[last], a_new[last]
+            a_last[rows], k_inv_last[rows], a[rows] = a_cur[last], k_inv[last], a_new[last]
             capped[active[last & ~done]] = True
             keep = ~last
             active = active[keep]
             if not active.size:
                 break
-            fixed = tuple(_take(x, keep) if isinstance(x, tuple) else x[keep] for x in fixed)
+            fixed = tuple(x[keep] for x in fixed)
             a_cur, a_prev, f_prev, f_cur, a_new = (
                 x[keep] for x in (a_cur, a_prev, f_prev, f_cur, a_new)
             )
@@ -542,7 +598,14 @@ def m_step(
             "before converging",
             RuntimeWarning,
         )
-    return MStep(ParamView(w, mu, a), cycles, capped, ridge)
+    # K is symmetric, so [W nu] = R K^-1: one (M+1) x (M+1) inverse and one
+    # product cost a fraction of a solve against D right-hand sides.
+    rhs = pull.copy()
+    rhs[..., :m] += a_last[:, None, None] * moments.sum_cez
+    sol = rhs @ k_inv_last
+    if not np.isfinite(sol).all():
+        raise ValueError("M-step produced non-finite parameters")
+    return MStep(ParamView(sol[..., :m], stats.mean + sol[..., m], a), cycles, capped, ridge)
 
 
 def consensus_m_step(
@@ -637,6 +700,12 @@ class DppcaNodes(NodeGroup):
     Each phase runs the stacked kernels once for all nodes, on the
     broadcasts and penalties laid out by edge slot (``Graph.neighbor_rows``
     and ``Graph.by_slot``).
+
+    :meth:`objectives` keeps its latent solve at the current parameters,
+    and the next all-rows :meth:`step_rows` takes its E-step moments from
+    it, so a node solves once per engine iteration. The kept solve holds
+    only until the parameters change: :meth:`step_rows`, their only
+    writer, drops it.
     """
 
     def __init__(
@@ -652,11 +721,12 @@ class DppcaNodes(NodeGroup):
         # per node: M-step precision steps, steps stopped at max_cycles and
         # steps that needed the ridge retry
         self.counts = np.zeros((graph.num_nodes, 3), dtype=int)
+        self._kept: _Latent | None = None
 
     @classmethod
     def of(cls, models: Sequence["DppcaModel"], graph: Graph) -> "DppcaNodes":
         """Stack the models' rows into one group and point each model at its row."""
-        parts = [(m._nodes, m._rows) for m in models]
+        parts = [(m._nodes, slice(m._row, m._row + 1)) for m in models]
         width = max(nodes.stats.factor.shape[-1] for nodes, _ in parts)
 
         def padded(stats: ShardStats) -> ShardStats:
@@ -669,7 +739,7 @@ class DppcaNodes(NodeGroup):
         group = cls(stats, params, mults, models[0].max_cycles, graph)
         group.counts = np.concatenate([nodes.counts[rows] for nodes, rows in parts])
         for i, model in enumerate(models):
-            model._nodes, model._rows = group, slice(i, i + 1)
+            model._nodes, model._row = group, i
         return group
 
     def params_matrix(self) -> np.ndarray:
@@ -677,7 +747,8 @@ class DppcaNodes(NodeGroup):
         return np.concatenate([p.W.reshape(len(p.a), -1), p.mu, p.a[:, None]], axis=1)
 
     def objectives(self) -> np.ndarray:
-        return negative_log_likelihood(self.params, self.stats)
+        values, self._kept = _objective(self.params, self.stats)
+        return values
 
     def m_step_counts(self) -> tuple[int, int, int]:
         return tuple(self.counts.sum(axis=0).tolist())
@@ -707,11 +778,19 @@ class DppcaNodes(NodeGroup):
         )
 
     def step_rows(self, rows: slice, anchor: np.ndarray, eta_sum: np.ndarray) -> None:
-        """E-step and M-step of the nodes ``rows`` against flat anchors, one row each."""
+        """E-step and M-step of the nodes ``rows`` against flat anchors, one row each.
+
+        An all-rows step reads its E-step from the latent solve that
+        :meth:`objectives` kept, when there is one; any step drops it.
+        """
         stats, params = _take(self.stats, rows), _take(self.params, rows)
         mults = _take(self.multipliers, rows)
         anchor = unpack(anchor, *params.W.shape[1:])
-        out = m_step(e_step(params, stats), stats, params, mults, anchor, eta_sum, self.max_cycles)
+        latent, self._kept = self._kept, None
+        if latent is None or rows != slice(None):
+            latent = _latent(params, _samples(params, stats))
+        moments = _moments(latent, params, stats)
+        out = m_step(moments, stats, params, mults, anchor, eta_sum, self.max_cycles)
         for field, new in zip(self.params, out.params):
             field[rows] = new
         self.counts[rows] += np.stack([out.cycles, out.capped, out.ridge], axis=1)
@@ -721,8 +800,8 @@ class DppcaModel(ConsensusModel):
     """One node's PPCA model for the consensus engine.
 
     Reduces its shard to ``ShardStats`` on construction and keeps no D x N
-    array. Its statistics, parameters and multipliers are the rows
-    ``_rows`` of a :class:`DppcaNodes`: a group of its own until the engine
+    array. Its statistics, parameters and multipliers are the row
+    ``_row`` of a :class:`DppcaNodes`: a group of its own until the engine
     stacks a run's nodes (:meth:`group`), so ``params`` and ``multipliers``
     return copies of the node's current values. The per-node methods run
     the stacked kernels on those rows; the engine's grouped phases run them
@@ -739,7 +818,7 @@ class DppcaModel(ConsensusModel):
         mults = DppcaMultipliers.zeros(*params.W.shape)
         alone = Graph(1, ((),))
         self._nodes = DppcaNodes(*map(_lead, (stats, params, mults)), self.max_cycles, alone)
-        self._rows = slice(0, 1)
+        self._row = 0
 
     @classmethod
     def group(cls, models: Sequence["DppcaModel"], graph: Graph) -> DppcaNodes:
@@ -747,18 +826,18 @@ class DppcaModel(ConsensusModel):
 
     @property
     def params(self) -> ParamView:
-        w, mu, a = _take(self._nodes.params, self._rows)
-        return ParamView(w[0].copy(), mu[0].copy(), float(a[0]))
+        p, i = self._nodes.params, self._row
+        return ParamView(p.W[i].copy(), p.mu[i].copy(), float(p.a[i]))
 
     @property
     def multipliers(self) -> DppcaMultipliers:
-        lam, gamma, beta = _take(self._nodes.multipliers, self._rows)
-        return DppcaMultipliers(lam[0].copy(), gamma[0].copy(), float(beta[0]))
+        m, i = self._nodes.multipliers, self._row
+        return DppcaMultipliers(m.lam[i].copy(), m.gamma[i].copy(), float(m.beta[i]))
 
     def m_step_counts(self) -> tuple[int, int, int]:
         """This node's M-step precision steps, its steps stopped at
         ``max_cycles`` and its steps that needed the ridge retry."""
-        return tuple(self._nodes.counts[self._rows].sum(axis=0).tolist())
+        return tuple(self._nodes.counts[self._row].tolist())
 
     def params_vector(self) -> np.ndarray:
         return self.params.to_vector()
@@ -768,7 +847,7 @@ class DppcaModel(ConsensusModel):
         return self.objectives(vec[None])[0]
 
     def objectives(self, params: np.ndarray) -> list[float]:
-        stats = _take(self._nodes.stats, self._rows)
+        stats = _take(self._nodes.stats, slice(self._row, self._row + 1))
         return negative_log_likelihood(unpack(params, *self.params.W.shape), stats).tolist()
 
     def _inbox(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]):
@@ -779,12 +858,12 @@ class DppcaModel(ConsensusModel):
 
     def local_step(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]) -> None:
         inbox = _inbox_of_one(self.params, *self._inbox(neighbors, eta))
-        self._nodes.step_rows(self._rows, *_anchors(*inbox))
+        self._nodes.step_rows(slice(self._row, self._row + 1), *_anchors(*inbox))
 
     def multiplier_step(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]) -> None:
         new = consensus_multiplier_step(self.params, *self._inbox(neighbors, eta), self.multipliers)
         for field, value in zip(self._nodes.multipliers, new):
-            field[self._rows] = value
+            field[self._row] = value
 
 
 def make_dppca_factory(latent_dim: int):

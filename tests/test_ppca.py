@@ -5,6 +5,7 @@ from scipy.stats import multivariate_normal
 from netadmm.metrics import subspace_angle
 from netadmm.ppca import (
     DppcaMultipliers,
+    DppcaNodes,
     LatentMoments,
     ParamView,
     PpcaParams,
@@ -167,6 +168,56 @@ def test_batched_objective_matches_one_at_a_time():
     assert values.shape == (5,)
     for value, params in zip(values, sets):
         assert value == pytest.approx(negative_log_likelihood(params, stats), rel=1e-12)
+
+
+def _per_sample_reference(params, X):
+    # E-step sums and NLL one sample at a time, from dense solves
+    d, m = params.W.shape
+    g = params.W.T @ params.W + np.eye(m) / params.a
+    cov = np.linalg.inv(g) / params.a
+    c = params.W @ params.W.T + np.eye(d) / params.a
+    logdet_c = np.linalg.slogdet(c)[1]
+    sum_ez, sum_ezz, sum_cez, nll = np.zeros(m), np.zeros((m, m)), np.zeros((d, m)), 0.0
+    for x in X.T:
+        ez = np.linalg.solve(g, params.W.T @ (x - params.mu))
+        sum_ez += ez
+        sum_ezz += cov + np.outer(ez, ez)
+        sum_cez += np.outer(x - X.mean(axis=1), ez)
+        r = x - params.mu
+        nll += 0.5 * (d * np.log(2 * np.pi) + logdet_c + r @ np.linalg.solve(c, r))
+    return LatentMoments(cov, sum_ez, sum_ezz, sum_cez), nll
+
+
+def _assert_matches_reference(moments, nll, ref_moments, ref_nll):
+    # sums of O(1) terms: entries that cancel to ~0 are compared at 1e-12
+    for got, want in zip(moments, ref_moments):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert nll == pytest.approx(ref_nll, rel=1e-12)
+
+
+def test_latent_kernel_matches_per_sample_reference():
+    # one Cholesky solve serves the E-step and the likelihood: both match a
+    # per-sample reference, for one parameter set and for a padded stack
+    from netadmm.topology import build_complete
+
+    rng = np.random.default_rng(29)
+    params = _random_params(rng, 6, 2)
+    X = rng.normal(size=(6, 9)) + params.mu[:, None]
+    stats = shard_stats(X)
+    _assert_matches_reference(
+        e_step(params, stats), negative_log_likelihood(params, stats),
+        *_per_sample_reference(params, X),
+    )
+
+    shards, models = _ragged_nodes()
+    group = DppcaNodes.of(models, build_complete(5))
+    group.params.mu[:] += rng.normal(size=group.params.mu.shape)
+    moments = e_step(group.params, group.stats)
+    values = negative_log_likelihood(group.params, group.stats)
+    for i, x in enumerate(shards):
+        _assert_matches_reference(
+            [f[i] for f in moments], values[i], *_per_sample_reference(models[i].params, x)
+        )
 
 
 def test_objective_lower_near_truth_than_perturbed():
@@ -476,11 +527,13 @@ def test_ridge_retries_are_counted(monkeypatch):
     # in every M-step, and the run counts each node step that retried it
     from netadmm import engine, ppca
 
-    def zero_e_step(params, stats):
+    def zero_moments(latent, params, stats):
         zeros = _zero_moments(*params.W.shape[1:])
         return LatentMoments(*(np.zeros((len(params.a),) + f.shape) for f in zeros))
 
-    monkeypatch.setattr(ppca, "e_step", zero_e_step)
+    # every E-step, fresh or from the solve kept by the own objectives,
+    # reads its moments through _moments
+    monkeypatch.setattr(ppca, "_moments", zero_moments)
     rng = np.random.default_rng(28)
     cfg = engine.RunConfig(
         topology="complete", num_nodes=1, scheme="fixed", max_iterations=2, convergence_tol=1e-300
@@ -769,6 +822,87 @@ def test_ranking_objectives_in_chunks_match_one_batch(monkeypatch):
     chunked = group.neighbor_objectives(nodes, points)
     assert calls == [3] * 6 + [2]
     np.testing.assert_array_equal(chunked, whole)
+
+
+def test_kept_latent_solve_gives_the_fresh_e_step():
+    # objectives() then a group step, against the same step with the kept
+    # latent solve dropped
+    from netadmm.topology import build_complete
+
+    graph = build_complete(5)
+    eta = np.random.default_rng(30).uniform(1.0, 20.0, size=len(graph.edge_arrays()[0]))
+    groups = []
+    for keep in (True, False):
+        group = DppcaNodes.of(_ragged_nodes()[1], graph)
+        group.objectives()
+        if not keep:
+            group._kept = None
+        group.local_step(group.params_matrix(), eta)
+        groups.append(group)
+    for got, want in zip(*(g.params for g in groups)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_latent_solves_per_iteration(monkeypatch):
+    # Without ranking a node solves once per iteration, in its own
+    # objectives, plus once before the first; the E-step reuses that solve.
+    from netadmm import engine, ppca
+
+    calls = {"latent": 0, "objective": 0, "e_step": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name, attr in (("latent", "_latent"), ("objective", "_objective"), ("e_step", "e_step")):
+        monkeypatch.setattr(ppca, attr, counted(name, getattr(ppca, attr)))
+    rng = np.random.default_rng(31)
+    shards = [rng.normal(size=(5, 12)) for _ in range(3)]
+    cfg = engine.RunConfig(
+        topology="complete", num_nodes=3, scheme="fixed", max_iterations=6, convergence_tol=1e-300
+    )
+    engine.run(cfg, ppca.make_dppca_factory(2), shards)
+    assert calls == {"latent": 7, "objective": 7, "e_step": 0}
+
+
+def test_per_node_local_step_drops_kept_solve():
+    # node 0 steps alone after the group kept its solve; the next group step
+    # must solve node 0 afresh, as a group that never kept one does
+    from netadmm.topology import build_complete
+
+    graph = build_complete(5)
+    groups = []
+    for keep in (True, False):
+        _, models = _ragged_nodes()
+        group = DppcaNodes.of(models, graph)
+        theta = group.params_matrix()
+        if keep:
+            group.objectives()
+        inbox = {j: theta[j] for j in graph.neighbors[0]}
+        models[0].local_step(inbox, dict.fromkeys(inbox, 5.0))
+        assert group._kept is None
+        group.local_step(group.params_matrix(), np.full(len(graph.edge_arrays()[0]), 5.0))
+        groups.append(group)
+    for got, want in zip(*(g.params for g in groups)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_nan_broadcast_in_stacked_step_raises_before_writing():
+    from netadmm.topology import build_complete
+
+    _, models = _ragged_nodes()
+    graph = build_complete(5)
+    group = DppcaNodes.of(models, graph)
+    group.objectives()
+    before = group.params_matrix()
+    theta = before.copy()
+    theta[2, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        group.local_step(theta, np.full(len(graph.edge_arrays()[0]), 5.0))
+    np.testing.assert_array_equal(group.params_matrix(), before)
 
 
 def test_m_step_freezes_converged_rows():

@@ -1,0 +1,51 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "trace_gate.py"
+_spec = importlib.util.spec_from_file_location("trace_gate", _SCRIPT)
+trace_gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(trace_gate)
+
+HEADER = "t,objective,max_primal,max_dual,eta_min,eta_max,eta_mean,converged\n"
+ROWS = "0,100.5,0.25,0.5,10,10,10,0\n1,99.25,0.125,0.25,10,10,10,1\n"
+
+
+def _write_set(root: Path, body: str = ROWS, changed: str | None = None) -> Path:
+    for name, _ in trace_gate.reference_runs():
+        run = root / name
+        run.mkdir(parents=True)
+        text = changed if changed is not None and name == "ap_complete_1" else body
+        (run / "trace.csv").write_text(HEADER + text)
+    return root
+
+
+def test_reference_set_has_27_runs():
+    names = [name for name, _ in trace_gate.reference_runs()]
+    assert len(names) == len(set(names)) == 27
+
+
+@pytest.mark.parametrize(
+    "changed,passes,summary",
+    [
+        (None, True, "27 of 27 byte-identical"),
+        (ROWS.replace("99.25", "99.2500000001"), True, "26 of 27 byte-identical"),
+        (ROWS.replace("99.25", "99.26"), False, "worst relative field difference 0.000101"),
+        (ROWS.replace(",1\n", ",0\n"), False, "26 of 27"),
+        (ROWS.splitlines(keepends=True)[0], False, "26 of 27"),
+    ],
+    ids=["identical", "within-rtol", "field-off", "flag-off", "row-missing"],
+)
+def test_compare_gates_rows_flags_and_fields(tmp_path, capsys, changed, passes, summary):
+    base = _write_set(tmp_path / "base")
+    new = _write_set(tmp_path / "new", changed=changed)
+    assert trace_gate.compare(base, new, rtol=1e-9) is passes
+    assert summary in capsys.readouterr().out
+
+
+def test_compare_fails_on_missing_run(tmp_path):
+    base = _write_set(tmp_path / "base")
+    new = _write_set(tmp_path / "new")
+    (new / "vp_cluster_eta3" / "trace.csv").unlink()
+    assert trace_gate.compare(base, new, rtol=1e-9) is False
