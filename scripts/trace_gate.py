@@ -1,11 +1,13 @@
 """Reference traces of the CLI, and a comparison of two sets of them.
 
-The reference set is 27 runs of ``netadmm run`` at the CLI defaults
+The reference set is 31 runs of ``netadmm run`` at the CLI defaults
 (20 nodes, 500 x 20 synthetic data, M = 5, eta0 = 10, 300 iterations,
-tolerance 1e-3):
+tolerance 1e-3, ranking at the edge midpoints):
 
 - all six schemes on complete(20) and ring(20), run seeds 1 and 2;
-- vp, vp_ap and vp_nap on cluster(20) at eta0 = 3, run seed 1.
+- vp, vp_ap and vp_nap on cluster(20) at eta0 = 3, run seed 1;
+- ap, nap, vp_ap and vp_nap on complete(20), run seed 1, ranking at the
+  neighbors' broadcasts (``--eval-point neighbor``).
 
 Write a set, one directory per run holding ``trace.csv`` and
 ``summary.json``::
@@ -50,6 +52,10 @@ def reference_runs() -> list[tuple[str, list[str]]]:
     runs += [
         (f"{scheme}_cluster_eta3", ["--scheme", scheme, "--topology", "cluster", "--eta0", "3"])
         for scheme in ("vp", "vp_ap", "vp_nap")
+    ]
+    runs += [
+        (f"{scheme}_complete_neighbor", ["--scheme", scheme, "--eval-point", "neighbor"])
+        for scheme in ("ap", "nap", "vp_ap", "vp_nap")
     ]
     return runs
 
@@ -121,7 +127,7 @@ def compare(base_dir: Path, new_dir: Path, rtol: float) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p_write = sub.add_parser("write", help="write the 27 reference traces")
+    p_write = sub.add_parser("write", help="write the 31 reference traces")
     p_write.add_argument("out_dir", type=Path)
     p_write.add_argument("--src", type=Path, help="import netadmm from this src directory")
     p_compare = sub.add_parser("compare", help="compare two sets of reference traces")

@@ -152,19 +152,24 @@ class NodeGroup:
         """Dual ascent against the broadcasts ``theta`` with per-edge penalties ``eta``."""
         self._per_node("multiplier_step", theta, eta)
 
-    def neighbor_objectives(self, nodes: Sequence[int], points: np.ndarray) -> np.ndarray:
-        """Objectives of ``nodes`` (ascending) at the rows of ``points``.
+    def neighbor_objectives(self, nodes: Sequence[int], theta: np.ndarray, midpoint: bool) -> np.ndarray:
+        """Each of ``nodes``' objective at its neighbors' broadcasts.
 
-        ``points`` holds one row per outgoing edge of each node in
-        ``nodes``, in directed-edge order; each node scores its rows in
-        one ``objectives`` call.
+        ``nodes`` is ascending and ``theta`` holds every node's broadcast,
+        one row per node. The result has one value per outgoing edge of
+        ``nodes``, in directed-edge order (``Graph.out_edges``): the source's
+        objective at the target's row of ``theta``, or with ``midpoint`` at
+        the mean of the two rows. Each node scores its edges in one
+        ``objectives`` call.
         """
-        values, start = [], 0
+        values = []
         for i in nodes:
-            k = len(self.graph.neighbors[i])
-            if k:
-                values.extend(self.models[i].objectives(points[start : start + k]))
-            start += k
+            nbs = list(self.graph.neighbors[i])
+            if nbs:
+                points = theta[nbs]
+                if midpoint:
+                    points = 0.5 * (theta[i] + points)
+                values.extend(self.models[i].objectives(points))
         return np.array(values, dtype=float)
 
 
@@ -368,7 +373,7 @@ def run(
     if any(type(m) is not model_cls for m in models):
         model_cls = ConsensusModel
     nodes = model_cls.group(models, graph)
-    sources, targets = graph.edge_arrays()
+    sources, _ = graph.edge_arrays()
     degrees = graph.degrees[:, None]
     midpoint = config.penalty.eval_point != "neighbor"
 
@@ -409,16 +414,12 @@ def run(
             prev = navg if prev_navg is None else prev_navg
             residuals = local_residuals(theta, navg, prev, node_eta)
             prev_navg = navg
-        ranked = scheduler.ranking_nodes(t)
+        ranked = scheduler.ranking_nodes(t, residuals)
         f_neighbors = np.zeros(len(sources))
-        if ranked and len(sources):
+        if len(ranked) and len(sources):
             # Each ranking node's objective at its neighbors' broadcasts
             # (or the midpoints with its own), one call for all edges.
-            rows = np.flatnonzero(np.isin(sources, ranked))
-            points = theta[targets[rows]]
-            if midpoint:
-                points = 0.5 * (theta[sources[rows]] + points)
-            f_neighbors[rows] = nodes.neighbor_objectives(ranked, points)
+            f_neighbors[graph.out_edges(ranked)] = nodes.neighbor_objectives(ranked, theta, midpoint)
         scheduler.update(t, RoundSignals(residuals, f_self, f_prev_self, f_neighbors))
 
         # Phase 5: record, then check convergence and divergence.

@@ -32,6 +32,13 @@ between 0.008 and 40 and ``vp_ap`` between 0.35 and 40.
 The update rules are pure elementwise functions, of one edge's scalars or
 of arrays over many edges. :class:`PenaltyScheduler` keeps every directed
 edge's ledger in arrays and applies the scheme's rule to all at once.
+
+Ranking weights cost one objective evaluation per outgoing edge, so they
+are asked for only where a rule reads them (``ranking_nodes``): ``ap``
+while ``t < t_max``; ``nap`` at nodes with an edge that has budget left;
+``vp_ap`` (while ``t <= t_max``) and ``vp_nap`` (at nodes with budget
+left) only at nodes whose residual-balancing branch fires, since the
+weight multiplies nothing elsewhere.
 """
 
 from __future__ import annotations
@@ -297,11 +304,16 @@ def nap_update(state: EdgePenaltyState, tau_ij, f_curr, f_prev, cfg: PenaltyConf
     return _budget_step(state, cfg.eta0 * (1.0 + tau_ij), abs(tau_ij), f_curr, f_prev, cfg)
 
 
+def _branches(res: ResidualPair, mu: float):
+    # Which residual-balancing branch fires: grow where the primal residual
+    # dominates, shrink where the dual one does.
+    return res.primal_norm > mu * res.dual_norm, res.dual_norm > mu * res.primal_norm
+
+
 def _ranked_balance(eta, tau_ij, res: ResidualPair, mu: float):
     # Residual-balancing branches with the ranking weight folded in;
     # also reports whether a branch fired.
-    grow = res.primal_norm > mu * res.dual_norm
-    shrink = res.dual_norm > mu * res.primal_norm
+    grow, shrink = _branches(res, mu)
     scaled = eta * (1.0 + tau_ij)
     return _where(grow, scaled * 2.0, _where(shrink, scaled * 0.5, eta)), grow | shrink
 
@@ -334,21 +346,21 @@ def vp_nap_update(
 
 @dataclass
 class RoundSignals:
-    """Per-iteration inputs the engine hands to a scheduler.
+    """Per-iteration inputs the engine hands to a scheduler, as arrays.
 
-    ``residuals`` holds one ``ResidualPair`` per node, or one pair of
+    ``residuals`` holds the nodes' squared residual norms as one pair of
     arrays over the nodes; ``f_self`` and ``f_prev_self`` are indexed by
-    node id. ``f_neighbors`` gives node i's objective evaluated at each
-    neighbor's broadcast (or the edge midpoint, per config), either as
-    ``f_neighbors[i][j]`` or as one array in directed-edge order. It is
-    read only for the nodes that :meth:`PenaltyScheduler.ranking_nodes`
-    names.
+    node id. ``f_neighbors`` holds, in directed-edge order, the source
+    node's objective at the target's broadcast (or the edge midpoint, per
+    config). It is read only on the outgoing edges of the nodes that
+    :meth:`PenaltyScheduler.ranking_nodes` names for these residuals, and
+    may hold anything elsewhere.
     """
 
-    residuals: list[ResidualPair] | ResidualPair
-    f_self: list[float] | np.ndarray
-    f_prev_self: list[float] | np.ndarray
-    f_neighbors: Mapping[int, Mapping[int, float]] | list[Mapping[int, float]] | np.ndarray
+    residuals: ResidualPair
+    f_self: np.ndarray
+    f_prev_self: np.ndarray
+    f_neighbors: np.ndarray
 
 
 class PenaltyScheduler:
@@ -419,32 +431,35 @@ class PenaltyScheduler:
             return {}
         return dict(zip(self._index, self.edge_state.ceiling.tolist()))
 
-    def ranking_nodes(self, t: int) -> list[int]:
-        """Nodes whose ranking weights ``update(t, ...)`` will use.
+    def ranking_nodes(self, t: int, residuals: ResidualPair) -> np.ndarray:
+        """Nodes, ascending, whose ranking weights ``update(t, ...)`` reads.
 
-        ``ap`` ranks while ``t < t_max``, ``vp_ap`` while ``t <= t_max``,
-        and ``nap`` and ``vp_nap`` a node while one of its edges has budget.
+        ``residuals`` are the nodes' residuals of this round, as in
+        :class:`RoundSignals`. ``ap`` ranks every node while ``t < t_max``
+        and ``nap`` a node while one of its edges has budget. ``vp_ap``
+        (while ``t <= t_max``) and ``vp_nap`` (a node with budget left)
+        rank only the nodes whose residual-balancing branch fires: elsewhere
+        their weight multiplies nothing.
         """
-        cfg = self.cfg
-        if (self.scheme == "ap" and t < cfg.t_max) or (self.scheme == "vp_ap" and t <= cfg.t_max):
-            return list(range(self.graph.num_nodes))
-        if self.scheme in _BUDGET_SCHEMES:
-            live = self.sources[np.logical_not(self.edge_state.exhausted)]
-            return np.unique(live).tolist()
-        return []
+        cfg, scheme = self.cfg, self.scheme
+        if scheme in _BUDGET_SCHEMES:
+            rank = np.zeros(self.graph.num_nodes, dtype=bool)
+            rank[self.sources[np.logical_not(self.edge_state.exhausted)]] = True
+        else:
+            live = (scheme == "ap" and t < cfg.t_max) or (scheme == "vp_ap" and t <= cfg.t_max)
+            rank = np.full(self.graph.num_nodes, live)
+        if scheme in ("vp_ap", "vp_nap"):
+            rank &= np.logical_or(*_branches(residuals, cfg.mu))
+        return np.flatnonzero(rank)
 
-    def _ranking_taus(self, nodes: list[int], f_self: np.ndarray, f_neighbors) -> np.ndarray:
+    def _ranking_taus(self, nodes: np.ndarray, f_self: np.ndarray, f_neighbors: np.ndarray) -> np.ndarray:
         # ``ap_taus`` of every outgoing edge of ``nodes`` at once; the other
         # edges see a tie (all values 0) and get 0.
-        if not nodes or not len(self.sources):
+        if not len(nodes) or not len(self.sources):
             return np.zeros(len(self.sources))
         ranked = np.zeros(self.graph.num_nodes, dtype=bool)
         ranked[nodes] = True
-        on = ranked[self.sources]
-        if isinstance(f_neighbors, np.ndarray):
-            f_edge = np.where(on, f_neighbors, 0.0)
-        else:
-            f_edge = np.array([f_neighbors[i][j] if ranked[i] else 0.0 for i, j in self._index])
+        f_edge = np.where(ranked[self.sources], f_neighbors, 0.0)
         f_own = np.where(ranked, f_self, 0.0)
         if not (np.all(np.isfinite(f_own)) and np.all(np.isfinite(f_edge))):
             raise ValueError("objective evaluations must be finite for penalty ranking")
@@ -454,16 +469,11 @@ class PenaltyScheduler:
         return _rank_weights(f_own[src], f_edge, lo[src], hi[src], self.cfg.f_tie_epsilon)
 
     def update(self, t: int, signals: RoundSignals) -> None:
-        cfg = self.cfg
-        f_self = np.asarray(signals.f_self, dtype=float)
-        tau = self._ranking_taus(self.ranking_nodes(t), f_self, signals.f_neighbors)
-        res = signals.residuals
-        if not isinstance(res, ResidualPair):
-            res = ResidualPair(*np.array([(r.primal_sq, r.dual_sq) for r in res]).T)
+        cfg, res, f_self = self.cfg, signals.residuals, signals.f_self
+        tau = self._ranking_taus(self.ranking_nodes(t, res), f_self, signals.f_neighbors)
         src = self.sources
-        res = ResidualPair(np.asarray(res.primal_sq)[src], np.asarray(res.dual_sq)[src])
-        f_curr = f_self[src]
-        f_prev = np.asarray(signals.f_prev_self, dtype=float)[src]
+        res = ResidualPair(res.primal_sq[src], res.dual_sq[src])
+        f_curr, f_prev = f_self[src], signals.f_prev_self[src]
         state = self.edge_state
         if self.scheme == "vp":
             state = vp_update(state, res, cfg, t)

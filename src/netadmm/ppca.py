@@ -23,8 +23,11 @@ shard is reduced no step touches a D x N array. The E-step and the
 likelihood share one latent solve, a Cholesky factorization of the M x M
 matrix ``G = Wᵀ W + I/a``, at O(D·M·min(D, N)); a node group keeps the
 solve of its own objectives for the next E-step, so each node factors
-``G`` once per iteration. The M-step forms the Gram products of its
-right-hand side once, at O(D·M²), runs its precision steps on
+``G`` once per iteration. The ranking likelihoods, a node's objective at
+its neighbors' parameters, are scored in the M-dimensional latent space,
+with no D-sized copy of a shard's samples per edge
+(``DppcaNodes.neighbor_objectives``). The M-step forms the Gram products
+of its right-hand side once, at O(D·M²), runs its precision steps on
 (M+1) x (M+1) matrices alone, and forms W and mu once at the end.
 """
 
@@ -47,11 +50,6 @@ _EPS = float(np.finfo(float).eps)
 # inherits, so its change need not fall below tol: on exact rank-M data the
 # steps would run to max_cycles. The benchmark workloads stay above 9e-5.
 _NOISE_FLOOR = math.sqrt(_EPS)
-# Bytes of one (rows, D, min(D, N) + 1) array in a batch of ranking
-# likelihoods: the batch is scored in chunks of at most this size, so its
-# temporaries stay in cache and its memory flat as the number of ranking
-# edges grows with J². Larger fresh temporaries page-fault on every call.
-_NLL_BATCH_BYTES = 512 << 10
 
 __all__ = [
     "ParamView",
@@ -262,15 +260,10 @@ def _samples(params: ParamView, stats: ShardStats) -> np.ndarray:
     return np.concatenate([factor, offset[..., None]], axis=-1)
 
 
-def _latent(params: ParamView, samples: np.ndarray) -> _Latent:
-    # The E-step and the likelihood share this solve: one batched Cholesky
-    # factor L of G gives logdet G and, by forward substitution, L⁻¹ and so
-    # G⁻¹ = L⁻ᵀ L⁻¹. numpy has no batched triangular solve; M is small, so
-    # the substitution runs row by row over the whole batch.
-    w, a = params.W, np.asarray(params.a, dtype=float)
-    m = w.shape[-1]
-    wt = np.swapaxes(w, -1, -2)
-    gram = wt @ w + np.eye(m) / a[..., None, None]
+def _cholesky(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # L⁻¹ and logdet G of a stack of G = L Lᵀ, from one batched Cholesky
+    # factor. numpy has no batched triangular solve; M is small, so the
+    # forward substitution runs row by row over the whole batch.
     if not np.all(np.isfinite(gram)):
         raise np.linalg.LinAlgError("latent normal equations are non-finite")
     try:
@@ -278,12 +271,20 @@ def _latent(params: ParamView, samples: np.ndarray) -> _Latent:
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("latent normal equations are not positive definite") from exc
     l_inv = np.zeros_like(chol)
-    for i in range(m):
+    for i in range(gram.shape[-1]):
         row = -(chol[..., i : i + 1, :i] @ l_inv[..., :i, :])[..., 0, :]
         row[..., i] += 1.0
         l_inv[..., i, :] = row / chol[..., i, i, None]
+    return l_inv, 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+
+
+def _latent(params: ParamView, samples: np.ndarray) -> _Latent:
+    # The E-step and the likelihood share this solve: G⁻¹ = L⁻ᵀ L⁻¹ from
+    # the Cholesky factor of G, and logdet G.
+    w, a = params.W, np.asarray(params.a, dtype=float)
+    wt = np.swapaxes(w, -1, -2)
+    l_inv, logdet = _cholesky(wt @ w + np.eye(w.shape[-1]) / a[..., None, None])
     g_inv = np.swapaxes(l_inv, -1, -2) @ l_inv
-    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
     return _Latent(g_inv, logdet, g_inv @ (wt @ samples))
 
 
@@ -504,7 +505,8 @@ def m_step(
     for all D rows. The precision's own stationarity quadratic at
     ``(W(a), mu(a))`` gives ``g(a)``, and only this scalar map is iterated:
     secant steps on ``g(a) − a``, or the plain step ``g(a)`` where the
-    secant step is not positive and finite. ``g(a)`` depends on R only
+    secant step is not positive and finite or moves ``a`` against the sign
+    of ``g(a) − a``. ``g(a)`` depends on R only
     through (M+1) x (M+1) Gram products, formed once, so a precision step
     costs O(M³) whatever D; ``[W mu]`` is formed once per node, at its last
     step. A node stops, and its rows freeze, once
@@ -590,7 +592,10 @@ def m_step(
             )
         with np.errstate(divide="ignore", invalid="ignore"):
             secant = a_cur - f_cur * (a_cur - a_prev) / (f_cur - f_prev)
-        usable = np.isfinite(secant) & (secant > 0)
+        # A secant step must move a the way g(a) - a points, as the plain
+        # step does: where g(a) - a changes slope, one can walk away from
+        # the root.
+        usable = np.isfinite(secant) & (secant > 0) & ((secant - a_cur) * f_cur > 0)
         a_prev, f_prev, a_cur = a_cur, f_cur, np.where(usable, secant, a_new)
     if capped.any():
         warnings.warn(
@@ -762,20 +767,52 @@ class DppcaNodes(NodeGroup):
     def multiplier_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
         self.multipliers = multiplier_step(self.multipliers, *self._inbox(theta, eta))
 
-    def neighbor_objectives(self, nodes: Sequence[int], points: np.ndarray) -> np.ndarray:
-        owners = np.repeat(nodes, self.graph.degrees[nodes])
-        d, m = self.params.W.shape[1:]
-        # Each row holds D x (min(D, N) + 1) temporaries: score as many rows
-        # at once as fit _NLL_BATCH_BYTES.
-        rows = max(1, _NLL_BATCH_BYTES // (8 * d * (self.stats.factor.shape[-1] + 1)))
-        return np.concatenate(
-            [
-                negative_log_likelihood(
-                    unpack(points[k : k + rows], d, m), _take(self.stats, owners[k : k + rows])
-                )
-                for k in range(0, max(len(owners), 1), rows)
-            ]
+    def neighbor_objectives(self, nodes: Sequence[int], theta: np.ndarray, midpoint: bool) -> np.ndarray:
+        """Each of ``nodes``' likelihood at its neighbors' broadcasts, in latent space.
+
+        Takes and returns what :meth:`NodeGroup.neighbor_objectives` does.
+        For an edge from node i with parameters ``(W_e, mu_e, a_e)`` (the
+        neighbor's broadcast or the midpoint), ``B = W_eᵀ [F_i, √n (x̄_i − mu_e)]``
+        and ``G = W_eᵀ W_e + I/a_e = L Lᵀ`` give the Woodbury quadratic form
+        ``a_e (|F_i|² + n |x̄_i − mu_e|² − |L⁻¹ B|²)`` and ``logdet G``, so
+        an edge costs O(D·M·min(D, N)) and holds M x (min(D, N) + 1) and
+        D x M arrays. The products ``W_eᵀ F_i`` of a node's edges are one
+        matrix product against its factor. The difference of squares
+        rounds at about ε·a_e·|[F_i, √n (x̄_i − mu_e)]|²; the own
+        objectives keep the sum-of-squares form of
+        :func:`negative_log_likelihood`. An edge's value does not depend
+        on which other nodes rank.
+        """
+        nodes = np.asarray(nodes, dtype=int)
+        sources, targets = self.graph.edge_arrays()
+        rows = self.graph.out_edges(nodes)
+        owners = sources[rows]
+        points = theta[targets[rows]]
+        if midpoint:
+            points += theta[owners]
+            points *= 0.5
+        stats, (d, m) = self.stats, self.params.W.shape[1:]
+        w, mu, a = unpack(points, d, m)
+        wt = np.swapaxes(w, -1, -2)
+        # W_eᵀ F_i: a node's edges' W_eᵀ stacked into one block of rows,
+        # padded with zero rows to the graph's largest degree so that every
+        # node's product has the same shape whichever nodes rank.
+        degrees = self.graph.degrees
+        filled = np.arange(degrees.max()) < degrees[nodes, None]
+        blocks = np.zeros(filled.shape + (m, d))
+        blocks[filled] = wt
+        width = stats.factor.shape[-1]
+        wtf = blocks.reshape(len(nodes), -1, d) @ stats.factor[nodes]
+        n = stats.n[owners].astype(float)
+        offset = np.sqrt(n)[:, None] * (stats.mean[owners] - mu)
+        b = np.concatenate(
+            [wtf.reshape(filled.shape + (m, width))[filled], wt @ offset[..., None]], axis=-1
         )
+        l_inv, logdet = _cholesky(wt @ w + np.eye(m) / a[:, None, None])
+        v = l_inv @ b
+        quad = a * (stats.scatter[owners] + _vdot(offset, offset, 1) - _vdot(v, v, 2))
+        logdet = (m - d) * np.log(a) + logdet
+        return 0.5 * (n * d * math.log(2.0 * math.pi) + n * logdet + quad)
 
     def step_rows(self, rows: slice, anchor: np.ndarray, eta_sum: np.ndarray) -> None:
         """E-step and M-step of the nodes ``rows`` against flat anchors, one row each.

@@ -39,7 +39,7 @@ class Graph:
     Directed edges are ordered as ``directed_edges()`` yields them, node by
     node; ``degrees``, ``offsets``, ``edge_arrays()``, ``by_slot``,
     ``neighbor_rows`` and ``node_sums`` give that layout as arrays,
-    computed once per graph.
+    computed once per graph, and ``out_edges`` finds a node set's edges in it.
     """
 
     num_nodes: int
@@ -73,6 +73,14 @@ class Graph:
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Sources and targets of the directed edges, in ``directed_edges()`` order."""
         return self._edges
+
+    def out_edges(self, nodes: np.ndarray) -> np.ndarray:
+        """Indices of the outgoing edges of ``nodes`` (ascending), in edge order."""
+        nodes = np.asarray(nodes, dtype=int)
+        counts = self.degrees[nodes]
+        # offsets[i] + (0 .. degree - 1) for each node, as one arange
+        shift = np.repeat(self.offsets[nodes] - np.cumsum(counts) + counts, counts)
+        return shift + np.arange(counts.sum())
 
     @cached_property
     def _slots(self) -> np.ndarray:

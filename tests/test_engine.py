@@ -13,7 +13,7 @@ from netadmm.engine import (
     run,
     write_trace_csv,
 )
-from netadmm.penalty import PenaltyConfig
+from netadmm.penalty import PenaltyConfig, local_residuals
 from netadmm.topology import build_complete, build_ring
 
 
@@ -320,3 +320,33 @@ def test_nap_skips_neighbor_objectives_of_exhausted_nodes():
         assert evals[t] == [d if i in live else 0 for i, d in enumerate(degrees)], t
         mixed += 0 < len(live) < 6
     assert mixed > 5
+
+
+@pytest.mark.parametrize("scheme", ["vp_ap", "vp_nap"])
+def test_vp_ranking_schemes_score_only_firing_nodes(monkeypatch, scheme):
+    # A node is scored at its neighbors only when its residual-balancing
+    # branch fires (and, for vp_nap, one of its edges has budget left).
+    from netadmm import engine
+
+    residuals = []
+
+    def recorded(*args):
+        residuals.append(local_residuals(*args))
+        return residuals[-1]
+
+    monkeypatch.setattr(engine, "local_residuals", recorded)
+    penalty = PenaltyConfig(t_max=14, budget=2.0, mu=3.0)
+    evals, live_nodes = _per_iteration_evals(scheme, "cluster", 6, penalty, 20)
+    degrees = [2, 2, 3, 3, 2, 2]  # cluster(6)
+    partial = 0
+    for t, per_node in enumerate(evals):
+        res = residuals[t]
+        primal, dual = np.sqrt(res.primal_sq), np.sqrt(res.dual_sq)
+        fires = (primal > penalty.mu * dual) | (dual > penalty.mu * primal)
+        if scheme == "vp_ap":
+            ranked = fires & (t <= penalty.t_max)
+        else:
+            ranked = fires & np.isin(np.arange(6), list(live_nodes[t - 1] if t else range(6)))
+        assert per_node == [d if r else 0 for d, r in zip(degrees, ranked)], t
+        partial += 0 < ranked.sum() < 6
+    assert partial > 3

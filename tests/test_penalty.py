@@ -289,16 +289,26 @@ def test_fixed_scheduler_constant():
     assert np.all(sched.all_etas() == 10.0)
 
 
+def _residual_arrays(pairs):
+    # per-node residual pairs as the engine passes them: one pair of arrays
+    return ResidualPair(*np.array([(r.primal_sq, r.dual_sq) for r in pairs]).T)
+
+
+def _edge_values(graph, per_node):
+    # f_neighbors[i][j] laid out in directed-edge order
+    return np.array([per_node[i][j] for i, j in graph.directed_edges()], dtype=float)
+
+
 def test_vp_scheduler_is_per_node():
     from netadmm.penalty import RoundSignals
 
     g = build_complete(3)
     sched = make_scheduler("vp", g, CFG)
     signals = RoundSignals(
-        residuals=[_pair(5.0, 0.1), _pair(0.1, 5.0), _pair(1.0, 1.0)],
-        f_self=[0.0] * 3,
-        f_prev_self=[0.0] * 3,
-        f_neighbors=[{}] * 3,
+        residuals=_residual_arrays([_pair(5.0, 0.1), _pair(0.1, 5.0), _pair(1.0, 1.0)]),
+        f_self=np.zeros(3),
+        f_prev_self=np.zeros(3),
+        f_neighbors=np.zeros(6),
     )
     sched.update(0, signals)
     assert sched.eta(0, 1) == sched.eta(0, 2) == 20.0
@@ -317,12 +327,12 @@ def test_scheduler_determinism():
         for t in range(20):
             f = list(rng.normal(size=4))
             signals = RoundSignals(
-                residuals=[_pair(abs(x), abs(1 - x)) for x in f],
-                f_self=f,
-                f_prev_self=list(rng.normal(size=4)),
-                f_neighbors=[
-                    {j: f[j] + 0.1 * (i - j) for j in g.neighbors[i]} for i in range(4)
-                ],
+                residuals=_residual_arrays([_pair(abs(x), abs(1 - x)) for x in f]),
+                f_self=np.array(f),
+                f_prev_self=rng.normal(size=4),
+                f_neighbors=_edge_values(
+                    g, [{j: f[j] + 0.1 * (i - j) for j in g.neighbors[i]} for i in range(4)]
+                ),
             )
             sched.update(t, signals)
         return sched.all_etas()
@@ -347,7 +357,13 @@ def test_scheduler_matches_scalar_rules_on_ragged_graph(scheme):
         f_self = list(f_prev * rng.uniform(0.7, 1.3, size=6))
         residuals = [_pair(*10.0 ** rng.uniform(-3, 3, size=2)) for _ in range(6)]
         f_neighbors = [{j: float(rng.uniform(0.5, 3.0)) for j in g.neighbors[i]} for i in range(6)]
-        sched.update(t, RoundSignals(residuals, f_self, f_prev, f_neighbors))
+        signals = RoundSignals(
+            _residual_arrays(residuals),
+            np.array(f_self),
+            np.array(f_prev),
+            _edge_values(g, f_neighbors),
+        )
+        sched.update(t, signals)
         for i in range(6):
             taus = ap_taus(f_self[i], f_neighbors[i], cfg.f_tie_epsilon)
             res = residuals[i]
@@ -370,3 +386,51 @@ def test_scheduler_matches_scalar_rules_on_ragged_graph(scheme):
         # the signals exercised exhaustion and ceiling growth
         assert sched.exhausted_edges() > 0
         assert any(s.growth_count > 1 for s in ref.values())
+
+
+@pytest.mark.parametrize("scheme", ["ap", "nap", "vp_ap", "vp_nap"])
+def test_update_reads_ranking_weights_only_of_ranking_nodes(scheme):
+    # Objective values on the edges of nodes outside ranking_nodes(t, res)
+    # change nothing, whatever they hold; vp_ap and vp_nap rank only the
+    # nodes whose residual-balancing branch fires.
+    from netadmm.penalty import RoundSignals
+    from netadmm.topology import build_cluster
+
+    g = build_cluster(6)
+    cfg = PenaltyConfig(t_max=12, budget=0.8)
+    kept, scrambled = make_scheduler(scheme, g, cfg), make_scheduler(scheme, g, cfg)
+    sources, _ = g.edge_arrays()
+    rng = np.random.default_rng(41)
+    f_prev = rng.uniform(1.0, 2.0, size=6)
+    skipped = 0
+    for t in range(30):
+        f_self = f_prev * rng.uniform(0.7, 1.3, size=6)
+        res = ResidualPair(*10.0 ** rng.uniform(-3, 3, size=(2, 6)))
+        f_neighbors = rng.uniform(0.5, 3.0, size=len(sources))
+        ranked = kept.ranking_nodes(t, res)
+        np.testing.assert_array_equal(ranked, scrambled.ranking_nodes(t, res))
+        fires = (np.sqrt(res.primal_sq) > cfg.mu * np.sqrt(res.dual_sq)) | (
+            np.sqrt(res.dual_sq) > cfg.mu * np.sqrt(res.primal_sq)
+        )
+        live = np.zeros(6, dtype=bool)
+        live[sources[~kept.edge_state.exhausted]] = True
+        expected = {
+            "ap": np.full(6, t < cfg.t_max),
+            "nap": live,
+            "vp_ap": fires & (t <= cfg.t_max),
+            "vp_nap": fires & live,
+        }[scheme]
+        np.testing.assert_array_equal(ranked, np.flatnonzero(expected))
+        outside = ~np.isin(sources, ranked)
+        skipped += outside.any() and len(ranked) > 0
+        noise = np.where(rng.random(len(sources)) < 0.5, np.nan, rng.normal(size=len(sources)))
+        kept.update(t, RoundSignals(res, f_self, f_prev, f_neighbors))
+        scrambled.update(t, RoundSignals(res, f_self, f_prev, np.where(outside, noise, f_neighbors)))
+        for field in ("eta", "spent", "ceiling", "growth_count"):
+            np.testing.assert_array_equal(
+                getattr(kept.edge_state, field), getattr(scrambled.edge_state, field), (t, field)
+            )
+        f_prev = f_self
+    if scheme != "ap":
+        # some iterations ranked only part of the nodes
+        assert skipped > 3

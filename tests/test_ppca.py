@@ -9,6 +9,7 @@ from netadmm.ppca import (
     LatentMoments,
     ParamView,
     PpcaParams,
+    ShardStats,
     centralized_em,
     consensus_m_step,
     consensus_multiplier_step,
@@ -792,36 +793,106 @@ def test_stacked_phases_match_one_node_at_a_time():
         group.objectives(), [m.objective() for m in singles], rtol=1e-12
     )
     nodes = [0, 2, 4]
-    points = np.concatenate([theta[list(graph.neighbors[i])] for i in nodes])
     want = [v for i in nodes for v in singles[i].objectives(theta[list(graph.neighbors[i])])]
-    np.testing.assert_allclose(group.neighbor_objectives(nodes, points), want, rtol=1e-12)
+    np.testing.assert_allclose(group.neighbor_objectives(nodes, theta, False), want, rtol=1e-12)
     cycles, cap_hits, ridge = group.m_step_counts()
     assert cycles == sum(m.m_step_counts()[0] for m in singles) > 0 and cap_hits == ridge == 0
 
 
-def test_ranking_objectives_in_chunks_match_one_batch(monkeypatch):
-    from netadmm import ppca
+def _ragged_group(graph):
+    # One node per graph node, with 3, 4, 6, 9, 20, 7, ... samples in D=6
+    # (factors of N <= D and N > D side by side), after three fixed-penalty
+    # iterations so that neighbors differ but not wildly.
+    from netadmm.ppca import DppcaModel
+
+    rng = np.random.default_rng(27)
+    sizes = [(3, 4, 6, 9, 20, 7)[i % 6] for i in range(graph.num_nodes)]
+    shards = [rng.normal(size=(6, n)) + rng.normal(size=(6, 1)) for n in sizes]
+    models = [DppcaModel(x, 2, np.random.default_rng(i)) for i, x in enumerate(shards)]
+    group = DppcaNodes.of(models, graph)
+    eta = np.full(len(graph.edge_arrays()[0]), 5.0)
+    for _ in range(3):
+        group.local_step(group.params_matrix(), eta)
+        group.multiplier_step(group.params_matrix(), eta)
+    return group
+
+
+def _assert_ranking_matches_nll(group, nodes, theta, midpoint):
+    # Each ranking edge's value against negative_log_likelihood of its
+    # owner at its point, within 64 eps a_e |[F_i, sqrt(n) (x̄_i - mu_e)]|^2.
+    got = group.neighbor_objectives(np.asarray(nodes), theta, midpoint)
+    d, m = group.params.W.shape[1:]
+    want, bound = [], []
+    for i in nodes:
+        stats = ShardStats(*(np.asarray(f)[i] for f in group.stats))
+        for j in group.graph.neighbors[i]:
+            params = PpcaParams(*unpack(0.5 * (theta[i] + theta[j]) if midpoint else theta[j], d, m))
+            want.append(negative_log_likelihood(params, stats))
+            energy = stats.scatter + stats.n * np.sum((stats.mean - params.mu) ** 2)
+            bound.append(64 * np.finfo(float).eps * params.a * energy)
+    assert got.shape == (len(want),)
+    error = np.abs(got - np.array(want))
+    assert np.all(error <= bound), np.max(error / bound)
+
+
+@pytest.mark.parametrize("midpoint", [False, True], ids=["neighbor", "midpoint"])
+@pytest.mark.parametrize("topology", ["complete", "cluster"])
+def test_ranking_objectives_match_negative_log_likelihood(topology, midpoint):
+    # Every node and a subset rank, on complete(5) and on the ragged
+    # cluster(6); each edge's value is the owner's likelihood at its point.
+    from netadmm.topology import build_graph
+
+    graph = build_graph(topology, 5 if topology == "complete" else 6)
+    group = _ragged_group(graph)
+    for nodes in (range(graph.num_nodes), [1, 2, 4]):
+        _assert_ranking_matches_nll(group, nodes, group.params_matrix(), midpoint)
+
+
+def test_ranking_a_subset_gives_the_same_rows():
+    # An edge's value does not depend on which other nodes rank, on a
+    # graph of equal degrees and on the ragged cluster(6).
+    from netadmm.topology import build_graph
+
+    for topology in ("complete", "cluster"):
+        graph = build_graph(topology, 6)
+        group = _ragged_group(graph)
+        theta = group.params_matrix()
+        for midpoint in (False, True):
+            whole = group.neighbor_objectives(np.arange(6), theta, midpoint)
+            for nodes in ([0], [2, 3], [1, 3, 5], [0, 1, 2, 4, 5]):
+                part = group.neighbor_objectives(np.array(nodes), theta, midpoint)
+                np.testing.assert_array_equal(part, whole[graph.out_edges(nodes)])
+
+
+def test_ranking_objectives_on_an_sfm_shard():
+    # D = 200 points, 16 rows per node at sigma = 0.01, at the precisions
+    # of 35 fixed-penalty iterations, the benchmark's budget on this scene.
+    from netadmm import data, engine
+    from netadmm.ppca import make_dppca_factory
+
+    matrix = data.generate_rigid_measurements(40, 200, noise_sigma=0.01, seed=7)
+    shards = data.sfm_node_shards(data.MeasurementMatrix(matrix), 5)
+    cfg = engine.RunConfig(
+        topology="complete", num_nodes=5, scheme="fixed", max_iterations=35,
+        convergence_tol=1e-300, seed=7,
+    )
+    group = engine.run(cfg, make_dppca_factory(3), shards).models[0]._nodes
+    assert group.stats.factor.shape == (5, 200, 16)
+    theta = group.params_matrix()
+    assert theta[:, -1].min() > 30
+    for midpoint in (False, True):
+        _assert_ranking_matches_nll(group, range(5), theta, midpoint)
+
+
+def test_ranking_objectives_reject_a_non_finite_broadcast():
     from netadmm.topology import build_complete
 
-    _, models = _ragged_nodes()
-    graph = build_complete(5)
-    group = ppca.DppcaNodes.of(models, graph)
-    theta = group.params_matrix()
-    nodes = [0, 1, 2, 3, 4]
-    points = np.concatenate([theta[list(graph.neighbors[i])] for i in nodes])
-    whole = group.neighbor_objectives(nodes, points)
-    calls = []
-
-    def counted(params, stats):
-        calls.append(len(params.a))
-        return negative_log_likelihood(params, stats)
-
-    monkeypatch.setattr(ppca, "negative_log_likelihood", counted)
-    # three rows of D x (6 + 1) per chunk: 20 edges in chunks of 3, 3, ..., 2
-    monkeypatch.setattr(ppca, "_NLL_BATCH_BYTES", 3 * 8 * 6 * 7)
-    chunked = group.neighbor_objectives(nodes, points)
-    assert calls == [3] * 6 + [2]
-    np.testing.assert_array_equal(chunked, whole)
+    group = _ragged_group(build_complete(5))
+    for column in (0, -1):  # an entry of W, the precision
+        theta = group.params_matrix()
+        theta[3, column] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            group.neighbor_objectives(np.arange(5), theta, False)
 
 
 def test_kept_latent_solve_gives_the_fresh_e_step():
@@ -980,6 +1051,28 @@ def test_m_step_cycle_cap_is_counted_and_warned(tmp_path):
     path = tmp_path / "trace.csv"
     engine.write_trace_csv(capped.records, path)
     assert path.read_text().splitlines()[0] == ",".join(engine.TRACE_COLUMNS)
+
+
+def test_secant_steps_follow_the_sign_of_g_minus_a():
+    # On this SfM scene, at iteration 5 of vp_ap, node 3's g(a) - a is
+    # positive and rising up to a ~ 3, with its root between 5 (g = 7.32)
+    # and 10 (g = 8.19). Secant steps through the rising part moved a down,
+    # away from the root, and wandered to the step cap (whose warning pytest
+    # turns into an error).
+    from netadmm import data, engine
+    from netadmm.penalty import PenaltyConfig
+    from netadmm.ppca import make_dppca_factory
+
+    seed = 3464355207
+    matrix = data.generate_rigid_measurements(40, 200, noise_sigma=0.01, seed=seed)
+    shards = data.sfm_node_shards(data.MeasurementMatrix(matrix), 5)
+    cfg = engine.RunConfig(
+        topology="complete", num_nodes=5, scheme="vp_ap", penalty=PenaltyConfig(eta0=10.0),
+        max_iterations=6, convergence_tol=1e-300, seed=seed,
+    )
+    result = engine.run(cfg, make_dppca_factory(3), shards)
+    assert result.m_step_cap_hits == 0
+    assert result.m_step_cycles < 6 * 5 * 20
 
 
 @pytest.mark.parametrize("topology", ["ring", "cluster"])
