@@ -1,13 +1,16 @@
 """Reference traces of the CLI, and a comparison of two sets of them.
 
-The reference set is 31 runs of ``netadmm run`` at the CLI defaults
+The reference set is 32 runs of ``netadmm run`` at the CLI defaults
 (20 nodes, 500 x 20 synthetic data, M = 5, eta0 = 10, 300 iterations,
 tolerance 1e-3, ranking at the edge midpoints):
 
 - all six schemes on complete(20) and ring(20), run seeds 1 and 2;
 - vp, vp_ap and vp_nap on cluster(20) at eta0 = 3, run seed 1;
 - ap, nap, vp_ap and vp_nap on complete(20), run seed 1, ranking at the
-  neighbors' broadcasts (``--eval-point neighbor``).
+  neighbors' broadcasts (``--eval-point neighbor``);
+- vp_nap on cluster(20), run seed 1, configured only by the ``key = value``
+  file ``CONFIG_TEXT``, which ``write`` puts in the run's directory. Its
+  keys take an int, a float, a bool, an ``int | None`` and a string.
 
 Write a set, one directory per run holding ``trace.csv`` and
 ``summary.json``::
@@ -36,6 +39,16 @@ import sys
 from pathlib import Path
 
 SCHEMES = ("fixed", "vp", "ap", "nap", "vp_ap", "vp_nap")
+CONFIG_RUN, CONFIG_FILE = "vp_nap_cluster_file", "run.cfg"
+CONFIG_TEXT = """\
+scheme = vp_nap
+topology = cluster
+eta0 = 3
+tau_fixed = 0.5
+t_reset = 20
+relative_beta = false
+eval_point = neighbor
+"""
 
 
 def reference_runs() -> list[tuple[str, list[str]]]:
@@ -57,6 +70,7 @@ def reference_runs() -> list[tuple[str, list[str]]]:
         (f"{scheme}_complete_neighbor", ["--scheme", scheme, "--eval-point", "neighbor"])
         for scheme in ("ap", "nap", "vp_ap", "vp_nap")
     ]
+    runs.append((CONFIG_RUN, ["--config", CONFIG_FILE]))
     return runs
 
 
@@ -66,8 +80,13 @@ def write(out_dir: Path, src: Path | None) -> None:
     from netadmm import cli
 
     for name, flags in reference_runs():
+        run_dir = out_dir / name
+        if name == CONFIG_RUN:
+            run_dir.mkdir(parents=True, exist_ok=True)
+            (run_dir / CONFIG_FILE).write_text(CONFIG_TEXT)
+            flags = ["--config", str(run_dir / CONFIG_FILE)]
         with contextlib.redirect_stdout(io.StringIO()) as printed:
-            code = cli.main(["run", *flags, "--output-dir", str(out_dir / name)])
+            code = cli.main(["run", *flags, "--output-dir", str(run_dir)])
         print(f"{name}: exit {code}: {printed.getvalue().strip()}")
 
 
@@ -127,7 +146,7 @@ def compare(base_dir: Path, new_dir: Path, rtol: float) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p_write = sub.add_parser("write", help="write the 31 reference traces")
+    p_write = sub.add_parser("write", help="write the 32 reference traces")
     p_write.add_argument("out_dir", type=Path)
     p_write.add_argument("--src", type=Path, help="import netadmm from this src directory")
     p_compare = sub.add_parser("compare", help="compare two sets of reference traces")

@@ -12,9 +12,14 @@ Three subcommands drive the simulator end to end:
   structure.
 
 Settings come from built-in defaults, overridden by a ``key = value``
-config file, overridden by command-line flags. The output directory may
-also be set through the ``NETADMM_OUTPUT_DIR`` environment variable.
-Exit codes: 0 converged, 2 iteration cap reached, 1 any error.
+config file, overridden by command-line flags. The keys are the fields
+of ``engine.RunConfig``, ``penalty.PenaltyConfig`` and
+``data.SyntheticSpec`` (its seed as ``data_seed``) plus the command's
+own settings in ``ExperimentConfig``. Each key is also a flag, spelled
+with dashes, or by the short spelling in ``FLAG_ALIASES``. The output
+directory may also be set through the ``NETADMM_OUTPUT_DIR`` environment
+variable. Exit codes: 0 converged, 2 iteration cap reached, 1 any error,
+usage errors included.
 """
 
 from __future__ import annotations
@@ -25,108 +30,69 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import data, engine, metrics, ppca
-from .penalty import SCHEMES, PenaltyConfig
-from .topology import TOPOLOGIES
 
-__all__ = ["ExperimentConfig", "cmd_run", "cmd_sweep", "cmd_sfm", "main"]
+__all__ = ["ExperimentConfig", "SETTINGS", "cmd_run", "cmd_sweep", "cmd_sfm", "main"]
 
 OUTPUT_DIR_ENV = "NETADMM_OUTPUT_DIR"
 SFM_LATENT_DIM = 3  # affine structure from motion factorizes into 3-D structure
+_SWEEP = {"command": "sweep"}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully-resolved settings of a run, sweep, or factorization."""
 
-    # single-run selection
-    scheme: str = "fixed"
-    topology: str = "complete"
-    num_nodes: int = 20
-    seed: int = 1
-    # stopping
-    max_iterations: int = 300
-    convergence_tol: float = 1e-3
-    # penalty scheme knobs
-    eta0: float = 10.0
-    mu: float = 10.0
-    tau_fixed: float = 1.0
-    t_max: int = 50
-    t_reset: int | None = None
-    budget: float = 1.0
-    alpha: float = 0.5
-    beta: float = 0.1
-    f_tie_epsilon: float = 1e-12
-    eval_point: str = "midpoint"
-    relative_beta: bool = True
-    # synthetic data
-    num_samples: int = 500
-    ambient_dim: int = 20
-    latent_dim: int = 5
-    noise_variance: float = 0.2
-    data_seed: int = 0
+    run: engine.RunConfig = engine.RunConfig(num_nodes=20, seed=1)
+    synthetic: data.SyntheticSpec = data.SyntheticSpec()
     # measurement ingestion (sfm)
-    measurements: str | None = None
-    # sweep lists (None = sweep over the single value above)
-    schemes: tuple[str, ...] | None = None
-    topologies: tuple[str, ...] | None = None
-    node_counts: tuple[int, ...] | None = None
-    seeds: tuple[int, ...] | None = None
-    angle_filter_deg: float | None = None
+    measurements: str | None = field(default=None, metadata={"command": "sfm"})
+    # sweep lists (None = sweep over the single value in ``run``)
+    schemes: tuple[str, ...] | None = field(default=None, metadata=_SWEEP)
+    topologies: tuple[str, ...] | None = field(default=None, metadata=_SWEEP)
+    node_counts: tuple[int, ...] | None = field(default=None, metadata=_SWEEP)
+    seeds: tuple[int, ...] | None = field(default=None, metadata=_SWEEP)
+    angle_filter_deg: float | None = field(default=None, metadata=_SWEEP)
     # execution
     output_dir: str = "runs"
-    jobs: int = 1
-
-    def penalty_config(self) -> PenaltyConfig:
-        return PenaltyConfig(
-            eta0=self.eta0,
-            mu=self.mu,
-            tau_fixed=self.tau_fixed,
-            t_max=self.t_max,
-            t_reset=self.t_reset,
-            budget=self.budget,
-            alpha=self.alpha,
-            beta=self.beta,
-            f_tie_epsilon=self.f_tie_epsilon,
-            eval_point=self.eval_point,
-            relative_beta=self.relative_beta,
-        )
-
-    def run_config(self) -> engine.RunConfig:
-        return engine.RunConfig(
-            topology=self.topology,
-            num_nodes=self.num_nodes,
-            scheme=self.scheme,
-            penalty=self.penalty_config(),
-            max_iterations=self.max_iterations,
-            convergence_tol=self.convergence_tol,
-            seed=self.seed,
-        )
-
-    def synthetic_spec(self) -> data.SyntheticSpec:
-        return data.SyntheticSpec(
-            num_samples=self.num_samples,
-            ambient_dim=self.ambient_dim,
-            latent_dim=self.latent_dim,
-            noise_variance=self.noise_variance,
-            seed=self.data_seed,
-        )
+    jobs: int = field(default=1, metadata=_SWEEP)
 
     def echo(self) -> dict:
-        out = dataclasses.asdict(self)
-        for key, value in out.items():
-            if isinstance(value, tuple):
-                out[key] = list(value)
+        """The settings as one flat ``key: value`` dictionary."""
+        out = {}
+        for key, setting in SETTINGS.items():
+            value = self
+            for name in setting.path:
+                value = getattr(value, name)
+            out[key] = list(value) if isinstance(value, tuple) else value
         return out
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+class Setting(NamedTuple):
+    """One config key: where its field sits and how to read its value."""
+
+    path: tuple[str, ...]  # attribute names from ExperimentConfig down to the field
+    parse: Callable[[str], object]
+    command: str | None  # the only subcommand that takes it as a flag, if any
+
+
+# Keys are field names; this one would clash with RunConfig.seed.
+_KEY_RENAMES = {("synthetic", "seed"): "data_seed"}
+FLAG_ALIASES = {
+    "num_nodes": "--nodes",
+    "convergence_tol": "--tol",
+    "f_tie_epsilon": "--tie-epsilon",
+    "num_samples": "--samples",
+    "angle_filter_deg": "--angle-filter",
+}
 
 
 def _parse_bool(text: str) -> bool:
@@ -138,23 +104,71 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _coerce(key: str, text: str):
-    """Parse a raw config-file value into the field's declared type."""
-    text = text.strip()
-    if key in ("schemes", "topologies"):
-        return tuple(part.strip() for part in text.split(",") if part.strip())
-    if key in ("node_counts", "seeds"):
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    if key in ("t_reset", "angle_filter_deg", "measurements") and text.lower() in ("none", ""):
-        return None
-    kind = _FIELD_TYPES[key]
-    if kind in ("int", int) or key == "t_reset":
-        return int(text)
-    if kind in ("float", float) or key == "angle_filter_deg":
-        return float(text)
-    if kind in ("bool", bool):
-        return _parse_bool(text)
-    return text
+def _value_parser(kind) -> Callable[[str], object]:
+    """Parse text into a value of the annotated type.
+
+    ``X | None`` also takes ``none`` or an empty value; a tuple is a comma
+    list, where an empty value is the empty list.
+    """
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        item = _value_parser(args[0])
+
+        def parse_list(text: str) -> tuple:
+            return tuple(item(part.strip()) for part in text.split(",") if part.strip())
+
+        return parse_list
+    if type(None) in args:
+        (inner,) = (arg for arg in args if arg is not type(None))
+        parse = _value_parser(inner)
+        if typing.get_origin(inner) is tuple:
+            return parse
+
+        def parse_optional(text: str):
+            return None if text.strip().lower() in ("none", "") else parse(text)
+
+        return parse_optional
+    return _parse_bool if kind is bool else kind
+
+
+def _settings(cls, prefix: tuple[str, ...] = ()) -> Iterator[tuple[str, Setting]]:
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        path, kind = prefix + (f.name,), hints[f.name]
+        if dataclasses.is_dataclass(kind):
+            yield from _settings(kind, path)
+        else:
+            key = _KEY_RENAMES.get(path, f.name)
+            yield key, Setting(path, _value_parser(kind), f.metadata.get("command"))
+
+
+SETTINGS: dict[str, Setting] = dict(_settings(ExperimentConfig))
+
+
+def _replace_nested(obj, changes: dict):
+    return replace(
+        obj,
+        **{
+            name: _replace_nested(getattr(obj, name), value) if isinstance(value, dict) else value
+            for name, value in changes.items()
+        },
+    )
+
+
+def _with_settings(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
+    """``cfg`` with flat ``key: value`` settings applied.
+
+    Each nested config is rebuilt once with all of its changes, so its
+    own validation sees the final values.
+    """
+    changes: dict = {}
+    for key, value in values.items():
+        *outer, name = SETTINGS[key].path
+        node = changes
+        for part in outer:
+            node = node.setdefault(part, {})
+        node[name] = value
+    return _replace_nested(cfg, changes)
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -168,9 +182,9 @@ def load_config_file(path: str | Path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _FIELD_TYPES:
+        if key not in SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        overrides[key] = _coerce(key, value)
+        overrides[key] = SETTINGS[key].parse(value.strip())
     return overrides
 
 
@@ -181,13 +195,13 @@ def resolve_config(
     overrides: dict = dict(command_defaults or {})
     if getattr(args, "config", None):
         overrides.update(load_config_file(args.config))
-    for key in _FIELD_TYPES:
+    for key in SETTINGS:
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
     if "output_dir" not in overrides and os.environ.get(OUTPUT_DIR_ENV):
         overrides["output_dir"] = os.environ[OUTPUT_DIR_ENV]
-    return ExperimentConfig(**overrides)
+    return _with_settings(ExperimentConfig(), overrides)
 
 
 def _write_json(obj: dict, path: Path) -> None:
@@ -212,11 +226,11 @@ def _run_and_write(cfg: ExperimentConfig, shards, reference: np.ndarray, out_dir
 
     The summary scores every node's basis against ``reference`` and adds ``extra``.
     """
-    result = engine.run(cfg.run_config(), ppca.make_dppca_factory(cfg.latent_dim), shards)
+    result = engine.run(cfg.run, ppca.make_dppca_factory(cfg.synthetic.latent_dim), shards)
     bases = [model.params.W for model in result.models]
     summary = engine.run_summary(cfg.echo(), result)
     summary.update(metrics.run_report(result.records, bases, reference))
-    summary["seed"] = cfg.seed
+    summary["seed"] = cfg.run.seed
     summary.update(extra)
     budget = _budget_summary(result)
     if budget is not None:
@@ -232,15 +246,16 @@ def execute_synthetic_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
     Returns the summary dictionary (also written to ``summary.json``).
     """
-    observations, ground_truth = data.generate_synthetic(cfg.synthetic_spec())
-    shards = data.partition_even(observations, cfg.num_nodes)
+    observations, ground_truth = data.generate_synthetic(cfg.synthetic)
+    shards = data.partition_even(observations, cfg.run.num_nodes)
     return _run_and_write(cfg, shards, ground_truth, out_dir)
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
     summary = execute_synthetic_run(cfg, Path(cfg.output_dir))
+    run = cfg.run
     print(
-        f"{cfg.scheme} on {cfg.topology}({cfg.num_nodes}), seed {cfg.seed}: "
+        f"{run.scheme} on {run.topology}({run.num_nodes}), seed {run.seed}: "
         f"{summary['iterations']} iterations, "
         f"max angle {summary['max_angle_deg']:.2f} deg, "
         f"consensus gap {summary['consensus_gap_deg']:.2f} deg, "
@@ -262,20 +277,18 @@ def _sweep_list(name: str, explicit, fallback) -> tuple:
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
-    schemes = _sweep_list("schemes", cfg.schemes, cfg.scheme)
-    topologies = _sweep_list("topologies", cfg.topologies, cfg.topology)
-    node_counts = _sweep_list("node_counts", cfg.node_counts, cfg.num_nodes)
-    seeds = _sweep_list("seeds", cfg.seeds, cfg.seed)
+    schemes = _sweep_list("schemes", cfg.schemes, cfg.run.scheme)
+    topologies = _sweep_list("topologies", cfg.topologies, cfg.run.topology)
+    node_counts = _sweep_list("node_counts", cfg.node_counts, cfg.run.num_nodes)
+    seeds = _sweep_list("seeds", cfg.seeds, cfg.run.seed)
 
+    # Building every cell first validates each one's RunConfig, so a value
+    # that no run accepts fails the sweep before any cell runs.
     root = Path(cfg.output_dir)
-    root.mkdir(parents=True, exist_ok=True)
     cells = [
         replace(
             cfg,
-            scheme=scheme,
-            topology=topology,
-            num_nodes=n,
-            seed=seed,
+            run=replace(cfg.run, scheme=scheme, topology=topology, num_nodes=n, seed=seed),
             output_dir=str(_cell_dir(root, scheme, topology, n, seed)),
         )
         for scheme in schemes
@@ -283,11 +296,13 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         for n in node_counts
         for seed in seeds
     ]
+    root.mkdir(parents=True, exist_ok=True)
 
     outcomes: dict[tuple, dict] = {}
 
     def note(cell, payload):
-        outcomes[(cell.scheme, cell.topology, cell.num_nodes, cell.seed)] = payload
+        run = cell.run
+        outcomes[(run.scheme, run.topology, run.num_nodes, run.seed)] = payload
 
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -321,6 +336,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
                 f"{label}: median {row['median_iterations']} iterations, "
                 f"median max angle {row['median_max_angle_deg']:.2f} deg"
             )
+        elif row.get("filtered_out"):
+            print(f"{label}: all runs filtered out")
         else:
             print(f"{label}: all runs failed ({'; '.join(row['errors'])})")
     return 0
@@ -382,9 +399,9 @@ def svd_structure_basis(values: np.ndarray, rank: int = SFM_LATENT_DIM) -> np.nd
 def cmd_sfm(cfg: ExperimentConfig) -> int:
     if not cfg.measurements:
         raise ValueError("measurements file is required (flag --measurements)")
-    cfg = replace(cfg, latent_dim=SFM_LATENT_DIM)
+    cfg = replace(cfg, synthetic=replace(cfg.synthetic, latent_dim=SFM_LATENT_DIM))
     mm = data.load_measurements(cfg.measurements)
-    shards = data.sfm_node_shards(mm, cfg.num_nodes)
+    shards = data.sfm_node_shards(mm, cfg.run.num_nodes)
     summary = _run_and_write(
         cfg,
         shards,
@@ -397,75 +414,38 @@ def cmd_sfm(cfg: ExperimentConfig) -> int:
         },
     )
     print(
-        f"sfm {cfg.scheme} on {cfg.topology}({cfg.num_nodes}): "
+        f"sfm {cfg.run.scheme} on {cfg.run.topology}({cfg.run.num_nodes}): "
         f"{summary['iterations']} iterations, "
         f"max angle vs SVD structure {summary['max_angle_deg']:.2f} deg"
     )
     return 0 if summary["converged"] else 2
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--scheme", choices=SCHEMES)
-    parser.add_argument("--topology", choices=TOPOLOGIES)
-    parser.add_argument("--nodes", dest="num_nodes", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--max-iterations", dest="max_iterations", type=int)
-    parser.add_argument("--tol", dest="convergence_tol", type=float)
-    parser.add_argument("--eta0", type=float)
-    parser.add_argument("--mu", type=float)
-    parser.add_argument("--tau-fixed", dest="tau_fixed", type=float)
-    parser.add_argument("--t-max", dest="t_max", type=int)
-    parser.add_argument("--t-reset", dest="t_reset", type=int)
-    parser.add_argument("--budget", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--tie-epsilon", dest="f_tie_epsilon", type=float)
-    parser.add_argument("--eval-point", dest="eval_point", choices=("neighbor", "midpoint"))
-    parser.add_argument(
-        "--relative-beta", dest="relative_beta", type=_parse_bool, metavar="BOOL"
-    )
-    parser.add_argument("--samples", dest="num_samples", type=int)
-    parser.add_argument("--ambient-dim", dest="ambient_dim", type=int)
-    parser.add_argument("--latent-dim", dest="latent_dim", type=int)
-    parser.add_argument("--noise-variance", dest="noise_variance", type=float)
-    parser.add_argument("--data-seed", dest="data_seed", type=int)
-    parser.add_argument("--output-dir", dest="output_dir")
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: exit code 2 means the iteration cap was reached."""
+
+    def error(self, message: str) -> typing.NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="netadmm",
         description="Consensus-ADMM experiments with adaptive penalty schemes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="single synthetic experiment")
-    _add_common_flags(p_run)
-
-    p_sweep = sub.add_parser("sweep", help="scheme/topology/size/seed grid")
-    _add_common_flags(p_sweep)
-    p_sweep.add_argument(
-        "--schemes", type=lambda s: tuple(x.strip() for x in s.split(",") if x.strip())
-    )
-    p_sweep.add_argument(
-        "--topologies",
-        type=lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
-    )
-    p_sweep.add_argument(
-        "--node-counts",
-        dest="node_counts",
-        type=lambda s: tuple(int(x) for x in s.split(",") if x.strip()),
-    )
-    p_sweep.add_argument(
-        "--seeds", type=lambda s: tuple(int(x) for x in s.split(",") if x.strip())
-    )
-    p_sweep.add_argument("--jobs", type=int)
-    p_sweep.add_argument("--angle-filter", dest="angle_filter_deg", type=float)
-
-    p_sfm = sub.add_parser("sfm", help="distributed affine factorization of a CSV")
-    _add_common_flags(p_sfm)
-    p_sfm.add_argument("--measurements", help="CSV of 2F x N tracked coordinates")
+    for command, help_text in (
+        ("run", "single synthetic experiment"),
+        ("sweep", "scheme/topology/size/seed grid"),
+        ("sfm", "distributed affine factorization of a CSV"),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="key = value config file")
+        for key, setting in SETTINGS.items():
+            if setting.command in (None, command):
+                flag = FLAG_ALIASES.get(key, "--" + key.replace("_", "-"))
+                p.add_argument(flag, dest=key, type=setting.parse)
     return parser
 
 

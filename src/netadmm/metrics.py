@@ -118,20 +118,18 @@ def aggregate_reports(reports: Sequence[dict], angle_filter_deg: float | None = 
 
     ``angle_filter_deg`` drops runs whose max angle exceeds the threshold
     before aggregating (useful for screening degenerate instances);
-    the number of dropped runs is reported.
+    the number of dropped runs is reported. With no run left there are
+    no medians: only ``runs`` (0) and ``filtered_out``.
     """
     kept = list(reports)
     if angle_filter_deg is not None:
         kept = [r for r in kept if r["max_angle_deg"] <= angle_filter_deg]
-    if not kept:
-        raise ValueError("no runs left to aggregate")
-    return {
-        "runs": len(kept),
-        "filtered_out": len(reports) - len(kept),
-        "median_iterations": lower_median([r["iterations"] for r in kept]),
-        "median_max_angle_deg": lower_median([r["max_angle_deg"] for r in kept]),
-        "all_converged": all(r["converged"] for r in kept),
-    }
+    summary = {"runs": len(kept), "filtered_out": len(reports) - len(kept)}
+    if kept:
+        summary["median_iterations"] = lower_median([r["iterations"] for r in kept])
+        summary["median_max_angle_deg"] = lower_median([r["max_angle_deg"] for r in kept])
+        summary["all_converged"] = all(r["converged"] for r in kept)
+    return summary
 
 
 def speedup(baseline_iters: float, candidate_iters: float) -> float:

@@ -109,13 +109,6 @@ class PpcaParams(ParamView):
             raise ValueError("parameters must be finite")
         return super().__new__(cls, W, mu, a)
 
-    @staticmethod
-    def from_vector(vec: np.ndarray, ambient_dim: int, latent_dim: int) -> "PpcaParams":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (_vector_size(ambient_dim, latent_dim),):
-            raise ValueError("flat parameter vector has wrong length")
-        return PpcaParams(*unpack(vec, ambient_dim, latent_dim))
-
 
 def _vector_size(ambient_dim: int, latent_dim: int) -> int:
     return ambient_dim * latent_dim + ambient_dim + 1

@@ -270,3 +270,159 @@ def test_sfm_requires_measurements(tmp_path, capsys):
     code = _run_cli(["sfm", "--output-dir", tmp_path])
     assert code == 1
     assert "measurements" in capsys.readouterr().err
+
+
+def _exit_code(args):
+    try:
+        return _run_cli(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["run", "--scheme", "bogus"], "scheme must be one of"),
+        (["run", "--nodes", "abc"], "argument --nodes: invalid int value"),
+        (["run", "--bogus-flag", "1"], "unrecognized arguments: --bogus-flag"),
+        (["sweep", "--measurements", "tracks.csv"], "unrecognized arguments: --measurements"),
+    ],
+    ids=["bad-scheme", "bad-int", "unknown-flag", "flag-of-other-command"],
+)
+def test_usage_errors_exit_one(tmp_path, capsys, args, message):
+    # exit code 2 means "iteration cap reached", so a usage error must not use it
+    assert _exit_code([*args, "--output-dir", tmp_path]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert _exit_code(["run", "--help"]) == 0
+    assert "--tie-epsilon" in capsys.readouterr().out
+
+
+def test_sweep_with_every_run_filtered_out_still_writes_comparison(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = _run_cli(
+        [
+            "sweep",
+            "--schemes", "fixed,vp",
+            "--seeds", "1,2",
+            *FAST,
+            "--angle-filter", "1e-9",
+            "--output-dir", out,
+        ]
+    )
+    assert code == 0
+    cells = json.loads((out / "comparison.json").read_text())["cells"]
+    assert [(c["runs"], c["filtered_out"], c["errors"]) for c in cells] == [(0, 2, [])] * 2
+    assert not any("median_iterations" in c for c in cells)
+    assert len((out / "comparison.csv").read_text().splitlines()) == 3
+    printed = capsys.readouterr().out
+    assert printed.count("all runs filtered out") == 2
+    assert "all runs failed" not in printed
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--node-counts", "6,0"], "num_nodes must be >= 1"),
+        (["--schemes", "fixed,bogus"], "scheme must be one of"),
+        (["--samples", "0"], "num_samples must be >= 1"),
+    ],
+    ids=["zero-nodes", "bad-scheme", "zero-samples"],
+)
+def test_sweep_fails_before_any_cell_on_a_value_no_run_accepts(tmp_path, capsys, flags, message):
+    out = tmp_path / "sweep"
+    code = _run_cli(["sweep", "--seeds", "1", *FAST, *flags, "--output-dir", out])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The config surface: every key with its flag, default, and a sample
+# value as text and as echoed. Keys, flags and defaults must not drift.
+SURFACE = {
+    "scheme": ("--scheme", "fixed", "vp", "vp"),
+    "topology": ("--topology", "complete", "ring", "ring"),
+    "num_nodes": ("--nodes", 20, "6", 6),
+    "seed": ("--seed", 1, "3", 3),
+    "max_iterations": ("--max-iterations", 300, "40", 40),
+    "convergence_tol": ("--tol", 1e-3, "1e-4", 1e-4),
+    "eta0": ("--eta0", 10.0, "3", 3.0),
+    "mu": ("--mu", 10.0, "5", 5.0),
+    "tau_fixed": ("--tau-fixed", 1.0, "0.5", 0.5),
+    "t_max": ("--t-max", 50, "20", 20),
+    "t_reset": ("--t-reset", None, "10", 10),
+    "budget": ("--budget", 1.0, "2", 2.0),
+    "alpha": ("--alpha", 0.5, "0.25", 0.25),
+    "beta": ("--beta", 0.1, "0.2", 0.2),
+    "f_tie_epsilon": ("--tie-epsilon", 1e-12, "1e-9", 1e-9),
+    "eval_point": ("--eval-point", "midpoint", "neighbor", "neighbor"),
+    "relative_beta": ("--relative-beta", True, "false", False),
+    "num_samples": ("--samples", 500, "120", 120),
+    "ambient_dim": ("--ambient-dim", 20, "8", 8),
+    "latent_dim": ("--latent-dim", 5, "2", 2),
+    "noise_variance": ("--noise-variance", 0.2, "0.1", 0.1),
+    "data_seed": ("--data-seed", 0, "4", 4),
+    "measurements": ("--measurements", None, "tracks.csv", "tracks.csv"),
+    "schemes": ("--schemes", None, "fixed, vp", ["fixed", "vp"]),
+    "topologies": ("--topologies", None, "complete,ring", ["complete", "ring"]),
+    "node_counts": ("--node-counts", None, "6,8", [6, 8]),
+    "seeds": ("--seeds", None, "1,2", [1, 2]),
+    "angle_filter_deg": ("--angle-filter", None, "5", 5.0),
+    "output_dir": ("--output-dir", "runs", "elsewhere", "elsewhere"),
+    "jobs": ("--jobs", 1, "2", 2),
+}
+SWEEP_ONLY = {"schemes", "topologies", "node_counts", "seeds", "angle_filter_deg", "jobs"}
+
+
+def _command_of(key):
+    return "sweep" if key in SWEEP_ONLY else "sfm" if key == "measurements" else "run"
+
+
+def test_config_surface_keys_flags_and_defaults(monkeypatch):
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    assert set(cli.SETTINGS) == set(SURFACE)
+    assert cli.ExperimentConfig().echo() == {k: v[1] for k, v in SURFACE.items()}
+    parser = cli.build_parser()
+    for key, (flag, _, text, _) in SURFACE.items():
+        for command in ("run", "sweep", "sfm"):
+            if key in SWEEP_ONLY | {"measurements"} and command != _command_of(key):
+                with pytest.raises(SystemExit):
+                    parser.parse_args([command, flag, text])
+            else:
+                assert getattr(parser.parse_args([command, flag, text]), key) is not None
+
+
+@pytest.mark.parametrize("key", list(SURFACE))
+def test_config_key_by_file_equals_key_by_flag(tmp_path, monkeypatch, key):
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    flag, default, text, echoed = SURFACE[key]
+    command = _command_of(key)
+    parser = cli.build_parser()
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"{key} = {text}\n")
+    by_file = cli.resolve_config(parser.parse_args([command, "--config", str(cfg_file)]))
+    by_flag = cli.resolve_config(parser.parse_args([command, flag, text]))
+    assert by_file == by_flag != cli.ExperimentConfig()
+    assert by_flag.echo() == {**cli.ExperimentConfig().echo(), key: echoed}
+
+
+def test_config_none_and_empty_values():
+    for key in ("t_reset", "measurements", "angle_filter_deg"):
+        assert cli.SETTINGS[key].parse("none") is None
+        assert cli.SETTINGS[key].parse("") is None
+    assert cli.SETTINGS["schemes"].parse("") == ()
+
+
+def test_summary_config_echoes_every_key(tmp_path):
+    out = tmp_path / "out"
+    assert _run_cli(["run", *FAST, "--max-iterations", "3", "--output-dir", out]) in (0, 2)
+    assert set(json.loads((out / "summary.json").read_text())["config"]) == set(SURFACE)
+    meas = tmp_path / "meas.csv"
+    _write_measurements(meas)
+    sfm_out = tmp_path / "sfm"
+    assert _run_cli(["sfm", "--measurements", meas, "--max-iterations", "3", "--output-dir", sfm_out]) in (0, 2)
+    echoed = json.loads((sfm_out / "summary.json").read_text())["config"]
+    assert set(echoed) == set(SURFACE)
+    assert (echoed["latent_dim"], echoed["num_nodes"]) == (3, 5)
