@@ -1,6 +1,6 @@
 """Reference traces of the CLI, and a comparison of two sets of them.
 
-The reference set is 32 runs of ``netadmm run`` at the CLI defaults
+The reference set is 33 runs. 32 are ``netadmm run`` at the CLI defaults
 (20 nodes, 500 x 20 synthetic data, M = 5, eta0 = 10, 300 iterations,
 tolerance 1e-3, ranking at the edge midpoints):
 
@@ -11,6 +11,11 @@ tolerance 1e-3, ranking at the edge midpoints):
 - vp_nap on cluster(20), run seed 1, configured only by the ``key = value``
   file ``CONFIG_TEXT``, which ``write`` puts in the run's directory. Its
   keys take an int, a float, a bool, an ``int | None`` and a string.
+
+The last is ``netadmm sfm`` with vp_ap on complete(5), reading the CSV
+``SFM_FILE``, which ``write`` puts in the run's directory: the 80 x 200
+matrix of ``data.generate_rigid_measurements(40, 200, noise_sigma=0.01,
+seed=5)`` written with ``%.17g``, so it passes through the CSV loader.
 
 Write a set, one directory per run holding ``trace.csv`` and
 ``summary.json``::
@@ -40,6 +45,7 @@ from pathlib import Path
 
 SCHEMES = ("fixed", "vp", "ap", "nap", "vp_ap", "vp_nap")
 CONFIG_RUN, CONFIG_FILE = "vp_nap_cluster_file", "run.cfg"
+SFM_RUN, SFM_FILE = "sfm_vp_ap", "tracks.csv"
 CONFIG_TEXT = """\
 scheme = vp_nap
 topology = cluster
@@ -52,41 +58,50 @@ eval_point = neighbor
 
 
 def reference_runs() -> list[tuple[str, list[str]]]:
-    """The reference runs as (directory name, ``netadmm run`` flags)."""
+    """The reference runs as (directory name, ``netadmm`` command and flags)."""
     runs = [
         (
             f"{scheme}_{topology}_{seed}",
-            ["--scheme", scheme, "--topology", topology, "--seed", str(seed)],
+            ["run", "--scheme", scheme, "--topology", topology, "--seed", str(seed)],
         )
         for scheme in SCHEMES
         for topology in ("complete", "ring")
         for seed in (1, 2)
     ]
     runs += [
-        (f"{scheme}_cluster_eta3", ["--scheme", scheme, "--topology", "cluster", "--eta0", "3"])
+        (
+            f"{scheme}_cluster_eta3",
+            ["run", "--scheme", scheme, "--topology", "cluster", "--eta0", "3"],
+        )
         for scheme in ("vp", "vp_ap", "vp_nap")
     ]
     runs += [
-        (f"{scheme}_complete_neighbor", ["--scheme", scheme, "--eval-point", "neighbor"])
+        (f"{scheme}_complete_neighbor", ["run", "--scheme", scheme, "--eval-point", "neighbor"])
         for scheme in ("ap", "nap", "vp_ap", "vp_nap")
     ]
-    runs.append((CONFIG_RUN, ["--config", CONFIG_FILE]))
+    runs.append((CONFIG_RUN, ["run", "--config", CONFIG_FILE]))
+    runs.append((SFM_RUN, ["sfm", "--scheme", "vp_ap", "--nodes", "5", "--measurements", SFM_FILE]))
     return runs
 
 
 def write(out_dir: Path, src: Path | None) -> None:
     src = src if src is not None else Path(__file__).resolve().parents[1] / "src"
     sys.path.insert(0, str(src.resolve()))
-    from netadmm import cli
+    import numpy as np
 
-    for name, flags in reference_runs():
+    from netadmm import cli, data
+
+    for name, args in reference_runs():
         run_dir = out_dir / name
+        run_dir.mkdir(parents=True, exist_ok=True)
         if name == CONFIG_RUN:
-            run_dir.mkdir(parents=True, exist_ok=True)
             (run_dir / CONFIG_FILE).write_text(CONFIG_TEXT)
-            flags = ["--config", str(run_dir / CONFIG_FILE)]
+        if name == SFM_RUN:
+            tracks = data.generate_rigid_measurements(40, 200, noise_sigma=0.01, seed=5)
+            np.savetxt(run_dir / SFM_FILE, tracks, delimiter=",", fmt="%.17g")
+        args = [str(run_dir / a) if a in (CONFIG_FILE, SFM_FILE) else a for a in args]
         with contextlib.redirect_stdout(io.StringIO()) as printed:
-            code = cli.main(["run", *flags, "--output-dir", str(run_dir)])
+            code = cli.main([*args, "--output-dir", str(run_dir)])
         print(f"{name}: exit {code}: {printed.getvalue().strip()}")
 
 
@@ -146,7 +161,7 @@ def compare(base_dir: Path, new_dir: Path, rtol: float) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p_write = sub.add_parser("write", help="write the 32 reference traces")
+    p_write = sub.add_parser("write", help="write the 33 reference traces")
     p_write.add_argument("out_dir", type=Path)
     p_write.add_argument("--src", type=Path, help="import netadmm from this src directory")
     p_compare = sub.add_parser("compare", help="compare two sets of reference traces")

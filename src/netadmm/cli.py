@@ -172,9 +172,10 @@ def _with_settings(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
 
 
 def load_config_file(path: str | Path) -> dict:
-    """Read ``key = value`` lines; unknown keys are rejected by name."""
+    """Read ``key = value`` lines; errors name the file, line and key."""
     overrides: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = Path(path).read_text(encoding="utf-8-sig")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -184,7 +185,10 @@ def load_config_file(path: str | Path) -> dict:
         key = key.strip()
         if key not in SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        overrides[key] = SETTINGS[key].parse(value.strip())
+        try:
+            overrides[key] = SETTINGS[key].parse(value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return overrides
 
 

@@ -16,6 +16,7 @@ affine-factorization step that removes per-frame translation.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,31 +107,25 @@ def load_measurements(path: str | Path) -> MeasurementMatrix:
     """Load a measurement matrix from CSV.
 
     The file must contain an even number of numeric rows of equal length.
-    A single header row is tolerated and skipped when its first cell is
-    not numeric. Parse failures report the offending row and column
-    (1-based, counted in the file).
+    A UTF-8 byte-order mark and blank rows are ignored. A single header
+    row is tolerated and skipped when it is line 1 and its first cell is
+    not numeric. Cells are read by ``float()``. The first bad cell in file
+    order is reported by row and column (1-based, counted in the file).
     """
     path = Path(path)
     rows: list[list[float]] = []
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         for lineno, cells in enumerate(csv.reader(fh), start=1):
             if not cells or all(not c.strip() for c in cells):
                 continue
-            if not rows and lineno == 1 and not _is_number(cells[0]):
-                continue  # header row
-            parsed = []
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: non-numeric cell at row {lineno}, column {col}: {cell!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise ValueError(
-                        f"{path}: non-finite value at row {lineno}, column {col}"
-                    )
-                parsed.append(value)
+            try:
+                parsed = list(map(float, cells))
+            except ValueError:
+                if lineno == 1 and not _is_number(cells[0]):
+                    continue  # header row
+                _raise_first_fault(path, lineno, cells)
+            if not all(map(math.isfinite, parsed)):
+                _raise_first_fault(path, lineno, cells)
             if rows and len(parsed) != len(rows[0]):
                 raise ValueError(
                     f"{path}: row {lineno} has {len(parsed)} columns, expected {len(rows[0])}"
@@ -143,6 +138,19 @@ def load_measurements(path: str | Path) -> MeasurementMatrix:
             f"{path}: expected an even number of coordinate rows, got {len(rows)}"
         )
     return MeasurementMatrix(np.asarray(rows, dtype=float))
+
+
+def _raise_first_fault(path: Path, lineno: int, cells: list[str]) -> None:
+    """Raise the error of the row's first non-numeric or non-finite cell."""
+    for col, cell in enumerate(cells, start=1):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ValueError(
+                f"{path}: non-numeric cell at row {lineno}, column {col}: {cell!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: non-finite value at row {lineno}, column {col}")
 
 
 def _is_number(cell: str) -> bool:

@@ -104,6 +104,20 @@ def test_config_file_rejects_malformed_line(tmp_path, capsys):
     assert "key = value" in capsys.readouterr().err
 
 
+def test_config_file_reports_where_a_value_does_not_parse(tmp_path, capsys):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("scheme = vp\n\neta0 = abc\n")
+    code = _run_cli(["run", "--config", cfg_file])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{cfg_file}:3: eta0: could not convert string to float: 'abc'" in err
+
+
+def test_config_file_ignores_byte_order_mark(tmp_path):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_bytes(b"\xef\xbb\xbfscheme = vp\nnum_nodes = 6\n")
+    assert cli.load_config_file(cfg_file) == {"scheme": "vp", "num_nodes": 6}
+
 def test_output_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "envout"))
     code = _run_cli(["run", "--scheme", "fixed", *FAST])

@@ -151,6 +151,58 @@ def test_load_skips_header(tmp_path):
     np.testing.assert_array_equal(mm.values, [[1.0, 2.0], [3.0, 4.0]])
 
 
+
+def test_load_ignores_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,6\n7,8\n")
+    mm = load_measurements(path)
+    np.testing.assert_array_equal(mm.values, [[1, 2], [3, 4], [5, 6], [7, 8]])
+
+
+def test_load_skips_header_after_byte_order_mark(tmp_path):
+    path = tmp_path / "bom_hdr.csv"
+    path.write_bytes(b"\xef\xbb\xbfp0,p1\n1,2\n3,4\n")
+    mm = load_measurements(path)
+    np.testing.assert_array_equal(mm.values, [[1, 2], [3, 4]])
+
+
+def test_load_reports_first_fault_in_file_order(tmp_path):
+    path = tmp_path / "faults.csv"
+    path.write_text("1,2\n3,nan\n5,6\n7,8\nabc,10\n")
+    with pytest.raises(ValueError, match="non-finite value at row 2, column 2"):
+        load_measurements(path)
+
+
+def test_load_reports_first_fault_within_a_row(tmp_path):
+    path = tmp_path / "faults.csv"
+    path.write_text("1,2,3\ninf,5,abc\n")
+    with pytest.raises(ValueError, match="non-finite value at row 2, column 1"):
+        load_measurements(path)
+
+
+def test_load_accepts_quoted_and_padded_cells(tmp_path):
+    path = tmp_path / "quoted.csv"
+    path.write_text('"1.5", 2\n 3 ,"-4e0"\n')
+    mm = load_measurements(path)
+    np.testing.assert_array_equal(mm.values, [[1.5, 2.0], [3.0, -4.0]])
+
+
+def test_load_row_numbers_count_skipped_blank_lines(tmp_path):
+    path = tmp_path / "blanks.csv"
+    path.write_text("\n1,2\n\n , \n3,x\n")
+    with pytest.raises(ValueError, match="non-numeric cell at row 5, column 2: 'x'"):
+        load_measurements(path)
+
+
+def test_load_round_trips_seventeen_digit_csv(tmp_path):
+    matrix = generate_rigid_measurements(40, 200)
+    path = tmp_path / "rigid.csv"
+    np.savetxt(path, matrix, delimiter=",", fmt="%.17g")
+    loaded = load_measurements(path)
+    assert loaded.values.dtype == np.float64
+    np.testing.assert_array_equal(loaded.values, matrix)
+
+
 # ------------------------------------------------------------- sfm prep
 
 
