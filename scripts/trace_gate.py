@@ -1,6 +1,6 @@
 """Reference traces of the CLI, and a comparison of two sets of them.
 
-The reference set is 33 runs. 32 are ``netadmm run`` at the CLI defaults
+The reference set is 34 runs. 33 are ``netadmm run`` at the CLI defaults
 (20 nodes, 500 x 20 synthetic data, M = 5, eta0 = 10, 300 iterations,
 tolerance 1e-3, ranking at the edge midpoints):
 
@@ -10,7 +10,11 @@ tolerance 1e-3, ranking at the edge midpoints):
   neighbors' broadcasts (``--eval-point neighbor``);
 - vp_nap on cluster(20), run seed 1, configured only by the ``key = value``
   file ``CONFIG_TEXT``, which ``write`` puts in the run's directory. Its
-  keys take an int, a float, a bool, an ``int | None`` and a string.
+  keys take an int, a float, a bool, an ``int | None`` and a string;
+- fixed on complete(20), run seed 1, on noiseless data
+  (``--noise-variance 0``): each node's 25 samples span only the 5-d
+  subspace, so its 20 x 20 scatter is singular and ``ppca.shard_stats``
+  takes its symmetric square root instead of the Cholesky factor.
 
 The last is ``netadmm sfm`` with vp_ap on complete(5), reading the CSV
 ``SFM_FILE``, which ``write`` puts in the run's directory: the 80 x 200
@@ -80,6 +84,7 @@ def reference_runs() -> list[tuple[str, list[str]]]:
         for scheme in ("ap", "nap", "vp_ap", "vp_nap")
     ]
     runs.append((CONFIG_RUN, ["run", "--config", CONFIG_FILE]))
+    runs.append(("fixed_complete_noiseless", ["run", "--scheme", "fixed", "--noise-variance", "0"]))
     runs.append((SFM_RUN, ["sfm", "--scheme", "vp_ap", "--nodes", "5", "--measurements", SFM_FILE]))
     return runs
 
@@ -161,7 +166,7 @@ def compare(base_dir: Path, new_dir: Path, rtol: float) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p_write = sub.add_parser("write", help="write the 33 reference traces")
+    p_write = sub.add_parser("write", help="write the 34 reference traces")
     p_write.add_argument("out_dir", type=Path)
     p_write.add_argument("--src", type=Path, help="import netadmm from this src directory")
     p_compare = sub.add_parser("compare", help="compare two sets of reference traces")

@@ -77,15 +77,16 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
 def partition_even(data: np.ndarray, num_nodes: int) -> list[np.ndarray]:
     """Split the columns of ``data`` into contiguous, near-equal shards.
 
-    The first ``N mod J`` shards hold one extra column. Raises when there
-    are fewer columns than nodes.
+    The first ``N mod J`` shards hold one extra column. The shards are
+    views of ``data``, not copies; the engine's models only read them.
+    Raises when there are fewer columns than nodes.
     """
     n = data.shape[1]
     if num_nodes < 1:
         raise ValueError("num_nodes must be >= 1")
     if n < num_nodes:
         raise ValueError(f"cannot split {n} samples across {num_nodes} nodes")
-    return [np.ascontiguousarray(s) for s in np.array_split(data, num_nodes, axis=1)]
+    return np.array_split(data, num_nodes, axis=1)
 
 
 @dataclass(frozen=True)

@@ -410,7 +410,7 @@ def run(
         f_self = nodes.objectives()
         residuals = ResidualPair(no_residual, no_residual)
         if len(sources):
-            navg = graph.neighbor_rows(theta).sum(axis=0) / degrees
+            navg = graph.adjacency @ theta / degrees
             prev = navg if prev_navg is None else prev_navg
             residuals = local_residuals(theta, navg, prev, node_eta)
             prev_navg = navg

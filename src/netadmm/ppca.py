@@ -18,17 +18,18 @@ this is exactly the centralized M-step.
 Every step works on a shard's sufficient statistics, the sample-covariance
 form of Tipping & Bishop (1999): the count ``n``, the mean ``x̄`` and a
 factor ``F`` with ``F Fᵀ = Σ (x_n − x̄)(x_n − x̄)ᵀ``. ``F`` is the centred
-shard when N ≤ D and the triangular QR factor when N > D, so once the
-shard is reduced no step touches a D x N array. The E-step and the
-likelihood share one latent solve, a Cholesky factorization of the M x M
-matrix ``G = Wᵀ W + I/a``, at O(D·M·min(D, N)); a node group keeps the
-solve of its own objectives for the next E-step, so each node factors
-``G`` once per iteration. The ranking likelihoods, a node's objective at
-its neighbors' parameters, are scored in the M-dimensional latent space,
-with no D-sized copy of a shard's samples per edge
-(``DppcaNodes.neighbor_objectives``). The M-step forms the Gram products
-of its right-hand side once, at O(D·M²), runs its precision steps on
-(M+1) x (M+1) matrices alone, and forms W and mu once at the end.
+shard when N ≤ D and, when N > D, the Cholesky factor of the D x D scatter
+``S = F Fᵀ`` (formed in one matrix product), so once the shard is reduced
+no step touches a D x N array. The E-step and the likelihood share one
+latent solve, a Cholesky factorization of the M x M matrix
+``G = Wᵀ W + I/a``, at O(D·M·min(D, N)); a node group keeps the solve of
+its own objectives for the next E-step, so each node factors ``G`` once
+per iteration. The ranking likelihoods, a node's objective at its neighbors'
+parameters, are scored in the M-dimensional latent space, with no D-sized
+copy of a shard's samples per edge (``DppcaNodes.neighbor_objectives``).
+The M-step forms the Gram products of its right-hand side once, at
+O(D·M²), runs its precision steps on (M+1) x (M+1) matrices alone, and
+forms W and mu once at the end.
 """
 
 from __future__ import annotations
@@ -134,7 +135,10 @@ class ShardStats(NamedTuple):
 
     ``factor`` (D x min(D, N)) satisfies
     ``factor @ factor.T = Σ (x_n − mean)(x_n − mean)ᵀ``, and ``scatter``
-    is its squared Frobenius norm ``Σ |x_n − mean|²``.
+    is its squared Frobenius norm ``Σ |x_n − mean|²``. For N > D the
+    factor is the lower Cholesky factor of that D x D scatter matrix, or,
+    where it is singular (fewer than D independent centred samples), its
+    symmetric square root.
     """
 
     n: int
@@ -159,9 +163,16 @@ def shard_stats(data: np.ndarray) -> ShardStats:
     d, n = data.shape
     mean = data.mean(axis=1)
     centred = data - mean[:, None]
-    # Centred samples on the rows of the QR input: R^T R = centred centred^T.
-    factor = centred if n <= d else np.ascontiguousarray(np.linalg.qr(centred.T, mode="r").T)
-    return ShardStats(n, mean, factor, float(np.sum(centred**2)))
+    if n <= d:
+        return ShardStats(n, mean, centred, float(np.sum(centred**2)))
+    scatter = centred @ centred.T
+    try:
+        factor = np.linalg.cholesky(scatter)
+    except np.linalg.LinAlgError:
+        # A zero pivot of a rank-deficient scatter: V sqrt(λ) from eigh.
+        values, vectors = np.linalg.eigh(scatter)
+        factor = vectors * np.sqrt(np.maximum(values, 0.0))
+    return ShardStats(n, mean, factor, float(np.trace(scatter)))
 
 
 class LatentMoments(NamedTuple):
@@ -427,37 +438,33 @@ def _a_update(
     return np.where(quadratic, root, fallback)[()]
 
 
-# Neighbor terms of J nodes at once. ``own`` holds the nodes' flat
-# parameters (J x P, in the layout of ``PpcaParams.to_vector``);
-# ``inbox[s, i]`` is the broadcast node i receives over its s-th edge and
-# ``eta[s, i]`` that edge's penalty, both zero past the node's degree (see
-# ``Graph.neighbor_rows``). The edge terms are summed over the slots in order.
-# Both kernels build the terms in ``inbox``, which they overwrite: at 20
-# nodes every further (S, J, P) temporary cost as much as the whole sum.
+# Neighbor terms of J nodes at once, as products with the J x K matrix of
+# penalties: ``own`` holds the nodes' flat parameters (J x P, in the layout
+# of ``PpcaParams.to_vector``), ``theta`` the K broadcasts (K x P) and
+# ``weights[i, k]`` the penalty η_ik of node i's edge to the sender of row
+# k, zero where there is none (``Graph.weights``).
 
 
-def _anchors(own: np.ndarray, inbox: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _anchors(own: np.ndarray, weights: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Each node's sum_j eta_ij (theta_i + theta_j), flat, and its sum_j eta_ij.
-    terms = np.add(own, inbox, out=inbox)
-    terms *= eta[..., None]
-    return terms.sum(axis=0), eta.sum(axis=0)
+    eta_sum = weights.sum(axis=1)
+    return eta_sum[:, None] * own + weights @ theta, eta_sum
 
 
 def multiplier_step(
-    multipliers: DppcaMultipliers, own: np.ndarray, inbox: np.ndarray, eta: np.ndarray
+    multipliers: DppcaMultipliers, own: np.ndarray, weights: np.ndarray, theta: np.ndarray
 ) -> DppcaMultipliers:
     """Dual ascent of J nodes at once: penalty-weighted consensus errors, halved.
 
     Each multiplier gains ``(1/2) Σ_j η_ij (own_block − neighbor_block)``,
     evaluated at the current round's broadcasts; all three blocks use the
     same form. ``multipliers`` holds the J nodes on a leading axis, and
-    ``own``, ``inbox`` and ``eta`` are laid out as for the anchors of the
-    M-step (flat own parameters, broadcasts and penalties per edge slot);
-    ``inbox`` is overwritten.
+    ``own``, ``weights`` and ``theta`` are laid out as for the anchors of
+    the M-step: flat own parameters, the J x K penalties and the K
+    broadcasts.
     """
-    terms = np.subtract(own, inbox, out=inbox)
-    terms *= eta[..., None]
-    step = unpack(0.5 * terms.sum(axis=0), *multipliers.lam.shape[-2:])
+    eta_sum = weights.sum(axis=1)
+    step = unpack(0.5 * (eta_sum[:, None] * own - weights @ theta), *multipliers.lam.shape[-2:])
     return DppcaMultipliers(
         multipliers.lam + step.W, multipliers.gamma + step.mu, multipliers.beta + step.a
     )
@@ -625,7 +632,7 @@ def consensus_m_step(
     :func:`m_step` on a stack of one node; see there for the solve, its
     stopping rules and its errors.
     """
-    anchor, eta_sum = _anchors(*_inbox_of_one(params, neighbors, eta))
+    anchor, eta_sum = _anchors(*_row_of_one(params, neighbors, eta))
     out = m_step(
         *map(_lead, (moments, stats, params, multipliers)),
         unpack(anchor, *params.W.shape),
@@ -648,15 +655,15 @@ def consensus_multiplier_step(
     their penalties, as in ``consensus_m_step``.
     """
     lam, gamma, beta = multiplier_step(
-        _lead(multipliers), *_inbox_of_one(params, neighbors, eta)
+        _lead(multipliers), *_row_of_one(params, neighbors, eta)
     )
     return DppcaMultipliers(lam[0], gamma[0], float(beta[0]))
 
 
-def _inbox_of_one(params: ParamView, neighbors: np.ndarray, eta) -> tuple:
-    # One node's own vector, broadcasts (copied) and penalties in the slot layout.
-    eta = np.asarray(eta, dtype=float)[:, None]
-    return params.to_vector()[None], np.array(neighbors, dtype=float)[:, None], eta
+def _row_of_one(params: ParamView, neighbors: np.ndarray, eta) -> tuple:
+    # One node's own vector, its 1 x K penalty row and the K broadcasts.
+    eta = np.asarray(eta, dtype=float)[None]
+    return params.to_vector()[None], eta, np.asarray(neighbors, dtype=float)
 
 
 def centralized_em(
@@ -696,8 +703,7 @@ class DppcaNodes(NodeGroup):
 
     Shard factors narrower than the widest are padded with zero columns.
     Each phase runs the stacked kernels once for all nodes, on the
-    broadcasts and penalties laid out by edge slot (``Graph.neighbor_rows``
-    and ``Graph.by_slot``).
+    broadcasts and the J x J matrix of penalties (``Graph.weights``).
 
     :meth:`objectives` keeps its latent solve at the current parameters,
     and the next all-rows :meth:`step_rows` takes its E-step moments from
@@ -751,14 +757,11 @@ class DppcaNodes(NodeGroup):
     def m_step_counts(self) -> tuple[int, int, int]:
         return tuple(self.counts.sum(axis=0).tolist())
 
-    def _inbox(self, theta: np.ndarray, eta: np.ndarray) -> tuple:
-        return theta, self.graph.neighbor_rows(theta), self.graph.by_slot(eta)
-
     def local_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
-        self.step_rows(slice(None), *_anchors(*self._inbox(theta, eta)))
+        self.step_rows(slice(None), *_anchors(theta, self.graph.weights(eta), theta))
 
     def multiplier_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
-        self.multipliers = multiplier_step(self.multipliers, *self._inbox(theta, eta))
+        self.multipliers = multiplier_step(self.multipliers, theta, self.graph.weights(eta), theta)
 
     def neighbor_objectives(self, nodes: Sequence[int], theta: np.ndarray, midpoint: bool) -> np.ndarray:
         """Each of ``nodes``' likelihood at its neighbors' broadcasts, in latent space.
@@ -887,8 +890,8 @@ class DppcaModel(ConsensusModel):
         return vecs, np.fromiter((eta[j] for j in neighbors), float, len(neighbors))
 
     def local_step(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]) -> None:
-        inbox = _inbox_of_one(self.params, *self._inbox(neighbors, eta))
-        self._nodes.step_rows(slice(self._row, self._row + 1), *_anchors(*inbox))
+        row = _row_of_one(self.params, *self._inbox(neighbors, eta))
+        self._nodes.step_rows(slice(self._row, self._row + 1), *_anchors(*row))
 
     def multiplier_step(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]) -> None:
         new = consensus_multiplier_step(self.params, *self._inbox(neighbors, eta), self.multipliers)

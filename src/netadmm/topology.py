@@ -37,9 +37,10 @@ class Graph:
             tuple of node i's one-hop neighbors.
 
     Directed edges are ordered as ``directed_edges()`` yields them, node by
-    node; ``degrees``, ``offsets``, ``edge_arrays()``, ``by_slot``,
-    ``neighbor_rows`` and ``node_sums`` give that layout as arrays,
-    computed once per graph, and ``out_edges`` finds a node set's edges in it.
+    node; ``degrees``, ``offsets``, ``edge_arrays()``, ``by_slot`` and
+    ``node_sums`` give that layout as arrays, computed once per graph, and
+    ``out_edges`` finds a node set's edges in it. ``weights`` lays per-edge
+    values out as a node-by-node matrix, and ``adjacency`` is its 0/1 form.
     """
 
     num_nodes: int
@@ -100,21 +101,21 @@ class Graph:
         padded = np.concatenate([values, np.zeros((1,) + values.shape[1:])])
         return padded[self._slots]
 
-    @cached_property
-    def _slot_targets(self) -> np.ndarray:
-        # The neighbor behind each slot, or num_nodes past the node's degree.
-        _, targets = self._edges
-        return _frozen(np.append(targets, self.num_nodes)[self._slots])
+    def weights(self, values: np.ndarray) -> np.ndarray:
+        """Per-edge values as a (num_nodes, num_nodes) matrix.
 
-    def neighbor_rows(self, node_values: np.ndarray) -> np.ndarray:
-        """Per-node values (leading axis by node id) laid out by edge slot.
-
-        Entry ``[s, i]`` of the (max degree, num_nodes, ...) result is the
-        value of node i's s-th neighbor, or zero past its degree: the same
-        as ``by_slot(node_values[targets])`` without the per-edge copy.
+        Entry ``[i, j]`` is the value of edge (i, j), and zero where i and j
+        are not neighbors, so ``weights(values) @ x`` sums each node's
+        edge-weighted neighbor rows of ``x``.
         """
-        padded = np.concatenate([node_values, np.zeros((1,) + node_values.shape[1:])])
-        return padded[self._slot_targets]
+        out = np.zeros((self.num_nodes, self.num_nodes))
+        out[self._edges] = values
+        return out
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """The 0/1 adjacency matrix: ``weights`` of one on every edge."""
+        return _frozen(self.weights(1.0))
 
     def node_sums(self, values: np.ndarray) -> np.ndarray:
         """Sum each node's outgoing-edge values (leading axis) in edge order.

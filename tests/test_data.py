@@ -87,6 +87,17 @@ def test_partition_is_exact_cover():
     np.testing.assert_array_equal(np.concatenate(shards, axis=1), X)
 
 
+def test_partition_shards_are_views_of_the_input():
+    X = np.arange(7 * 23, dtype=float).reshape(7, 23)
+    shards = partition_even(X, 5)
+    assert [s.shape for s in shards] == [(7, 5), (7, 5), (7, 5), (7, 4), (7, 4)]
+    start = 0
+    for shard in shards:
+        assert np.shares_memory(shard, X)
+        np.testing.assert_array_equal(shard, X[:, start : start + shard.shape[1]])
+        start += shard.shape[1]
+
+
 def test_partition_rejects_too_many_nodes():
     with pytest.raises(ValueError):
         partition_even(np.zeros((2, 3)), 4)

@@ -141,19 +141,38 @@ def test_objective_matches_scipy_density():
 
 
 @pytest.mark.parametrize(
-    "d,n,offset",
-    [(6, 40, 0.0), (12, 5, 0.0), (6, 40, 1e4), (12, 5, 1e4)],
-    ids=["n>d", "n<=d", "n>d-offset", "n<=d-offset"],
+    "d,n,offset,constant_row",
+    [
+        (6, 40, 0.0, False),
+        (12, 5, 0.0, False),
+        (6, 40, 1e4, False),
+        (12, 5, 1e4, False),
+        (6, 40, 0.0, True),
+    ],
+    ids=["n>d", "n<=d", "n>d-offset", "n<=d-offset", "n>d-rank-deficient"],
 )
-def test_statistics_objective_matches_scipy_density(d, n, offset):
-    # the triangular factor (N > D), the centred shard (N <= D), and data
-    # far from the origin, where a raw second moment would cancel
+def test_statistics_objective_matches_scipy_density(d, n, offset, constant_row):
+    # the Cholesky factor of the scatter (N > D), the centred shard
+    # (N <= D), data far from the origin, where a raw second moment would
+    # cancel, and a constant row, whose zero pivot stops the Cholesky
+    # factorization and sends N > D to the symmetric square root
     rng = np.random.default_rng(17)
     params = _random_params(rng, d, 3)
     params = PpcaParams(params.W, params.mu + offset, params.a)
     X = rng.normal(size=(d, n)) + params.mu[:, None]
+    if constant_row:
+        X[2] = 2.5
+    centred = X - X.mean(axis=1, keepdims=True)
+    scatter = centred @ centred.T
+    if constant_row:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(scatter)
     stats = shard_stats(X)
     assert stats.factor.shape == (d, min(d, n))
+    np.testing.assert_allclose(
+        stats.factor @ stats.factor.T, scatter, rtol=1e-12, atol=1e-12 * np.trace(scatter)
+    )
+    assert stats.scatter == pytest.approx(np.sum(stats.factor**2), rel=1e-12)
     cov = params.W @ params.W.T + np.eye(d) / params.a
     expected = -multivariate_normal(mean=params.mu, cov=cov).logpdf(X.T).sum()
     assert negative_log_likelihood(params, stats) == pytest.approx(expected, rel=1e-10)
@@ -725,7 +744,7 @@ def test_nan_neighbor_broadcast_ends_run_with_error():
 def _ragged_nodes():
     # Five nodes with shards of 3, 4, 6, 9 and 20 samples in D=6: the first
     # three keep their centred shard as factor (padded to 6 columns when
-    # stacked), the last two a 6 x 6 QR factor.
+    # stacked), the last two a 6 x 6 Cholesky factor.
     from netadmm.ppca import DppcaModel
 
     rng = np.random.default_rng(21)
@@ -1093,3 +1112,17 @@ def test_network_multiplier_sums_stay_zero(topology):
             scale = np.linalg.norm(rows, axis=1).sum()
             assert scale > 0
             assert np.linalg.norm(rows.sum(axis=0)) <= 1e-10 * scale, (scheme, block)
+
+
+def test_engine_run_leaves_the_pooled_data_unchanged():
+    # The shards are views of the pooled matrix; no step may write to them.
+    from netadmm import data, engine
+    from netadmm.ppca import make_dppca_factory
+
+    spec = data.SyntheticSpec(num_samples=120, ambient_dim=6, latent_dim=2, seed=3)
+    pooled = data.generate_synthetic(spec)[0]
+    before = pooled.copy()
+    shards = data.partition_even(pooled, 4)
+    cfg = engine.RunConfig(num_nodes=4, scheme="vp_ap", max_iterations=10, seed=1)
+    engine.run(cfg, make_dppca_factory(2), shards)
+    assert pooled.tobytes() == before.tobytes()

@@ -131,6 +131,9 @@ def test_edge_layout_and_node_sums_on_ragged_graph():
     laid = g.by_slot(np.array(values))
     assert laid.shape == (3, 6)
     assert laid[2].tolist() == [0.0, 0.0, values[6], values[9], 0.0, 0.0]
-    nodes = np.arange(12.0).reshape(6, 2)
-    np.testing.assert_array_equal(g.neighbor_rows(nodes), g.by_slot(nodes[targets]))
+    matrix = np.zeros((6, 6))
+    for (i, j), v in zip(edges, values):
+        matrix[i, j] = v
+    np.testing.assert_array_equal(g.weights(np.array(values)), matrix)
+    np.testing.assert_array_equal(g.adjacency, matrix != 0)
 

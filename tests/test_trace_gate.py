@@ -21,19 +21,19 @@ def _write_set(root: Path, body: str = ROWS, changed: str | None = None) -> Path
     return root
 
 
-def test_reference_set_has_33_runs():
+def test_reference_set_has_34_runs():
     names = [name for name, _ in trace_gate.reference_runs()]
-    assert len(names) == len(set(names)) == 33
+    assert len(names) == len(set(names)) == 34
 
 
 @pytest.mark.parametrize(
     "changed,passes,summary",
     [
-        (None, True, "33 of 33 byte-identical"),
-        (ROWS.replace("99.25", "99.2500000001"), True, "32 of 33 byte-identical"),
+        (None, True, "34 of 34 byte-identical"),
+        (ROWS.replace("99.25", "99.2500000001"), True, "33 of 34 byte-identical"),
         (ROWS.replace("99.25", "99.26"), False, "worst relative field difference 0.000101"),
-        (ROWS.replace(",1\n", ",0\n"), False, "32 of 33"),
-        (ROWS.splitlines(keepends=True)[0], False, "32 of 33"),
+        (ROWS.replace(",1\n", ",0\n"), False, "33 of 34"),
+        (ROWS.splitlines(keepends=True)[0], False, "33 of 34"),
     ],
     ids=["identical", "within-rtol", "field-off", "flag-off", "row-missing"],
 )
