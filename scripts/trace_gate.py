@@ -35,7 +35,10 @@ The comparison reports, per run, whether the traces are byte-identical,
 whether they have the same rows (iteration count) and converged flags,
 and the largest relative difference of any numeric field. It exits 1
 when a run is missing, rows or flags differ, or a field differs by more
-than ``--rtol`` relative.
+than ``--rtol`` relative. It also reads the ``m_step`` block of each run's
+``summary.json`` (precision steps, cap hits and ridge retries) and prints
+both sides' counts on a run's line when they differ, and the number of
+such runs on the total line; those differences fail nothing.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import argparse
 import contextlib
 import csv
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -122,9 +126,15 @@ def _field_diff(base: str, new: str) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
+def _m_step(run_dir: Path) -> dict | None:
+    # The run's M-step counts from its summary, or None without one.
+    path = run_dir / "summary.json"
+    return json.loads(path.read_text()).get("m_step") if path.exists() else None
+
+
 def compare(base_dir: Path, new_dir: Path, rtol: float) -> bool:
     """Print one line per run and a total; true when every run passes."""
-    ok, identical, worst = True, 0, (0.0, "")
+    ok, identical, worst, counts_differ = True, 0, (0.0, ""), 0
     runs = [name for name, _ in reference_runs()]
     for name in runs:
         base, new = base_dir / name / "trace.csv", new_dir / name / "trace.csv"
@@ -132,9 +142,14 @@ def compare(base_dir: Path, new_dir: Path, rtol: float) -> bool:
             print(f"{name}: missing trace")
             ok = False
             continue
+        counts = ""
+        base_counts, new_counts = _m_step(base_dir / name), _m_step(new_dir / name)
+        if base_counts != new_counts:
+            counts_differ += 1
+            counts = f"; m_step {base_counts} -> {new_counts}"
         if base.read_bytes() == new.read_bytes():
             identical += 1
-            print(f"{name}: byte-identical")
+            print(f"{name}: byte-identical{counts}")
             continue
         b_rows, n_rows = _rows(base), _rows(new)
         header = b_rows[0]
@@ -154,11 +169,13 @@ def compare(base_dir: Path, new_dir: Path, rtol: float) -> bool:
         print(
             f"{name}: rows {len(b_rows) - 1} -> {len(n_rows) - 1}, "
             f"flags {'same' if same_flags else 'DIFFER'}, worst field {run_worst:.3g} ({column})"
+            + counts
             + ("" if passed else "  FAIL")
         )
     print(
         f"{identical} of {len(runs)} byte-identical; worst relative field difference "
-        f"{worst[0]:.3g}{' in ' + worst[1] if worst[1] else ''}; {'PASS' if ok else 'FAIL'}"
+        f"{worst[0]:.3g}{' in ' + worst[1] if worst[1] else ''}; "
+        f"M-step counts differ in {counts_differ}; {'PASS' if ok else 'FAIL'}"
     )
     return ok
 

@@ -6,14 +6,15 @@ local parameter step, broadcast, multiplier step, then the penalty
 neighbor values produced before the current phase, so results are
 independent of node execution order.
 
-Each phase is one call on a :class:`NodeGroup` that holds all nodes:
-broadcasts are the rows of one (J, P) matrix and penalties are the
-scheduler's arrays over directed edges. The default group loops over
-the models' per-node methods; a model class with stacked kernels (D-PPCA)
-runs each phase for all nodes at once. Neighbor means and residuals are
-array operations, and the penalty update evaluates objectives at
-neighbors' parameters only for the nodes whose ranking weights the
-scheduler will use, in one call for all of their edges.
+A run's nodes are one :class:`NodeGroup`, and each phase is one call on
+it: broadcasts are the rows of one (J, P) matrix, and the per-edge
+penalties act through the J x J penalty matrix (the weighted-graph form
+of consensus ADMM, Boyd et al. 2011, section 7). All nodes of a run share
+one model class; a :class:`ConsensusModel` is one node's view of its row.
+Neighbor means and residuals are array operations, and the penalty
+update evaluates objectives at neighbors' parameters only for the nodes
+whose ranking weights the scheduler will use, in one call for all of
+their edges.
 
 The simulator is an omniscient observer: it sums the per-node
 objectives into the global objective used for the convergence check
@@ -29,7 +30,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,13 +48,13 @@ from .topology import Graph, TOPOLOGIES, build_graph
 __all__ = [
     "ConsensusModel",
     "NodeGroup",
+    "QuadraticNodes",
     "QuadraticModel",
     "RunConfig",
     "IterationRecord",
     "RunResult",
     "DivergenceError",
     "convergence_check",
-    "broadcast_round",
     "run",
     "iterations_to_convergence",
     "write_trace_csv",
@@ -66,92 +67,49 @@ _DIVERGENCE_FACTOR = 1e12
 
 
 class ConsensusModel(abc.ABC):
-    """Behavioral contract of one node's local model.
+    """One node of a run: a view of row ``_row`` of the :class:`NodeGroup` ``_nodes``.
 
-    Parameters cross the node boundary only as flat vectors; models
-    unflatten neighbor broadcasts internally. ``local_step`` must not
-    increase the node's augmented Lagrangian and ``multiplier_step``
-    performs the dual ascent with the same per-edge penalties the local
-    step used.
+    Every node of a run has the same model class, whose :meth:`group` the
+    engine calls once to build the group; the phases run on the group
+    alone. Trace hooks and results read the nodes through these views.
     """
 
-    @abc.abstractmethod
     def params_vector(self) -> np.ndarray:
         """Current parameters flattened to one vector."""
-
-    @abc.abstractmethod
-    def objective(self, params: np.ndarray | None = None) -> float:
-        """Local objective at the given flat parameters (own if None)."""
-
-    def objectives(self, params: np.ndarray) -> list[float]:
-        """Local objective at each row of a (K, P) stack of flat parameters.
-
-        The engine ranks a node's neighbors with one call; this default
-        loops over ``objective``, and models with a batched kernel
-        override it.
-        """
-        return [self.objective(p) for p in params]
-
-    @abc.abstractmethod
-    def local_step(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]) -> None:
-        """Update own parameters given last-round neighbor broadcasts."""
-
-    @abc.abstractmethod
-    def multiplier_step(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]) -> None:
-        """Dual ascent on the multipliers given current-round broadcasts."""
+        return self._nodes.params_matrix()[self._row]
 
     @classmethod
+    @abc.abstractmethod
     def group(cls, models: Sequence["ConsensusModel"], graph: Graph) -> "NodeGroup":
-        """All nodes of a run as one :class:`NodeGroup`.
-
-        The engine calls this once per run, on the models' class when they
-        all share it. This default loops over the per-node methods; a model
-        class with stacked kernels returns a group that runs each phase for
-        all nodes at once.
-        """
-        return NodeGroup(models, graph)
+        """The nodes ``models``, one per node of ``graph``, as one :class:`NodeGroup`."""
 
 
-class NodeGroup:
+class NodeGroup(abc.ABC):
     """The nodes of one run; each phase is one call over all of them.
 
     Broadcasts are the rows of a (J, P) matrix, and penalties are arrays
-    over the graph's directed edges in ``graph.directed_edges()`` order.
-    This default calls each model's per-node methods in node order.
+    over the graph's directed edges in ``graph.directed_edges()`` order,
+    which ``graph.weights`` lays out as a J x J matrix. ``local_step`` must
+    not increase a node's augmented Lagrangian.
     """
 
-    def __init__(self, models: Sequence[ConsensusModel], graph: Graph):
-        self.models, self.graph = list(models), graph
-
+    @abc.abstractmethod
     def params_matrix(self) -> np.ndarray:
         """Every node's flat parameters, one row per node."""
-        return np.stack([m.params_vector() for m in self.models])
 
+    @abc.abstractmethod
     def objectives(self) -> np.ndarray:
         """Every node's objective at its own parameters."""
-        return np.array([m.objective() for m in self.models], dtype=float)
 
-    def m_step_counts(self) -> tuple[int, int, int]:
-        """Inner solver steps of the local steps so far, the node steps that
-        stopped at the step cap and those that needed a ridge retry, summed
-        over the models that count them (``m_step_counts()``); zeros
-        without such a solver."""
-        counts = [m.m_step_counts() for m in self.models if hasattr(m, "m_step_counts")]
-        return tuple(int(sum(c)) for c in zip(*counts)) if counts else (0, 0, 0)
-
-    def _per_node(self, step: str, theta: np.ndarray, eta: np.ndarray) -> None:
-        inboxes, eta, off = broadcast_round(self.graph, theta), eta.tolist(), self.graph.offsets
-        for i, (model, nbs) in enumerate(zip(self.models, self.graph.neighbors)):
-            getattr(model, step)(inboxes[i], dict(zip(nbs, eta[off[i] : off[i + 1]])))
-
+    @abc.abstractmethod
     def local_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
-        """Local steps against the broadcasts ``theta`` with per-edge penalties ``eta``."""
-        self._per_node("local_step", theta, eta)
+        """Local steps against last round's broadcasts ``theta`` with per-edge penalties ``eta``."""
 
+    @abc.abstractmethod
     def multiplier_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
-        """Dual ascent against the broadcasts ``theta`` with per-edge penalties ``eta``."""
-        self._per_node("multiplier_step", theta, eta)
+        """Dual ascent against this round's broadcasts ``theta`` with per-edge penalties ``eta``."""
 
+    @abc.abstractmethod
     def neighbor_objectives(self, nodes: Sequence[int], theta: np.ndarray, midpoint: bool) -> np.ndarray:
         """Each of ``nodes``' objective at its neighbors' broadcasts.
 
@@ -159,51 +117,86 @@ class NodeGroup:
         one row per node. The result has one value per outgoing edge of
         ``nodes``, in directed-edge order (``Graph.out_edges``): the source's
         objective at the target's row of ``theta``, or with ``midpoint`` at
-        the mean of the two rows. Each node scores its edges in one
-        ``objectives`` call.
+        the mean of the two rows.
         """
-        values = []
-        for i in nodes:
-            nbs = list(self.graph.neighbors[i])
-            if nbs:
-                points = theta[nbs]
-                if midpoint:
-                    points = 0.5 * (theta[i] + points)
-                values.extend(self.models[i].objectives(points))
-        return np.array(values, dtype=float)
+
+    def m_step_counts(self) -> tuple[int, int, int]:
+        """Inner solver steps of the local steps so far, the node steps that
+        stopped at the step cap and those that needed a ridge retry; zeros
+        without such a solver."""
+        return (0, 0, 0)
+
+
+class QuadraticNodes(NodeGroup):
+    """Nodes with objectives ``|theta_i - center_i|^2``, stepped in closed form.
+
+    The consensus optimum over any connected graph is the mean of the
+    centers, which makes these nodes the analytic oracle for the engine's
+    ADMM plumbing. Rows of ``center``, ``theta`` and the multipliers
+    ``gamma`` are nodes.
+    """
+
+    def __init__(self, center: np.ndarray, graph: Graph):
+        self.center = np.array(center, dtype=float)
+        self.theta = self.center.copy()
+        self.gamma = np.zeros_like(self.center)
+        self.graph = graph
+
+    @classmethod
+    def of(cls, models: Sequence["QuadraticModel"], graph: Graph) -> "QuadraticNodes":
+        """Stack the models' rows into one group and point each model at its row."""
+        rows = [(m._nodes, m._row) for m in models]
+        group = cls(np.stack([nodes.center[i] for nodes, i in rows]), graph)
+        group.theta = np.stack([nodes.theta[i] for nodes, i in rows])
+        group.gamma = np.stack([nodes.gamma[i] for nodes, i in rows])
+        for i, model in enumerate(models):
+            model._nodes, model._row = group, i
+        return group
+
+    def params_matrix(self) -> np.ndarray:
+        return self.theta.copy()
+
+    def objectives(self) -> np.ndarray:
+        return np.sum((self.theta - self.center) ** 2, axis=1)
+
+    def local_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
+        # Minimizer of |t - c|^2 + 2 gamma.t + sum_j eta_ij |t - (t_i + t_j)/2|^2.
+        weights = self.graph.weights(eta)
+        eta_sum = weights.sum(axis=1)[:, None]
+        anchor = 0.5 * (eta_sum * theta + weights @ theta)
+        self.theta = (self.center - self.gamma + anchor) / (1.0 + eta_sum)
+
+    def multiplier_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
+        weights = self.graph.weights(eta)
+        self.gamma = self.gamma + 0.5 * (weights.sum(axis=1)[:, None] * theta - weights @ theta)
+
+    def neighbor_objectives(self, nodes: Sequence[int], theta: np.ndarray, midpoint: bool) -> np.ndarray:
+        sources, targets = self.graph.edge_arrays()
+        rows = self.graph.out_edges(nodes)
+        points = theta[targets[rows]]
+        if midpoint:
+            points = 0.5 * (theta[sources[rows]] + points)
+        return np.sum((points - self.center[sources[rows]]) ** 2, axis=1)
 
 
 class QuadraticModel(ConsensusModel):
-    """Reference model with objective ``|theta - center|^2``.
+    """One node of :class:`QuadraticNodes`, with objective ``|theta - center|^2``.
 
-    The consensus optimum over any connected graph is the mean of the
-    node centers, which makes this model the analytic oracle for the
-    engine's ADMM plumbing.
+    A group of its own until the engine stacks a run's nodes
+    (:meth:`group`); ``theta`` returns a copy of the node's current value.
     """
 
     def __init__(self, center: np.ndarray):
-        self.center = np.asarray(center, dtype=float).copy()
-        self.theta = self.center.copy()
-        self.gamma = np.zeros_like(self.center)
+        self._nodes = QuadraticNodes(np.asarray(center, dtype=float)[None], Graph(1, ((),)))
+        self._row = 0
 
-    def params_vector(self) -> np.ndarray:
-        return self.theta.copy()
+    @classmethod
+    def group(cls, models: Sequence["QuadraticModel"], graph: Graph) -> QuadraticNodes:
+        return QuadraticNodes.of(models, graph)
 
-    def objective(self, params: np.ndarray | None = None) -> float:
-        theta = self.theta if params is None else np.asarray(params, dtype=float)
-        return float(np.sum((theta - self.center) ** 2))
-
-    def local_step(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]) -> None:
-        # Minimizer of |t - c|^2 + 2 gamma.t + sum_j eta_j |t - (own+nb_j)/2|^2.
-        eta_sum = sum(eta.values())
-        anchor = np.zeros_like(self.theta)
-        for j, theta_j in neighbors.items():
-            anchor += eta[j] * (self.theta + theta_j) / 2.0
-        self.theta = (self.center - self.gamma + anchor) / (1.0 + eta_sum)
-
-    def multiplier_step(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]) -> None:
-        for j, theta_j in neighbors.items():
-            self.gamma += 0.5 * eta[j] * (self.theta - theta_j)
+    @property
+    def theta(self) -> np.ndarray:
+        return self._nodes.theta[self._row].copy()
 
 
 @dataclass(frozen=True)
@@ -301,16 +294,6 @@ def convergence_check(objective_history: Sequence[float], tol: float) -> bool:
     return abs(curr - prev) / (abs(prev) + 1e-12) < tol
 
 
-def broadcast_round(graph: Graph, snapshots: Sequence[np.ndarray]) -> list[dict[int, np.ndarray]]:
-    """Deliver every node's snapshot to all of its neighbors.
-
-    Returns per-node inboxes; node i's inbox maps each neighbor id to
-    that neighbor's snapshot from this round. The simulated network is
-    lossless and synchronous.
-    """
-    return [{j: snapshots[j] for j in graph.neighbors[i]} for i in range(graph.num_nodes)]
-
-
 def iterations_to_convergence(records: Sequence[IterationRecord]) -> int:
     """Completed iterations up to the first converged record (or all)."""
     for record in records:
@@ -333,8 +316,8 @@ def run(
         Graph, scheme, penalty settings, stopping rule, and seed.
     model_factory : callable
         ``factory(node_id, shard, rng) -> ConsensusModel`` building each
-        node's model; the generators are spawned deterministically from
-        the run seed.
+        node's model, all of one class, whose ``group`` stacks them; the
+        generators are spawned deterministically from the run seed.
     shards : sequence of ndarray
         Per-node data, one entry per node, all with the same number of rows.
     trace_hook : callable, optional
@@ -350,7 +333,8 @@ def run(
     ------
     ValueError
         Before the first iteration, if the shard count or the shards' row
-        counts do not match.
+        counts do not match, or if the factory returns models of more than
+        one class.
     DivergenceError
         If the global objective turns non-finite or exceeds 1e12 times
         its initial magnitude.
@@ -370,8 +354,11 @@ def run(
     models = [model_factory(i, shards[i], rngs[i]) for i in range(n)]
     scheduler = make_scheduler(config.scheme, graph, config.penalty)
     model_cls = type(models[0])
-    if any(type(m) is not model_cls for m in models):
-        model_cls = ConsensusModel
+    for i, model in enumerate(models):
+        if type(model) is not model_cls:
+            raise ValueError(
+                f"node {i}: model is {type(model).__name__}, node 0's is {model_cls.__name__}"
+            )
     nodes = model_cls.group(models, graph)
     sources, _ = graph.edge_arrays()
     degrees = graph.degrees[:, None]

@@ -8,12 +8,14 @@ oracle for the distributed variant.
 In the distributed variant every node keeps its own parameter copy and
 augments the expected complete-data objective with multiplier and
 penalty terms that pull it toward the midpoints of its neighbors' last
-broadcasts. The M-step finds a stationary point of the node's augmented
-Lagrangian: for a fixed noise precision the projection and the mean solve
-one linear system on the augmented latent ``[z; 1]``, and a secant
-iteration on the precision alone finds the precision that its own
-stationarity condition returns. With no neighbors and zero multipliers
-this is exactly the centralized M-step.
+broadcasts. A run's nodes are one ``DppcaNodes``, which runs every phase
+for all of them at once; a ``DppcaModel`` is one node's read-only view.
+The M-step finds a stationary point of the node's augmented Lagrangian:
+for a fixed noise precision the projection and the mean solve one linear
+system on the augmented latent ``[z; 1]``, and a secant iteration on the
+precision alone finds the precision that its own stationarity condition
+returns. With no neighbors and zero multipliers this is exactly the
+centralized M-step.
 
 Every step works on a shard's sufficient statistics, the sample-covariance
 form of Tipping & Bishop (1999): the count ``n``, the mean ``x̄`` and a
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,9 +67,7 @@ __all__ = [
     "negative_log_likelihood",
     "MStep",
     "m_step",
-    "consensus_m_step",
     "multiplier_step",
-    "consensus_multiplier_step",
     "centralized_em",
     "DppcaNodes",
     "DppcaModel",
@@ -109,10 +109,6 @@ class PpcaParams(ParamView):
         if not (np.all(np.isfinite(W)) and np.all(np.isfinite(mu))):
             raise ValueError("parameters must be finite")
         return super().__new__(cls, W, mu, a)
-
-
-def _vector_size(ambient_dim: int, latent_dim: int) -> int:
-    return ambient_dim * latent_dim + ambient_dim + 1
 
 
 def unpack(vecs: np.ndarray, ambient_dim: int, latent_dim: int) -> ParamView:
@@ -613,59 +609,6 @@ def m_step(
     return MStep(ParamView(sol[..., :m], stats.mean + sol[..., m], a), cycles, capped, ridge)
 
 
-def consensus_m_step(
-    moments: LatentMoments,
-    stats: ShardStats,
-    params: ParamView,
-    multipliers: DppcaMultipliers,
-    neighbors: np.ndarray,
-    eta: Sequence[float] | np.ndarray,
-    max_cycles: int = 500,
-    tol: float = 1e-12,
-) -> ParamView:
-    """Minimize one node's augmented Lagrangian over (mu, W, a).
-
-    ``neighbors`` holds the neighbors' broadcasts as rows (K x P, in the
-    layout of ``PpcaParams.to_vector``) and ``eta`` their K penalties.
-    Consensus anchors are the midpoints of the entry parameters and the
-    neighbors' broadcasts and stay fixed throughout. This runs
-    :func:`m_step` on a stack of one node; see there for the solve, its
-    stopping rules and its errors.
-    """
-    anchor, eta_sum = _anchors(*_row_of_one(params, neighbors, eta))
-    out = m_step(
-        *map(_lead, (moments, stats, params, multipliers)),
-        unpack(anchor, *params.W.shape),
-        eta_sum,
-        max_cycles,
-        tol,
-    ).params
-    return ParamView(out.W[0], out.mu[0], float(out.a[0]))
-
-
-def consensus_multiplier_step(
-    params: ParamView,
-    neighbors: np.ndarray,
-    eta: Sequence[float] | np.ndarray,
-    multipliers: DppcaMultipliers,
-) -> DppcaMultipliers:
-    """Dual ascent of one node: :func:`multiplier_step` on a stack of one.
-
-    ``neighbors`` holds the current round's broadcasts as rows and ``eta``
-    their penalties, as in ``consensus_m_step``.
-    """
-    lam, gamma, beta = multiplier_step(
-        _lead(multipliers), *_row_of_one(params, neighbors, eta)
-    )
-    return DppcaMultipliers(lam[0], gamma[0], float(beta[0]))
-
-
-def _row_of_one(params: ParamView, neighbors: np.ndarray, eta) -> tuple:
-    # One node's own vector, its 1 x K penalty row and the K broadcasts.
-    eta = np.asarray(eta, dtype=float)[None]
-    return params.to_vector()[None], eta, np.asarray(neighbors, dtype=float)
-
-
 def centralized_em(
     data: np.ndarray,
     latent_dim: int,
@@ -689,13 +632,13 @@ def centralized_em(
     if init is None:
         rng = rng if rng is not None else np.random.default_rng(0)
         init = initial_params(np.asarray(data, dtype=float), latent_dim, rng)
-    params: ParamView = init
-    no_multipliers = DppcaMultipliers.zeros(d, latent_dim)
-    no_neighbors = np.empty((0, _vector_size(d, latent_dim)))
+    stats, params = _lead(stats), _lead(init)
+    no_multipliers = _lead(DppcaMultipliers.zeros(d, latent_dim))
+    no_anchor = _lead(ParamView(np.zeros((d, latent_dim)), np.zeros(d), 0.0))
     for _ in range(iterations):
         moments = e_step(params, stats)
-        params = consensus_m_step(moments, stats, params, no_multipliers, no_neighbors, [])
-    return PpcaParams(*params)
+        params = m_step(moments, stats, params, no_multipliers, no_anchor, np.zeros(1)).params
+    return PpcaParams(params.W[0], params.mu[0], params.a[0])
 
 
 class DppcaNodes(NodeGroup):
@@ -706,10 +649,9 @@ class DppcaNodes(NodeGroup):
     broadcasts and the J x J matrix of penalties (``Graph.weights``).
 
     :meth:`objectives` keeps its latent solve at the current parameters,
-    and the next all-rows :meth:`step_rows` takes its E-step moments from
-    it, so a node solves once per engine iteration. The kept solve holds
-    only until the parameters change: :meth:`step_rows`, their only
-    writer, drops it.
+    and the next :meth:`local_step` takes its E-step moments from it, so a
+    node solves once per engine iteration. The kept solve holds only until
+    the parameters change: :meth:`local_step`, their only writer, drops it.
     """
 
     def __init__(
@@ -756,9 +698,6 @@ class DppcaNodes(NodeGroup):
 
     def m_step_counts(self) -> tuple[int, int, int]:
         return tuple(self.counts.sum(axis=0).tolist())
-
-    def local_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
-        self.step_rows(slice(None), *_anchors(theta, self.graph.weights(eta), theta))
 
     def multiplier_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
         self.multipliers = multiplier_step(self.multipliers, theta, self.graph.weights(eta), theta)
@@ -810,36 +749,35 @@ class DppcaNodes(NodeGroup):
         logdet = (m - d) * np.log(a) + logdet
         return 0.5 * (n * d * math.log(2.0 * math.pi) + n * logdet + quad)
 
-    def step_rows(self, rows: slice, anchor: np.ndarray, eta_sum: np.ndarray) -> None:
-        """E-step and M-step of the nodes ``rows`` against flat anchors, one row each.
+    def local_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
+        """E-step and M-step of every node against the broadcasts ``theta``.
 
-        An all-rows step reads its E-step from the latent solve that
-        :meth:`objectives` kept, when there is one; any step drops it.
+        The E-step reads the latent solve that :meth:`objectives` kept,
+        when there is one, and the step drops it.
         """
-        stats, params = _take(self.stats, rows), _take(self.params, rows)
-        mults = _take(self.multipliers, rows)
-        anchor = unpack(anchor, *params.W.shape[1:])
+        anchor, eta_sum = _anchors(theta, self.graph.weights(eta), theta)
+        params = self.params
         latent, self._kept = self._kept, None
-        if latent is None or rows != slice(None):
-            latent = _latent(params, _samples(params, stats))
-        moments = _moments(latent, params, stats)
-        out = m_step(moments, stats, params, mults, anchor, eta_sum, self.max_cycles)
-        for field, new in zip(self.params, out.params):
-            field[rows] = new
-        self.counts[rows] += np.stack([out.cycles, out.capped, out.ridge], axis=1)
+        if latent is None:
+            latent = _latent(params, _samples(params, self.stats))
+        moments = _moments(latent, params, self.stats)
+        anchor = unpack(anchor, *params.W.shape[1:])
+        out = m_step(moments, self.stats, params, self.multipliers, anchor, eta_sum, self.max_cycles)
+        for field, new in zip(params, out.params):
+            field[:] = new
+        self.counts += np.stack([out.cycles, out.capped, out.ridge], axis=1)
 
 
 class DppcaModel(ConsensusModel):
     """One node's PPCA model for the consensus engine.
 
     Reduces its shard to ``ShardStats`` on construction and keeps no D x N
-    array. Its statistics, parameters and multipliers are the row
-    ``_row`` of a :class:`DppcaNodes`: a group of its own until the engine
-    stacks a run's nodes (:meth:`group`), so ``params`` and ``multipliers``
-    return copies of the node's current values. The per-node methods run
-    the stacked kernels on those rows; the engine's grouped phases run them
-    on all rows at once and do not call the per-node methods. Flattening
-    follows ``PpcaParams.to_vector``.
+    array. It is a read-only view: its statistics, parameters and
+    multipliers are the row ``_row`` of a :class:`DppcaNodes`, a group of
+    its own until the engine stacks a run's nodes (:meth:`group`), and
+    ``params`` and ``multipliers`` return copies of the node's current
+    values. Only the group steps. Flattening follows
+    ``PpcaParams.to_vector``.
     """
 
     #: precision steps one M-step may run per node
@@ -871,32 +809,6 @@ class DppcaModel(ConsensusModel):
         """This node's M-step precision steps, its steps stopped at
         ``max_cycles`` and its steps that needed the ridge retry."""
         return tuple(self._nodes.counts[self._row].tolist())
-
-    def params_vector(self) -> np.ndarray:
-        return self.params.to_vector()
-
-    def objective(self, params: np.ndarray | None = None) -> float:
-        vec = self.params_vector() if params is None else np.asarray(params, dtype=float)
-        return self.objectives(vec[None])[0]
-
-    def objectives(self, params: np.ndarray) -> list[float]:
-        stats = _take(self._nodes.stats, slice(self._row, self._row + 1))
-        return negative_log_likelihood(unpack(params, *self.params.W.shape), stats).tolist()
-
-    def _inbox(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]):
-        # Neighbor broadcasts as rows, and their penalties.
-        size = _vector_size(*self._nodes.params.W.shape[1:])
-        vecs = np.array(list(neighbors.values()), dtype=float).reshape(len(neighbors), size)
-        return vecs, np.fromiter((eta[j] for j in neighbors), float, len(neighbors))
-
-    def local_step(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]) -> None:
-        row = _row_of_one(self.params, *self._inbox(neighbors, eta))
-        self._nodes.step_rows(slice(self._row, self._row + 1), *_anchors(*row))
-
-    def multiplier_step(self, neighbors: Mapping[int, np.ndarray], eta: Mapping[int, float]) -> None:
-        new = consensus_multiplier_step(self.params, *self._inbox(neighbors, eta), self.multipliers)
-        for field, value in zip(self._nodes.multipliers, new):
-            field[self._row] = value
 
 
 def make_dppca_factory(latent_dim: int):

@@ -213,9 +213,13 @@ def test_m_step_stationarity():
             broadcasts = np.zeros((0, d * m + d + 1))
             if neighbors:
                 broadcasts = np.stack([nb.to_vector() for nb in neighbors.values()])
-            out = ppca.consensus_m_step(
-                moments, stats, params, mult, broadcasts, [eta[j] for j in neighbors]
-            )
+            # m_step on a one-row stack, anchored at the midpoints of the
+            # entry parameters and the neighbors' broadcasts
+            own, weights = params.to_vector()[None], np.array([[eta[j] for j in neighbors]])
+            anchor, eta_sum = ppca._anchors(own, weights, broadcasts)
+            stacked = map(ppca._lead, (moments, stats, params, mult))
+            out = ppca.m_step(*stacked, ppca.unpack(anchor, d, m), eta_sum).params
+            out = ppca.ParamView(out.W[0], out.mu[0], float(out.a[0]))
             fn = _lagrangian_value_fn(moments, X, mult, neighbors, eta, anchors)
             value = fn(out.W, out.mu, out.a)
 

@@ -2,23 +2,32 @@ import numpy as np
 import pytest
 
 from netadmm.engine import (
-    ConsensusModel,
     DivergenceError,
     IterationRecord,
     QuadraticModel,
+    QuadraticNodes,
     RunConfig,
-    broadcast_round,
     convergence_check,
     iterations_to_convergence,
     run,
     write_trace_csv,
 )
 from netadmm.penalty import PenaltyConfig, local_residuals
-from netadmm.topology import build_complete, build_ring
+from netadmm.topology import build_cluster
 
 
 def _quadratic_factory(node_id, shard, rng):
     return QuadraticModel(shard)
+
+
+def _grouped_as(nodes_cls):
+    # A quadratic node whose run is stacked into the group class nodes_cls.
+    class Model(QuadraticModel):
+        @classmethod
+        def group(cls, models, graph):
+            return nodes_cls.of(models, graph)
+
+    return Model
 
 
 # ------------------------------------------------------------ primitives
@@ -29,27 +38,6 @@ def test_convergence_check_examples():
     assert convergence_check([100.0, 90.0], 1e-3) is False
     assert convergence_check([5.0], 1e-3) is False
     assert convergence_check([], 1e-3) is False
-
-
-def test_broadcast_complete_three():
-    g = build_complete(3)
-    snaps = [np.array([float(i)]) for i in range(3)]
-    inboxes = broadcast_round(g, snaps)
-    assert all(len(inbox) == 2 for inbox in inboxes)
-    assert set(inboxes[0]) == {1, 2}
-
-
-def test_broadcast_ring_four():
-    g = build_ring(4)
-    snaps = [np.array([float(i)]) for i in range(4)]
-    inboxes = broadcast_round(g, snaps)
-    assert set(inboxes[0]) == {1, 3}
-    np.testing.assert_array_equal(inboxes[0][3], [3.0])
-
-
-def test_broadcast_single_node():
-    g = build_complete(1)
-    assert broadcast_round(g, [np.zeros(2)]) == [{}]
 
 
 @pytest.mark.parametrize(
@@ -84,6 +72,7 @@ def test_quadratic_consensus_reaches_mean():
     mean = np.mean(centers, axis=0)
     for model in result.models:
         np.testing.assert_allclose(model.theta, mean, atol=1e-6)
+        np.testing.assert_array_equal(model.params_vector(), model.theta)
 
 
 def test_single_node_matches_unconstrained_minimum():
@@ -135,56 +124,33 @@ def test_monotone_eta_homogenization_vp():
 
 @pytest.mark.parametrize("factor", [1e4, float("nan")])
 def test_divergence_guard(factor):
-    class ExplodingModel(ConsensusModel):
-        def __init__(self):
-            self.theta = np.array([1.0])
-
-        def params_vector(self):
-            return self.theta.copy()
-
-        def objective(self, params=None):
-            return float(self.theta[0] ** 2)
-
-        def local_step(self, neighbors, eta):
+    class ExplodingNodes(QuadraticNodes):
+        def local_step(self, theta, eta):
             self.theta = self.theta * factor
 
-        def multiplier_step(self, neighbors, eta):
-            pass
-
+    exploding = _grouped_as(ExplodingNodes)
     cfg = RunConfig(
         topology="complete", num_nodes=2, scheme="fixed", max_iterations=50
     )
     with pytest.raises(DivergenceError) as excinfo:
-        run(cfg, lambda i, s, r: ExplodingModel(), [np.zeros(1)] * 2)
+        run(cfg, lambda i, s, r: exploding(np.ones(1)), [np.zeros(1)] * 2)
     assert excinfo.value.last_record is not None
     assert excinfo.value.records
 
 
-class PhaseProbeModel(ConsensusModel):
-    """Parameters encode the production round; steps assert visibility.
+class PhaseProbeNodes(QuadraticNodes):
+    """Parameters ``[node id, production round]``; steps assert visibility.
 
-    A local step may only see neighbor parameters from the previous
-    round; a multiplier step must see the current round's broadcast.
+    A local step may only see broadcasts from the previous round; a
+    multiplier step must see the current round's.
     """
 
-    def __init__(self, node_id):
-        self.node_id = node_id
-        self.round = -1  # initial parameters count as round -1
+    def local_step(self, theta, eta):
+        assert np.all(theta[:, 1] == self.theta[:, 1]), "saw same-round output before broadcast"
+        self.theta = self.theta + [0.0, 1.0]
 
-    def params_vector(self):
-        return np.array([float(self.node_id), float(self.round)])
-
-    def objective(self, params=None):
-        return float(self.round)
-
-    def local_step(self, neighbors, eta):
-        for vec in neighbors.values():
-            assert vec[1] == self.round, "saw same-round output before broadcast"
-        self.round += 1
-
-    def multiplier_step(self, neighbors, eta):
-        for vec in neighbors.values():
-            assert vec[1] == self.round, "multiplier step must see current round"
+    def multiplier_step(self, theta, eta):
+        assert np.all(theta[:, 1] == self.theta[:, 1]), "multiplier step must see current round"
 
 
 def test_phase_purity():
@@ -195,12 +161,10 @@ def test_phase_purity():
         max_iterations=7,
         convergence_tol=1e-30,
     )
-    result = run(
-        cfg,
-        lambda i, s, r: PhaseProbeModel(i),
-        [np.zeros(1)] * 6,
-    )
-    assert all(model.round == 6 for model in result.models)
+    probe = _grouped_as(PhaseProbeNodes)
+    # initial parameters count as round -1
+    result = run(cfg, lambda i, s, r: probe([float(i), -1.0]), [np.zeros(1)] * 6)
+    assert [model.theta.tolist() for model in result.models] == [[i, 6.0] for i in range(6)]
 
 
 def test_seeded_determinism_and_parallel_equivalence(tmp_path):
@@ -261,17 +225,23 @@ def test_trace_csv_format(tmp_path):
     assert iterations_to_convergence(records) == 2
 
 
-class CountingModel(QuadraticModel):
-    """Quadratic model that counts objective evaluations at given parameters."""
+class CountingNodes(QuadraticNodes):
+    """Quadratic nodes that count, per node, the objectives scored at neighbors."""
 
-    def __init__(self, center):
-        super().__init__(center)
-        self.neighbor_evals = 0
+    def __init__(self, center, graph):
+        super().__init__(center, graph)
+        self.neighbor_evals = np.zeros(graph.num_nodes, dtype=int)
 
-    def objective(self, params=None):
-        if params is not None:
-            self.neighbor_evals += 1
-        return super().objective(params)
+    def neighbor_objectives(self, nodes, theta, midpoint):
+        owners = self.graph.edge_arrays()[0][self.graph.out_edges(nodes)]
+        self.neighbor_evals += np.bincount(owners, minlength=self.graph.num_nodes)
+        return super().neighbor_objectives(nodes, theta, midpoint)
+
+
+class CountingModel(_grouped_as(CountingNodes)):
+    @property
+    def neighbor_evals(self):
+        return int(self._nodes.neighbor_evals[self._row])
 
 
 def _per_iteration_evals(scheme, topology, num_nodes, penalty, iterations):
@@ -350,3 +320,46 @@ def test_vp_ranking_schemes_score_only_firing_nodes(monkeypatch, scheme):
         assert per_node == [d if r else 0 for d, r in zip(degrees, ranked)], t
         partial += 0 < ranked.sum() < 6
     assert partial > 3
+
+
+def test_quadratic_nodes_match_the_per_node_loop():
+    # The closed-form stacked steps against the per-node formulas, on the
+    # ragged cluster(6) with a different penalty on every directed edge; only
+    # the summation order differs.
+    graph = build_cluster(6)
+    edges = list(graph.directed_edges())
+    rng = np.random.default_rng(8)
+    centers = rng.normal(size=(6, 3))
+    nodes = QuadraticNodes(centers, graph)
+    theta, gamma = centers.copy(), np.zeros_like(centers)
+    for _ in range(3):
+        eta = rng.uniform(1.0, 20.0, size=len(edges))
+        nodes.local_step(nodes.params_matrix(), eta)
+        new = np.empty_like(theta)
+        for i, nbs in enumerate(graph.neighbors):
+            # minimizer of |t - c|^2 + 2 gamma.t + sum_j eta_ij |t - (t_i + t_j)/2|^2
+            anchor, eta_sum = np.zeros(3), 0.0
+            for j in nbs:
+                e = eta[edges.index((i, j))]
+                anchor += e * (theta[i] + theta[j]) / 2.0
+                eta_sum += e
+            new[i] = (centers[i] - gamma[i] + anchor) / (1.0 + eta_sum)
+        theta = new
+        eta = rng.uniform(1.0, 20.0, size=len(edges))
+        nodes.multiplier_step(nodes.params_matrix(), eta)
+        for i, nbs in enumerate(graph.neighbors):
+            for j in nbs:
+                gamma[i] += 0.5 * eta[edges.index((i, j))] * (theta[i] - theta[j])
+
+    np.testing.assert_allclose(nodes.gamma, gamma, rtol=1e-12)
+    want = [np.sum((theta[i] - centers[i]) ** 2) for i in range(6)]
+    np.testing.assert_allclose(nodes.objectives(), want, rtol=1e-12)
+    for midpoint in (False, True):
+        for ranked in (range(6), [1, 2, 4]):
+            want = []
+            for i in ranked:
+                for j in graph.neighbors[i]:
+                    point = 0.5 * (theta[i] + theta[j]) if midpoint else theta[j]
+                    want.append(np.sum((point - centers[i]) ** 2))
+            got = nodes.neighbor_objectives(np.array(ranked), nodes.params_matrix(), midpoint)
+            np.testing.assert_allclose(got, want, rtol=1e-12)

@@ -11,16 +11,15 @@ from netadmm.ppca import (
     PpcaParams,
     ShardStats,
     centralized_em,
-    consensus_m_step,
-    consensus_multiplier_step,
     e_step,
     initial_params,
     m_step,
+    multiplier_step,
     negative_log_likelihood,
     shard_stats,
     unpack,
 )
-from netadmm.ppca import _lead
+from netadmm.ppca import _anchors, _lead
 
 
 def _random_params(rng, d, m, a=None):
@@ -32,11 +31,29 @@ def _random_params(rng, d, m, a=None):
 
 
 def _stacked(neighbors, eta, d, m):
-    # neighbor parameters and penalties as the kernel takes them: one
-    # broadcast vector per row, penalties in the same order
+    # neighbor parameters and penalties as the kernels take them for one
+    # node: one broadcast vector per row, and the 1 x K penalty row
     if not neighbors:
-        return np.zeros((0, d * m + d + 1)), []
-    return np.stack([nb.to_vector() for nb in neighbors.values()]), [eta[j] for j in neighbors]
+        return np.zeros((0, d * m + d + 1)), np.zeros((1, 0))
+    return np.stack([nb.to_vector() for nb in neighbors.values()]), np.array([[eta[j] for j in neighbors]])
+
+
+def _consensus_m_step(moments, X, params, mult, neighbors, eta):
+    # m_step on a one-row stack, anchored at the midpoints of the entry
+    # parameters and the neighbors' broadcasts
+    d, m = params.W.shape
+    broadcasts, weights = _stacked(neighbors, eta, d, m)
+    anchor, eta_sum = _anchors(params.to_vector()[None], weights, broadcasts)
+    stacked = map(_lead, (moments, shard_stats(X), params, mult))
+    out = m_step(*stacked, unpack(anchor, d, m), eta_sum).params
+    return ParamView(out.W[0], out.mu[0], float(out.a[0]))
+
+
+def _consensus_multiplier_step(params, neighbor, eta, mult):
+    # multiplier_step on a one-row stack, against one neighbor's broadcast
+    own, weights = params.to_vector()[None], np.array([[eta]])
+    lam, gamma, beta = multiplier_step(_lead(mult), own, weights, neighbor.to_vector()[None])
+    return DppcaMultipliers(lam[0], gamma[0], float(beta[0]))
 
 
 def _posterior_means(params, X):
@@ -492,9 +509,7 @@ def test_m_step_stationarity_randomized():
             )
             for j, nb in neighbors.items()
         }
-        out = consensus_m_step(
-            moments, shard_stats(X), params, mult, *_stacked(neighbors, eta, d, m)
-        )
+        out = _consensus_m_step(moments, X, params, mult, neighbors, eta)
         fun = _node_lagrangian(moments, X, mult, neighbors, eta, anchors)
         value = fun(out.W, out.mu, out.a)
         for g in _fd_gradient_norms(fun, out.W, out.mu, out.a):
@@ -515,7 +530,7 @@ def test_m_step_decreases_node_lagrangian():
         for j, nb in neighbors.items()
     }
     fun = _node_lagrangian(moments, X, mult, neighbors, eta, anchors)
-    out = consensus_m_step(moments, shard_stats(X), params, mult, *_stacked(neighbors, eta, d, m))
+    out = _consensus_m_step(moments, X, params, mult, neighbors, eta)
     assert fun(out.W, out.mu, out.a) <= fun(params.W, params.mu, params.a) + 1e-9
 
 
@@ -599,7 +614,7 @@ def test_multipliers_unchanged_at_consensus():
     mult = DppcaMultipliers(
         rng.normal(size=(3, 2)), rng.normal(size=3), float(rng.normal())
     )
-    out = consensus_multiplier_step(params, params.to_vector()[None], [10.0], mult)
+    out = _consensus_multiplier_step(params, params, 10.0, mult)
     np.testing.assert_array_equal(out.lam, mult.lam)
     np.testing.assert_array_equal(out.gamma, mult.gamma)
     assert out.beta == mult.beta
@@ -608,9 +623,7 @@ def test_multipliers_unchanged_at_consensus():
 def test_multiplier_increment_direct():
     own = PpcaParams(np.zeros((1, 1)), np.array([0.2]), 1.0)
     nb = PpcaParams(np.zeros((1, 1)), np.array([0.0]), 1.0)
-    out = consensus_multiplier_step(
-        own, nb.to_vector()[None], [10.0], DppcaMultipliers.zeros(1, 1)
-    )
+    out = _consensus_multiplier_step(own, nb, 10.0, DppcaMultipliers.zeros(1, 1))
     np.testing.assert_allclose(out.gamma, [1.0])
 
 
@@ -619,8 +632,8 @@ def test_multiplier_increment_linear_in_eta():
     own = _random_params(rng, 3, 2)
     nb = _random_params(rng, 3, 2)
     zero = DppcaMultipliers.zeros(3, 2)
-    single = consensus_multiplier_step(own, nb.to_vector()[None], [7.0], zero)
-    double = consensus_multiplier_step(own, nb.to_vector()[None], [14.0], zero)
+    single = _consensus_multiplier_step(own, nb, 7.0, zero)
+    double = _consensus_multiplier_step(own, nb, 14.0, zero)
     np.testing.assert_allclose(double.lam, 2.0 * single.lam, rtol=1e-12)
     np.testing.assert_allclose(double.gamma, 2.0 * single.gamma, rtol=1e-12)
     assert double.beta == pytest.approx(2.0 * single.beta, rel=1e-12)
@@ -660,11 +673,13 @@ def _arrays(obj, seen=None):
 
 def test_model_keeps_no_per_sample_array():
     from netadmm.ppca import DppcaModel
+    from netadmm.topology import build_complete
 
     d, n = 6, 250
     shard = np.random.default_rng(19).normal(size=(d, n))
     model = DppcaModel(shard, 2, np.random.default_rng(0))
-    model.local_step({}, {})
+    group = DppcaModel.group([model], build_complete(1))
+    group.local_step(group.params_matrix(), np.zeros(0))
     held = _arrays(model)
     assert held, "walker found no arrays"
     assert all(n not in a.shape for a in held), [a.shape for a in held]
@@ -716,26 +731,25 @@ def test_factory_rejects_bad_shard_naming_node(shard, message):
 
 def test_nan_neighbor_broadcast_ends_run_with_error():
     from netadmm import engine
-    from netadmm.ppca import DppcaModel, make_dppca_factory
+    from netadmm.ppca import DppcaModel
+
+    class CorruptNodes(DppcaNodes):
+        # node 0 broadcasts a NaN
+        def params_matrix(self):
+            theta = super().params_matrix()
+            theta[0, 0] = np.nan
+            return theta
 
     class Corrupt(DppcaModel):
-        def params_vector(self):
-            vec = super().params_vector()
-            vec[0] = np.nan
-            return vec
-
-    healthy = make_dppca_factory(2)
-
-    def factory(node_id, shard, rng):
-        if node_id == 0:
-            return Corrupt(shard, 2, rng)
-        return healthy(node_id, shard, rng)
+        @classmethod
+        def group(cls, models, graph):
+            return CorruptNodes.of(models, graph)
 
     rng = np.random.default_rng(20)
     shards = [rng.normal(size=(4, 10)) for _ in range(3)]
     cfg = engine.RunConfig(topology="complete", num_nodes=3, scheme="ap", max_iterations=5)
     with pytest.raises(ValueError, match="non-finite"):
-        engine.run(cfg, factory, shards)
+        engine.run(cfg, lambda i, shard, r: Corrupt(shard, 2, r), shards)
 
 
 # ------------------------------------------------- stacked node group
@@ -753,6 +767,9 @@ def _ragged_nodes():
 
 
 def test_stacked_phases_match_one_node_at_a_time():
+    # Each node alone, in its own one-row, unpadded group, stepped against
+    # its row of the network's J x J penalties with a fresh E-step, against
+    # the padded stack of all five
     from netadmm.ppca import DppcaNodes
     from netadmm.topology import build_complete
 
@@ -761,17 +778,26 @@ def test_stacked_phases_match_one_node_at_a_time():
     graph = build_complete(5)
     group = DppcaNodes.of(stacked, graph)
     assert group.stats.factor.shape == (5, 6, 6)
+    assert [m._nodes.stats.factor.shape[-1] for m in singles] == [3, 4, 6, 6, 6]
     rng = np.random.default_rng(22)
-    edges = list(graph.directed_edges())
+    edges = graph.edge_arrays()[0]
 
-    def inboxes(theta, eta):
-        for i, model in enumerate(singles):
-            nbs = graph.neighbors[i]
-            etas = {j: eta[edges.index((i, j))] for j in nbs}
-            yield model, {j: theta[j] for j in nbs}, etas
+    def local_step_alone(model, i, theta, weights):
+        nodes = model._nodes
+        anchor, eta_sum = _anchors(theta[[i]], weights[[i]], theta)
+        moments = e_step(nodes.params, nodes.stats)
+        anchor = unpack(anchor, *nodes.params.W.shape[1:])
+        out = m_step(moments, nodes.stats, nodes.params, nodes.multipliers, anchor, eta_sum)
+        nodes.params = out.params
+        nodes.counts += np.stack([out.cycles, out.capped, out.ridge], axis=1)
+
+    def multiplier_step_alone(model, i, theta, weights):
+        nodes = model._nodes
+        nodes.multipliers = multiplier_step(nodes.multipliers, theta[[i]], weights[[i]], theta)
 
     def assert_rows_match():
         for i, model in enumerate(singles):
+            np.testing.assert_array_equal(stacked[i].params_vector(), stacked[i].params.to_vector())
             got, want = stacked[i].params, model.params
             np.testing.assert_allclose(got.W, want.W, rtol=1e-12, atol=0)
             np.testing.assert_allclose(got.mu, want.mu, rtol=1e-12, atol=0)
@@ -791,24 +817,22 @@ def test_stacked_phases_match_one_node_at_a_time():
     for _ in range(3):
         theta = group.params_matrix()
         eta = rng.uniform(1.0, 20.0, size=len(edges))
+        group.objectives()  # keeps the latent solve the next local step reads
         group.local_step(theta, eta)
-        for model, inbox, etas in inboxes(theta, eta):
-            model.local_step(inbox, etas)
+        for i, model in enumerate(singles):
+            local_step_alone(model, i, theta, graph.weights(eta))
         theta = group.params_matrix()
         dual = rng.uniform(1.0, 20.0, size=len(edges))
         group.multiplier_step(theta, dual)
-        for model, inbox, etas in inboxes(theta, dual):
-            model.multiplier_step(inbox, etas)
+        for i, model in enumerate(singles):
+            multiplier_step_alone(model, i, theta, graph.weights(dual))
         assert_rows_match()
 
-    # own objectives, and ranking objectives at every neighbor's broadcast
-    theta = group.params_matrix()
-    np.testing.assert_allclose(
-        group.objectives(), [m.objective() for m in singles], rtol=1e-12
-    )
-    nodes = [0, 2, 4]
-    want = [v for i in nodes for v in singles[i].objectives(theta[list(graph.neighbors[i])])]
-    np.testing.assert_allclose(group.neighbor_objectives(nodes, theta, False), want, rtol=1e-12)
+    # own objectives against each node's likelihood, and ranking objectives
+    # at every neighbor's broadcast against the owner's likelihood there
+    want = [negative_log_likelihood(m.params, shard_stats(x)) for m, x in zip(singles, shards)]
+    np.testing.assert_allclose(group.objectives(), want, rtol=1e-12)
+    _assert_ranking_matches_nll(group, [0, 2, 4], group.params_matrix(), False)
     cycles, cap_hits, ridge = group.m_step_counts()
     assert cycles == sum(m.m_step_counts()[0] for m in singles) > 0 and cap_hits == ridge == 0
 
@@ -953,28 +977,6 @@ def test_latent_solves_per_iteration(monkeypatch):
     assert calls == {"latent": 7, "objective": 7, "e_step": 0}
 
 
-def test_per_node_local_step_drops_kept_solve():
-    # node 0 steps alone after the group kept its solve; the next group step
-    # must solve node 0 afresh, as a group that never kept one does
-    from netadmm.topology import build_complete
-
-    graph = build_complete(5)
-    groups = []
-    for keep in (True, False):
-        _, models = _ragged_nodes()
-        group = DppcaNodes.of(models, graph)
-        theta = group.params_matrix()
-        if keep:
-            group.objectives()
-        inbox = {j: theta[j] for j in graph.neighbors[0]}
-        models[0].local_step(inbox, dict.fromkeys(inbox, 5.0))
-        assert group._kept is None
-        group.local_step(group.params_matrix(), np.full(len(graph.edge_arrays()[0]), 5.0))
-        groups.append(group)
-    for got, want in zip(*(g.params for g in groups)):
-        np.testing.assert_array_equal(got, want)
-
-
 def test_nan_broadcast_in_stacked_step_raises_before_writing():
     from netadmm.topology import build_complete
 
@@ -1054,14 +1056,11 @@ def test_m_step_cycle_cap_is_counted_and_warned(tmp_path):
     assert [m.m_step_counts() for m in capped.models] == [(4, 4, 0)] * 3
 
     def mixed(i, shard, r):
-        # models of two classes run through the per-node loop, which
-        # still sums the nodes' counts
         return (OneCycle if i else DppcaModel)(shard, 2, r)
 
-    with pytest.warns(RuntimeWarning, match="max_cycles=1"):
-        looped = engine.run(cfg, mixed, shards)
-    assert looped.m_step_cap_hits == 8
-    assert looped.m_step_cycles == 8 + looped.models[0].m_step_counts()[0]
+    # models of two classes are refused before the first iteration
+    with pytest.raises(ValueError, match=r"^node 1: model is OneCycle, node 0's is DppcaModel$"):
+        engine.run(cfg, mixed, shards)
     path = tmp_path / "trace.csv"
     engine.write_trace_csv(capped.records, path)
     assert path.read_text().splitlines()[0] == ",".join(engine.TRACE_COLUMNS)

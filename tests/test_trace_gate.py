@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ _spec.loader.exec_module(trace_gate)
 
 HEADER = "t,objective,max_primal,max_dual,eta_min,eta_max,eta_mean,converged\n"
 ROWS = "0,100.5,0.25,0.5,10,10,10,0\n1,99.25,0.125,0.25,10,10,10,1\n"
+M_STEP = {"cycles": 40, "cap_hits": 0, "ridge": 0}
 
 
 def _write_set(root: Path, body: str = ROWS, changed: str | None = None) -> Path:
@@ -18,6 +20,7 @@ def _write_set(root: Path, body: str = ROWS, changed: str | None = None) -> Path
         run.mkdir(parents=True)
         text = changed if changed is not None and name == "ap_complete_1" else body
         (run / "trace.csv").write_text(HEADER + text)
+        (run / "summary.json").write_text(json.dumps({"m_step": M_STEP}))
     return root
 
 
@@ -41,7 +44,8 @@ def test_compare_gates_rows_flags_and_fields(tmp_path, capsys, changed, passes, 
     base = _write_set(tmp_path / "base")
     new = _write_set(tmp_path / "new", changed=changed)
     assert trace_gate.compare(base, new, rtol=1e-9) is passes
-    assert summary in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert summary in out and "M-step counts differ in 0;" in out
 
 
 def test_compare_fails_on_missing_run(tmp_path):
@@ -49,3 +53,25 @@ def test_compare_fails_on_missing_run(tmp_path):
     new = _write_set(tmp_path / "new")
     (new / "vp_cluster_eta3" / "trace.csv").unlink()
     assert trace_gate.compare(base, new, rtol=1e-9) is False
+
+
+@pytest.mark.parametrize(
+    "changed", [None, ROWS.replace("99.25", "99.2500000001")], ids=["identical", "within-rtol"]
+)
+def test_compare_reports_m_step_counts_without_failing(tmp_path, capsys, changed):
+    # Counts that moved, or a summary gone, are printed on the run's line
+    # and counted on the total line; they fail nothing.
+    base = _write_set(tmp_path / "base")
+    new = _write_set(tmp_path / "new", changed=changed)
+    moved = {**M_STEP, "cycles": 41, "cap_hits": 2}
+    for name in ("ap_complete_1", "sfm_vp_ap"):
+        (new / name / "summary.json").write_text(json.dumps({"m_step": moved}))
+    (new / "vp_cluster_eta3" / "summary.json").unlink()
+    assert trace_gate.compare(base, new, rtol=1e-9) is True
+    *runs, total = capsys.readouterr().out.splitlines()
+    by_run = dict(line.split(": ", 1) for line in runs)
+    assert by_run["sfm_vp_ap"] == f"byte-identical; m_step {M_STEP} -> {moved}"
+    assert by_run["ap_complete_1"].endswith(f"; m_step {M_STEP} -> {moved}")
+    assert by_run["vp_cluster_eta3"] == f"byte-identical; m_step {M_STEP} -> None"
+    assert by_run["fixed_complete_1"] == "byte-identical"
+    assert total.endswith("M-step counts differ in 3; PASS")
