@@ -1,8 +1,9 @@
 """Tour of the building blocks: graphs and penalty schedulers.
 
-Builds the three benchmark topologies, then walks one directed edge
-through each penalty update rule by hand so the branch behavior is
-visible without running a full simulation.
+Builds the three benchmark topologies, then walks directed edges through
+each penalty update rule by hand so the branch behavior is visible
+without running a full simulation. The rules work on arrays over edges,
+as the scheduler calls them; here the arrays hold one node's edges.
 """
 
 import numpy as np
@@ -11,9 +12,9 @@ from netadmm.penalty import (
     EdgePenaltyState,
     PenaltyConfig,
     ResidualPair,
-    ap_taus,
     ap_update,
     nap_update,
+    rank_weights,
     vp_update,
 )
 from netadmm.topology import build_graph
@@ -26,32 +27,46 @@ for name, n in (("complete", 6), ("ring", 6), ("cluster", 6)):
     print(f"  neighbor lists: {dict(enumerate(g.neighbors))}")
 
 cfg = PenaltyConfig()
+
+
+def ledger(num_edges):
+    """Fresh penalty and budget ledgers of ``num_edges`` directed edges."""
+    return EdgePenaltyState(
+        eta=np.full(num_edges, cfg.eta0),
+        spent=np.zeros(num_edges),
+        ceiling=np.full(num_edges, cfg.budget),
+        growth_count=np.ones(num_edges, dtype=int),
+    )
+
+
 print(f"\n=== Residual balancing (vp), eta0={cfg.eta0}, mu={cfg.mu} ===")
-state = EdgePenaltyState(eta=cfg.eta0)
+state = ledger(1)
 for t, (r, s) in enumerate([(5.0, 0.2), (4.0, 0.3), (0.1, 6.0), (1.0, 1.0)]):
-    state = vp_update(state, ResidualPair(r**2, s**2), cfg, t)
+    state = vp_update(state, ResidualPair(np.array([r**2]), np.array([s**2])), cfg, t)
     branch = "grow" if r > cfg.mu * s else ("shrink" if s > cfg.mu * r else "hold")
-    print(f"t={t}: |r|={r:4.1f} |s|={s:4.1f} -> {branch:6s} eta={state.eta:.2f}")
-state = vp_update(state, ResidualPair(25.0, 0.01), cfg, t=cfg.reset_iteration)
-print(f"t={cfg.reset_iteration} (reset point): eta={state.eta:.2f}")
+    print(f"t={t}: |r|={r:4.1f} |s|={s:4.1f} -> {branch:6s} eta={state.eta[0]:.2f}")
+state = vp_update(state, ResidualPair(np.array([25.0]), np.array([0.01])), cfg, t=cfg.t_max)
+print(f"t={cfg.t_max} (reset point, t_max): eta={state.eta[0]:.2f}")
 
 print("\n=== Objective ranking (ap) ===")
 f_self = 2.0
-f_neighbors = {1: 1.0, 2: 3.0, 3: 2.0}
-taus = ap_taus(f_self, f_neighbors, cfg.f_tie_epsilon)
-print(f"own objective {f_self}, neighbors {f_neighbors}")
-for j, tau in sorted(taus.items()):
-    print(f"  edge ->{j}: tau={tau:+.3f}  eta={ap_update(tau, cfg, t=0):.2f}")
+neighbors = (1, 2, 3)
+f_midpoints = np.array([1.0, 3.0, 2.0])  # own objective at each edge's midpoint
+values = np.append(f_midpoints, f_self)
+taus = rank_weights(f_self, f_midpoints, values.min(), values.max())
+print(f"own objective {f_self}, at the midpoints {dict(zip(neighbors, f_midpoints.tolist()))}")
+for j, tau, eta in zip(neighbors, taus, ap_update(taus, cfg, t=0)):
+    print(f"  edge ->{j}: tau={tau:+.3f}  eta={eta:.2f}")
 print("better neighbors (lower objective) draw a larger penalty")
 
 print("\n=== Spending budget (nap), budget=1, alpha=0.5, beta=0.1 ===")
-state = EdgePenaltyState(eta=cfg.eta0, ceiling=cfg.budget)
+state = ledger(1)
 steps = [(0.6, 100.0, 50.0), (0.5, 50.0, 40.0), (0.4, 40.0, 39.9), (0.3, 39.9, 39.9)]
 for tau, f_prev, f_curr in steps:
-    state = nap_update(state, tau, f_curr, f_prev, cfg)
+    state = nap_update(state, np.array([tau]), f_curr, f_prev, cfg)
     print(
         f"tau={tau:+.1f} |df|/|f|={abs(f_curr-f_prev)/abs(f_prev):.3f} -> "
-        f"eta={state.eta:5.2f} spent={state.spent:.2f} "
-        f"ceiling={state.ceiling:.2f} exhausted={state.exhausted}"
+        f"eta={state.eta[0]:5.2f} spent={state.spent[0]:.2f} "
+        f"ceiling={state.ceiling[0]:.2f} exhausted={state.exhausted[0]}"
     )
 print(f"ceiling can never pass budget/(1-alpha) = {cfg.ceiling_bound}")

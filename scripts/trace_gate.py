@@ -1,16 +1,14 @@
 """Reference traces of the CLI, and a comparison of two sets of them.
 
-The reference set is 34 runs. 33 are ``netadmm run`` at the CLI defaults
+The reference set is 30 runs. 29 are ``netadmm run`` at the CLI defaults
 (20 nodes, 500 x 20 synthetic data, M = 5, eta0 = 10, 300 iterations,
 tolerance 1e-3, ranking at the edge midpoints):
 
 - all six schemes on complete(20) and ring(20), run seeds 1 and 2;
 - vp, vp_ap and vp_nap on cluster(20) at eta0 = 3, run seed 1;
-- ap, nap, vp_ap and vp_nap on complete(20), run seed 1, ranking at the
-  neighbors' broadcasts (``--eval-point neighbor``);
-- vp_nap on cluster(20), run seed 1, configured only by the ``key = value``
+- vp_nap on cluster(20), run seed 3, configured only by the ``key = value``
   file ``CONFIG_TEXT``, which ``write`` puts in the run's directory. Its
-  keys take an int, a float, a bool, an ``int | None`` and a string;
+  keys take a string, a float, an int and a ``float | None``;
 - fixed on complete(20), run seed 1, on noiseless data
   (``--noise-variance 0``): each node's 25 samples span only the 5-d
   subspace, so its 20 x 20 scatter is singular and ``ppca.shard_stats``
@@ -59,9 +57,8 @@ scheme = vp_nap
 topology = cluster
 eta0 = 3
 tau_fixed = 0.5
-t_reset = 20
-relative_beta = false
-eval_point = neighbor
+seed = 3
+angle_filter_deg = 30
 """
 
 
@@ -82,10 +79,6 @@ def reference_runs() -> list[tuple[str, list[str]]]:
             ["run", "--scheme", scheme, "--topology", "cluster", "--eta0", "3"],
         )
         for scheme in ("vp", "vp_ap", "vp_nap")
-    ]
-    runs += [
-        (f"{scheme}_complete_neighbor", ["run", "--scheme", scheme, "--eval-point", "neighbor"])
-        for scheme in ("ap", "nap", "vp_ap", "vp_nap")
     ]
     runs.append((CONFIG_RUN, ["run", "--config", CONFIG_FILE]))
     runs.append(("fixed_complete_noiseless", ["run", "--scheme", "fixed", "--noise-variance", "0"]))
@@ -183,7 +176,7 @@ def compare(base_dir: Path, new_dir: Path, rtol: float) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p_write = sub.add_parser("write", help="write the 34 reference traces")
+    p_write = sub.add_parser("write", help="write the 30 reference traces")
     p_write.add_argument("out_dir", type=Path)
     p_write.add_argument("--src", type=Path, help="import netadmm from this src directory")
     p_compare = sub.add_parser("compare", help="compare two sets of reference traces")

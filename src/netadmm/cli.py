@@ -89,19 +89,9 @@ _KEY_RENAMES = {("synthetic", "seed"): "data_seed"}
 FLAG_ALIASES = {
     "num_nodes": "--nodes",
     "convergence_tol": "--tol",
-    "f_tie_epsilon": "--tie-epsilon",
     "num_samples": "--samples",
     "angle_filter_deg": "--angle-filter",
 }
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _value_parser(kind) -> Callable[[str], object]:
@@ -128,7 +118,7 @@ def _value_parser(kind) -> Callable[[str], object]:
             return None if text.strip().lower() in ("none", "") else parse(text)
 
         return parse_optional
-    return _parse_bool if kind is bool else kind
+    return kind
 
 
 def _settings(cls, prefix: tuple[str, ...] = ()) -> Iterator[tuple[str, Setting]]:
@@ -216,11 +206,12 @@ def _write_json(obj: dict, path: Path) -> None:
 
 def _budget_summary(result: engine.RunResult) -> dict | None:
     ceilings = result.scheduler.budget_ceilings()
-    if not ceilings:
+    if not ceilings.size:
         return None
+    sources, targets = result.graph.edge_arrays()
     return {
-        "ceilings": {f"{i}->{j}": c for (i, j), c in sorted(ceilings.items())},
-        "max_ceiling": max(ceilings.values()),
+        "ceilings": {f"{i}->{j}": c for i, j, c in zip(sources, targets, ceilings.tolist())},
+        "max_ceiling": float(ceilings.max()),
         "exhausted_edges": result.scheduler.exhausted_edges(),
     }
 

@@ -12,7 +12,7 @@ penalties act through the J x J penalty matrix (the weighted-graph form
 of consensus ADMM, Boyd et al. 2011, section 7). All nodes of a run share
 one model class; a :class:`ConsensusModel` is one node's view of its row.
 Neighbor means and residuals are array operations, and the penalty
-update evaluates objectives at neighbors' parameters only for the nodes
+update evaluates objectives at the edge midpoints only for the nodes
 whose ranking weights the scheduler will use, in one call for all of
 their edges.
 
@@ -110,14 +110,13 @@ class NodeGroup(abc.ABC):
         """Dual ascent against this round's broadcasts ``theta`` with per-edge penalties ``eta``."""
 
     @abc.abstractmethod
-    def neighbor_objectives(self, nodes: Sequence[int], theta: np.ndarray, midpoint: bool) -> np.ndarray:
-        """Each of ``nodes``' objective at its neighbors' broadcasts.
+    def neighbor_objectives(self, nodes: Sequence[int], theta: np.ndarray) -> np.ndarray:
+        """Each of ``nodes``' objective at the midpoints of its edges.
 
         ``nodes`` is ascending and ``theta`` holds every node's broadcast,
         one row per node. The result has one value per outgoing edge of
         ``nodes``, in directed-edge order (``Graph.out_edges``): the source's
-        objective at the target's row of ``theta``, or with ``midpoint`` at
-        the mean of the two rows.
+        objective at the mean of its own and the target's rows of ``theta``.
         """
 
     def m_step_counts(self) -> tuple[int, int, int]:
@@ -170,12 +169,10 @@ class QuadraticNodes(NodeGroup):
         weights = self.graph.weights(eta)
         self.gamma = self.gamma + 0.5 * (weights.sum(axis=1)[:, None] * theta - weights @ theta)
 
-    def neighbor_objectives(self, nodes: Sequence[int], theta: np.ndarray, midpoint: bool) -> np.ndarray:
+    def neighbor_objectives(self, nodes: Sequence[int], theta: np.ndarray) -> np.ndarray:
         sources, targets = self.graph.edge_arrays()
         rows = self.graph.out_edges(nodes)
-        points = theta[targets[rows]]
-        if midpoint:
-            points = 0.5 * (theta[sources[rows]] + points)
+        points = 0.5 * (theta[sources[rows]] + theta[targets[rows]])
         return np.sum((points - self.center[sources[rows]]) ** 2, axis=1)
 
 
@@ -362,7 +359,6 @@ def run(
     nodes = model_cls.group(models, graph)
     sources, _ = graph.edge_arrays()
     degrees = graph.degrees[:, None]
-    midpoint = config.penalty.eval_point != "neighbor"
 
     theta = nodes.params_matrix()
     f_prev_self = nodes.objectives()
@@ -404,9 +400,9 @@ def run(
         ranked = scheduler.ranking_nodes(t, residuals)
         f_neighbors = np.zeros(len(sources))
         if len(ranked) and len(sources):
-            # Each ranking node's objective at its neighbors' broadcasts
-            # (or the midpoints with its own), one call for all edges.
-            f_neighbors[graph.out_edges(ranked)] = nodes.neighbor_objectives(ranked, theta, midpoint)
+            # Each ranking node's objective at its edges' midpoints, one
+            # call for all edges.
+            f_neighbors[graph.out_edges(ranked)] = nodes.neighbor_objectives(ranked, theta)
         scheduler.update(t, RoundSignals(residuals, f_self, f_prev_self, f_neighbors))
 
         # Phase 5: record, then check convergence and divergence.

@@ -7,31 +7,35 @@ Six schemes map per-iteration signals to per-directed-edge penalties
 * ``vp`` (varying penalty): per-node residual balancing. The node's
   penalty is multiplied by ``1 + tau_fixed`` when the primal residual
   dominates the dual one by a factor ``mu`` (and divided in the mirror
-  case), then reset to ``eta0`` at iteration ``t_reset`` so the network
-  finishes with a homogeneous penalty.
+  case), then reset to ``eta0`` from iteration ``t_max`` on, so the
+  network finishes with a homogeneous penalty.
 * ``ap`` (adaptive penalty): each node ranks its own objective evaluated
-  at its own vs. each neighbor's parameters; neighbors with better
-  estimates receive a larger penalty via ``eta0 * (1 + tau_ij)`` with
-  ``tau_ij`` in ``[-0.5, 1]``. Stops at ``t_max``.
+  at its own parameters vs. at each edge's midpoint
+  ``(theta_i + theta_j) / 2``; neighbors with better estimates receive a
+  larger penalty via ``eta0 * (1 + tau_ij)`` with ``tau_ij`` in
+  ``[-0.5, 1]``. Adapts while ``t < t_max``.
 * ``nap`` (network-adaptive penalty): like ``ap``, but each directed
   edge holds a spending budget. Every update costs ``|tau_ij|``; an
   exhausted edge falls back to ``eta0`` unless the node's objective is
   still changing, in which case the budget ceiling grows geometrically
   (never past ``budget / (1 - alpha)``).
 * ``vp_ap``: residual-balancing branches with the ranking weight folded
-  in multiplicatively (``* 2`` or ``* 1/2``), reset after ``t_max``.
+  in multiplicatively (``* 2`` or ``* 1/2``), reset at ``t > t_max``.
 * ``vp_nap``: same branches gated by the spending budget instead of an
   iteration cap.
 
 Penalty ranges: ``ap`` and ``nap`` set ``eta0 * (1 + tau_ij)`` from a
 weight in ``[-0.5, 1]``, so they stay within ``[eta0/2, 2*eta0]``. ``vp``,
-``vp_ap`` and ``vp_nap`` multiply the running penalty and have no bound:
-with ``eta0 = 10`` on the synthetic protocol, ``vp_nap`` has been seen
-between 0.008 and 40 and ``vp_ap`` between 0.35 and 40.
+``vp_ap`` and ``vp_nap`` multiply the running penalty and are unbounded.
+On the protocol data, run seeds 1-5 (``scripts/knob_sweep.py``), they
+ranged as follows: on complete(20) at ``eta0 = 10`` over 150 iterations,
+``vp`` 2.5 to 20, ``vp_ap`` 0.35 to 40 and ``vp_nap`` 0.008 to 40; on
+ring(20) at ``eta0 = 320`` over 400 iterations, ``vp`` 0.63 to 640,
+``vp_ap`` 0.0096 to 1280 and ``vp_nap`` 31 to 1280.
 
-The update rules are pure elementwise functions, of one edge's scalars or
-of arrays over many edges. :class:`PenaltyScheduler` keeps every directed
-edge's ledger in arrays and applies the scheme's rule to all at once.
+The update rules are pure elementwise functions of arrays over edges (or
+nodes). :class:`PenaltyScheduler` keeps every directed edge's ledger in
+arrays and applies the scheme's rule to all at once.
 
 Ranking weights cost one objective evaluation per outgoing edge, so they
 are asked for only where a rule reads them (``ranking_nodes``): ``ap``
@@ -44,7 +48,6 @@ weight multiplies nothing elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 import numpy as np
 
@@ -57,7 +60,7 @@ __all__ = [
     "ResidualPair",
     "local_residuals",
     "vp_update",
-    "ap_taus",
+    "rank_weights",
     "ap_update",
     "nap_update",
     "vp_ap_update",
@@ -71,7 +74,10 @@ SCHEMES = ("fixed", "vp", "ap", "nap", "vp_ap", "vp_nap")
 
 _BUDGET_SCHEMES = ("nap", "vp_nap")
 
-_EVAL_POINTS = ("neighbor", "midpoint")
+#: A neighborhood whose objective values span no more than this, relative
+#: to the largest, is a tie: every ranking weight is zero and the penalty
+#: falls back to ``eta0``.
+TIE_EPSILON = 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,35 +88,22 @@ class PenaltyConfig:
         eta0: Initial (and reset) penalty value.
         mu: Residual-ratio threshold for the balancing branches (> 1).
         tau_fixed: Multiplicative step of the residual-balancing rule.
-        t_max: Last iteration at which iteration-capped schemes adapt.
-        t_reset: Iteration at which ``vp`` resets all node penalties to
-            ``eta0``; defaults to ``t_max``.
+        t_max: Iteration cap of the capped schemes: ``ap`` adapts while
+            ``t < t_max`` and ``vp_ap`` while ``t <= t_max``, and ``vp``
+            resets every penalty to ``eta0`` at ``t >= t_max``.
         budget: Initial per-edge spending budget of the ``nap`` family.
         alpha: Geometric growth factor of the budget ceiling, in (0, 1).
-        beta: Objective-change threshold that allows ceiling growth,
-            in (0, 1).
-        f_tie_epsilon: Tie tolerance; when all objective evaluations in a
-            neighborhood agree to within this (relative) margin, every
-            ranking weight is zero and the penalty falls back to ``eta0``.
-        eval_point: Where a neighbor's objective is evaluated for the
-            ranking weights, either at the neighbor's broadcast
-            parameters ("neighbor") or at the edge midpoint ("midpoint").
-        relative_beta: Compare the objective change against ``beta``
-            relative to the previous value (default) instead of
-            absolutely, so the default works across objective scales.
+        beta: Threshold on the objective's change relative to its
+            previous value that allows ceiling growth, in (0, 1).
     """
 
     eta0: float = 10.0
     mu: float = 10.0
     tau_fixed: float = 1.0
     t_max: int = 50
-    t_reset: int | None = None
     budget: float = 1.0
     alpha: float = 0.5
     beta: float = 0.1
-    f_tie_epsilon: float = 1e-12
-    eval_point: str = "midpoint"
-    relative_beta: bool = True
 
     def __post_init__(self) -> None:
         if not self.eta0 > 0:
@@ -121,23 +114,12 @@ class PenaltyConfig:
             raise ValueError("tau_fixed must be > 0")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
-        if self.t_reset is not None and self.t_reset < 1:
-            raise ValueError("t_reset must be >= 1")
         if not self.budget > 0:
             raise ValueError("budget must be > 0")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
         if not 0 < self.beta < 1:
             raise ValueError("beta must be in (0, 1)")
-        if not self.f_tie_epsilon > 0:
-            raise ValueError("f_tie_epsilon must be > 0")
-        if self.eval_point not in _EVAL_POINTS:
-            raise ValueError(f"eval_point must be one of {_EVAL_POINTS}")
-
-    @property
-    def reset_iteration(self) -> int:
-        """Effective ``vp`` reset iteration (defaults to ``t_max``)."""
-        return self.t_max if self.t_reset is None else self.t_reset
 
     @property
     def ceiling_bound(self) -> float:
@@ -147,7 +129,7 @@ class PenaltyConfig:
 
 @dataclass(frozen=True)
 class EdgePenaltyState:
-    """Penalty and budget ledger of one directed edge (scalar fields) or many (arrays).
+    """Penalty and budget ledger of directed edges, as arrays over the edges.
 
     ``spent`` accumulates the absolute ranking weights charged so far,
     ``ceiling`` is the current budget allowance, and ``growth_count``
@@ -155,29 +137,29 @@ class EdgePenaltyState:
     budget``, so the ceiling stays below ``budget / (1 - alpha)``).
     """
 
-    eta: float | np.ndarray
-    spent: float | np.ndarray = 0.0
-    ceiling: float | np.ndarray = 1.0
-    growth_count: int | np.ndarray = 1
+    eta: np.ndarray
+    spent: np.ndarray
+    ceiling: np.ndarray
+    growth_count: np.ndarray
 
     @property
-    def exhausted(self) -> bool | np.ndarray:
+    def exhausted(self) -> np.ndarray:
         return self.spent >= self.ceiling
 
 
 @dataclass(frozen=True)
 class ResidualPair:
-    """Squared primal and dual residual norms of one node (or arrays)."""
+    """Squared primal and dual residual norms, as arrays over nodes (or edges)."""
 
-    primal_sq: float | np.ndarray
-    dual_sq: float | np.ndarray
+    primal_sq: np.ndarray
+    dual_sq: np.ndarray
 
     @property
-    def primal_norm(self) -> float | np.ndarray:
+    def primal_norm(self) -> np.ndarray:
         return np.sqrt(self.primal_sq)
 
     @property
-    def dual_norm(self) -> float | np.ndarray:
+    def dual_norm(self) -> np.ndarray:
         return np.sqrt(self.dual_sq)
 
 
@@ -192,19 +174,19 @@ def local_residuals(theta, neighbor_avg, neighbor_avg_prev, eta_i) -> ResidualPa
     Parameters
     ----------
     theta : ndarray
-        Node's own flattened parameters, or one row per node.
+        Every node's flattened parameters, one row per node.
     neighbor_avg : ndarray
-        Unweighted mean of the neighbors' current flattened parameters.
+        Unweighted mean of each node's neighbors' current parameters.
     neighbor_avg_prev : ndarray
-        Same average from the previous round.
-    eta_i : float or ndarray
-        Node's current penalty (scales the dual residual), one per row.
+        Same averages from the previous round.
+    eta_i : ndarray
+        Each node's current penalty (scales the dual residual).
 
     Returns
     -------
     ResidualPair
-        Squared norms ``|theta - avg|^2`` and ``eta_i^2 |avg - avg_prev|^2``
-        (floats, or arrays with one entry per row).
+        Squared norms ``|theta - avg|^2`` and ``eta_i^2 |avg - avg_prev|^2``,
+        one entry per row.
     """
     theta = np.asarray(theta, dtype=float)
     avg = np.asarray(neighbor_avg, dtype=float)
@@ -215,61 +197,45 @@ def local_residuals(theta, neighbor_avg, neighbor_avg_prev, eta_i) -> ResidualPa
         )
     primal_sq = np.sum((theta - avg) ** 2, axis=-1)
     dual_sq = np.asarray(eta_i) ** 2 * np.sum((avg - avg_prev) ** 2, axis=-1)
-    return ResidualPair(primal_sq[()], dual_sq[()])
-
-
-def _where(condition, if_true, if_false):
-    # np.where that hands back a scalar, not a 0-d array, for scalar inputs.
-    return np.where(condition, if_true, if_false)[()]
+    return ResidualPair(primal_sq, dual_sq)
 
 
 def vp_update(state: EdgePenaltyState, res: ResidualPair, cfg: PenaltyConfig, t: int) -> EdgePenaltyState:
-    """Varying-penalty step for one node at iteration ``t``.
+    """Varying-penalty step at iteration ``t``, from each edge's source residuals.
 
-    Balances the node's local residuals until ``t_reset``, after which
-    the penalty snaps back to ``eta0`` and stays there (heterogeneous
-    frozen penalties would otherwise oscillate near the saddle point).
+    Balances the residuals while ``t < t_max``; from ``t_max`` on the
+    penalty snaps back to ``eta0`` and stays there (heterogeneous frozen
+    penalties would otherwise oscillate near the saddle point).
     """
     step = 1.0 + cfg.tau_fixed
-    grow = res.primal_norm > cfg.mu * res.dual_norm
-    shrink = res.dual_norm > cfg.mu * res.primal_norm
-    eta = _where(grow, state.eta * step, _where(shrink, state.eta / step, state.eta))
-    return replace(state, eta=_where(t >= cfg.reset_iteration, cfg.eta0, eta))
+    grow, shrink = _branches(res, cfg.mu)
+    eta = np.where(grow, state.eta * step, np.where(shrink, state.eta / step, state.eta))
+    return replace(state, eta=np.where(t >= cfg.t_max, cfg.eta0, eta))
 
 
-def ap_taus(
-    f_self: float, f_neighbors: Mapping[int, float], tie_epsilon: float
-) -> dict[int, float]:
-    """Ranking weights ``tau_ij`` from local objective evaluations.
+def rank_weights(f_self, f_neighbor, f_min, f_max):
+    """Ranking weights ``tau_ij``, elementwise over edges.
 
-    ``f_self`` is the node's objective at its own parameters and
-    ``f_neighbors[j]`` the same objective at neighbor j's parameters.
-    Each value is min-max normalized over the neighborhood into a score
-    ``kappa`` in [1, 2]; ``tau_ij = kappa_self / kappa_j - 1`` then lies
-    in [-0.5, 1], positive exactly when neighbor j has the better
-    estimate. When all evaluations tie to within ``tie_epsilon``
-    (relative), all weights are zero and plain consensus takes over.
+    ``f_neighbor`` is the source's objective at the edge midpoint,
+    ``f_self`` its objective at its own parameters, and ``f_min`` and
+    ``f_max`` bound the values of the source's neighborhood (its own
+    included). Each value is min-max normalized into a score
+    ``kappa(f) = (f - f_min) / (f_max - f_min) + 1`` in [1, 2], and
+    ``tau_ij = kappa(f_self) / kappa(f_neighbor) - 1`` lies in [-0.5, 1],
+    positive exactly when the neighbor's side scores better. A
+    neighborhood that ties to within :data:`TIE_EPSILON` (relative) gets
+    all weights zero, and plain consensus takes over.
     """
-    values = np.array([f_self, *f_neighbors.values()], dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("objective evaluations must be finite for penalty ranking")
-    taus = _rank_weights(f_self, values[1:], values.min(), values.max(), tie_epsilon)
-    return dict(zip(f_neighbors, taus.tolist()))
-
-
-def _rank_weights(f_self, f_neighbor, f_min, f_max, tie_epsilon):
-    # kappa(f) = (f - f_min) / span + 1 and tau = kappa(f_self) / kappa(f_j) - 1,
-    # elementwise; 0 where the neighborhood ties.
     span = f_max - f_min
-    tie = span <= tie_epsilon * np.maximum(1.0, np.abs(f_max))
+    tie = span <= TIE_EPSILON * np.maximum(1.0, np.abs(f_max))
     span = np.where(tie, 1.0, span)
     tau = ((f_self - f_min) / span + 1.0) / ((f_neighbor - f_min) / span + 1.0) - 1.0
     return np.where(tie, 0.0, tau)
 
 
 def ap_update(tau_ij, cfg: PenaltyConfig, t: int):
-    """Adaptive-penalty value: ``eta0 * (1 + tau_ij)`` until ``t_max``."""
-    return _where(t < cfg.t_max, cfg.eta0 * (1.0 + tau_ij), cfg.eta0)
+    """Adaptive-penalty values: ``eta0 * (1 + tau_ij)`` until ``t_max``."""
+    return np.where(t < cfg.t_max, cfg.eta0 * (1.0 + tau_ij), cfg.eta0)
 
 
 def _budget_step(state: EdgePenaltyState, eta, cost, f_curr, f_prev, cfg: PenaltyConfig) -> EdgePenaltyState:
@@ -278,28 +244,26 @@ def _budget_step(state: EdgePenaltyState, eta, cost, f_curr, f_prev, cfg: Penalt
     # moves earns another, geometrically shrinking, slice of budget. The
     # slices use Python's float power: numpy's rounds some differently.
     live = np.logical_not(state.exhausted)
-    spent = _where(live, state.spent + cost, state.spent)
-    change = abs(f_curr - f_prev)
-    if cfg.relative_beta:
-        change = change / (abs(f_prev) + 1e-12)
+    spent = np.where(live, state.spent + cost, state.spent)
+    change = abs(f_curr - f_prev) / (abs(f_prev) + 1e-12)
     grow = (spent >= state.ceiling) & (change > cfg.beta)
     top = int(np.max(state.growth_count, initial=0))
     slices = np.array([cfg.alpha**n * cfg.budget for n in range(top + 1)])
     return EdgePenaltyState(
-        eta=_where(live, eta, cfg.eta0),
+        eta=np.where(live, eta, cfg.eta0),
         spent=spent,
-        ceiling=_where(grow, state.ceiling + slices[state.growth_count], state.ceiling),
-        growth_count=_where(grow, state.growth_count + 1, state.growth_count),
+        ceiling=np.where(grow, state.ceiling + slices[state.growth_count], state.ceiling),
+        growth_count=np.where(grow, state.growth_count + 1, state.growth_count),
     )
 
 
 def nap_update(state: EdgePenaltyState, tau_ij, f_curr, f_prev, cfg: PenaltyConfig) -> EdgePenaltyState:
-    """Budgeted adaptive-penalty step for one directed edge.
+    """Budgeted adaptive-penalty step, elementwise over directed edges.
 
     While budget remains, behaves like ``ap_update`` and pays ``|tau_ij|``
     from the budget; once exhausted, the penalty falls back to ``eta0``.
-    Afterwards the ceiling may grow when the node's objective is still
-    changing by more than ``beta``, which re-enables updates.
+    Afterwards the ceiling may grow when the node's objective still
+    changes by more than ``beta`` relative, which re-enables updates.
     """
     return _budget_step(state, cfg.eta0 * (1.0 + tau_ij), abs(tau_ij), f_curr, f_prev, cfg)
 
@@ -315,7 +279,7 @@ def _ranked_balance(eta, tau_ij, res: ResidualPair, mu: float):
     # also reports whether a branch fired.
     grow, shrink = _branches(res, mu)
     scaled = eta * (1.0 + tau_ij)
-    return _where(grow, scaled * 2.0, _where(shrink, scaled * 0.5, eta)), grow | shrink
+    return np.where(grow, scaled * 2.0, np.where(shrink, scaled * 0.5, eta)), grow | shrink
 
 
 def vp_ap_update(
@@ -328,7 +292,7 @@ def vp_ap_update(
     is reset to ``eta0``.
     """
     eta, _ = _ranked_balance(state.eta, tau_ij, res, cfg.mu)
-    return replace(state, eta=_where(t > cfg.t_max, cfg.eta0, eta))
+    return replace(state, eta=np.where(t > cfg.t_max, cfg.eta0, eta))
 
 
 def vp_nap_update(
@@ -341,7 +305,7 @@ def vp_nap_update(
     until (and unless) the ceiling grows again.
     """
     eta, fired = _ranked_balance(state.eta, tau_ij, res, cfg.mu)
-    return _budget_step(state, eta, _where(fired, abs(tau_ij), 0.0), f_curr, f_prev, cfg)
+    return _budget_step(state, eta, np.where(fired, abs(tau_ij), 0.0), f_curr, f_prev, cfg)
 
 
 @dataclass
@@ -351,8 +315,7 @@ class RoundSignals:
     ``residuals`` holds the nodes' squared residual norms as one pair of
     arrays over the nodes; ``f_self`` and ``f_prev_self`` are indexed by
     node id. ``f_neighbors`` holds, in directed-edge order, the source
-    node's objective at the target's broadcast (or the edge midpoint, per
-    config). It is read only on the outgoing edges of the nodes that
+    node's objective at the edge midpoint. It is read only on the outgoing edges of the nodes that
     :meth:`PenaltyScheduler.ranking_nodes` names for these residuals, and
     may hold anything elsewhere.
     """
@@ -380,9 +343,10 @@ class PenaltyScheduler:
         self.graph = graph
         self.cfg = cfg
         self.sources, self.targets = graph.edge_arrays()
-        self._index = {edge: k for k, edge in enumerate(graph.directed_edges())}
-        self.reverse = np.array([self._index[(j, i)] for i, j in self._index], dtype=int)
-        m = len(self._index)
+        m = len(self.sources)
+        # Edge k's index sits at [i, j] of the node-by-node layout; its
+        # opposite's at [j, i].
+        self.reverse = graph.weights(np.arange(m))[self.targets, self.sources].astype(int)
         self.edge_state = EdgePenaltyState(
             eta=np.full(m, cfg.eta0),
             spent=np.zeros(m),
@@ -390,12 +354,9 @@ class PenaltyScheduler:
             growth_count=np.ones(m, dtype=int),
         )
 
-    def eta(self, i: int, j: int) -> float:
-        return float(self.edge_state.eta[self._index[(i, j)]])
-
     def state(self, i: int, j: int) -> EdgePenaltyState:
-        """Ledger of the directed edge (i, j)."""
-        k = self._index[(i, j)]
+        """Ledger of the directed edge (i, j), its fields Python scalars."""
+        k = self.graph.offsets[i] + self.graph.neighbors[i].index(j)
         return EdgePenaltyState(**{name: v[k].item() for name, v in vars(self.edge_state).items()})
 
     def node_etas(self) -> np.ndarray:
@@ -412,12 +373,9 @@ class PenaltyScheduler:
             return eta[self.graph.offsets[:-1]]
         return self.graph.node_sums(eta) / self.graph.degrees
 
-    def node_eta(self, i: int) -> float:
-        return float(self.node_etas()[i])
-
     def all_etas(self) -> np.ndarray:
         """Penalties of every directed edge, in edge-iteration order."""
-        if not self._index:
+        if not len(self.sources):
             return np.asarray([self.cfg.eta0])  # single-node graph: report the constant
         return self.edge_state.eta.copy()
 
@@ -425,11 +383,11 @@ class PenaltyScheduler:
         """Directed edges whose budget is spent (0 outside the budget schemes)."""
         return int(np.count_nonzero(self.edge_state.exhausted))
 
-    def budget_ceilings(self) -> dict[tuple[int, int], float]:
-        """Current budget ceilings per directed edge (budget schemes only)."""
+    def budget_ceilings(self) -> np.ndarray:
+        """Current budget ceilings in edge order; empty outside the budget schemes."""
         if self.scheme not in _BUDGET_SCHEMES:
-            return {}
-        return dict(zip(self._index, self.edge_state.ceiling.tolist()))
+            return np.zeros(0)
+        return self.edge_state.ceiling.copy()
 
     def ranking_nodes(self, t: int, residuals: ResidualPair) -> np.ndarray:
         """Nodes, ascending, whose ranking weights ``update(t, ...)`` reads.
@@ -453,8 +411,8 @@ class PenaltyScheduler:
         return np.flatnonzero(rank)
 
     def _ranking_taus(self, nodes: np.ndarray, f_self: np.ndarray, f_neighbors: np.ndarray) -> np.ndarray:
-        # ``ap_taus`` of every outgoing edge of ``nodes`` at once; the other
-        # edges see a tie (all values 0) and get 0.
+        # ``rank_weights`` of every outgoing edge of ``nodes`` at once; the
+        # other edges see a tie (all values 0) and get 0.
         if not len(nodes) or not len(self.sources):
             return np.zeros(len(self.sources))
         ranked = np.zeros(self.graph.num_nodes, dtype=bool)
@@ -466,7 +424,7 @@ class PenaltyScheduler:
         starts, src = self.graph.offsets[:-1], self.sources
         lo = np.minimum(np.minimum.reduceat(f_edge, starts), f_own)
         hi = np.maximum(np.maximum.reduceat(f_edge, starts), f_own)
-        return _rank_weights(f_own[src], f_edge, lo[src], hi[src], self.cfg.f_tie_epsilon)
+        return rank_weights(f_own[src], f_edge, lo[src], hi[src])
 
     def update(self, t: int, signals: RoundSignals) -> None:
         cfg, res, f_self = self.cfg, signals.residuals, signals.f_self

@@ -26,8 +26,8 @@ no step touches a D x N array. The E-step and the likelihood share one
 latent solve, a Cholesky factorization of the M x M matrix
 ``G = Wᵀ W + I/a``, at O(D·M·min(D, N)); a node group keeps the solve of
 its own objectives for the next E-step, so each node factors ``G`` once
-per iteration. The ranking likelihoods, a node's objective at its neighbors'
-parameters, are scored in the M-dimensional latent space, with no D-sized
+per iteration. The ranking likelihoods, a node's objective at the midpoints
+of its edges, are scored in the M-dimensional latent space, with no D-sized
 copy of a shard's samples per edge (``DppcaNodes.neighbor_objectives``).
 The M-step forms the Gram products of its right-hand side once, at
 O(D·M²), runs its precision steps on (M+1) x (M+1) matrices alone, and
@@ -702,13 +702,13 @@ class DppcaNodes(NodeGroup):
     def multiplier_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
         self.multipliers = multiplier_step(self.multipliers, theta, self.graph.weights(eta), theta)
 
-    def neighbor_objectives(self, nodes: Sequence[int], theta: np.ndarray, midpoint: bool) -> np.ndarray:
-        """Each of ``nodes``' likelihood at its neighbors' broadcasts, in latent space.
+    def neighbor_objectives(self, nodes: Sequence[int], theta: np.ndarray) -> np.ndarray:
+        """Each of ``nodes``' likelihood at the midpoints of its edges, in latent space.
 
         Takes and returns what :meth:`NodeGroup.neighbor_objectives` does.
-        For an edge from node i with parameters ``(W_e, mu_e, a_e)`` (the
-        neighbor's broadcast or the midpoint), ``B = W_eᵀ [F_i, √n (x̄_i − mu_e)]``
-        and ``G = W_eᵀ W_e + I/a_e = L Lᵀ`` give the Woodbury quadratic form
+        For an edge from node i with midpoint parameters ``(W_e, mu_e, a_e)``,
+        ``B = W_eᵀ [F_i, √n (x̄_i − mu_e)]`` and ``G = W_eᵀ W_e + I/a_e = L Lᵀ``
+        give the Woodbury quadratic form
         ``a_e (|F_i|² + n |x̄_i − mu_e|² − |L⁻¹ B|²)`` and ``logdet G``, so
         an edge costs O(D·M·min(D, N)) and holds M x (min(D, N) + 1) and
         D x M arrays. The products ``W_eᵀ F_i`` of a node's edges are one
@@ -723,9 +723,8 @@ class DppcaNodes(NodeGroup):
         rows = self.graph.out_edges(nodes)
         owners = sources[rows]
         points = theta[targets[rows]]
-        if midpoint:
-            points += theta[owners]
-            points *= 0.5
+        points += theta[owners]
+        points *= 0.5
         stats, (d, m) = self.stats, self.params.W.shape[1:]
         w, mu, a = unpack(points, d, m)
         wt = np.swapaxes(w, -1, -2)

@@ -76,7 +76,6 @@ def test_config_file_and_flag_precedence(tmp_path):
         "ambient_dim = 8\n"
         "latent_dim = 2\n"
         "max_iterations = 80\n"
-        "relative_beta = true\n"
     )
     out = tmp_path / "out"
     code = _run_cli(
@@ -311,7 +310,7 @@ def test_usage_errors_exit_one(tmp_path, capsys, args, message):
 
 def test_help_exits_zero(capsys):
     assert _exit_code(["run", "--help"]) == 0
-    assert "--tie-epsilon" in capsys.readouterr().out
+    assert "--tol" in capsys.readouterr().out
 
 
 def test_sweep_with_every_run_filtered_out_still_writes_comparison(tmp_path, capsys):
@@ -366,13 +365,9 @@ SURFACE = {
     "mu": ("--mu", 10.0, "5", 5.0),
     "tau_fixed": ("--tau-fixed", 1.0, "0.5", 0.5),
     "t_max": ("--t-max", 50, "20", 20),
-    "t_reset": ("--t-reset", None, "10", 10),
     "budget": ("--budget", 1.0, "2", 2.0),
     "alpha": ("--alpha", 0.5, "0.25", 0.25),
     "beta": ("--beta", 0.1, "0.2", 0.2),
-    "f_tie_epsilon": ("--tie-epsilon", 1e-12, "1e-9", 1e-9),
-    "eval_point": ("--eval-point", "midpoint", "neighbor", "neighbor"),
-    "relative_beta": ("--relative-beta", True, "false", False),
     "num_samples": ("--samples", 500, "120", 120),
     "ambient_dim": ("--ambient-dim", 20, "8", 8),
     "latent_dim": ("--latent-dim", 5, "2", 2),
@@ -423,7 +418,7 @@ def test_config_key_by_file_equals_key_by_flag(tmp_path, monkeypatch, key):
 
 
 def test_config_none_and_empty_values():
-    for key in ("t_reset", "measurements", "angle_filter_deg"):
+    for key in ("measurements", "angle_filter_deg"):
         assert cli.SETTINGS[key].parse("none") is None
         assert cli.SETTINGS[key].parse("") is None
     assert cli.SETTINGS["schemes"].parse("") == ()

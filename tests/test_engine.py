@@ -107,7 +107,7 @@ def test_ranking_ties_reduce_to_fixed():
 def test_monotone_eta_homogenization_vp():
     rng = np.random.default_rng(1)
     centers = [rng.normal(size=3) for _ in range(5)]
-    penalty = PenaltyConfig(t_reset=8)
+    penalty = PenaltyConfig(t_max=8)
     cfg = RunConfig(
         topology="ring",
         num_nodes=5,
@@ -232,10 +232,10 @@ class CountingNodes(QuadraticNodes):
         super().__init__(center, graph)
         self.neighbor_evals = np.zeros(graph.num_nodes, dtype=int)
 
-    def neighbor_objectives(self, nodes, theta, midpoint):
+    def neighbor_objectives(self, nodes, theta):
         owners = self.graph.edge_arrays()[0][self.graph.out_edges(nodes)]
         self.neighbor_evals += np.bincount(owners, minlength=self.graph.num_nodes)
-        return super().neighbor_objectives(nodes, theta, midpoint)
+        return super().neighbor_objectives(nodes, theta)
 
 
 class CountingModel(_grouped_as(CountingNodes)):
@@ -294,7 +294,7 @@ def test_nap_skips_neighbor_objectives_of_exhausted_nodes():
 
 @pytest.mark.parametrize("scheme", ["vp_ap", "vp_nap"])
 def test_vp_ranking_schemes_score_only_firing_nodes(monkeypatch, scheme):
-    # A node is scored at its neighbors only when its residual-balancing
+    # A node is scored at its edge midpoints only when its residual-balancing
     # branch fires (and, for vp_nap, one of its edges has budget left).
     from netadmm import engine
 
@@ -354,12 +354,11 @@ def test_quadratic_nodes_match_the_per_node_loop():
     np.testing.assert_allclose(nodes.gamma, gamma, rtol=1e-12)
     want = [np.sum((theta[i] - centers[i]) ** 2) for i in range(6)]
     np.testing.assert_allclose(nodes.objectives(), want, rtol=1e-12)
-    for midpoint in (False, True):
-        for ranked in (range(6), [1, 2, 4]):
-            want = []
-            for i in ranked:
-                for j in graph.neighbors[i]:
-                    point = 0.5 * (theta[i] + theta[j]) if midpoint else theta[j]
-                    want.append(np.sum((point - centers[i]) ** 2))
-            got = nodes.neighbor_objectives(np.array(ranked), nodes.params_matrix(), midpoint)
-            np.testing.assert_allclose(got, want, rtol=1e-12)
+    for ranked in (range(6), [1, 2, 4]):
+        want = []
+        for i in ranked:
+            for j in graph.neighbors[i]:
+                point = 0.5 * (theta[i] + theta[j])
+                want.append(np.sum((point - centers[i]) ** 2))
+        got = nodes.neighbor_objectives(np.array(ranked), nodes.params_matrix())
+        np.testing.assert_allclose(got, want, rtol=1e-12)

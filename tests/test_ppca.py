@@ -829,10 +829,10 @@ def test_stacked_phases_match_one_node_at_a_time():
         assert_rows_match()
 
     # own objectives against each node's likelihood, and ranking objectives
-    # at every neighbor's broadcast against the owner's likelihood there
+    # at every edge midpoint against the owner's likelihood there
     want = [negative_log_likelihood(m.params, shard_stats(x)) for m, x in zip(singles, shards)]
     np.testing.assert_allclose(group.objectives(), want, rtol=1e-12)
-    _assert_ranking_matches_nll(group, [0, 2, 4], group.params_matrix(), False)
+    _assert_ranking_matches_nll(group, [0, 2, 4], group.params_matrix())
     cycles, cap_hits, ridge = group.m_step_counts()
     assert cycles == sum(m.m_step_counts()[0] for m in singles) > 0 and cap_hits == ridge == 0
 
@@ -855,16 +855,16 @@ def _ragged_group(graph):
     return group
 
 
-def _assert_ranking_matches_nll(group, nodes, theta, midpoint):
+def _assert_ranking_matches_nll(group, nodes, theta):
     # Each ranking edge's value against negative_log_likelihood of its
-    # owner at its point, within 64 eps a_e |[F_i, sqrt(n) (x̄_i - mu_e)]|^2.
-    got = group.neighbor_objectives(np.asarray(nodes), theta, midpoint)
+    # owner at the edge midpoint, within 64 eps a_e |[F_i, sqrt(n) (x̄_i - mu_e)]|^2.
+    got = group.neighbor_objectives(np.asarray(nodes), theta)
     d, m = group.params.W.shape[1:]
     want, bound = [], []
     for i in nodes:
         stats = ShardStats(*(np.asarray(f)[i] for f in group.stats))
         for j in group.graph.neighbors[i]:
-            params = PpcaParams(*unpack(0.5 * (theta[i] + theta[j]) if midpoint else theta[j], d, m))
+            params = PpcaParams(*unpack(0.5 * (theta[i] + theta[j]), d, m))
             want.append(negative_log_likelihood(params, stats))
             energy = stats.scatter + stats.n * np.sum((stats.mean - params.mu) ** 2)
             bound.append(64 * np.finfo(float).eps * params.a * energy)
@@ -873,17 +873,16 @@ def _assert_ranking_matches_nll(group, nodes, theta, midpoint):
     assert np.all(error <= bound), np.max(error / bound)
 
 
-@pytest.mark.parametrize("midpoint", [False, True], ids=["neighbor", "midpoint"])
-@pytest.mark.parametrize("topology", ["complete", "cluster"])
-def test_ranking_objectives_match_negative_log_likelihood(topology, midpoint):
+@pytest.mark.parametrize("topology", ["complete", "cluster"], ids=["complete-midpoint", "cluster-midpoint"])
+def test_ranking_objectives_match_negative_log_likelihood(topology):
     # Every node and a subset rank, on complete(5) and on the ragged
-    # cluster(6); each edge's value is the owner's likelihood at its point.
+    # cluster(6); each edge's value is the owner's likelihood at its midpoint.
     from netadmm.topology import build_graph
 
     graph = build_graph(topology, 5 if topology == "complete" else 6)
     group = _ragged_group(graph)
     for nodes in (range(graph.num_nodes), [1, 2, 4]):
-        _assert_ranking_matches_nll(group, nodes, group.params_matrix(), midpoint)
+        _assert_ranking_matches_nll(group, nodes, group.params_matrix())
 
 
 def test_ranking_a_subset_gives_the_same_rows():
@@ -895,11 +894,10 @@ def test_ranking_a_subset_gives_the_same_rows():
         graph = build_graph(topology, 6)
         group = _ragged_group(graph)
         theta = group.params_matrix()
-        for midpoint in (False, True):
-            whole = group.neighbor_objectives(np.arange(6), theta, midpoint)
-            for nodes in ([0], [2, 3], [1, 3, 5], [0, 1, 2, 4, 5]):
-                part = group.neighbor_objectives(np.array(nodes), theta, midpoint)
-                np.testing.assert_array_equal(part, whole[graph.out_edges(nodes)])
+        whole = group.neighbor_objectives(np.arange(6), theta)
+        for nodes in ([0], [2, 3], [1, 3, 5], [0, 1, 2, 4, 5]):
+            part = group.neighbor_objectives(np.array(nodes), theta)
+            np.testing.assert_array_equal(part, whole[graph.out_edges(nodes)])
 
 
 def test_ranking_objectives_on_an_sfm_shard():
@@ -918,8 +916,7 @@ def test_ranking_objectives_on_an_sfm_shard():
     assert group.stats.factor.shape == (5, 200, 16)
     theta = group.params_matrix()
     assert theta[:, -1].min() > 30
-    for midpoint in (False, True):
-        _assert_ranking_matches_nll(group, range(5), theta, midpoint)
+    _assert_ranking_matches_nll(group, range(5), theta)
 
 
 def test_ranking_objectives_reject_a_non_finite_broadcast():
@@ -930,7 +927,7 @@ def test_ranking_objectives_reject_a_non_finite_broadcast():
         theta = group.params_matrix()
         theta[3, column] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            group.neighbor_objectives(np.arange(5), theta, False)
+            group.neighbor_objectives(np.arange(5), theta)
 
 
 def test_kept_latent_solve_gives_the_fresh_e_step():
