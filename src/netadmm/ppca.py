@@ -416,22 +416,30 @@ def _a_update(
     a_anchor: float | np.ndarray,
 ) -> float | np.ndarray:
     # Stationarity in a is the scalar quadratic
-    #   (2 eta_sum) a^2 + (residual/2 + 2 beta - a_anchor) a - N D / 2 = 0,
-    # which has exactly one positive root whenever eta_sum > 0. With no
-    # positive stationary point (eta_sum = 0 and b <= 0) it falls back to
-    # the maximum-likelihood noise update.
-    nd_half = 0.5 * np.asarray(num_samples, dtype=float) * ambient_dim
+    #   2 eta_sum a^2 + b a - N D / 2 = 0,  b = residual/2 + 2 beta - a_anchor,
+    # which has exactly one positive root whenever eta_sum > 0 or b > 0.
+    # With s = sqrt(b^2 + 4 eta_sum N D) + |b| that root is N D / s for
+    # b > 0 (N D / (2b) at eta_sum = 0) and s / (4 eta_sum) otherwise. The
+    # textbook (-b + sqrt(...)) / (4 eta_sum) cancels for b > 0, with a
+    # relative error growing like b^2: exactly 0 at b = 1.2e10, eta_sum = 1.5,
+    # N D = 500. With no positive stationary point (eta_sum = 0 and b <= 0)
+    # it falls back to the maximum-likelihood noise update.
+    nd = np.asarray(num_samples, dtype=float) * ambient_dim
     b = 0.5 * residual + 2.0 * beta_mult - a_anchor
-    a2 = 2.0 * np.asarray(eta_sum, dtype=float)
-    quadratic = a2 > 0
-    root = (-b + np.sqrt(b * b + 4.0 * a2 * nd_half)) / np.where(quadratic, 2.0 * a2, 1.0)
-    if quadratic.all():
-        return root
-    linear = np.logical_not(quadratic) & (b > 0)
-    if np.any(np.logical_not(quadratic | linear) & (residual <= 0)):
+    eta_sum = np.asarray(eta_sum, dtype=float)
+    s = np.sqrt(b * b + 4.0 * eta_sum * nd) + np.abs(b)
+    positive, coupled = b > 0, eta_sum > 0
+    if coupled.all():
+        return np.where(positive, nd / s, s / (4.0 * eta_sum))
+    solvable = positive | coupled
+    if np.any(~solvable & (residual <= 0)):
         raise ValueError("degenerate data: zero expected reconstruction residual")
-    fallback = np.where(linear, nd_half / np.where(linear, b, 1.0), 2.0 * nd_half / residual)
-    return np.where(quadratic, root, fallback)[()]
+    root = np.where(
+        positive,
+        nd / np.where(positive, s, 1.0),
+        s / np.where(coupled, 4.0 * eta_sum, 1.0),
+    )
+    return np.where(solvable, root, nd / np.where(solvable, 1.0, residual))[()]
 
 
 # Neighbor terms of J nodes at once, as products with the J x K matrix of

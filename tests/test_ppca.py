@@ -309,6 +309,54 @@ def test_precision_fallback_without_positive_root():
     assert a == pytest.approx(8.0)
 
 
+def _precision_root(b, eta_sum, nd_half):
+    # The positive root of 2 eta_sum a^2 + b a - nd_half = 0, to 60 digits.
+    from decimal import Decimal, getcontext
+
+    getcontext().prec = 60
+    b, a2, c = Decimal(b), 2 * Decimal(eta_sum), Decimal(nd_half)
+    if a2 == 0:
+        return float(c / b)
+    return float((-b + (b * b + 4 * a2 * c).sqrt()) / (2 * a2))
+
+
+def test_precision_root_does_not_cancel_for_a_large_linear_term():
+    # b = 1.19e10, a2 = 3.08, c = 250: the textbook root (-b + sqrt(b^2 +
+    # 4 a2 c)) / (2 a2) rounds to exactly 0, and the next objective divides
+    # by it.
+    from netadmm.ppca import _a_update
+
+    a = _a_update(
+        residual=2.38e10, num_samples=25, ambient_dim=20, beta_mult=0.0,
+        eta_sum=1.54, a_anchor=0.0,
+    )
+    assert a > 0
+    assert a == pytest.approx(_precision_root(1.19e10, 1.54, 250.0), rel=1e-15)
+
+
+def test_precision_root_is_accurate_across_the_linear_term():
+    # b of either sign from 1e-3 to 1e12 in size, against the root in
+    # 60-digit arithmetic; eta_sum = 0 with b > 0 is the linear root c / b.
+    from netadmm.ppca import _a_update
+
+    rng = np.random.default_rng(16)
+    size = 400
+    b = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-3, 12, size)
+    eta_sum = np.where(rng.random(size) < 0.1, 0.0, 10.0 ** rng.uniform(-2, 3, size))
+    b = np.where(eta_sum == 0, np.abs(b), b)
+    num_samples = rng.integers(1, 3000, size)
+    ambient_dim = 20
+    got = _a_update(
+        residual=2.0 * b, num_samples=num_samples, ambient_dim=ambient_dim,
+        beta_mult=np.zeros(size), eta_sum=eta_sum, a_anchor=np.zeros(size),
+    )
+    want = [
+        _precision_root(bi, ei, 0.5 * ni * ambient_dim)
+        for bi, ei, ni in zip(b.tolist(), eta_sum.tolist(), num_samples.tolist())
+    ]
+    np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
 # -------------------------------------------------------- centralized EM
 
 
