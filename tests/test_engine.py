@@ -75,6 +75,46 @@ def test_quadratic_consensus_reaches_mean():
         np.testing.assert_array_equal(model.params_vector(), model.theta)
 
 
+def _common_mode_errors(scheme, topology, iterations):
+    # The network mean of theta minus the mean of demo 02's centers, after
+    # each iteration, at a tolerance that only an exact repeat meets.
+    rng = np.random.default_rng(0)
+    centers = [rng.normal(size=3) for _ in range(8)]
+    errors = []
+
+    def hook(t, scheduler, models):
+        errors.append(models[0]._nodes.theta.mean(axis=0) - np.mean(centers, axis=0))
+
+    cfg = RunConfig(
+        topology=topology, num_nodes=8, scheme=scheme, max_iterations=iterations,
+        convergence_tol=1e-300,
+    )
+    run(cfg, _quadratic_factory, centers, trace_hook=hook)
+    return np.array(errors)
+
+
+@pytest.mark.parametrize("topology", ["complete", "ring"])
+def test_quadratic_common_mode_pinned_under_fixed(topology):
+    # A uniform penalty's anchor pulls cancel over the network and the
+    # multipliers sum to zero, so the nodes' mean stays at the centers' mean
+    # (up to 200 iterations: a run stops once its objective repeats exactly).
+    errors = _common_mode_errors("fixed", topology, 200)
+    assert np.abs(errors).max() < 1e-14
+
+
+@pytest.mark.parametrize("topology,degree", [("complete", 7), ("ring", 2)])
+def test_quadratic_common_mode_contracts_after_the_reset(topology, degree):
+    # Directed ap penalties move the nodes' mean off the centers' mean.
+    # Once every penalty is back at eta0 (ap from t_max on), summing the
+    # local steps gives mean' - c = eta_sum / (1 + eta_sum) (mean - c), with
+    # eta_sum = eta0 * degree on these regular graphs.
+    errors = _common_mode_errors("ap", topology, 201)
+    eta_sum = PenaltyConfig().eta0 * degree
+    norms = np.linalg.norm(errors[100:], axis=1)
+    assert norms[0] > 1e-6  # a drift that rounding does not swamp
+    np.testing.assert_allclose(norms[1:] / norms[:-1], eta_sum / (1.0 + eta_sum), rtol=1e-3)
+
+
 def test_single_node_matches_unconstrained_minimum():
     center = np.array([2.0, -3.0])
     cfg = RunConfig(num_nodes=1, scheme="fixed", max_iterations=5, convergence_tol=1e-12)
