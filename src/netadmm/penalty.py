@@ -315,9 +315,9 @@ class RoundSignals:
     ``residuals`` holds the nodes' squared residual norms as one pair of
     arrays over the nodes; ``f_self`` and ``f_prev_self`` are indexed by
     node id. ``f_neighbors`` holds, in directed-edge order, the source
-    node's objective at the edge midpoint. It is read only on the outgoing edges of the nodes that
-    :meth:`PenaltyScheduler.ranking_nodes` names for these residuals, and
-    may hold anything elsewhere.
+    node's objective at the edge midpoint. It is read only on the
+    outgoing edges of the nodes that :meth:`PenaltyScheduler.ranking_nodes`
+    names for these residuals, and may hold anything elsewhere.
     """
 
     residuals: ResidualPair
