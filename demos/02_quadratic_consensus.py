@@ -8,7 +8,7 @@ a ring.
 
 import numpy as np
 
-from netadmm.engine import QuadraticModel, RunConfig, run
+from netadmm.engine import QuadraticNodes, RunConfig, run
 from netadmm.penalty import SCHEMES
 
 rng = np.random.default_rng(0)
@@ -28,7 +28,7 @@ for topology in ("complete", "ring"):
             convergence_tol=1e-10,
             seed=0,
         )
-        result = run(cfg, lambda i, shard, r: QuadraticModel(shard), centers)
+        result = run(cfg, lambda shards, rngs, graph: QuadraticNodes(shards, graph), centers)
         err = max(np.abs(m.theta - mean).max() for m in result.models)
         last = result.records[-1]
         print(

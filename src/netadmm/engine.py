@@ -9,12 +9,12 @@ independent of node execution order.
 A run's nodes are one :class:`NodeGroup`, and each phase is one call on
 it: broadcasts are the rows of one (J, P) matrix, and the per-edge
 penalties act through the J x J penalty matrix (the weighted-graph form
-of consensus ADMM, Boyd et al. 2011, section 7). All nodes of a run share
-one model class; a :class:`ConsensusModel` is one node's view of its row.
-Neighbor means and residuals are array operations, and the penalty
-update evaluates objectives at the edge midpoints only for the nodes
-whose ranking weights the scheduler will use, in one call for all of
-their edges.
+of consensus ADMM, Boyd et al. 2011, section 7). A builder makes the
+group once from the shards, and a :class:`ConsensusModel` is one node's
+read-only view of its row. Neighbor means and residuals are array
+operations, and the penalty update evaluates objectives at the edge
+midpoints only for the nodes whose ranking weights the scheduler will
+use, in one call for all of their edges.
 
 The simulator is an omniscient observer: it sums the per-node
 objectives into the global objective used for the convergence check
@@ -66,32 +66,36 @@ __all__ = [
 _DIVERGENCE_FACTOR = 1e12
 
 
-class ConsensusModel(abc.ABC):
-    """One node of a run: a view of row ``_row`` of the :class:`NodeGroup` ``_nodes``.
+class ConsensusModel:
+    """One node of a run: a read-only view of row ``_row`` of the :class:`NodeGroup` ``_nodes``.
 
-    Every node of a run has the same model class, whose :meth:`group` the
-    engine calls once to build the group; the phases run on the group
-    alone. Trace hooks and results read the nodes through these views.
+    The group hands out its nodes' views (:meth:`NodeGroup.views`); trace
+    hooks and results read the nodes through them, and only the group steps.
     """
+
+    def __init__(self, nodes: "NodeGroup", row: int):
+        self._nodes, self._row = nodes, row
 
     def params_vector(self) -> np.ndarray:
         """Current parameters flattened to one vector."""
         return self._nodes.params_matrix()[self._row]
 
-    @classmethod
-    @abc.abstractmethod
-    def group(cls, models: Sequence["ConsensusModel"], graph: Graph) -> "NodeGroup":
-        """The nodes ``models``, one per node of ``graph``, as one :class:`NodeGroup`."""
-
 
 class NodeGroup(abc.ABC):
-    """The nodes of one run; each phase is one call over all of them.
+    """The nodes of one run on the graph ``graph``; each phase is one call over all of them.
 
     Broadcasts are the rows of a (J, P) matrix, and penalties are arrays
     over the graph's directed edges in ``graph.directed_edges()`` order,
     which ``graph.weights`` lays out as a J x J matrix. ``local_step`` must
     not increase a node's augmented Lagrangian.
     """
+
+    #: the class of the nodes' views
+    view: type[ConsensusModel] = ConsensusModel
+
+    def views(self) -> list[ConsensusModel]:
+        """One :attr:`view` per node, in node order."""
+        return [self.view(self, i) for i in range(self.graph.num_nodes)]
 
     @abc.abstractmethod
     def params_matrix(self) -> np.ndarray:
@@ -126,31 +130,32 @@ class NodeGroup(abc.ABC):
         return (0, 0, 0)
 
 
+class QuadraticModel(ConsensusModel):
+    """One node of :class:`QuadraticNodes`; ``theta`` returns a copy of its current value."""
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self._nodes.theta[self._row].copy()
+
+
 class QuadraticNodes(NodeGroup):
     """Nodes with objectives ``|theta_i - center_i|^2``, stepped in closed form.
 
     The consensus optimum over any connected graph is the mean of the
     centers, which makes these nodes the analytic oracle for the engine's
     ADMM plumbing. Rows of ``center``, ``theta`` and the multipliers
-    ``gamma`` are nodes.
+    ``gamma`` are nodes; each node starts at its center. For
+    :func:`run`, ``lambda shards, rngs, graph: QuadraticNodes(shards, graph)``
+    builds them with the shards as centers.
     """
+
+    view = QuadraticModel
 
     def __init__(self, center: np.ndarray, graph: Graph):
         self.center = np.array(center, dtype=float)
         self.theta = self.center.copy()
         self.gamma = np.zeros_like(self.center)
         self.graph = graph
-
-    @classmethod
-    def of(cls, models: Sequence["QuadraticModel"], graph: Graph) -> "QuadraticNodes":
-        """Stack the models' rows into one group and point each model at its row."""
-        rows = [(m._nodes, m._row) for m in models]
-        group = cls(np.stack([nodes.center[i] for nodes, i in rows]), graph)
-        group.theta = np.stack([nodes.theta[i] for nodes, i in rows])
-        group.gamma = np.stack([nodes.gamma[i] for nodes, i in rows])
-        for i, model in enumerate(models):
-            model._nodes, model._row = group, i
-        return group
 
     def params_matrix(self) -> np.ndarray:
         return self.theta.copy()
@@ -176,29 +181,14 @@ class QuadraticNodes(NodeGroup):
         return np.sum((points - self.center[sources[rows]]) ** 2, axis=1)
 
 
-class QuadraticModel(ConsensusModel):
-    """One node of :class:`QuadraticNodes`, with objective ``|theta - center|^2``.
-
-    A group of its own until the engine stacks a run's nodes
-    (:meth:`group`); ``theta`` returns a copy of the node's current value.
-    """
-
-    def __init__(self, center: np.ndarray):
-        self._nodes = QuadraticNodes(np.asarray(center, dtype=float)[None], Graph(1, ((),)))
-        self._row = 0
-
-    @classmethod
-    def group(cls, models: Sequence["QuadraticModel"], graph: Graph) -> QuadraticNodes:
-        return QuadraticNodes.of(models, graph)
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self._nodes.theta[self._row].copy()
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything that identifies one simulation run."""
+    """Everything that identifies one simulation run.
+
+    ``convergence_tol`` is the relative objective change that stops a run
+    (:func:`convergence_check`); 0 means no stopping rule, so the run goes
+    to ``max_iterations``.
+    """
 
     topology: str = "complete"
     num_nodes: int = 1
@@ -217,8 +207,8 @@ class RunConfig:
             raise ValueError(f"scheme must be one of {', '.join(SCHEMES)}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.convergence_tol > 0:
-            raise ValueError("convergence_tol must be > 0")
+        if not self.convergence_tol >= 0:
+            raise ValueError("convergence_tol must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -283,7 +273,7 @@ def convergence_check(objective_history: Sequence[float], tol: float) -> bool:
 
     False with fewer than two entries; otherwise true when the last step
     moved the objective by less than ``tol`` relative to the previous
-    value (guarded against a zero denominator).
+    value (guarded against a zero denominator), so never at ``tol = 0``.
     """
     if len(objective_history) < 2:
         return False
@@ -301,7 +291,7 @@ def iterations_to_convergence(records: Sequence[IterationRecord]) -> int:
 
 def run(
     config: RunConfig,
-    model_factory: Callable[[int, np.ndarray, np.random.Generator], ConsensusModel],
+    make_nodes: Callable[[Sequence[np.ndarray], list[np.random.Generator], Graph], NodeGroup],
     shards: Sequence[np.ndarray],
     trace_hook: Callable[[int, PenaltyScheduler, list[ConsensusModel]], None] | None = None,
 ) -> RunResult:
@@ -311,27 +301,27 @@ def run(
     ----------
     config : RunConfig
         Graph, scheme, penalty settings, stopping rule, and seed.
-    model_factory : callable
-        ``factory(node_id, shard, rng) -> ConsensusModel`` building each
-        node's model, all of one class, whose ``group`` stacks them; the
-        generators are spawned deterministically from the run seed.
+    make_nodes : callable
+        ``make_nodes(shards, rngs, graph) -> NodeGroup`` building the run's
+        nodes, called once; ``rngs[i]`` is node i's generator, spawned
+        deterministically from the run seed.
     shards : sequence of ndarray
         Per-node data, one entry per node, all with the same number of rows.
     trace_hook : callable, optional
         Called as ``hook(t, scheduler, models)`` after each iteration's
-        record, for diagnostics that need scheduler internals.
+        record, for diagnostics that need scheduler internals; ``models``
+        are the group's views (:meth:`NodeGroup.views`).
 
     Returns
     -------
     RunResult
-        Iteration records plus the final models, graph, and scheduler.
+        Iteration records plus the final node views, graph, and scheduler.
 
     Raises
     ------
     ValueError
         Before the first iteration, if the shard count or the shards' row
-        counts do not match, or if the factory returns models of more than
-        one class.
+        counts do not match; ``make_nodes`` is then not called.
     DivergenceError
         If the global objective turns non-finite or exceeds 1e12 times
         its initial magnitude.
@@ -348,15 +338,9 @@ def run(
             raise ValueError(f"node {i}: shard has {count} rows, node 0 has {counts[0]}")
     n = graph.num_nodes
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(n)]
-    models = [model_factory(i, shards[i], rngs[i]) for i in range(n)]
+    nodes = make_nodes(shards, rngs, graph)
+    models = nodes.views()
     scheduler = make_scheduler(config.scheme, graph, config.penalty)
-    model_cls = type(models[0])
-    for i, model in enumerate(models):
-        if type(model) is not model_cls:
-            raise ValueError(
-                f"node {i}: model is {type(model).__name__}, node 0's is {model_cls.__name__}"
-            )
-    nodes = model_cls.group(models, graph)
     sources, _ = graph.edge_arrays()
     degrees = graph.degrees[:, None]
 

@@ -208,22 +208,11 @@ def initial_params(data: np.ndarray, latent_dim: int, rng: np.random.Generator) 
     return PpcaParams(w, data.mean(axis=1), 1.0)
 
 
-# Named tuples of stacked nodes, field by field. Stacked parameters are
-# unvalidated views, whatever they came from.
-def _kind(nt) -> type:
-    return ParamView if isinstance(nt, ParamView) else type(nt)
-
-
 def _lead(nt):
-    return _kind(nt)(*(np.asarray(f)[None] for f in nt))
-
-
-def _take(nt, rows):
-    return _kind(nt)(*(f[rows] for f in nt))
-
-
-def _concat(nts):
-    return _kind(nts[0])(*(np.concatenate(f) for f in zip(*nts)))
+    # One node's named tuple as a stack of one; stacked parameters are
+    # unvalidated views.
+    kind = ParamView if isinstance(nt, ParamView) else type(nt)
+    return kind(*(np.asarray(f)[None] for f in nt))
 
 
 def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -649,12 +638,37 @@ def centralized_em(
     return PpcaParams(params.W[0], params.mu[0], params.a[0])
 
 
-class DppcaNodes(NodeGroup):
-    """Statistics, parameters and multipliers of J D-PPCA nodes on a leading axis.
+class DppcaModel(ConsensusModel):
+    """One node of a :class:`DppcaNodes`: a read-only view of its row ``_row``.
 
-    Shard factors narrower than the widest are padded with zero columns.
-    Each phase runs the stacked kernels once for all nodes, on the
-    broadcasts and the J x J matrix of penalties (``Graph.weights``).
+    ``params`` and ``multipliers`` return copies of the node's current
+    values; only the group steps. Flattening follows ``PpcaParams.to_vector``.
+    """
+
+    @property
+    def params(self) -> ParamView:
+        p, i = self._nodes.params, self._row
+        return ParamView(p.W[i].copy(), p.mu[i].copy(), float(p.a[i]))
+
+    @property
+    def multipliers(self) -> DppcaMultipliers:
+        m, i = self._nodes.multipliers, self._row
+        return DppcaMultipliers(m.lam[i].copy(), m.gamma[i].copy(), float(m.beta[i]))
+
+    def m_step_counts(self) -> tuple[int, int, int]:
+        """This node's M-step precision steps, its steps stopped at
+        ``max_cycles`` and its steps that needed the ridge retry."""
+        return tuple(self._nodes.counts[self._row].tolist())
+
+
+class DppcaNodes(NodeGroup):
+    """Statistics and parameters of J D-PPCA nodes on a leading axis, with
+    zero multipliers to start.
+
+    Shard factors narrower than the widest are padded with zero columns
+    (:func:`make_dppca_factory` builds a group from a run's shards). Each
+    phase runs the stacked kernels once for all nodes, on the broadcasts
+    and the J x J matrix of penalties (``Graph.weights``).
 
     :meth:`objectives` keeps its latent solve at the current parameters,
     and the next :meth:`local_step` takes its E-step moments from it, so a
@@ -662,39 +676,19 @@ class DppcaNodes(NodeGroup):
     the parameters change: :meth:`local_step`, their only writer, drops it.
     """
 
-    def __init__(
-        self,
-        stats: ShardStats,
-        params: ParamView,
-        multipliers: DppcaMultipliers,
-        max_cycles: int,
-        graph: Graph,
-    ):
-        self.stats, self.params, self.multipliers = stats, params, multipliers
-        self.max_cycles, self.graph = max_cycles, graph
+    view = DppcaModel
+    #: precision steps one M-step may run per node
+    max_cycles = 500
+
+    def __init__(self, stats: ShardStats, params: ParamView, graph: Graph):
+        self.stats, self.params, self.graph = stats, params, graph
+        self.multipliers = DppcaMultipliers(
+            np.zeros_like(params.W), np.zeros_like(params.mu), np.zeros_like(params.a)
+        )
         # per node: M-step precision steps, steps stopped at max_cycles and
         # steps that needed the ridge retry
         self.counts = np.zeros((graph.num_nodes, 3), dtype=int)
         self._kept: _Latent | None = None
-
-    @classmethod
-    def of(cls, models: Sequence["DppcaModel"], graph: Graph) -> "DppcaNodes":
-        """Stack the models' rows into one group and point each model at its row."""
-        parts = [(m._nodes, slice(m._row, m._row + 1)) for m in models]
-        width = max(nodes.stats.factor.shape[-1] for nodes, _ in parts)
-
-        def padded(stats: ShardStats) -> ShardStats:
-            pad = width - stats.factor.shape[-1]
-            return stats._replace(factor=np.pad(stats.factor, ((0, 0), (0, 0), (0, pad))))
-
-        stats = _concat([padded(_take(nodes.stats, rows)) for nodes, rows in parts])
-        params = _concat([_take(nodes.params, rows) for nodes, rows in parts])
-        mults = _concat([_take(nodes.multipliers, rows) for nodes, rows in parts])
-        group = cls(stats, params, mults, models[0].max_cycles, graph)
-        group.counts = np.concatenate([nodes.counts[rows] for nodes, rows in parts])
-        for i, model in enumerate(models):
-            model._nodes, model._row = group, i
-        return group
 
     def params_matrix(self) -> np.ndarray:
         p = self.params
@@ -775,60 +769,31 @@ class DppcaNodes(NodeGroup):
         self.counts += np.stack([out.cycles, out.capped, out.ridge], axis=1)
 
 
-class DppcaModel(ConsensusModel):
-    """One node's PPCA model for the consensus engine.
-
-    Reduces its shard to ``ShardStats`` on construction and keeps no D x N
-    array. It is a read-only view: its statistics, parameters and
-    multipliers are the row ``_row`` of a :class:`DppcaNodes`, a group of
-    its own until the engine stacks a run's nodes (:meth:`group`), and
-    ``params`` and ``multipliers`` return copies of the node's current
-    values. Only the group steps. Flattening follows
-    ``PpcaParams.to_vector``.
-    """
-
-    #: precision steps one M-step may run per node
-    max_cycles = 500
-
-    def __init__(self, shard: np.ndarray, latent_dim: int, rng: np.random.Generator):
-        stats = shard_stats(shard)
-        params = initial_params(np.asarray(shard, dtype=float), latent_dim, rng)
-        mults = DppcaMultipliers.zeros(*params.W.shape)
-        alone = Graph(1, ((),))
-        self._nodes = DppcaNodes(*map(_lead, (stats, params, mults)), self.max_cycles, alone)
-        self._row = 0
-
-    @classmethod
-    def group(cls, models: Sequence["DppcaModel"], graph: Graph) -> DppcaNodes:
-        return DppcaNodes.of(models, graph)
-
-    @property
-    def params(self) -> ParamView:
-        p, i = self._nodes.params, self._row
-        return ParamView(p.W[i].copy(), p.mu[i].copy(), float(p.a[i]))
-
-    @property
-    def multipliers(self) -> DppcaMultipliers:
-        m, i = self._nodes.multipliers, self._row
-        return DppcaMultipliers(m.lam[i].copy(), m.gamma[i].copy(), float(m.beta[i]))
-
-    def m_step_counts(self) -> tuple[int, int, int]:
-        """This node's M-step precision steps, its steps stopped at
-        ``max_cycles`` and its steps that needed the ridge retry."""
-        return tuple(self._nodes.counts[self._row].tolist())
-
-
 def make_dppca_factory(latent_dim: int):
-    """Model factory for :func:`netadmm.engine.run`.
+    """Node-group builder for :func:`netadmm.engine.run`.
 
-    Raises ``ValueError`` naming the node when its shard is not a finite,
-    non-empty 2-d array.
+    ``build(shards, rngs, graph)`` reduces each shard with :func:`shard_stats`,
+    draws node i's :func:`initial_params` from ``rngs[i]``, in node order,
+    pads the factors to the widest one and stacks all into one
+    :class:`DppcaNodes`. Raises ``ValueError`` naming the node when its
+    shard is not a finite, non-empty 2-d array.
     """
 
-    def factory(node_id: int, shard: np.ndarray, rng: np.random.Generator) -> DppcaModel:
-        try:
-            return DppcaModel(shard, latent_dim, rng)
-        except ValueError as exc:
-            raise ValueError(f"node {node_id}: {exc}") from exc
+    def build(shards: Sequence[np.ndarray], rngs: Sequence[np.random.Generator], graph: Graph):
+        stats, params = [], []
+        for i, (shard, rng) in enumerate(zip(shards, rngs)):
+            try:
+                stats.append(shard_stats(shard))
+            except ValueError as exc:
+                raise ValueError(f"node {i}: {exc}") from exc
+            params.append(initial_params(np.asarray(shard, dtype=float), latent_dim, rng))
+        width = max(st.factor.shape[1] for st in stats)
+        stats = [
+            st._replace(factor=np.pad(st.factor, ((0, 0), (0, width - st.factor.shape[1]))))
+            for st in stats
+        ]
+        return DppcaNodes(
+            ShardStats(*map(np.stack, zip(*stats))), ParamView(*map(np.stack, zip(*params))), graph
+        )
 
-    return factory
+    return build

@@ -134,7 +134,7 @@ def test_quadratic_consensus_oracle():
             convergence_tol=1e-16,
         )
         result = engine.run(
-            cfg, lambda i, shard, r: engine.QuadraticModel(shard), centers
+            cfg, lambda shards, rngs, graph: engine.QuadraticNodes(shards, graph), centers
         )
         assert len(result.records) <= 500
         mean = np.mean(centers, axis=0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,18 +18,9 @@ from netadmm.penalty import PenaltyConfig, local_residuals
 from netadmm.topology import build_cluster
 
 
-def _quadratic_factory(node_id, shard, rng):
-    return QuadraticModel(shard)
-
-
-def _grouped_as(nodes_cls):
-    # A quadratic node whose run is stacked into the group class nodes_cls.
-    class Model(QuadraticModel):
-        @classmethod
-        def group(cls, models, graph):
-            return nodes_cls.of(models, graph)
-
-    return Model
+def _quadratic(shards, rngs, graph):
+    # Quadratic nodes centred at the shards.
+    return QuadraticNodes(shards, graph)
 
 
 # ------------------------------------------------------------ primitives
@@ -47,7 +40,7 @@ def test_convergence_check_examples():
         {"scheme": "adamw"},
         {"topology": "star"},
         {"max_iterations": 0},
-        {"convergence_tol": 0.0},
+        {"convergence_tol": -1e-3},
     ],
 )
 def test_run_config_validation(kwargs):
@@ -68,7 +61,7 @@ def test_quadratic_consensus_reaches_mean():
         max_iterations=500,
         convergence_tol=1e-14,
     )
-    result = run(cfg, _quadratic_factory, centers)
+    result = run(cfg, _quadratic, centers)
     mean = np.mean(centers, axis=0)
     for model in result.models:
         np.testing.assert_allclose(model.theta, mean, atol=1e-6)
@@ -77,7 +70,7 @@ def test_quadratic_consensus_reaches_mean():
 
 def _common_mode_errors(scheme, topology, iterations):
     # The network mean of theta minus the mean of demo 02's centers, after
-    # each iteration, at a tolerance that only an exact repeat meets.
+    # each iteration, with no stopping rule.
     rng = np.random.default_rng(0)
     centers = [rng.normal(size=3) for _ in range(8)]
     errors = []
@@ -87,19 +80,18 @@ def _common_mode_errors(scheme, topology, iterations):
 
     cfg = RunConfig(
         topology=topology, num_nodes=8, scheme=scheme, max_iterations=iterations,
-        convergence_tol=1e-300,
+        convergence_tol=0.0,
     )
-    run(cfg, _quadratic_factory, centers, trace_hook=hook)
+    run(cfg, _quadratic, centers, trace_hook=hook)
     return np.array(errors)
 
 
 @pytest.mark.parametrize("topology", ["complete", "ring"])
 def test_quadratic_common_mode_pinned_under_fixed(topology):
     # A uniform penalty's anchor pulls cancel over the network and the
-    # multipliers sum to zero, so the nodes' mean stays at the centers' mean
-    # (up to 200 iterations: a run stops once its objective repeats exactly).
+    # multipliers sum to zero, so the nodes' mean stays at the centers' mean.
     errors = _common_mode_errors("fixed", topology, 200)
-    assert np.abs(errors).max() < 1e-14
+    assert len(errors) == 200 and np.abs(errors).max() < 1e-14
 
 
 @pytest.mark.parametrize("topology,degree", [("complete", 7), ("ring", 2)])
@@ -118,7 +110,7 @@ def test_quadratic_common_mode_contracts_after_the_reset(topology, degree):
 def test_single_node_matches_unconstrained_minimum():
     center = np.array([2.0, -3.0])
     cfg = RunConfig(num_nodes=1, scheme="fixed", max_iterations=5, convergence_tol=1e-12)
-    result = run(cfg, _quadratic_factory, [center])
+    result = run(cfg, _quadratic, [center])
     np.testing.assert_allclose(result.models[0].theta, center, atol=1e-12)
 
 
@@ -127,8 +119,8 @@ def test_ranking_ties_reduce_to_fixed():
     # every ranking weight is zero, and the trajectory equals fixed's
     shard = np.array([1.0, -2.0, 0.5])
 
-    def same_init_factory(node_id, data, rng):
-        return QuadraticModel(data + np.array([0.3, -0.1, 0.2]))
+    def same_init(shards, rngs, graph):
+        return QuadraticNodes(np.add(shards, [0.3, -0.1, 0.2]), graph)
 
     records = {}
     for scheme in ("fixed", "ap"):
@@ -139,7 +131,7 @@ def test_ranking_ties_reduce_to_fixed():
             max_iterations=15,
             convergence_tol=1e-30,
         )
-        records[scheme] = run(cfg, same_init_factory, [shard] * 4).records
+        records[scheme] = run(cfg, same_init, [shard] * 4).records
     for fixed_rec, ap_rec in zip(records["fixed"], records["ap"]):
         assert fixed_rec == ap_rec
 
@@ -156,7 +148,7 @@ def test_monotone_eta_homogenization_vp():
         max_iterations=30,
         convergence_tol=1e-30,
     )
-    result = run(cfg, _quadratic_factory, centers)
+    result = run(cfg, _quadratic, centers)
     for record in result.records:
         if record.t >= 8:
             assert record.eta_min == record.eta_max == penalty.eta0
@@ -168,12 +160,11 @@ def test_divergence_guard(factor):
         def local_step(self, theta, eta):
             self.theta = self.theta * factor
 
-    exploding = _grouped_as(ExplodingNodes)
     cfg = RunConfig(
         topology="complete", num_nodes=2, scheme="fixed", max_iterations=50
     )
     with pytest.raises(DivergenceError) as excinfo:
-        run(cfg, lambda i, s, r: exploding(np.ones(1)), [np.zeros(1)] * 2)
+        run(cfg, lambda s, r, graph: ExplodingNodes(np.ones((2, 1)), graph), [np.zeros(1)] * 2)
     assert excinfo.value.last_record is not None
     assert excinfo.value.records
 
@@ -201,9 +192,9 @@ def test_phase_purity():
         max_iterations=7,
         convergence_tol=1e-30,
     )
-    probe = _grouped_as(PhaseProbeNodes)
     # initial parameters count as round -1
-    result = run(cfg, lambda i, s, r: probe([float(i), -1.0]), [np.zeros(1)] * 6)
+    probe = [[float(i), -1.0] for i in range(6)]
+    result = run(cfg, lambda s, r, graph: PhaseProbeNodes(probe, graph), [np.zeros(1)] * 6)
     assert [model.theta.tolist() for model in result.models] == [[i, 6.0] for i in range(6)]
 
 
@@ -233,7 +224,7 @@ def test_seeded_determinism_and_parallel_equivalence(tmp_path):
 def test_shard_count_mismatch_rejected():
     cfg = RunConfig(topology="complete", num_nodes=3, scheme="fixed")
     with pytest.raises(ValueError, match="shards"):
-        run(cfg, _quadratic_factory, [np.zeros(2)] * 2)
+        run(cfg, _quadratic, [np.zeros(2)] * 2)
 
 
 def test_mismatched_shard_rows_rejected_before_first_iteration():
@@ -241,13 +232,13 @@ def test_mismatched_shard_rows_rejected_before_first_iteration():
     shards = [rng.normal(size=(rows, 8)) for rows in (5, 6, 5)]
     built = []
 
-    def factory(node_id, shard, rng):
-        built.append(node_id)
-        return QuadraticModel(shard[:, 0])
+    def build(shards, rngs, graph):
+        built.append(len(shards))
+        return QuadraticNodes([shard[:, 0] for shard in shards], graph)
 
     cfg = RunConfig(topology="complete", num_nodes=3, scheme="fixed", max_iterations=3)
     with pytest.raises(ValueError, match=r"^node 1: shard has 6 rows, node 0 has 5$"):
-        run(cfg, factory, shards)
+        run(cfg, build, shards)
     assert built == []
 
 
@@ -265,8 +256,16 @@ def test_trace_csv_format(tmp_path):
     assert iterations_to_convergence(records) == 2
 
 
+class CountingModel(QuadraticModel):
+    @property
+    def neighbor_evals(self):
+        return int(self._nodes.neighbor_evals[self._row])
+
+
 class CountingNodes(QuadraticNodes):
     """Quadratic nodes that count, per node, the objectives scored at neighbors."""
+
+    view = CountingModel
 
     def __init__(self, center, graph):
         super().__init__(center, graph)
@@ -276,12 +275,6 @@ class CountingNodes(QuadraticNodes):
         owners = self.graph.edge_arrays()[0][self.graph.out_edges(nodes)]
         self.neighbor_evals += np.bincount(owners, minlength=self.graph.num_nodes)
         return super().neighbor_objectives(nodes, theta)
-
-
-class CountingModel(_grouped_as(CountingNodes)):
-    @property
-    def neighbor_evals(self):
-        return int(self._nodes.neighbor_evals[self._row])
 
 
 def _per_iteration_evals(scheme, topology, num_nodes, penalty, iterations):
@@ -310,7 +303,7 @@ def _per_iteration_evals(scheme, topology, num_nodes, penalty, iterations):
         max_iterations=iterations,
         convergence_tol=1e-30,
     )
-    run(cfg, lambda i, s, r: CountingModel(s), centers, trace_hook=hook)
+    run(cfg, lambda s, r, graph: CountingNodes(s, graph), centers, trace_hook=hook)
     return evals, live_nodes
 
 
@@ -402,3 +395,17 @@ def test_quadratic_nodes_match_the_per_node_loop():
                 want.append(np.sum((point - centers[i]) ** 2))
         got = nodes.neighbor_objectives(np.array(ranked), nodes.params_matrix())
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_zero_tolerance_runs_to_the_cap():
+    # A tolerance of 0 is no stopping rule: demo 02's fixed run on
+    # complete(8), whose objective repeats exactly from t = 84 on, runs all
+    # 200 iterations (at 1e-300 it would stop at 84).
+    rng = np.random.default_rng(0)
+    centers = [rng.normal(size=3) for _ in range(8)]
+    cfg = RunConfig(topology="complete", num_nodes=8, scheme="fixed", max_iterations=200)
+    tiny = run(replace(cfg, convergence_tol=1e-300), _quadratic, centers).records
+    assert len(tiny) == 85 and tiny[-1].converged
+    records = run(replace(cfg, convergence_tol=0.0), _quadratic, centers).records
+    assert len(records) == 200 and not any(r.converged for r in records)
+    assert records[:84] == tiny[:84]

@@ -14,6 +14,7 @@ from netadmm.ppca import (
     e_step,
     initial_params,
     m_step,
+    make_dppca_factory,
     multiplier_step,
     negative_log_likelihood,
     shard_stats,
@@ -235,8 +236,6 @@ def _assert_matches_reference(moments, nll, ref_moments, ref_nll):
 def test_latent_kernel_matches_per_sample_reference():
     # one Cholesky solve serves the E-step and the likelihood: both match a
     # per-sample reference, for one parameter set and for a padded stack
-    from netadmm.topology import build_complete
-
     rng = np.random.default_rng(29)
     params = _random_params(rng, 6, 2)
     X = rng.normal(size=(6, 9)) + params.mu[:, None]
@@ -246,14 +245,13 @@ def test_latent_kernel_matches_per_sample_reference():
         *_per_sample_reference(params, X),
     )
 
-    shards, models = _ragged_nodes()
-    group = DppcaNodes.of(models, build_complete(5))
+    shards, group = _ragged_nodes()
     group.params.mu[:] += rng.normal(size=group.params.mu.shape)
     moments = e_step(group.params, group.stats)
     values = negative_log_likelihood(group.params, group.stats)
-    for i, x in enumerate(shards):
+    for i, (x, model) in enumerate(zip(shards, group.views())):
         _assert_matches_reference(
-            [f[i] for f in moments], values[i], *_per_sample_reference(models[i].params, x)
+            [f[i] for f in moments], values[i], *_per_sample_reference(model.params, x)
         )
 
 
@@ -628,7 +626,6 @@ def test_network_consensus_at_convergence():
     from itertools import combinations
 
     from netadmm import data, engine
-    from netadmm.ppca import make_dppca_factory
 
     spec = data.SyntheticSpec(
         num_samples=240, ambient_dim=12, latent_dim=3, noise_variance=0.2, seed=0
@@ -720,15 +717,13 @@ def _arrays(obj, seen=None):
 
 
 def test_model_keeps_no_per_sample_array():
-    from netadmm.ppca import DppcaModel
     from netadmm.topology import build_complete
 
     d, n = 6, 250
     shard = np.random.default_rng(19).normal(size=(d, n))
-    model = DppcaModel(shard, 2, np.random.default_rng(0))
-    group = DppcaModel.group([model], build_complete(1))
+    group = _build([shard], build_complete(1), [0])
     group.local_step(group.params_matrix(), np.zeros(0))
-    held = _arrays(model)
+    held = _arrays(group.views()[0])
     assert held, "walker found no arrays"
     assert all(n not in a.shape for a in held), [a.shape for a in held]
 
@@ -736,7 +731,6 @@ def test_model_keeps_no_per_sample_array():
 def test_trace_hook_sees_each_iterations_parameters():
     # a hook that stores params without copying keeps that iteration's values
     from netadmm import engine
-    from netadmm.ppca import make_dppca_factory
 
     rng = np.random.default_rng(25)
     shards = [rng.normal(size=(5, 12)) for _ in range(3)]
@@ -770,16 +764,21 @@ def test_trace_hook_sees_each_iterations_parameters():
     ids=["not-2d", "empty", "non-finite"],
 )
 def test_factory_rejects_bad_shard_naming_node(shard, message):
-    from netadmm.ppca import make_dppca_factory
+    # through engine.run, with the bad shard at node 3, before iteration 0
+    from netadmm import engine
 
-    factory = make_dppca_factory(1)
-    with pytest.raises(ValueError, match=f"node 3: .*{message}"):
-        factory(3, shard, np.random.default_rng(0))
+    rng = np.random.default_rng(32)
+    shards = [rng.normal(size=(len(shard), 6)) for _ in range(5)]
+    shards[3] = shard
+    cfg = engine.RunConfig(topology="complete", num_nodes=5, scheme="fixed", max_iterations=3)
+    iterations = []
+    with pytest.raises(ValueError, match=f"^node 3: .*{message}"):
+        engine.run(cfg, make_dppca_factory(1), shards, lambda t, s, models: iterations.append(t))
+    assert iterations == []
 
 
 def test_nan_neighbor_broadcast_ends_run_with_error():
     from netadmm import engine
-    from netadmm.ppca import DppcaModel
 
     class CorruptNodes(DppcaNodes):
         # node 0 broadcasts a NaN
@@ -788,43 +787,71 @@ def test_nan_neighbor_broadcast_ends_run_with_error():
             theta[0, 0] = np.nan
             return theta
 
-    class Corrupt(DppcaModel):
-        @classmethod
-        def group(cls, models, graph):
-            return CorruptNodes.of(models, graph)
+    def corrupt(shards, rngs, graph):
+        built = make_dppca_factory(2)(shards, rngs, graph)
+        return CorruptNodes(built.stats, built.params, graph)
 
     rng = np.random.default_rng(20)
     shards = [rng.normal(size=(4, 10)) for _ in range(3)]
     cfg = engine.RunConfig(topology="complete", num_nodes=3, scheme="ap", max_iterations=5)
     with pytest.raises(ValueError, match="non-finite"):
-        engine.run(cfg, lambda i, shard, r: Corrupt(shard, 2, r), shards)
+        engine.run(cfg, corrupt, shards)
 
 
 # ------------------------------------------------- stacked node group
 
 
+def _build(shards, graph, seeds):
+    # The shards' nodes as one group, node k's parameters drawn from
+    # default_rng(seeds[k]).
+    return make_dppca_factory(2)(shards, [np.random.default_rng(s) for s in seeds], graph)
+
+
 def _ragged_nodes():
-    # Five nodes with shards of 3, 4, 6, 9 and 20 samples in D=6: the first
-    # three keep their centred shard as factor (padded to 6 columns when
-    # stacked), the last two a 6 x 6 Cholesky factor.
-    from netadmm.ppca import DppcaModel
+    # Five nodes on complete(5) with shards of 3, 4, 6, 9 and 20 samples in
+    # D=6: the first three keep their centred shard as factor (padded to 6
+    # columns when stacked), the last two a 6 x 6 Cholesky factor.
+    from netadmm.topology import build_complete
 
     rng = np.random.default_rng(21)
     shards = [rng.normal(size=(6, n)) + rng.normal(size=(6, 1)) for n in (3, 4, 6, 9, 20)]
-    return shards, [DppcaModel(x, 2, np.random.default_rng(i)) for i, x in enumerate(shards)]
+    return shards, _build(shards, build_complete(5), range(5))
+
+
+def test_builder_draws_each_node_from_its_generator_in_node_order():
+    # Node i's initial parameters come from rngs[i] and its statistics from
+    # its own shard, whatever the factor kind and padding.
+    from netadmm.topology import build_complete
+
+    shards = _ragged_nodes()[0]
+
+    def rngs():
+        return [np.random.default_rng(s) for s in np.random.SeedSequence(11).spawn(5)]
+
+    group = make_dppca_factory(2)(shards, rngs(), build_complete(5))
+    for i, (x, rng) in enumerate(zip(shards, rngs())):
+        want = initial_params(x, 2, rng)
+        np.testing.assert_array_equal(group.params.W[i], want.W)
+        np.testing.assert_array_equal(group.params.mu[i], want.mu)
+        assert group.params.a[i] == want.a
+        want = shard_stats(x)
+        width = want.factor.shape[1]
+        assert group.stats.n[i] == want.n and group.stats.scatter[i] == want.scatter
+        np.testing.assert_array_equal(group.stats.mean[i], want.mean)
+        np.testing.assert_array_equal(group.stats.factor[i, :, :width], want.factor)
+        assert not group.stats.factor[i, :, width:].any()
 
 
 def test_stacked_phases_match_one_node_at_a_time():
     # Each node alone, in its own one-row, unpadded group, stepped against
     # its row of the network's J x J penalties with a fresh E-step, against
     # the padded stack of all five
-    from netadmm.ppca import DppcaNodes
     from netadmm.topology import build_complete
 
-    shards, singles = _ragged_nodes()
-    _, stacked = _ragged_nodes()
-    graph = build_complete(5)
-    group = DppcaNodes.of(stacked, graph)
+    shards, group = _ragged_nodes()
+    singles = [_build([x], build_complete(1), [i]).views()[0] for i, x in enumerate(shards)]
+    stacked = group.views()
+    graph = group.graph
     assert group.stats.factor.shape == (5, 6, 6)
     assert [m._nodes.stats.factor.shape[-1] for m in singles] == [3, 4, 6, 6, 6]
     rng = np.random.default_rng(22)
@@ -889,13 +916,10 @@ def _ragged_group(graph):
     # One node per graph node, with 3, 4, 6, 9, 20, 7, ... samples in D=6
     # (factors of N <= D and N > D side by side), after three fixed-penalty
     # iterations so that neighbors differ but not wildly.
-    from netadmm.ppca import DppcaModel
-
     rng = np.random.default_rng(27)
     sizes = [(3, 4, 6, 9, 20, 7)[i % 6] for i in range(graph.num_nodes)]
     shards = [rng.normal(size=(6, n)) + rng.normal(size=(6, 1)) for n in sizes]
-    models = [DppcaModel(x, 2, np.random.default_rng(i)) for i, x in enumerate(shards)]
-    group = DppcaNodes.of(models, graph)
+    group = _build(shards, graph, range(len(shards)))
     eta = np.full(len(graph.edge_arrays()[0]), 5.0)
     for _ in range(3):
         group.local_step(group.params_matrix(), eta)
@@ -952,8 +976,6 @@ def test_ranking_objectives_on_an_sfm_shard():
     # D = 200 points, 16 rows per node at sigma = 0.01, at the precisions
     # of 35 fixed-penalty iterations, the benchmark's budget on this scene.
     from netadmm import data, engine
-    from netadmm.ppca import make_dppca_factory
-
     matrix = data.generate_rigid_measurements(40, 200, noise_sigma=0.01, seed=7)
     shards = data.sfm_node_shards(data.MeasurementMatrix(matrix), 5)
     cfg = engine.RunConfig(
@@ -981,13 +1003,10 @@ def test_ranking_objectives_reject_a_non_finite_broadcast():
 def test_kept_latent_solve_gives_the_fresh_e_step():
     # objectives() then a group step, against the same step with the kept
     # latent solve dropped
-    from netadmm.topology import build_complete
-
-    graph = build_complete(5)
-    eta = np.random.default_rng(30).uniform(1.0, 20.0, size=len(graph.edge_arrays()[0]))
     groups = []
     for keep in (True, False):
-        group = DppcaNodes.of(_ragged_nodes()[1], graph)
+        group = _ragged_nodes()[1]
+        eta = np.random.default_rng(30).uniform(1.0, 20.0, size=len(group.graph.edge_arrays()[0]))
         group.objectives()
         if not keep:
             group._kept = None
@@ -1023,11 +1042,8 @@ def test_latent_solves_per_iteration(monkeypatch):
 
 
 def test_nan_broadcast_in_stacked_step_raises_before_writing():
-    from netadmm.topology import build_complete
-
-    _, models = _ragged_nodes()
-    graph = build_complete(5)
-    group = DppcaNodes.of(models, graph)
+    _, group = _ragged_nodes()
+    graph = group.graph
     group.objectives()
     before = group.params_matrix()
     theta = before.copy()
@@ -1040,11 +1056,7 @@ def test_nan_broadcast_in_stacked_step_raises_before_writing():
 def test_m_step_freezes_converged_rows():
     # One node enters at its own M-step fixed point and stops after a cycle
     # or two; the others keep cycling without touching its rows.
-    from netadmm.ppca import DppcaNodes, m_step
-    from netadmm.topology import build_complete
-
-    _, models = _ragged_nodes()
-    group = DppcaNodes.of(models, build_complete(5))
+    _, group = _ragged_nodes()
     rng = np.random.default_rng(23)
     params = group.params
     anchor = unpack(rng.normal(size=(5, 6 * 2 + 6 + 1)), 6, 2)
@@ -1082,10 +1094,11 @@ def test_m_step_freezes_converged_rows():
 
 def test_m_step_cycle_cap_is_counted_and_warned(tmp_path):
     from netadmm import engine
-    from netadmm.ppca import DppcaModel, make_dppca_factory
 
-    class OneCycle(DppcaModel):
-        max_cycles = 1
+    def one_cycle(shards, rngs, graph):
+        nodes = make_dppca_factory(2)(shards, rngs, graph)
+        nodes.max_cycles = 1
+        return nodes
 
     rng = np.random.default_rng(24)
     shards = [rng.normal(size=(4, 10)) for _ in range(3)]
@@ -1093,19 +1106,12 @@ def test_m_step_cycle_cap_is_counted_and_warned(tmp_path):
         topology="complete", num_nodes=3, scheme="fixed", max_iterations=4, convergence_tol=1e-300
     )
     with pytest.warns(RuntimeWarning, match="max_cycles=1"):
-        capped = engine.run(cfg, lambda i, shard, r: OneCycle(shard, 2, r), shards)
+        capped = engine.run(cfg, one_cycle, shards)
     assert (capped.m_step_cycles, capped.m_step_cap_hits) == (12, 12)
     assert engine.run_summary({}, capped)["m_step"] == {"cycles": 12, "cap_hits": 12, "ridge": 0}
     free = engine.run(cfg, make_dppca_factory(2), shards)
     assert free.m_step_cycles > 12 and free.m_step_cap_hits == 0
     assert [m.m_step_counts() for m in capped.models] == [(4, 4, 0)] * 3
-
-    def mixed(i, shard, r):
-        return (OneCycle if i else DppcaModel)(shard, 2, r)
-
-    # models of two classes are refused before the first iteration
-    with pytest.raises(ValueError, match=r"^node 1: model is OneCycle, node 0's is DppcaModel$"):
-        engine.run(cfg, mixed, shards)
     path = tmp_path / "trace.csv"
     engine.write_trace_csv(capped.records, path)
     assert path.read_text().splitlines()[0] == ",".join(engine.TRACE_COLUMNS)
@@ -1119,7 +1125,6 @@ def test_secant_steps_follow_the_sign_of_g_minus_a():
     # turns into an error).
     from netadmm import data, engine
     from netadmm.penalty import PenaltyConfig
-    from netadmm.ppca import make_dppca_factory
 
     seed = 3464355207
     matrix = data.generate_rigid_measurements(40, 200, noise_sigma=0.01, seed=seed)
@@ -1139,7 +1144,6 @@ def test_network_multiplier_sums_stay_zero(topology):
     # increments, so every block's multipliers sum to zero over the network.
     from netadmm import data, engine
     from netadmm.penalty import SCHEMES
-    from netadmm.ppca import make_dppca_factory
 
     spec = data.SyntheticSpec(num_samples=200, ambient_dim=8, latent_dim=2, seed=0)
     shards = data.partition_even(data.generate_synthetic(spec)[0], 20)
@@ -1161,7 +1165,6 @@ def test_network_multiplier_sums_stay_zero(topology):
 def test_engine_run_leaves_the_pooled_data_unchanged():
     # The shards are views of the pooled matrix; no step may write to them.
     from netadmm import data, engine
-    from netadmm.ppca import make_dppca_factory
 
     spec = data.SyntheticSpec(num_samples=120, ambient_dim=6, latent_dim=2, seed=3)
     pooled = data.generate_synthetic(spec)[0]
