@@ -662,13 +662,13 @@ class DppcaModel(ConsensusModel):
 
 
 class DppcaNodes(NodeGroup):
-    """Statistics and parameters of J D-PPCA nodes on a leading axis, with
-    zero multipliers to start.
+    """Statistics, parameters and multipliers of J D-PPCA nodes on a leading axis.
 
-    Shard factors narrower than the widest are padded with zero columns
-    (:func:`make_dppca_factory` builds a group from a run's shards). Each
-    phase runs the stacked kernels once for all nodes, on the broadcasts
-    and the J x J matrix of penalties (``Graph.weights``).
+    The multipliers start at zero. Shard factors narrower than the widest
+    are padded with zero columns (:func:`make_dppca_factory` builds a
+    group from a run's shards). Each phase runs the stacked kernels once
+    for all nodes, on the broadcasts and the J x J matrix of penalties
+    (``Graph.weights``).
 
     :meth:`objectives` keeps its latent solve at the current parameters,
     and the next :meth:`local_step` takes its E-step moments from it, so a
