@@ -1,6 +1,6 @@
-"""Reference traces of the CLI, and a comparison of two sets of them.
+"""Reference traces of the CLI and the engine, and a comparison of two sets of them.
 
-The reference set is 30 runs. 29 are ``netadmm run`` at the CLI defaults
+The reference set is 31 runs. 29 are ``netadmm run`` at the CLI defaults
 (20 nodes, 500 x 20 synthetic data, M = 5, eta0 = 10, 300 iterations,
 tolerance 1e-3, ranking at the edge midpoints):
 
@@ -14,10 +14,17 @@ tolerance 1e-3, ranking at the edge midpoints):
   subspace, so its 20 x 20 scatter is singular and ``ppca.shard_stats``
   takes its symmetric square root instead of the Cholesky factor.
 
-The last is ``netadmm sfm`` with vp_ap on complete(5), reading the CSV
+One is ``netadmm sfm`` with vp_ap on complete(5), reading the CSV
 ``SFM_FILE``, which ``write`` puts in the run's directory: the 80 x 200
 matrix of ``data.generate_rigid_measurements(40, 200, noise_sigma=0.01,
 seed=5)`` written with ``%.17g``, so it passes through the CSV loader.
+
+The last, ``QUADRATIC_RUN``, checks the engine's quadratic oracle rather
+than the CLI: ``engine.QuadraticNodes`` at the centers of
+``demos/02_quadratic_consensus.py`` (8 draws of ``normal(size=3)`` from
+``default_rng(0)``), ap on complete(8), eta0 = 10, no stopping rule
+(tolerance 0), 200 iterations, through ``engine.run``,
+``engine.write_trace_csv`` and ``engine.run_summary``.
 
 Write a set, one directory per run holding ``trace.csv`` and
 ``summary.json``::
@@ -44,6 +51,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -52,6 +60,7 @@ from pathlib import Path
 SCHEMES = ("fixed", "vp", "ap", "nap", "vp_ap", "vp_nap")
 CONFIG_RUN, CONFIG_FILE = "vp_nap_cluster_file", "run.cfg"
 SFM_RUN, SFM_FILE = "sfm_vp_ap", "tracks.csv"
+QUADRATIC_RUN = "quadratic_ap_complete"
 CONFIG_TEXT = """\
 scheme = vp_nap
 topology = cluster
@@ -62,8 +71,11 @@ angle_filter_deg = 30
 """
 
 
-def reference_runs() -> list[tuple[str, list[str]]]:
-    """The reference runs as (directory name, ``netadmm`` command and flags)."""
+def reference_runs() -> list[tuple[str, list[str] | None]]:
+    """The reference runs as (directory name, ``netadmm`` command and flags).
+
+    The command is None for ``QUADRATIC_RUN``, which is no CLI run.
+    """
     runs = [
         (
             f"{scheme}_{topology}_{seed}",
@@ -83,7 +95,27 @@ def reference_runs() -> list[tuple[str, list[str]]]:
     runs.append((CONFIG_RUN, ["run", "--config", CONFIG_FILE]))
     runs.append(("fixed_complete_noiseless", ["run", "--scheme", "fixed", "--noise-variance", "0"]))
     runs.append((SFM_RUN, ["sfm", "--scheme", "vp_ap", "--nodes", "5", "--measurements", SFM_FILE]))
+    runs.append((QUADRATIC_RUN, None))
     return runs
+
+
+def _quadratic_run(run_dir: Path) -> str:
+    # QUADRATIC_RUN's trace and summary; returns a one-line report.
+    import numpy as np
+
+    from netadmm import engine, penalty
+
+    rng = np.random.default_rng(0)
+    centers = [rng.normal(size=3) for _ in range(8)]
+    config = engine.RunConfig(
+        topology="complete", num_nodes=8, scheme="ap", penalty=penalty.PenaltyConfig(eta0=10.0),
+        max_iterations=200, convergence_tol=0.0,
+    )
+    result = engine.run(config, lambda shards, rngs, graph: engine.QuadraticNodes(shards, graph), centers)
+    engine.write_trace_csv(result.records, run_dir / "trace.csv")
+    summary = engine.run_summary(dataclasses.asdict(config), result)
+    (run_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return f"{len(result.records)} iterations, objective {result.records[-1].objective:.12g}"
 
 
 def write(out_dir: Path, src: Path | None) -> None:
@@ -96,6 +128,9 @@ def write(out_dir: Path, src: Path | None) -> None:
     for name, args in reference_runs():
         run_dir = out_dir / name
         run_dir.mkdir(parents=True, exist_ok=True)
+        if args is None:
+            print(f"{name}: {_quadratic_run(run_dir)}")
+            continue
         if name == CONFIG_RUN:
             (run_dir / CONFIG_FILE).write_text(CONFIG_TEXT)
         if name == SFM_RUN:
@@ -176,7 +211,7 @@ def compare(base_dir: Path, new_dir: Path, rtol: float) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p_write = sub.add_parser("write", help="write the 30 reference traces")
+    p_write = sub.add_parser("write", help="write the 31 reference traces")
     p_write.add_argument("out_dir", type=Path)
     p_write.add_argument("--src", type=Path, help="import netadmm from this src directory")
     p_compare = sub.add_parser("compare", help="compare two sets of reference traces")

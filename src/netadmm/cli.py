@@ -65,6 +65,10 @@ class ExperimentConfig:
     output_dir: str = "runs"
     jobs: int = field(default=1, metadata=_SWEEP)
 
+    def __post_init__(self) -> None:
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
+
     def echo(self) -> dict:
         """The settings as one flat ``key: value`` dictionary."""
         out = {}

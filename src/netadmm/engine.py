@@ -7,14 +7,17 @@ neighbor values produced before the current phase, so results are
 independent of node execution order.
 
 A run's nodes are one :class:`NodeGroup`, and each phase is one call on
-it: broadcasts are the rows of one (J, P) matrix, and the per-edge
-penalties act through the J x J penalty matrix (the weighted-graph form
-of consensus ADMM, Boyd et al. 2011, section 7). A builder makes the
-group once from the shards, and a :class:`ConsensusModel` is one node's
-read-only view of its row. Neighbor means and residuals are array
-operations, and the penalty update evaluates objectives at the edge
-midpoints only for the nodes whose ranking weights the scheduler will
-use, in one call for all of their edges.
+it. The group holds two (J, P) matrices, one row per node: ``theta``,
+the parameters that the nodes broadcast, and ``dual``, their multipliers,
+whose step is the same for every model and runs in the group. The
+per-edge penalties act through the J x J penalty matrix (the
+weighted-graph form of consensus ADMM, Boyd et al. 2011, section 7). A
+builder makes the group once from the shards, and a
+:class:`ConsensusModel` is one node's read-only view of its row.
+Neighbor means and residuals are array operations, and the penalty
+update evaluates objectives at the edge midpoints only for the nodes
+whose ranking weights the scheduler will use, in one call for all of
+their edges.
 
 The simulator is an omniscient observer: it sums the per-node
 objectives into the global objective used for the convergence check
@@ -77,29 +80,44 @@ class ConsensusModel:
         self._nodes, self._row = nodes, row
 
     def params_vector(self) -> np.ndarray:
-        """Current parameters flattened to one vector."""
-        return self._nodes.params_matrix()[self._row]
+        """Current parameters flattened to one vector (a copy of its row of ``theta``)."""
+        return self._nodes.theta[self._row].copy()
 
 
 class NodeGroup(abc.ABC):
     """The nodes of one run on the graph ``graph``; each phase is one call over all of them.
 
-    Broadcasts are the rows of a (J, P) matrix, and penalties are arrays
-    over the graph's directed edges in ``graph.directed_edges()`` order,
-    which ``graph.weights`` lays out as a J x J matrix. ``local_step`` must
-    not increase a node's augmented Lagrangian.
+    ``theta`` and ``dual`` hold the nodes' flat parameters and multipliers
+    (zero at the start), one row per node. Penalties are arrays over the
+    graph's directed edges in ``graph.directed_edges()`` order, which
+    ``graph.weights`` lays out as a J x J matrix. ``local_step`` must not
+    increase a node's augmented Lagrangian.
     """
 
     #: the class of the nodes' views
     view: type[ConsensusModel] = ConsensusModel
 
+    def __init__(self, theta: np.ndarray, graph: Graph):
+        self.theta = np.array(theta, dtype=float)
+        self.dual = np.zeros_like(self.theta)
+        self.graph = graph
+
     def views(self) -> list[ConsensusModel]:
         """One :attr:`view` per node, in node order."""
         return [self.view(self, i) for i in range(self.graph.num_nodes)]
 
-    @abc.abstractmethod
     def params_matrix(self) -> np.ndarray:
-        """Every node's flat parameters, one row per node."""
+        """Every node's flat parameters, one row per node: a copy of ``theta``."""
+        return self.theta.copy()
+
+    def multiplier_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
+        """Dual ascent against this round's broadcasts ``theta`` with per-edge penalties ``eta``.
+
+        Node i's row of ``dual`` gains ``(1/2) Σ_j η_ij (θ_i − θ_j)``: the
+        penalty-weighted consensus errors, halved, the same for every model.
+        """
+        weights = self.graph.weights(eta)
+        self.dual += 0.5 * (weights.sum(axis=1)[:, None] * theta - weights @ theta)
 
     @abc.abstractmethod
     def objectives(self) -> np.ndarray:
@@ -108,10 +126,6 @@ class NodeGroup(abc.ABC):
     @abc.abstractmethod
     def local_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
         """Local steps against last round's broadcasts ``theta`` with per-edge penalties ``eta``."""
-
-    @abc.abstractmethod
-    def multiplier_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
-        """Dual ascent against this round's broadcasts ``theta`` with per-edge penalties ``eta``."""
 
     @abc.abstractmethod
     def neighbor_objectives(self, nodes: Sequence[int], theta: np.ndarray) -> np.ndarray:
@@ -143,8 +157,8 @@ class QuadraticNodes(NodeGroup):
 
     The consensus optimum over any connected graph is the mean of the
     centers, which makes these nodes the analytic oracle for the engine's
-    ADMM plumbing. Rows of ``center``, ``theta`` and the multipliers
-    ``gamma`` are nodes; each node starts at its center. For
+    ADMM plumbing. Rows of ``center`` are nodes, and each node's row of
+    ``theta`` starts at its center. For
     :func:`run`, ``lambda shards, rngs, graph: QuadraticNodes(shards, graph)``
     builds them with the shards as centers.
     """
@@ -152,27 +166,18 @@ class QuadraticNodes(NodeGroup):
     view = QuadraticModel
 
     def __init__(self, center: np.ndarray, graph: Graph):
-        self.center = np.array(center, dtype=float)
-        self.theta = self.center.copy()
-        self.gamma = np.zeros_like(self.center)
-        self.graph = graph
-
-    def params_matrix(self) -> np.ndarray:
-        return self.theta.copy()
+        super().__init__(center, graph)
+        self.center = self.theta.copy()
 
     def objectives(self) -> np.ndarray:
         return np.sum((self.theta - self.center) ** 2, axis=1)
 
     def local_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
-        # Minimizer of |t - c|^2 + 2 gamma.t + sum_j eta_ij |t - (t_i + t_j)/2|^2.
+        # Minimizer of |t - c|^2 + 2 y.t + sum_j eta_ij |t - (t_i + t_j)/2|^2, y = dual.
         weights = self.graph.weights(eta)
         eta_sum = weights.sum(axis=1)[:, None]
         anchor = 0.5 * (eta_sum * theta + weights @ theta)
-        self.theta = (self.center - self.gamma + anchor) / (1.0 + eta_sum)
-
-    def multiplier_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
-        weights = self.graph.weights(eta)
-        self.gamma = self.gamma + 0.5 * (weights.sum(axis=1)[:, None] * theta - weights @ theta)
+        self.theta = (self.center - self.dual + anchor) / (1.0 + eta_sum)
 
     def neighbor_objectives(self, nodes: Sequence[int], theta: np.ndarray) -> np.ndarray:
         sources, targets = self.graph.edge_arrays()

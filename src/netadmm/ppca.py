@@ -10,6 +10,8 @@ augments the expected complete-data objective with multiplier and
 penalty terms that pull it toward the midpoints of its neighbors' last
 broadcasts. A run's nodes are one ``DppcaNodes``, which runs every phase
 for all of them at once; a ``DppcaModel`` is one node's read-only view.
+Their parameters and multipliers are the rows of the engine's ``theta``
+and ``dual`` matrices, read in blocks through ``unpack``.
 The M-step finds a stationary point of the node's augmented Lagrangian:
 for a fixed noise precision the projection and the mean solve one linear
 system on the augmented latent ``[z; 1]``, and a secant iteration on the
@@ -67,7 +69,6 @@ __all__ = [
     "negative_log_likelihood",
     "MStep",
     "m_step",
-    "multiplier_step",
     "centralized_em",
     "DppcaNodes",
     "DppcaModel",
@@ -193,12 +194,6 @@ class DppcaMultipliers(NamedTuple):
     lam: np.ndarray
     gamma: np.ndarray
     beta: float
-
-    @staticmethod
-    def zeros(ambient_dim: int, latent_dim: int) -> "DppcaMultipliers":
-        return DppcaMultipliers(
-            np.zeros((ambient_dim, latent_dim)), np.zeros(ambient_dim), 0.0
-        )
 
 
 def initial_params(data: np.ndarray, latent_dim: int, rng: np.random.Generator) -> PpcaParams:
@@ -400,12 +395,11 @@ def _a_update(
     residual: float | np.ndarray,
     num_samples: int | np.ndarray,
     ambient_dim: int,
-    beta_mult: float | np.ndarray,
+    a_pull: float | np.ndarray,
     eta_sum: float | np.ndarray,
-    a_anchor: float | np.ndarray,
 ) -> float | np.ndarray:
     # Stationarity in a is the scalar quadratic
-    #   2 eta_sum a^2 + b a - N D / 2 = 0,  b = residual/2 + 2 beta - a_anchor,
+    #   2 eta_sum a^2 + b a - N D / 2 = 0,  b = residual/2 - a_pull,
     # which has exactly one positive root whenever eta_sum > 0 or b > 0.
     # With s = sqrt(b^2 + 4 eta_sum N D) + |b| that root is N D / s for
     # b > 0 (N D / (2b) at eta_sum = 0) and s / (4 eta_sum) otherwise. The
@@ -414,7 +408,7 @@ def _a_update(
     # N D = 500. With no positive stationary point (eta_sum = 0 and b <= 0)
     # it falls back to the maximum-likelihood noise update.
     nd = np.asarray(num_samples, dtype=float) * ambient_dim
-    b = 0.5 * residual + 2.0 * beta_mult - a_anchor
+    b = 0.5 * residual - a_pull
     eta_sum = np.asarray(eta_sum, dtype=float)
     s = np.sqrt(b * b + 4.0 * eta_sum * nd) + np.abs(b)
     positive, coupled = b > 0, eta_sum > 0
@@ -429,38 +423,6 @@ def _a_update(
         s / np.where(coupled, 4.0 * eta_sum, 1.0),
     )
     return np.where(solvable, root, nd / np.where(solvable, 1.0, residual))[()]
-
-
-# Neighbor terms of J nodes at once, as products with the J x K matrix of
-# penalties: ``own`` holds the nodes' flat parameters (J x P, in the layout
-# of ``PpcaParams.to_vector``), ``theta`` the K broadcasts (K x P) and
-# ``weights[i, k]`` the penalty η_ik of node i's edge to the sender of row
-# k, zero where there is none (``Graph.weights``).
-
-
-def _anchors(own: np.ndarray, weights: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Each node's sum_j eta_ij (theta_i + theta_j), flat, and its sum_j eta_ij.
-    eta_sum = weights.sum(axis=1)
-    return eta_sum[:, None] * own + weights @ theta, eta_sum
-
-
-def multiplier_step(
-    multipliers: DppcaMultipliers, own: np.ndarray, weights: np.ndarray, theta: np.ndarray
-) -> DppcaMultipliers:
-    """Dual ascent of J nodes at once: penalty-weighted consensus errors, halved.
-
-    Each multiplier gains ``(1/2) Σ_j η_ij (own_block − neighbor_block)``,
-    evaluated at the current round's broadcasts; all three blocks use the
-    same form. ``multipliers`` holds the J nodes on a leading axis, and
-    ``own``, ``weights`` and ``theta`` are laid out as for the anchors of
-    the M-step: flat own parameters, the J x K penalties and the K
-    broadcasts.
-    """
-    eta_sum = weights.sum(axis=1)
-    step = unpack(0.5 * (eta_sum[:, None] * own - weights @ theta), *multipliers.lam.shape[-2:])
-    return DppcaMultipliers(
-        multipliers.lam + step.W, multipliers.gamma + step.mu, multipliers.beta + step.a
-    )
 
 
 class MStep(NamedTuple):
@@ -478,18 +440,18 @@ def m_step(
     moments: LatentMoments,
     stats: ShardStats,
     params: ParamView,
-    multipliers: DppcaMultipliers,
-    anchor: ParamView,
+    pull: ParamView,
     eta_sum: np.ndarray,
     max_cycles: int = 500,
     tol: float = 1e-12,
 ) -> MStep:
     """Minimize J nodes' augmented Lagrangians over (W, mu, a) at once.
 
-    Every argument holds the J nodes on a leading axis. ``anchor`` is
-    each node's ``Σ_j η_ij (θ_i + θ_j)`` in parameter layout, summed over
-    its neighbors from its entry parameters and their broadcasts, and
-    ``eta_sum`` its ``Σ_j η_ij``.
+    Every argument holds the J nodes on a leading axis. ``pull`` is each
+    node's ``Σ_j η_ij (θ_i + θ_j) − 2 y_i`` in parameter layout: its
+    neighbors' anchors, summed from its entry parameters and their
+    broadcasts, less twice its multipliers ``y_i = (λ, γ, β)``; ``eta_sum``
+    is its ``Σ_j η_ij``.
 
     For a fixed precision ``a`` the stationarity conditions of W and mu
     are one linear system in ``[W mu]``, the M-step of Tipping & Bishop
@@ -524,25 +486,21 @@ def m_step(
     eta_sum = np.asarray(eta_sum, dtype=float)
     # The a-independent parts of K = a gram + 2 eta I and of R = a C + P.
     # R is taken about the shard mean, mu = x̄ + nu, which removes x̄ from
-    # its data part: C = [sum_cez, 0], P = [A_W - 2 lam, A_mu - 2 gamma - 2 eta x̄].
+    # its data part: C = [sum_cez, 0], P = [pull_W, pull_mu - 2 eta x̄].
     gram = np.empty((num, m + 1, m + 1))
     gram[:, :m, :m] = moments.sum_ezz
     gram[:, :m, m] = gram[:, m, :m] = moments.sum_ez
     gram[:, m, m] = stats.n
-    pull = np.concatenate(
-        [
-            anchor.W - 2.0 * multipliers.lam,
-            (anchor.mu - 2.0 * multipliers.gamma - 2.0 * eta_sum[:, None] * stats.mean)[..., None],
-        ],
-        axis=-1,
+    p = np.concatenate(
+        [pull.W, (pull.mu - 2.0 * eta_sum[:, None] * stats.mean)[..., None]], axis=-1
     )
     # The precision steps read C and P only through their Gram products,
     # formed once here; [W nu] = R K^-1 is formed once per node at the end.
     cez_t = np.swapaxes(moments.sum_cez, -1, -2)
     cc, cp = np.zeros((2, num, m + 1, m + 1))
     cc[:, :m, :m] = cez_t @ moments.sum_cez
-    cp[:, :m] = cez_t @ pull
-    cross, pp = cp + np.swapaxes(cp, -1, -2), np.swapaxes(pull, -1, -2) @ pull
+    cp[:, :m] = cez_t @ p
+    cross, pp = cp + np.swapaxes(cp, -1, -2), np.swapaxes(p, -1, -2) @ p
     # Each node's precision at its last step and K^-1 there, and g(a) there.
     a_last, k_inv_last, a = np.empty(num), np.empty((num, m + 1, m + 1)), np.empty(num)
     cycles = np.zeros(num, dtype=int)
@@ -551,15 +509,15 @@ def m_step(
     # secant state: the current precision, the previous one and its g - a.
     active = np.arange(num)
     scatter, n = np.asarray(stats.scatter, dtype=float), np.asarray(stats.n, dtype=float)
-    fixed = (gram, cc, cp, cross, pp, scatter, n, eta_sum, multipliers.beta, anchor.a)
+    fixed = (gram, cc, cp, cross, pp, scatter, n, eta_sum, pull.a)
     a_cur = np.array(params.a, dtype=float)
     a_prev = f_prev = np.full(num, np.nan)
     for _ in range(max_cycles):
-        gr, *prod, sc, nn, es, beta, a_anc = fixed
+        gr, *prod, sc, nn, es, a_pull = fixed
         lhs = a_cur[:, None, None] * gr + 2.0 * es[:, None, None] * np.eye(m + 1)
         k_inv, ridged = _inverse(lhs)
         residual, energy = _expected_residual(k_inv, a_cur, gr, *prod, sc, nn)
-        a_new = _a_update(residual, nn, d, beta, es, a_anc)
+        a_new = _a_update(residual, nn, d, a_pull, es)
         f_cur = a_new - a_cur
         cycles[active] += 1
         ridge[active] |= ridged
@@ -598,7 +556,7 @@ def m_step(
         )
     # K is symmetric, so [W nu] = R K^-1: one (M+1) x (M+1) inverse and one
     # product cost a fraction of a solve against D right-hand sides.
-    rhs = pull.copy()
+    rhs = p.copy()
     rhs[..., :m] += a_last[:, None, None] * moments.sum_cez
     sol = rhs @ k_inv_last
     if not np.isfinite(sol).all():
@@ -630,11 +588,10 @@ def centralized_em(
         rng = rng if rng is not None else np.random.default_rng(0)
         init = initial_params(np.asarray(data, dtype=float), latent_dim, rng)
     stats, params = _lead(stats), _lead(init)
-    no_multipliers = _lead(DppcaMultipliers.zeros(d, latent_dim))
-    no_anchor = _lead(ParamView(np.zeros((d, latent_dim)), np.zeros(d), 0.0))
+    no_pull = _lead(ParamView(np.zeros((d, latent_dim)), np.zeros(d), 0.0))
     for _ in range(iterations):
         moments = e_step(params, stats)
-        params = m_step(moments, stats, params, no_multipliers, no_anchor, np.zeros(1)).params
+        params = m_step(moments, stats, params, no_pull, np.zeros(1)).params
     return PpcaParams(params.W[0], params.mu[0], params.a[0])
 
 
@@ -653,7 +610,7 @@ class DppcaModel(ConsensusModel):
     @property
     def multipliers(self) -> DppcaMultipliers:
         m, i = self._nodes.multipliers, self._row
-        return DppcaMultipliers(m.lam[i].copy(), m.gamma[i].copy(), float(m.beta[i]))
+        return DppcaMultipliers(m.W[i].copy(), m.mu[i].copy(), float(m.a[i]))
 
     def m_step_counts(self) -> tuple[int, int, int]:
         """This node's M-step precision steps, its steps stopped at
@@ -662,13 +619,14 @@ class DppcaModel(ConsensusModel):
 
 
 class DppcaNodes(NodeGroup):
-    """Statistics, parameters and multipliers of J D-PPCA nodes on a leading axis.
+    """Shard statistics and flat parameters ``theta`` of J D-PPCA nodes, one per row.
 
-    The multipliers start at zero. Shard factors narrower than the widest
-    are padded with zero columns (:func:`make_dppca_factory` builds a
-    group from a run's shards). Each phase runs the stacked kernels once
-    for all nodes, on the broadcasts and the J x J matrix of penalties
-    (``Graph.weights``).
+    ``params`` and ``multipliers`` are the blocks ``(W, mu, a)`` of
+    ``theta`` and ``dual``, as :func:`unpack` views that write through.
+    Shard factors narrower than the widest are padded with zero columns
+    (:func:`make_dppca_factory` builds a group from a run's shards). Each
+    phase runs the stacked kernels once for all nodes, on the broadcasts
+    and the J x J matrix of penalties (``Graph.weights``).
 
     :meth:`objectives` keeps its latent solve at the current parameters,
     and the next :meth:`local_step` takes its E-step moments from it, so a
@@ -680,19 +638,17 @@ class DppcaNodes(NodeGroup):
     #: precision steps one M-step may run per node
     max_cycles = 500
 
-    def __init__(self, stats: ShardStats, params: ParamView, graph: Graph):
-        self.stats, self.params, self.graph = stats, params, graph
-        self.multipliers = DppcaMultipliers(
-            np.zeros_like(params.W), np.zeros_like(params.mu), np.zeros_like(params.a)
-        )
+    def __init__(self, stats: ShardStats, theta: np.ndarray, graph: Graph):
+        super().__init__(theta, graph)
+        self.stats = stats
+        # P = D M + D + 1 columns
+        d = stats.mean.shape[-1]
+        m = (self.theta.shape[-1] - 1) // d - 1
+        self.params, self.multipliers = unpack(self.theta, d, m), unpack(self.dual, d, m)
         # per node: M-step precision steps, steps stopped at max_cycles and
         # steps that needed the ridge retry
         self.counts = np.zeros((graph.num_nodes, 3), dtype=int)
         self._kept: _Latent | None = None
-
-    def params_matrix(self) -> np.ndarray:
-        p = self.params
-        return np.concatenate([p.W.reshape(len(p.a), -1), p.mu, p.a[:, None]], axis=1)
 
     def objectives(self) -> np.ndarray:
         values, self._kept = _objective(self.params, self.stats)
@@ -700,9 +656,6 @@ class DppcaNodes(NodeGroup):
 
     def m_step_counts(self) -> tuple[int, int, int]:
         return tuple(self.counts.sum(axis=0).tolist())
-
-    def multiplier_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
-        self.multipliers = multiplier_step(self.multipliers, theta, self.graph.weights(eta), theta)
 
     def neighbor_objectives(self, nodes: Sequence[int], theta: np.ndarray) -> np.ndarray:
         """Each of ``nodes``' likelihood at the midpoints of its edges, in latent space.
@@ -754,16 +707,19 @@ class DppcaNodes(NodeGroup):
         """E-step and M-step of every node against the broadcasts ``theta``.
 
         The E-step reads the latent solve that :meth:`objectives` kept,
-        when there is one, and the step drops it.
+        when there is one, and the step drops it. The M-step's pull is
+        ``rowsum(Wη)·θ + Wη θ − 2·dual`` with ``Wη = graph.weights(eta)``.
         """
-        anchor, eta_sum = _anchors(theta, self.graph.weights(eta), theta)
+        weights = self.graph.weights(eta)
+        eta_sum = weights.sum(axis=1)
+        pull = eta_sum[:, None] * theta + weights @ theta - 2.0 * self.dual
         params = self.params
         latent, self._kept = self._kept, None
         if latent is None:
             latent = _latent(params, _samples(params, self.stats))
         moments = _moments(latent, params, self.stats)
-        anchor = unpack(anchor, *params.W.shape[1:])
-        out = m_step(moments, self.stats, params, self.multipliers, anchor, eta_sum, self.max_cycles)
+        pull = unpack(pull, *params.W.shape[1:])
+        out = m_step(moments, self.stats, params, pull, eta_sum, self.max_cycles)
         for field, new in zip(params, out.params):
             field[:] = new
         self.counts += np.stack([out.cycles, out.capped, out.ridge], axis=1)
@@ -774,26 +730,24 @@ def make_dppca_factory(latent_dim: int):
 
     ``build(shards, rngs, graph)`` reduces each shard with :func:`shard_stats`,
     draws node i's :func:`initial_params` from ``rngs[i]``, in node order,
-    pads the factors to the widest one and stacks all into one
-    :class:`DppcaNodes`. Raises ``ValueError`` naming the node when its
-    shard is not a finite, non-empty 2-d array.
+    pads the factors to the widest one and stacks the statistics and the
+    flat parameters into one :class:`DppcaNodes`. Raises ``ValueError``
+    naming the node when its shard is not a finite, non-empty 2-d array.
     """
 
     def build(shards: Sequence[np.ndarray], rngs: Sequence[np.random.Generator], graph: Graph):
-        stats, params = [], []
+        stats, theta = [], []
         for i, (shard, rng) in enumerate(zip(shards, rngs)):
             try:
                 stats.append(shard_stats(shard))
             except ValueError as exc:
                 raise ValueError(f"node {i}: {exc}") from exc
-            params.append(initial_params(np.asarray(shard, dtype=float), latent_dim, rng))
+            theta.append(initial_params(np.asarray(shard, dtype=float), latent_dim, rng).to_vector())
         width = max(st.factor.shape[1] for st in stats)
         stats = [
             st._replace(factor=np.pad(st.factor, ((0, 0), (0, width - st.factor.shape[1]))))
             for st in stats
         ]
-        return DppcaNodes(
-            ShardStats(*map(np.stack, zip(*stats))), ParamView(*map(np.stack, zip(*params))), graph
-        )
+        return DppcaNodes(ShardStats(*map(np.stack, zip(*stats))), np.stack(theta), graph)
 
     return build

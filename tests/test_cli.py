@@ -215,6 +215,23 @@ def test_sweep_parallel_jobs_matches_serial(tmp_path):
         ).read_bytes()
 
 
+@pytest.mark.parametrize("source", ["flag-0", "flag-minus-5", "file-0"])
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys, source):
+    # as a flag and as the config-file key, before any cell runs
+    if source == "file-0":
+        path = tmp_path / "sweep.cfg"
+        path.write_text("jobs = 0\n")
+        extra = ["--config", path]
+    else:
+        extra = ["--jobs", "0" if source == "flag-0" else "-5"]
+    out = tmp_path / "sweep"
+    flags = ["--schemes", "fixed", "--seeds", "1", "--max-iterations", "3", "--nodes", "4"]
+    code = _run_cli(["sweep", *flags, "--samples", "40", *extra, "--output-dir", out])
+    assert code == 1
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_empty_scheme_list(tmp_path, capsys):
     code = _run_cli(["sweep", "--schemes", "", "--output-dir", tmp_path])
     assert code == 1

@@ -384,7 +384,7 @@ def test_quadratic_nodes_match_the_per_node_loop():
             for j in nbs:
                 gamma[i] += 0.5 * eta[edges.index((i, j))] * (theta[i] - theta[j])
 
-    np.testing.assert_allclose(nodes.gamma, gamma, rtol=1e-12)
+    np.testing.assert_allclose(nodes.dual, gamma, rtol=1e-12)
     want = [np.sum((theta[i] - centers[i]) ** 2) for i in range(6)]
     np.testing.assert_allclose(nodes.objectives(), want, rtol=1e-12)
     for ranked in (range(6), [1, 2, 4]):
@@ -395,6 +395,28 @@ def test_quadratic_nodes_match_the_per_node_loop():
                 want.append(np.sum((point - centers[i]) ** 2))
         got = nodes.neighbor_objectives(np.array(ranked), nodes.params_matrix())
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_shared_dual_step_matches_the_per_node_loop():
+    # NodeGroup.multiplier_step of quadratic and of D-PPCA nodes on the
+    # ragged cluster(6), with a different penalty on every directed edge,
+    # against (1/2) sum_j eta_ij (theta_i - theta_j) node by node.
+    from netadmm.ppca import make_dppca_factory
+
+    graph = build_cluster(6)
+    edges = list(graph.directed_edges())
+    rng = np.random.default_rng(9)
+    shards = [rng.normal(size=(4, 7)) for _ in range(6)]
+    dppca = make_dppca_factory(2)(shards, [np.random.default_rng(i) for i in range(6)], graph)
+    for nodes in (QuadraticNodes(rng.normal(size=(6, 3)), graph), dppca):
+        want = np.zeros_like(nodes.dual)
+        for _ in range(3):
+            theta = rng.normal(size=nodes.theta.shape)
+            eta = rng.uniform(1.0, 20.0, size=len(edges))
+            nodes.multiplier_step(theta, eta)
+            for k, (i, j) in enumerate(edges):
+                want[i] += 0.5 * eta[k] * (theta[i] - theta[j])
+        np.testing.assert_allclose(nodes.dual, want, rtol=1e-12)
 
 
 def test_zero_tolerance_runs_to_the_cap():

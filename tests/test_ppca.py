@@ -15,12 +15,11 @@ from netadmm.ppca import (
     initial_params,
     m_step,
     make_dppca_factory,
-    multiplier_step,
     negative_log_likelihood,
     shard_stats,
     unpack,
 )
-from netadmm.ppca import _anchors, _lead
+from netadmm.ppca import _lead
 
 
 def _random_params(rng, d, m, a=None):
@@ -39,22 +38,37 @@ def _stacked(neighbors, eta, d, m):
     return np.stack([nb.to_vector() for nb in neighbors.values()]), np.array([[eta[j] for j in neighbors]])
 
 
+def _pull(anchor, mult):
+    # m_step's pull: the anchor sum_j eta_ij (theta_i + theta_j) less twice
+    # the multipliers, block by block
+    return ParamView(*(np.asarray(f) - 2.0 * np.asarray(y) for f, y in zip(anchor, mult)))
+
+
 def _consensus_m_step(moments, X, params, mult, neighbors, eta):
-    # m_step on a one-row stack, anchored at the midpoints of the entry
+    # m_step on a one-row stack, pulled to the midpoints of the entry
     # parameters and the neighbors' broadcasts
     d, m = params.W.shape
     broadcasts, weights = _stacked(neighbors, eta, d, m)
-    anchor, eta_sum = _anchors(params.to_vector()[None], weights, broadcasts)
-    stacked = map(_lead, (moments, shard_stats(X), params, mult))
-    out = m_step(*stacked, unpack(anchor, d, m), eta_sum).params
+    eta_sum = weights.sum(axis=1)
+    anchor = unpack(eta_sum[:, None] * params.to_vector()[None] + weights @ broadcasts, d, m)
+    stacked = map(_lead, (moments, shard_stats(X), params))
+    out = m_step(*stacked, _pull(anchor, _lead(mult)), eta_sum).params
     return ParamView(out.W[0], out.mu[0], float(out.a[0]))
 
 
 def _consensus_multiplier_step(params, neighbor, eta, mult):
-    # multiplier_step on a one-row stack, against one neighbor's broadcast
-    own, weights = params.to_vector()[None], np.array([[eta]])
-    lam, gamma, beta = multiplier_step(_lead(mult), own, weights, neighbor.to_vector()[None])
-    return DppcaMultipliers(lam[0], gamma[0], float(beta[0]))
+    # NodeGroup.multiplier_step on a built group on complete(2) whose node 0
+    # holds params and mult and whose node 1 broadcasts neighbor; node 0's
+    # multipliers after the step
+    from netadmm.topology import build_complete
+
+    d, m = params.W.shape
+    shards = [np.random.default_rng(k).normal(size=(d, 4)) for k in range(2)]
+    group = _build(shards, build_complete(2), range(2), m)
+    group.theta[:] = [params.to_vector(), neighbor.to_vector()]
+    group.dual[0] = ParamView(*mult).to_vector()
+    group.multiplier_step(group.params_matrix(), np.full(2, eta))
+    return group.views()[0].multipliers
 
 
 def _posterior_means(params, X):
@@ -300,10 +314,7 @@ def test_precision_fallback_without_positive_root():
     # update falls back to the maximum-likelihood noise value
     from netadmm.ppca import _a_update
 
-    a = _a_update(
-        residual=1.0, num_samples=4, ambient_dim=2, beta_mult=-10.0,
-        eta_sum=0.0, a_anchor=0.0,
-    )
+    a = _a_update(residual=1.0, num_samples=4, ambient_dim=2, a_pull=20.0, eta_sum=0.0)
     assert a == pytest.approx(8.0)
 
 
@@ -324,10 +335,7 @@ def test_precision_root_does_not_cancel_for_a_large_linear_term():
     # by it.
     from netadmm.ppca import _a_update
 
-    a = _a_update(
-        residual=2.38e10, num_samples=25, ambient_dim=20, beta_mult=0.0,
-        eta_sum=1.54, a_anchor=0.0,
-    )
+    a = _a_update(residual=2.38e10, num_samples=25, ambient_dim=20, a_pull=0.0, eta_sum=1.54)
     assert a > 0
     assert a == pytest.approx(_precision_root(1.19e10, 1.54, 250.0), rel=1e-15)
 
@@ -346,7 +354,7 @@ def test_precision_root_is_accurate_across_the_linear_term():
     ambient_dim = 20
     got = _a_update(
         residual=2.0 * b, num_samples=num_samples, ambient_dim=ambient_dim,
-        beta_mult=np.zeros(size), eta_sum=eta_sum, a_anchor=np.zeros(size),
+        a_pull=np.zeros(size), eta_sum=eta_sum,
     )
     want = [
         _precision_root(bi, ei, 0.5 * ni * ambient_dim)
@@ -396,7 +404,7 @@ def test_centralized_em_monotone_log_likelihood():
 
 
 def _no_multipliers(d, m):
-    return DppcaMultipliers.zeros(d, m)
+    return DppcaMultipliers(np.zeros((d, m)), np.zeros(d), 0.0)
 
 
 def _one_node_m_step(X, params, mult=None, anchor=None, eta_sum=0.0):
@@ -405,7 +413,8 @@ def _one_node_m_step(X, params, mult=None, anchor=None, eta_sum=0.0):
     mult = _no_multipliers(d, m) if mult is None else mult
     anchor = ParamView(np.zeros((d, m)), np.zeros(d), 0.0) if anchor is None else anchor
     stats, params, mult, anchor = map(_lead, (shard_stats(X), params, mult, anchor))
-    out = m_step(e_step(params, stats), stats, params, mult, anchor, np.array([eta_sum])).params
+    pull = _pull(anchor, mult)
+    out = m_step(e_step(params, stats), stats, params, pull, np.array([eta_sum])).params
     return ParamView(out.W[0], out.mu[0], float(out.a[0]))
 
 
@@ -469,7 +478,7 @@ def test_m_step_depends_on_entry_precision_only():
     anchor = ParamView(rng.normal(size=(d, m)), rng.normal(size=d), 5.0)
     moments = e_step(params, shard_stats(X))
     outs = [
-        m_step(*map(_lead, (moments, shard_stats(X), entry, mult, anchor)), np.array([7.0]))
+        m_step(*map(_lead, (moments, shard_stats(X), entry, _pull(anchor, mult))), np.array([7.0]))
         for entry in (params, _random_params(rng, d, m, a=params.a))
     ]
     for got, want in zip(outs[0].params, outs[1].params):
@@ -591,7 +600,7 @@ def test_singular_joint_system_recovers_with_ridge():
     X = np.random.default_rng(16).normal(size=(d, 4))
     params = PpcaParams(np.ones((d, m)), np.zeros(d), 1.0)
     anchor = ParamView(np.zeros((d, m)), np.zeros(d), 0.0)
-    inputs = (_zero_moments(d, m), shard_stats(X), params, _no_multipliers(d, m), anchor)
+    inputs = (_zero_moments(d, m), shard_stats(X), params, _pull(anchor, _no_multipliers(d, m)))
     with pytest.warns(RuntimeWarning, match="ridge"):
         out = m_step(*map(_lead, inputs), np.zeros(1))
     assert all(np.all(np.isfinite(f)) for f in out.params)
@@ -668,7 +677,7 @@ def test_multipliers_unchanged_at_consensus():
 def test_multiplier_increment_direct():
     own = PpcaParams(np.zeros((1, 1)), np.array([0.2]), 1.0)
     nb = PpcaParams(np.zeros((1, 1)), np.array([0.0]), 1.0)
-    out = _consensus_multiplier_step(own, nb, 10.0, DppcaMultipliers.zeros(1, 1))
+    out = _consensus_multiplier_step(own, nb, 10.0, _no_multipliers(1, 1))
     np.testing.assert_allclose(out.gamma, [1.0])
 
 
@@ -676,7 +685,7 @@ def test_multiplier_increment_linear_in_eta():
     rng = np.random.default_rng(15)
     own = _random_params(rng, 3, 2)
     nb = _random_params(rng, 3, 2)
-    zero = DppcaMultipliers.zeros(3, 2)
+    zero = _no_multipliers(3, 2)
     single = _consensus_multiplier_step(own, nb, 7.0, zero)
     double = _consensus_multiplier_step(own, nb, 14.0, zero)
     np.testing.assert_allclose(double.lam, 2.0 * single.lam, rtol=1e-12)
@@ -789,7 +798,7 @@ def test_nan_neighbor_broadcast_ends_run_with_error():
 
     def corrupt(shards, rngs, graph):
         built = make_dppca_factory(2)(shards, rngs, graph)
-        return CorruptNodes(built.stats, built.params, graph)
+        return CorruptNodes(built.stats, built.theta, graph)
 
     rng = np.random.default_rng(20)
     shards = [rng.normal(size=(4, 10)) for _ in range(3)]
@@ -801,10 +810,10 @@ def test_nan_neighbor_broadcast_ends_run_with_error():
 # ------------------------------------------------- stacked node group
 
 
-def _build(shards, graph, seeds):
+def _build(shards, graph, seeds, latent_dim=2):
     # The shards' nodes as one group, node k's parameters drawn from
     # default_rng(seeds[k]).
-    return make_dppca_factory(2)(shards, [np.random.default_rng(s) for s in seeds], graph)
+    return make_dppca_factory(latent_dim)(shards, [np.random.default_rng(s) for s in seeds], graph)
 
 
 def _ragged_nodes():
@@ -858,17 +867,19 @@ def test_stacked_phases_match_one_node_at_a_time():
     edges = graph.edge_arrays()[0]
 
     def local_step_alone(model, i, theta, weights):
-        nodes = model._nodes
-        anchor, eta_sum = _anchors(theta[[i]], weights[[i]], theta)
+        nodes, row = model._nodes, weights[[i]]
+        eta_sum = row.sum(axis=1)
+        anchor = unpack(eta_sum[:, None] * theta[[i]] + row @ theta, 6, 2)
         moments = e_step(nodes.params, nodes.stats)
-        anchor = unpack(anchor, *nodes.params.W.shape[1:])
-        out = m_step(moments, nodes.stats, nodes.params, nodes.multipliers, anchor, eta_sum)
-        nodes.params = out.params
+        pull = _pull(anchor, nodes.multipliers)
+        out = m_step(moments, nodes.stats, nodes.params, pull, eta_sum)
+        for field, new in zip(nodes.params, out.params):
+            field[:] = new
         nodes.counts += np.stack([out.cycles, out.capped, out.ridge], axis=1)
 
     def multiplier_step_alone(model, i, theta, weights):
-        nodes = model._nodes
-        nodes.multipliers = multiplier_step(nodes.multipliers, theta[[i]], weights[[i]], theta)
+        row = weights[[i]]
+        model._nodes.dual += 0.5 * (row.sum(axis=1)[:, None] * theta[[i]] - row @ theta)
 
     def assert_rows_match():
         for i, model in enumerate(singles):
@@ -1062,14 +1073,14 @@ def test_m_step_freezes_converged_rows():
     anchor = unpack(rng.normal(size=(5, 6 * 2 + 6 + 1)), 6, 2)
     anchor = anchor._replace(a=np.abs(anchor.a))
     eta_sum = rng.uniform(5.0, 40.0, size=5)
-    mults = group.multipliers
+    pull = _pull(anchor, group.multipliers)
     moments = e_step(params, group.stats)
-    first = m_step(moments, group.stats, params, mults, anchor, eta_sum)
+    first = m_step(moments, group.stats, params, pull, eta_sum)
     start = params._replace(
         W=params.W.copy(), mu=params.mu.copy(), a=params.a.copy()
     )
     start.W[0], start.mu[0], start.a[0] = first.params.W[0], first.params.mu[0], first.params.a[0]
-    out = m_step(moments, group.stats, start, mults, anchor, eta_sum)
+    out = m_step(moments, group.stats, start, pull, eta_sum)
     assert out.cycles[0] < out.cycles.max()
     assert not out.capped.any()
 
@@ -1081,8 +1092,7 @@ def test_m_step_freezes_converged_rows():
             take(moments, i),
             take(group.stats, i),
             take(start, i),
-            take(mults, i),
-            take(anchor, i),
+            take(pull, i),
             eta_sum[[i]],
         )
         assert alone.cycles[0] == out.cycles[i]

@@ -24,19 +24,19 @@ def _write_set(root: Path, body: str = ROWS, changed: str | None = None) -> Path
     return root
 
 
-def test_reference_set_has_30_runs():
+def test_reference_set_has_31_runs():
     names = [name for name, _ in trace_gate.reference_runs()]
-    assert len(names) == len(set(names)) == 30
+    assert len(names) == len(set(names)) == 31
 
 
 @pytest.mark.parametrize(
     "changed,passes,summary",
     [
-        (None, True, "30 of 30 byte-identical"),
-        (ROWS.replace("99.25", "99.2500000001"), True, "29 of 30 byte-identical"),
+        (None, True, "31 of 31 byte-identical"),
+        (ROWS.replace("99.25", "99.2500000001"), True, "30 of 31 byte-identical"),
         (ROWS.replace("99.25", "99.26"), False, "worst relative field difference 0.000101"),
-        (ROWS.replace(",1\n", ",0\n"), False, "29 of 30"),
-        (ROWS.splitlines(keepends=True)[0], False, "29 of 30"),
+        (ROWS.replace(",1\n", ",0\n"), False, "30 of 31"),
+        (ROWS.splitlines(keepends=True)[0], False, "30 of 31"),
     ],
     ids=["identical", "within-rtol", "field-off", "flag-off", "row-missing"],
 )
