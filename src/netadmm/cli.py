@@ -272,6 +272,9 @@ def _sweep_list(name: str, explicit, fallback) -> tuple:
         return (fallback,)
     if len(explicit) == 0:
         raise ValueError(f"{name} list must not be empty")
+    for i, value in enumerate(explicit):
+        if value in explicit[:i]:
+            raise ValueError(f"{name} list repeats {value!r}")
     return explicit
 
 

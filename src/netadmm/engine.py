@@ -52,7 +52,6 @@ __all__ = [
     "ConsensusModel",
     "NodeGroup",
     "QuadraticNodes",
-    "QuadraticModel",
     "RunConfig",
     "IterationRecord",
     "RunResult",
@@ -144,14 +143,6 @@ class NodeGroup(abc.ABC):
         return (0, 0, 0)
 
 
-class QuadraticModel(ConsensusModel):
-    """One node of :class:`QuadraticNodes`; ``theta`` returns a copy of its current value."""
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self._nodes.theta[self._row].copy()
-
-
 class QuadraticNodes(NodeGroup):
     """Nodes with objectives ``|theta_i - center_i|^2``, stepped in closed form.
 
@@ -162,8 +153,6 @@ class QuadraticNodes(NodeGroup):
     :func:`run`, ``lambda shards, rngs, graph: QuadraticNodes(shards, graph)``
     builds them with the shards as centers.
     """
-
-    view = QuadraticModel
 
     def __init__(self, center: np.ndarray, graph: Graph):
         super().__init__(center, graph)

@@ -106,16 +106,16 @@ class PenaltyConfig:
     beta: float = 0.1
 
     def __post_init__(self) -> None:
-        if not self.eta0 > 0:
-            raise ValueError("eta0 must be > 0")
-        if not self.mu > 1:
-            raise ValueError("mu must be > 1")
-        if not self.tau_fixed > 0:
-            raise ValueError("tau_fixed must be > 0")
+        if not 0 < self.eta0 < np.inf:
+            raise ValueError("eta0 must be finite and > 0")
+        if not 1 < self.mu < np.inf:
+            raise ValueError("mu must be finite and > 1")
+        if not 0 < self.tau_fixed < np.inf:
+            raise ValueError("tau_fixed must be finite and > 0")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
-        if not self.budget > 0:
-            raise ValueError("budget must be > 0")
+        if not 0 < self.budget < np.inf:
+            raise ValueError("budget must be finite and > 0")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
         if not 0 < self.beta < 1:

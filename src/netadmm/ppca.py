@@ -31,9 +31,10 @@ its own objectives for the next E-step, so each node factors ``G`` once
 per iteration. The ranking likelihoods, a node's objective at the midpoints
 of its edges, are scored in the M-dimensional latent space, with no D-sized
 copy of a shard's samples per edge (``DppcaNodes.neighbor_objectives``).
-The M-step forms the Gram products of its right-hand side once, at
-O(D·M²), runs its precision steps on (M+1) x (M+1) matrices alone, and
-forms W and mu once at the end.
+The M-step factors each node's (M+1) x (M+1) Gram matrix once, by
+eigendecomposition, and forms the Gram products of its right-hand side in
+that basis once, at O(D·M²); its precision steps are then elementwise on
+(M+1)-vectors, with no matrix inverse, and it forms W and mu once at the end.
 """
 
 from __future__ import annotations
@@ -339,58 +340,6 @@ def negative_log_likelihood(params: ParamView, stats: ShardStats) -> float | np.
     return float(nll) if nll.ndim == 0 else nll
 
 
-def _inverse(lhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Inverses of a stack of symmetric systems, and which of them were
-    # singular: those are retried with a small ridge and a warning.
-    ridged = np.zeros(len(lhs), dtype=bool)
-    try:
-        return np.linalg.inv(lhs), ridged
-    except np.linalg.LinAlgError:
-        pass
-    size = lhs.shape[-1]
-    out = np.empty_like(lhs)
-    for k, mat in enumerate(lhs):
-        try:
-            out[k] = np.linalg.inv(mat)
-        except np.linalg.LinAlgError:
-            ridge = 1e-10 * max(1.0, float(np.trace(mat)) / size)
-            warnings.warn(
-                f"M-step normal equations singular; retrying with ridge {ridge:.3e}",
-                RuntimeWarning,
-            )
-            out[k] = np.linalg.inv(mat + ridge * np.eye(size))
-            ridged[k] = True
-    return out, ridged
-
-
-def _expected_residual(
-    k_inv: np.ndarray,
-    a: np.ndarray,
-    gram: np.ndarray,
-    cc: np.ndarray,
-    cp: np.ndarray,
-    cross: np.ndarray,
-    pp: np.ndarray,
-    scatter: np.ndarray,
-    n: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    # sum_n E |x_n - W z_n - mu|^2 at [W nu] = X = R K^-1, R = a C + P (see
-    # m_step), and the data's energy about mu = x̄ + nu, from (M+1) x (M+1)
-    # products alone: with cc = CᵀC, cp = CᵀP, cross = cp + cpᵀ, pp = PᵀP,
-    #   <X, C> = <K^-1, a cc + cp>,  XᵀX = K^-1 RᵀR K^-1,
-    #   RᵀR = a (a cc + cross) + pp,
-    #   residual = scatter - 2 <X, C> + <XᵀX, gram>,
-    #   energy = scatter + n |nu|^2 = scatter + n (XᵀX)[M, M].
-    # Floored at relative epsilon: near-perfect reconstructions cancel to
-    # rounding noise of unstable sign, and the precision update needs a
-    # positive value (the precision then saturates instead of overflowing).
-    a = a[:, None, None]
-    xx = k_inv @ (a * (a * cc + cross) + pp) @ k_inv
-    energy = scatter + n * xx[:, -1, -1]
-    total = scatter - 2.0 * _vdot(k_inv, a * cc + cp, 2) + _vdot(xx, gram, 2)
-    return np.maximum(total, _EPS * (1.0 + energy)), energy
-
-
 def _a_update(
     residual: float | np.ndarray,
     num_samples: int | np.ndarray,
@@ -428,7 +377,7 @@ def _a_update(
 class MStep(NamedTuple):
     """Outcome of a stacked M-step: the new parameters, each node's
     precision steps, which nodes stopped at ``max_cycles`` without
-    converging, and which needed the ridge retry of a singular system."""
+    converging, and which took the ridge of a singular system."""
 
     params: ParamView
     cycles: np.ndarray
@@ -461,10 +410,12 @@ def m_step(
     ``(W(a), mu(a))`` gives ``g(a)``, and only this scalar map is iterated:
     secant steps on ``g(a) − a``, or the plain step ``g(a)`` where the
     secant step is not positive and finite or moves ``a`` against the sign
-    of ``g(a) − a``. ``g(a)`` depends on R only
-    through (M+1) x (M+1) Gram products, formed once, so a precision step
-    costs O(M³) whatever D; ``[W mu]`` is formed once per node, at its last
-    step. A node stops, and its rows freeze, once
+    of ``g(a) − a``. One eigendecomposition ``Σ E[[z; 1][z; 1]ᵀ] = V Λ Vᵀ``
+    makes ``K = V (aΛ + 2 Σ_j η_ij I) Vᵀ`` diagonal at every ``a``. ``g(a)``
+    reads ``R = a C + P`` (C from the data, P from the pull) only through
+    the Gram matrix of ``[C V, P V]``, formed once, so a precision step is
+    elementwise on (M+1)-vectors whatever D; ``[W mu] = R K⁻¹`` is formed
+    once per node, at its last step. A node stops, and its rows freeze, once
     ``|g(a) − a| < (tol + ε·energy/residual)(1 + |a|)``, the second term
     being the rounding level of ``g(a)`` (its residual cancels terms of the
     size of the data's energy about mu); once its expected residual is
@@ -477,8 +428,9 @@ def m_step(
 
     Raises ``ValueError`` when the parameters turn non-finite, e.g. from a
     non-finite neighbor broadcast. Warns with ``RuntimeWarning`` when a
-    node stops at ``max_cycles`` and when a singular ``K`` is retried with
-    a ridge.
+    node stops at ``max_cycles`` and, at each step, when a node's ``K`` is
+    singular (``Λ`` has a zero and ``Σ_j η_ij = 0``), which then takes the
+    ridge ``1e-10 max(1, tr K/(M+1))`` on every eigenvalue.
     """
     if max_cycles < 1:
         raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
@@ -494,33 +446,62 @@ def m_step(
     p = np.concatenate(
         [pull.W, (pull.mu - 2.0 * eta_sum[:, None] * stats.mean)[..., None]], axis=-1
     )
-    # The precision steps read C and P only through their Gram products,
-    # formed once here; [W nu] = R K^-1 is formed once per node at the end.
-    cez_t = np.swapaxes(moments.sum_cez, -1, -2)
-    cc, cp = np.zeros((2, num, m + 1, m + 1))
-    cc[:, :m, :m] = cez_t @ moments.sum_cez
-    cp[:, :m] = cez_t @ p
-    cross, pp = cp + np.swapaxes(cp, -1, -2), np.swapaxes(p, -1, -2) @ p
-    # Each node's precision at its last step and K^-1 there, and g(a) there.
-    a_last, k_inv_last, a = np.empty(num), np.empty((num, m + 1, m + 1)), np.empty(num)
-    cycles = np.zeros(num, dtype=int)
-    capped, ridge = np.zeros(num, dtype=bool), np.zeros(num, dtype=bool)
+    # gram = V diag(lam) Vᵀ is positive semidefinite (lam is clamped at 0), so
+    # K = V diag(a lam + 2 eta) Vᵀ is singular only where lam_min = eta = 0.
+    lam, vecs = np.linalg.eigh(gram)
+    lam = np.maximum(lam, 0.0)
+    ridge = (lam[:, 0] == 0.0) & (eta_sum == 0.0)
+    # With d = 1/(a lam + 2 eta), [W nu] = R V diag(d) Vᵀ. If the Gram matrix
+    # G of B = [C V, P V] has the diagonal terms c = |C v_k|², p = |P v_k|²
+    # and q = 2 (C v_k)·(P v_k), the expected residual Σ E|x_n - W z_n - mu|²
+    # = scatter - 2 <[W nu], C> + <[W nu]ᵀ[W nu], gram> is
+    #   scatter - Σ d (2 a c + q) + Σ lam d² (a² c + a q + p),
+    # and the data's energy about mu is scatter + n |nu|² = scatter + n wᵀ G w
+    # with w = [a d∘v, d∘v] and v the last row of V (nu = B w).
+    cv, pv = moments.sum_cez @ vecs[:, :m], p @ vecs
+    b = np.concatenate([cv, pv], axis=-1)
+    gram_b = np.swapaxes(b, -1, -2) @ b
+    c_k, p_k = np.split(np.diagonal(gram_b, axis1=-2, axis2=-1), 2, axis=-1)
+    q_k = 2.0 * np.diagonal(gram_b[:, : m + 1, m + 1 :], axis1=-2, axis2=-1)
+    # Each node's precision at its last step and d there, and g(a) there.
+    a_last, d_last, a = np.empty(num), np.empty((num, m + 1)), np.empty(num)
+    cycles, capped = np.zeros(num, dtype=int), np.zeros(num, dtype=bool)
     # What a step reads, restricted to the nodes still active, and the
     # secant state: the current precision, the previous one and its g - a.
     active = np.arange(num)
     scatter, n = np.asarray(stats.scatter, dtype=float), np.asarray(stats.n, dtype=float)
-    fixed = (gram, cc, cp, cross, pp, scatter, n, eta_sum, pull.a)
+    fixed = (lam, c_k, q_k, p_k, gram_b, vecs[:, m], scatter, n, eta_sum, pull.a)
+    # A singular K takes the ridge 1e-10 max(1, tr K/(M+1)) on every eigenvalue
+    # at each step, with tr K = a tr(gram) at eta = 0.
+    any_singular, trace = ridge.any(), np.trace(gram, axis1=-2, axis2=-1) / (m + 1)
     a_cur = np.array(params.a, dtype=float)
     a_prev = f_prev = np.full(num, np.nan)
     for _ in range(max_cycles):
-        gr, *prod, sc, nn, es, a_pull = fixed
-        lhs = a_cur[:, None, None] * gr + 2.0 * es[:, None, None] * np.eye(m + 1)
-        k_inv, ridged = _inverse(lhs)
-        residual, energy = _expected_residual(k_inv, a_cur, gr, *prod, sc, nn)
+        lm, ck, qk, pk, g, v, sc, nn, es, a_pull = fixed
+        shift = 2.0 * es
+        if any_singular:
+            singular = ridge[active]
+            shift = np.where(singular, 1e-10 * np.maximum(1.0, a_cur * trace[active]), shift)
+            for value in shift[singular]:
+                warnings.warn(
+                    f"M-step normal equations singular; retrying with ridge {value:.3e}",
+                    RuntimeWarning,
+                )
+        a_col = a_cur[:, None]
+        dk = 1.0 / (a_col * lm + shift[:, None])
+        ac = a_col * ck
+        acq = ac + qk
+        total = sc - _inner(dk, ac + acq) + _inner(lm * dk * dk, a_col * acq + pk)
+        w = dk * v
+        w = np.concatenate([a_col * w, w], axis=-1)
+        energy = sc + nn * _inner(w, (g @ w[..., None])[..., 0])
+        # Floored at relative epsilon: near-perfect reconstructions cancel to
+        # rounding noise of unstable sign, and the precision update needs a
+        # positive value (the precision then saturates instead of overflowing).
+        residual = np.maximum(total, _EPS * (1.0 + energy))
         a_new = _a_update(residual, nn, d, a_pull, es)
         f_cur = a_new - a_cur
         cycles[active] += 1
-        ridge[active] |= ridged
         if not np.isfinite(f_cur).all():
             raise ValueError("M-step produced non-finite parameters")
         # The residual cancels terms of the energy's size, so g(a) carries a
@@ -531,7 +512,7 @@ def m_step(
         last = done | (cycles[active] == max_cycles)
         if last.any():
             rows = active[last]
-            a_last[rows], k_inv_last[rows], a[rows] = a_cur[last], k_inv[last], a_new[last]
+            a_last[rows], d_last[rows], a[rows] = a_cur[last], dk[last], a_new[last]
             capped[active[last & ~done]] = True
             keep = ~last
             active = active[keep]
@@ -554,11 +535,8 @@ def m_step(
             "before converging",
             RuntimeWarning,
         )
-    # K is symmetric, so [W nu] = R K^-1: one (M+1) x (M+1) inverse and one
-    # product cost a fraction of a solve against D right-hand sides.
-    rhs = p.copy()
-    rhs[..., :m] += a_last[:, None, None] * moments.sum_cez
-    sol = rhs @ k_inv_last
+    # R V = a C V + P V, so [W nu] = (a C V + P V) diag(d) Vᵀ at the last step.
+    sol = (a_last[:, None, None] * cv + pv) @ (d_last[:, :, None] * np.swapaxes(vecs, -1, -2))
     if not np.isfinite(sol).all():
         raise ValueError("M-step produced non-finite parameters")
     return MStep(ParamView(sol[..., :m], stats.mean + sol[..., m], a), cycles, capped, ridge)
@@ -614,7 +592,7 @@ class DppcaModel(ConsensusModel):
 
     def m_step_counts(self) -> tuple[int, int, int]:
         """This node's M-step precision steps, its steps stopped at
-        ``max_cycles`` and its steps that needed the ridge retry."""
+        ``max_cycles`` and its steps that took the ridge of a singular system."""
         return tuple(self._nodes.counts[self._row].tolist())
 
 
@@ -646,7 +624,7 @@ class DppcaNodes(NodeGroup):
         m = (self.theta.shape[-1] - 1) // d - 1
         self.params, self.multipliers = unpack(self.theta, d, m), unpack(self.dual, d, m)
         # per node: M-step precision steps, steps stopped at max_cycles and
-        # steps that needed the ridge retry
+        # steps that took the ridge of a singular system
         self.counts = np.zeros((graph.num_nodes, 3), dtype=int)
         self._kept: _Latent | None = None
 

@@ -139,7 +139,7 @@ def test_quadratic_consensus_oracle():
         assert len(result.records) <= 500
         mean = np.mean(centers, axis=0)
         for model in result.models:
-            assert np.abs(model.theta - mean).max() < 1e-6
+            assert np.abs(model.params_vector() - mean).max() < 1e-6
 
 
 def _lagrangian_value_fn(moments, X, mult, neighbors, eta, anchors):

@@ -232,6 +232,50 @@ def test_sweep_rejects_jobs_below_one(tmp_path, capsys, source):
     assert not out.exists()
 
 
+def _flag_or_file(tmp_path, source, key, flag, value):
+    # the setting as a command-line flag or as a config-file key
+    if source == "flag":
+        return [flag, value]
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"{key} = {value}\n")
+    return ["--config", path]
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize(
+    "key,flag,value,repeated",
+    [
+        ("schemes", "--schemes", "fixed,vp,fixed", "'fixed'"),
+        ("topologies", "--topologies", "ring,ring", "'ring'"),
+        ("node_counts", "--node-counts", "4,6,4", "4"),
+        ("seeds", "--seeds", "1,1", "1"),
+    ],
+)
+def test_sweep_rejects_a_repeated_value(tmp_path, capsys, source, key, flag, value, repeated):
+    # a repeated value would run one cell twice into the same directory
+    out = tmp_path / "sweep"
+    extra = _flag_or_file(tmp_path, source, key, flag, value)
+    code = _run_cli(["sweep", *extra, "--max-iterations", "3", "--output-dir", out])
+    assert code == 1
+    assert f"{key} list repeats {repeated}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize(
+    "key,flag,bound",
+    [("eta0", "--eta0", "> 0"), ("mu", "--mu", "> 1"), ("tau_fixed", "--tau-fixed", "> 0"),
+     ("budget", "--budget", "> 0")],
+)
+def test_run_rejects_an_infinite_penalty_setting(tmp_path, capsys, source, key, flag, bound):
+    out = tmp_path / "out"
+    extra = _flag_or_file(tmp_path, source, key, flag, "inf")
+    code = _run_cli(["run", "--scheme", "nap", *FAST, *extra, "--output-dir", out])
+    assert code == 1
+    assert f"{key} must be finite and {bound}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_empty_scheme_list(tmp_path, capsys):
     code = _run_cli(["sweep", "--schemes", "", "--output-dir", tmp_path])
     assert code == 1

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from netadmm.engine import (
+    ConsensusModel,
     DivergenceError,
     IterationRecord,
-    QuadraticModel,
     QuadraticNodes,
     RunConfig,
     convergence_check,
@@ -64,8 +64,7 @@ def test_quadratic_consensus_reaches_mean():
     result = run(cfg, _quadratic, centers)
     mean = np.mean(centers, axis=0)
     for model in result.models:
-        np.testing.assert_allclose(model.theta, mean, atol=1e-6)
-        np.testing.assert_array_equal(model.params_vector(), model.theta)
+        np.testing.assert_allclose(model.params_vector(), mean, atol=1e-6)
 
 
 def _common_mode_errors(scheme, topology, iterations):
@@ -111,7 +110,7 @@ def test_single_node_matches_unconstrained_minimum():
     center = np.array([2.0, -3.0])
     cfg = RunConfig(num_nodes=1, scheme="fixed", max_iterations=5, convergence_tol=1e-12)
     result = run(cfg, _quadratic, [center])
-    np.testing.assert_allclose(result.models[0].theta, center, atol=1e-12)
+    np.testing.assert_allclose(result.models[0].params_vector(), center, atol=1e-12)
 
 
 def test_ranking_ties_reduce_to_fixed():
@@ -195,7 +194,7 @@ def test_phase_purity():
     # initial parameters count as round -1
     probe = [[float(i), -1.0] for i in range(6)]
     result = run(cfg, lambda s, r, graph: PhaseProbeNodes(probe, graph), [np.zeros(1)] * 6)
-    assert [model.theta.tolist() for model in result.models] == [[i, 6.0] for i in range(6)]
+    assert [model.params_vector().tolist() for model in result.models] == [[i, 6.0] for i in range(6)]
 
 
 def test_seeded_determinism_and_parallel_equivalence(tmp_path):
@@ -256,7 +255,7 @@ def test_trace_csv_format(tmp_path):
     assert iterations_to_convergence(records) == 2
 
 
-class CountingModel(QuadraticModel):
+class CountingModel(ConsensusModel):
     @property
     def neighbor_evals(self):
         return int(self._nodes.neighbor_evals[self._row])

@@ -62,6 +62,10 @@ def test_defaults():
         {"alpha": 0.0},
         {"beta": 1.0},
         {"eta0": float("nan")},
+        {"eta0": float("inf")},
+        {"mu": float("inf")},
+        {"tau_fixed": float("inf")},
+        {"budget": float("inf")},
     ],
 )
 def test_config_validation(kwargs):

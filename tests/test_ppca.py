@@ -630,6 +630,114 @@ def test_ridge_retries_are_counted(monkeypatch):
     assert engine.run_summary({}, result)["m_step"] == {"cycles": 3, "cap_hits": 0, "ridge": 2}
 
 
+def _inverse_first_step(moments, stats, params, pull, eta_sum):
+    # The reference for the M-step's first precision step, node by node,
+    # in the arithmetic of an explicit inverse: K⁻¹ = inv(a gram + 2η I),
+    # or inv(K + ridge I) with ridge = 1e-10 max(1, tr K/(M+1)) where inv
+    # finds K singular; the residual and the energy from (M+1) x (M+1)
+    # products of C = [sum_cez, 0] and P; g(a) from them; [W ν] = R K⁻¹.
+    # Returns per node W, mu, g(a), the ridge (0 if none) and cond(K).
+    from netadmm.ppca import _a_update
+
+    num, d, m = params.W.shape
+    eps = np.finfo(float).eps
+    out = []
+    for i in range(num):
+        a, eta, n = float(params.a[i]), float(eta_sum[i]), float(stats.n[i])
+        ez = moments.sum_ez[i][:, None]
+        gram = np.block([[moments.sum_ezz[i], ez], [ez.T, np.full((1, 1), n)]])
+        c = np.column_stack([moments.sum_cez[i], np.zeros(d)])
+        p = np.column_stack([pull.W[i], pull.mu[i] - 2.0 * eta * stats.mean[i]])
+        k = a * gram + 2.0 * eta * np.eye(m + 1)
+        ridge = 0.0
+        try:
+            k_inv = np.linalg.inv(k)
+        except np.linalg.LinAlgError:
+            ridge = 1e-10 * max(1.0, float(np.trace(k)) / (m + 1))
+            k_inv = np.linalg.inv(k + ridge * np.eye(m + 1))
+        cc, cp, pp = c.T @ c, c.T @ p, p.T @ p
+        xx = k_inv @ (a * (a * cc + cp + cp.T) + pp) @ k_inv
+        energy = stats.scatter[i] + n * xx[m, m]
+        total = stats.scatter[i] - 2.0 * np.sum(k_inv * (a * cc + cp)) + np.sum(xx * gram)
+        residual = max(total, eps * (1.0 + energy))
+        g = float(_a_update(residual, n, d, float(pull.a[i]), eta))
+        x = (a * c + p) @ k_inv
+        out.append((x[:, :m], stats.mean[i] + x[:, m], g, ridge, np.linalg.cond(k)))
+    return out
+
+
+def _random_m_step_inputs(rng, num, m, eta, d=7, n=12, ill=False):
+    # E-step moments of J random shards at random parameters, a random pull
+    # and a penalty sum of eta per node. ``ill`` scales node 0's first
+    # projection column by 1e3, which shrinks its latent moments along it
+    # by about 1e-6 and so makes its gram ill-conditioned.
+    shards = [rng.normal(size=(d, n)) for _ in range(num)]
+    stats = ShardStats(*map(np.stack, zip(*(shard_stats(x) for x in shards))))
+    w = rng.normal(size=(num, d, m))
+    if ill:
+        w[0, :, 0] *= 1e3
+    params = ParamView(w, rng.normal(size=(num, d)), rng.uniform(0.5, 3.0, num))
+    pull = ParamView(rng.normal(size=(num, d, m)), rng.normal(size=(num, d)), rng.normal(size=num))
+    return e_step(params, stats), stats, params, pull, np.full(num, eta)
+
+
+def _assert_matches_first_step(out, reference):
+    # The tolerance follows from the dtype and cond(K), set before the
+    # comparison: both sides solve one system in K, so each carries an
+    # error of about eps·cond(K) relative to the solution's size.
+    eps = np.finfo(float).eps
+    for i, (w, mu, g, _, cond) in enumerate(reference):
+        tol = 100.0 * eps * cond
+        size = max(np.abs(w).max(), np.abs(mu).max())
+        np.testing.assert_allclose(out.params.W[i], w, rtol=0, atol=tol * size)
+        np.testing.assert_allclose(out.params.mu[i], mu, rtol=0, atol=tol * size)
+        assert out.params.a[i] == pytest.approx(g, rel=tol)
+
+
+@pytest.mark.parametrize("num", [1, 5, 20])
+@pytest.mark.parametrize("m", [1, 3, 5])
+@pytest.mark.parametrize("eta", [0.0, 7.5])
+def test_first_precision_step_matches_the_inverse_reference(num, m, eta):
+    rng = np.random.default_rng(100 * num + 10 * m + int(eta))
+    inputs = _random_m_step_inputs(rng, num, m, eta)
+    with pytest.warns(RuntimeWarning, match="max_cycles=1"):
+        out = m_step(*inputs, max_cycles=1)
+    assert out.cycles.tolist() == [1] * num and not out.ridge.any()
+    _assert_matches_first_step(out, _inverse_first_step(*inputs))
+
+
+def test_first_precision_step_matches_the_inverse_reference_when_ill_conditioned():
+    inputs = _random_m_step_inputs(np.random.default_rng(41), 5, 3, 0.0, ill=True)
+    reference = _inverse_first_step(*inputs)
+    assert reference[0][4] > 1e6 and max(r[4] for r in reference[1:]) < 1e3
+    with pytest.warns(RuntimeWarning, match="max_cycles=1"):
+        out = m_step(*inputs, max_cycles=1)
+    _assert_matches_first_step(out, reference)
+
+
+def test_singular_k_takes_the_reference_ridge():
+    # zero latent moments and no penalty: K = a diag(0, ..., 0, n) is
+    # exactly singular, and a nonzero pull (twice the negated multipliers)
+    # puts the ridge into W
+    rng = np.random.default_rng(42)
+    num, d, m = 3, 4, 2
+    moments, stats, params, pull, eta_sum = _random_m_step_inputs(rng, num, m, 0.0, d=d)
+    moments = LatentMoments(*(np.zeros_like(f) for f in moments))
+    inputs = (moments, stats, params, pull, eta_sum)
+    reference = _inverse_first_step(*inputs)
+    with pytest.warns(RuntimeWarning) as caught:
+        out = m_step(*inputs, max_cycles=1)
+    ridges = [str(w.message) for w in caught if "ridge" in str(w.message)]
+    assert ridges == [
+        f"M-step normal equations singular; retrying with ridge {r[3]:.3e}" for r in reference
+    ]
+    assert out.ridge.tolist() == [True] * num
+    for i, (w, mu, g, _, _) in enumerate(reference):
+        np.testing.assert_allclose(out.params.W[i], w, rtol=1e-12)
+        np.testing.assert_allclose(out.params.mu[i], mu, rtol=1e-12)
+        assert out.params.a[i] == pytest.approx(g, rel=1e-12)
+
+
 def test_network_consensus_at_convergence():
     # run past the loose stopping point: all nodes end on one subspace
     from itertools import combinations
