@@ -43,7 +43,11 @@ when a run is missing, rows or flags differ, or a field differs by more
 than ``--rtol`` relative. It also reads the ``m_step`` block of each run's
 ``summary.json`` (precision steps, cap hits and ridge retries) and prints
 both sides' counts on a run's line when they differ, and the number of
-such runs on the total line; those differences fail nothing.
+such runs on the total line. Where both summaries hold the angles
+``max_angle_deg``, ``per_node_angle_deg`` and ``consensus_gap_deg`` (the
+quadratic run has none), it prints their largest absolute difference in
+degrees on the run's line, and the largest over all runs on the total
+line. Neither the counts nor the angles fail anything.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -61,6 +66,7 @@ SCHEMES = ("fixed", "vp", "ap", "nap", "vp_ap", "vp_nap")
 CONFIG_RUN, CONFIG_FILE = "vp_nap_cluster_file", "run.cfg"
 SFM_RUN, SFM_FILE = "sfm_vp_ap", "tracks.csv"
 QUADRATIC_RUN = "quadratic_ap_complete"
+ANGLES = ("max_angle_deg", "per_node_angle_deg", "consensus_gap_deg")
 CONFIG_TEXT = """\
 scheme = vp_nap
 topology = cluster
@@ -154,15 +160,27 @@ def _field_diff(base: str, new: str) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def _m_step(run_dir: Path) -> dict | None:
-    # The run's M-step counts from its summary, or None without one.
+def _summary(run_dir: Path) -> dict:
+    # The run's summary, or {} without one.
     path = run_dir / "summary.json"
-    return json.loads(path.read_text()).get("m_step") if path.exists() else None
+    return json.loads(path.read_text()) if path.exists() else {}
+
+
+def _angle_diff(base: dict, new: dict) -> float | None:
+    # Largest absolute difference, in degrees, of the angles both summaries
+    # hold; None when they share none. Per-node lists of unequal length
+    # differ by inf.
+    diffs = []
+    for key in (k for k in ANGLES if k in base and k in new):
+        u, v = (base[key], new[key]) if key == "per_node_angle_deg" else ([base[key]], [new[key]])
+        diffs += [abs(x - y) for x, y in zip(u, v)] if len(u) == len(v) else [math.inf]
+    return max(diffs, default=None)
 
 
 def compare(base_dir: Path, new_dir: Path, rtol: float) -> bool:
     """Print one line per run and a total; true when every run passes."""
     ok, identical, worst, counts_differ = True, 0, (0.0, ""), 0
+    angles_worst, angle_runs = (0.0, ""), 0
     runs = [name for name, _ in reference_runs()]
     for name in runs:
         base, new = base_dir / name / "trace.csv", new_dir / name / "trace.csv"
@@ -170,14 +188,21 @@ def compare(base_dir: Path, new_dir: Path, rtol: float) -> bool:
             print(f"{name}: missing trace")
             ok = False
             continue
-        counts = ""
-        base_counts, new_counts = _m_step(base_dir / name), _m_step(new_dir / name)
+        notes = ""
+        base_summary, new_summary = _summary(base_dir / name), _summary(new_dir / name)
+        base_counts, new_counts = base_summary.get("m_step"), new_summary.get("m_step")
         if base_counts != new_counts:
             counts_differ += 1
-            counts = f"; m_step {base_counts} -> {new_counts}"
+            notes = f"; m_step {base_counts} -> {new_counts}"
+        angle_diff = _angle_diff(base_summary, new_summary)
+        if angle_diff is not None:
+            angle_runs += 1
+            notes += f"; angles {angle_diff:.3g} deg"
+            if angle_diff > angles_worst[0]:
+                angles_worst = (angle_diff, f" in {name}")
         if base.read_bytes() == new.read_bytes():
             identical += 1
-            print(f"{name}: byte-identical{counts}")
+            print(f"{name}: byte-identical{notes}")
             continue
         b_rows, n_rows = _rows(base), _rows(new)
         header = b_rows[0]
@@ -197,12 +222,14 @@ def compare(base_dir: Path, new_dir: Path, rtol: float) -> bool:
         print(
             f"{name}: rows {len(b_rows) - 1} -> {len(n_rows) - 1}, "
             f"flags {'same' if same_flags else 'DIFFER'}, worst field {run_worst:.3g} ({column})"
-            + counts
+            + notes
             + ("" if passed else "  FAIL")
         )
     print(
         f"{identical} of {len(runs)} byte-identical; worst relative field difference "
         f"{worst[0]:.3g}{' in ' + worst[1] if worst[1] else ''}; "
+        f"largest angle difference {angles_worst[0]:.3g} deg{angles_worst[1]} "
+        f"over {angle_runs} runs; "
         f"M-step counts differ in {counts_differ}; {'PASS' if ok else 'FAIL'}"
     )
     return ok

@@ -1,9 +1,12 @@
-"""Evaluation metrics: subspace angles, run reports, speed-up figures."""
+"""Evaluation metrics: subspace angles, run reports, speed-up figures.
+
+Every angle is the largest principal angle between QR-orthonormalized
+bases, atan2(σ_max(Qb − Qa Qaᵀ Qb), σ_min(Qaᵀ Qb)), accurate at 0 and at
+90 degrees; :func:`largest_angles_deg` scores whole stacks in one call.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -11,9 +14,8 @@ import numpy as np
 from .engine import iterations_to_convergence
 
 __all__ = [
-    "SubspaceAngleReport",
+    "largest_angles_deg",
     "subspace_angle",
-    "angle_report",
     "consensus_gap_deg",
     "run_report",
     "lower_median",
@@ -22,57 +24,46 @@ __all__ = [
 ]
 
 
-def _orthonormalize(basis: np.ndarray, label: str) -> np.ndarray:
-    basis = np.asarray(basis, dtype=float)
-    if basis.ndim != 2:
-        raise ValueError(f"{label} must be a 2-d basis matrix")
-    q, r = np.linalg.qr(basis)
-    # Rank check via the triangular factor; a collapsed column means the
-    # input does not span a subspace of its nominal dimension.
-    diag = np.abs(np.diag(r))
-    if np.any(diag < 1e-10 * max(1.0, diag.max(initial=0.0))):
-        raise ValueError(f"{label} is rank deficient")
+def _orthonormalize(bases, label: str) -> np.ndarray:
+    # Q of each basis in a (..., D, M) stack. A basis whose R has a diagonal
+    # entry at most 1e-10 of its largest, at any scale, spans fewer than M
+    # dimensions; the first such member of a stack is named by its index.
+    bases = np.asarray(bases, dtype=float)
+    if bases.ndim < 2 or bases.shape[-1] > bases.shape[-2]:
+        raise ValueError(f"{label} must be a 2-d matrix with no more columns than rows, or a stack")
+    q, r = np.linalg.qr(bases)
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    collapsed = np.argwhere(diag.min(axis=-1) <= 1e-10 * diag.max(axis=-1))
+    if len(collapsed):
+        raise ValueError(f"{label}{collapsed[0].tolist() if q.ndim > 2 else ''} is rank deficient")
     return q
 
 
-def subspace_angle(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest principal angle between two column spans, in degrees.
+def _angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    # The module's atan2 form on orthonormal stacks of equal shape.
+    overlap = np.swapaxes(qa, -1, -2) @ qb
+    sine = np.linalg.svd(qb - qa @ overlap, compute_uv=False)[..., 0]
+    cosine = np.linalg.svd(overlap, compute_uv=False)[..., -1]
+    return np.degrees(np.arctan2(sine, cosine))
 
-    Both inputs are orthonormalized with QR; the angle is
-    ``arccos`` of the smallest singular value of ``Qa.T @ Qb``, clamped
-    to [0, 90]. Below 45 degrees the equivalent sine form (largest
-    singular value of ``Qb`` minus its projection onto ``Qa``) is used
-    instead, which stays accurate where arccos loses half the precision.
-    Symmetric in its arguments and invariant to right-multiplication by
-    any orthogonal matrix.
+
+def largest_angles_deg(a, b) -> np.ndarray:
+    """Largest principal angle between span(a) and span(b), in degrees.
+
+    ``a`` and ``b`` are D x M bases, or stacks (..., D, M) of them whose
+    leading axes broadcast to the shape of the result. Symmetric in its
+    arguments and invariant to right-multiplying either by an invertible
+    matrix, so to its scale.
     """
-    qa = _orthonormalize(a, "first basis")
-    qb = _orthonormalize(b, "second basis")
-    if qa.shape[0] != qb.shape[0]:
-        raise ValueError("bases live in different ambient dimensions")
-    overlap = qa.T @ qb
-    cos_largest = np.clip(np.linalg.svd(overlap, compute_uv=False).min(), -1.0, 1.0)
-    if cos_largest**2 > 0.5:
-        residual = qb - qa @ overlap
-        sin_largest = np.clip(np.linalg.svd(residual, compute_uv=False).max(), 0.0, 1.0)
-        angle = np.degrees(np.arcsin(sin_largest))
-    else:
-        angle = np.degrees(np.arccos(cos_largest))
-    return float(np.clip(angle, 0.0, 90.0))
+    qa, qb = _orthonormalize(a, "first basis"), _orthonormalize(b, "second basis")
+    if qa.shape[-2:] != qb.shape[-2:]:
+        raise ValueError("bases differ in ambient dimension or in column count")
+    return _angles(qa, qb)
 
 
-@dataclass(frozen=True)
-class SubspaceAngleReport:
-    """Per-node subspace errors against a reference basis."""
-
-    per_node_angle_deg: tuple[float, ...]
-    max_angle_deg: float
-
-
-def angle_report(bases: Sequence[np.ndarray], reference: np.ndarray) -> SubspaceAngleReport:
-    """Angles of every node's basis against a common reference."""
-    angles = tuple(subspace_angle(basis, reference) for basis in bases)
-    return SubspaceAngleReport(angles, max(angles))
+def subspace_angle(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest principal angle between the column spans of two bases, in degrees."""
+    return float(largest_angles_deg(a, b))
 
 
 def consensus_gap_deg(bases: Sequence[np.ndarray]) -> float:
@@ -81,7 +72,9 @@ def consensus_gap_deg(bases: Sequence[np.ndarray]) -> float:
     0 for a single node. Unlike the angles to a reference, this shows
     whether the nodes agree with each other.
     """
-    return max((subspace_angle(a, b) for a, b in combinations(bases, 2)), default=0.0)
+    q = _orthonormalize(bases, "basis")
+    i, j = np.triu_indices(len(q), 1)
+    return float(_angles(q[i], q[j]).max(initial=0.0))
 
 
 def run_report(records, node_bases: Sequence[np.ndarray], reference: np.ndarray) -> dict:
@@ -95,12 +88,12 @@ def run_report(records, node_bases: Sequence[np.ndarray], reference: np.ndarray)
     nodes' final subspaces: a run can stop "converged" with its nodes
     far apart.
     """
-    report = angle_report(node_bases, reference)
+    angles = largest_angles_deg(node_bases, reference)
     return {
         "iterations": iterations_to_convergence(records),
         "converged": any(record.converged for record in records),
-        "max_angle_deg": report.max_angle_deg,
-        "per_node_angle_deg": list(report.per_node_angle_deg),
+        "max_angle_deg": float(angles.max()),
+        "per_node_angle_deg": angles.tolist(),
         "consensus_gap_deg": consensus_gap_deg(node_bases),
     }
 

@@ -420,8 +420,8 @@ def m_step(
     being the rounding level of ``g(a)`` (its residual cancels terms of the
     size of the data's energy about mu); once its expected residual is
     below √ε of that energy (its noise variance is then at rounding level
-    relative to the data's); or after ``max_cycles`` steps. The steps run
-    only over the nodes still active. A node returns
+    relative to the data's); or after ``max_cycles`` steps. A stopped
+    node's row stays in place with its precision frozen. A node returns
     ``(W(a), mu(a), g(a))`` of its last step, so the result depends on the
     entry precision but not on the entry W and mu. With no neighbors and
     zero multipliers a node's update is the centralized EM M-step.
@@ -463,72 +463,63 @@ def m_step(
     gram_b = np.swapaxes(b, -1, -2) @ b
     c_k, p_k = np.split(np.diagonal(gram_b, axis1=-2, axis2=-1), 2, axis=-1)
     q_k = 2.0 * np.diagonal(gram_b[:, : m + 1, m + 1 :], axis1=-2, axis2=-1)
-    # Each node's precision at its last step and d there, and g(a) there.
-    a_last, d_last, a = np.empty(num), np.empty((num, m + 1)), np.empty(num)
-    cycles, capped = np.zeros(num, dtype=int), np.zeros(num, dtype=bool)
-    # What a step reads, restricted to the nodes still active, and the
-    # secant state: the current precision, the previous one and its g - a.
-    active = np.arange(num)
+    # Every row steps in place: a stopped node's precision stays frozen, and
+    # only active rows are checked and warned about. The secant state: the
+    # current precision, the previous one and its g - a.
+    active, cycles = np.ones(num, dtype=bool), np.zeros(num, dtype=int)
     scatter, n = np.asarray(stats.scatter, dtype=float), np.asarray(stats.n, dtype=float)
-    fixed = (lam, c_k, q_k, p_k, gram_b, vecs[:, m], scatter, n, eta_sum, pull.a)
     # A singular K takes the ridge 1e-10 max(1, tr K/(M+1)) on every eigenvalue
     # at each step, with tr K = a tr(gram) at eta = 0.
     any_singular, trace = ridge.any(), np.trace(gram, axis1=-2, axis2=-1) / (m + 1)
+    shift = 2.0 * eta_sum
     a_cur = np.array(params.a, dtype=float)
     a_prev = f_prev = np.full(num, np.nan)
-    for _ in range(max_cycles):
-        lm, ck, qk, pk, g, v, sc, nn, es, a_pull = fixed
-        shift = 2.0 * es
-        if any_singular:
-            singular = ridge[active]
-            shift = np.where(singular, 1e-10 * np.maximum(1.0, a_cur * trace[active]), shift)
-            for value in shift[singular]:
-                warnings.warn(
-                    f"M-step normal equations singular; retrying with ridge {value:.3e}",
-                    RuntimeWarning,
-                )
-        a_col = a_cur[:, None]
-        dk = 1.0 / (a_col * lm + shift[:, None])
-        ac = a_col * ck
-        acq = ac + qk
-        total = sc - _inner(dk, ac + acq) + _inner(lm * dk * dk, a_col * acq + pk)
-        w = dk * v
-        w = np.concatenate([a_col * w, w], axis=-1)
-        energy = sc + nn * _inner(w, (g @ w[..., None])[..., 0])
-        # Floored at relative epsilon: near-perfect reconstructions cancel to
-        # rounding noise of unstable sign, and the precision update needs a
-        # positive value (the precision then saturates instead of overflowing).
-        residual = np.maximum(total, _EPS * (1.0 + energy))
-        a_new = _a_update(residual, nn, d, a_pull, es)
-        f_cur = a_new - a_cur
-        cycles[active] += 1
-        if not np.isfinite(f_cur).all():
-            raise ValueError("M-step produced non-finite parameters")
-        # The residual cancels terms of the energy's size, so g(a) carries a
-        # relative rounding error of about eps * energy / residual: tol alone
-        # can fall below it on near-noiseless data.
-        slack = tol + _EPS * energy / residual
-        done = (np.abs(f_cur) < slack * (1.0 + np.abs(a_cur))) | (residual < _NOISE_FLOOR * energy)
-        last = done | (cycles[active] == max_cycles)
-        if last.any():
-            rows = active[last]
-            a_last[rows], d_last[rows], a[rows] = a_cur[last], dk[last], a_new[last]
-            capped[active[last & ~done]] = True
-            keep = ~last
-            active = active[keep]
-            if not active.size:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_cycles):
+            if any_singular:
+                shift = np.where(ridge, 1e-10 * np.maximum(1.0, a_cur * trace), 2.0 * eta_sum)
+                for value in shift[ridge & active]:
+                    warnings.warn(
+                        f"M-step normal equations singular; retrying with ridge {value:.3e}",
+                        RuntimeWarning,
+                    )
+            a_col = a_cur[:, None]
+            dk = 1.0 / (a_col * lam + shift[:, None])
+            ac = a_col * c_k
+            acq = ac + q_k
+            total = scatter - _inner(dk, ac + acq) + _inner(lam * dk * dk, a_col * acq + p_k)
+            w = dk * vecs[:, m]
+            w = np.concatenate([a_col * w, w], axis=-1)
+            energy = scatter + n * _inner(w, (gram_b @ w[..., None])[..., 0])
+            # Floored at relative epsilon: near-perfect reconstructions cancel to
+            # rounding noise of unstable sign, and the precision update needs a
+            # positive value (the precision then saturates instead of overflowing).
+            residual = np.maximum(total, _EPS * (1.0 + energy))
+            a_new = _a_update(residual, n, d, pull.a, eta_sum)
+            f_cur = a_new - a_cur
+            cycles += active
+            if not np.isfinite(f_cur[active]).all():
+                raise ValueError("M-step produced non-finite parameters")
+            # The residual cancels terms of the energy's size, so g(a) carries a
+            # relative rounding error of about eps * energy / residual: tol alone
+            # can fall below it on near-noiseless data.
+            slack = tol + _EPS * energy / residual
+            converged = np.abs(f_cur) < slack * (1.0 + np.abs(a_cur))
+            done = converged | (residual < _NOISE_FLOOR * energy)
+            active &= ~done & (cycles < max_cycles)
+            if not active.any():
                 break
-            fixed = tuple(x[keep] for x in fixed)
-            a_cur, a_prev, f_prev, f_cur, a_new = (
-                x[keep] for x in (a_cur, a_prev, f_prev, f_cur, a_new)
-            )
-        with np.errstate(divide="ignore", invalid="ignore"):
             secant = a_cur - f_cur * (a_cur - a_prev) / (f_cur - f_prev)
-        # A secant step must move a the way g(a) - a points, as the plain
-        # step does: where g(a) - a changes slope, one can walk away from
-        # the root.
-        usable = np.isfinite(secant) & (secant > 0) & ((secant - a_cur) * f_cur > 0)
-        a_prev, f_prev, a_cur = a_cur, f_cur, np.where(usable, secant, a_new)
+            # A secant step must move a the way g(a) - a points, as the plain
+            # step does: where g(a) - a changes slope, one can walk away from
+            # the root.
+            usable = np.isfinite(secant) & (secant > 0) & ((secant - a_cur) * f_cur > 0)
+            step = np.where(usable, secant, a_new)
+            a_prev, f_prev, a_cur = a_cur, f_cur, np.where(active, step, a_cur)
+    # A frozen row repeats its last step, so every row now holds its node's:
+    # the precision a_cur, d there and g(a) there (a_new). A node that ran
+    # max_cycles steps stopped there unless that step converged.
+    capped = (cycles == max_cycles) & ~done
     if capped.any():
         warnings.warn(
             f"M-step stopped at max_cycles={max_cycles} on {int(capped.sum())} node(s) "
@@ -536,10 +527,10 @@ def m_step(
             RuntimeWarning,
         )
     # R V = a C V + P V, so [W nu] = (a C V + P V) diag(d) Vᵀ at the last step.
-    sol = (a_last[:, None, None] * cv + pv) @ (d_last[:, :, None] * np.swapaxes(vecs, -1, -2))
+    sol = (a_cur[:, None, None] * cv + pv) @ (dk[:, :, None] * np.swapaxes(vecs, -1, -2))
     if not np.isfinite(sol).all():
         raise ValueError("M-step produced non-finite parameters")
-    return MStep(ParamView(sol[..., :m], stats.mean + sol[..., m], a), cycles, capped, ridge)
+    return MStep(ParamView(sol[..., :m], stats.mean + sol[..., m], a_new), cycles, capped, ridge)
 
 
 def centralized_em(

@@ -5,8 +5,8 @@ from scipy.linalg import subspace_angles as scipy_subspace_angles
 from netadmm.engine import IterationRecord
 from netadmm.metrics import (
     aggregate_reports,
-    angle_report,
     consensus_gap_deg,
+    largest_angles_deg,
     lower_median,
     run_report,
     speedup,
@@ -58,6 +58,9 @@ def test_angle_scaling_invariance_and_clamping():
     A = np.random.default_rng(3).normal(size=(5, 2))
     # scaled copies of the same basis can push cosines past 1 numerically
     assert subspace_angle(A, 3.0 * A) == pytest.approx(0.0, abs=1e-10)
+    # the rank test is relative to the basis's own scale
+    tiny = 1e-11 * np.eye(4)[:, :2]
+    assert subspace_angle(tiny, np.eye(4)[:, 1:3]) == pytest.approx(90.0)
 
 
 def test_rank_deficient_rejected():
@@ -69,16 +72,21 @@ def test_rank_deficient_rejected():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError, match="ambient"):
         subspace_angle(np.eye(4)[:, :2], np.eye(5)[:, :2])
+    with pytest.raises(ValueError, match="column count"):
+        subspace_angle(np.eye(4)[:, :2], np.eye(4)[:, :1])
     with pytest.raises(ValueError, match="2-d"):
         subspace_angle(np.ones(4), np.eye(4)[:, :1])
+    # three columns in the plane: R has two diagonal entries, both nonzero
+    wide = np.random.default_rng(8).normal(size=(2, 2, 3))
+    with pytest.raises(ValueError, match="no more columns than rows"):
+        subspace_angle(*wide)
 
 
-def test_angle_report_max():
+def test_run_report_max():
     ref = np.eye(4)[:, :2]
-    bases = [ref, np.eye(4)[:, 1:3]]
-    report = angle_report(bases, ref)
-    assert report.per_node_angle_deg[0] == pytest.approx(0.0, abs=1e-10)
-    assert report.max_angle_deg == pytest.approx(90.0)
+    out = run_report([_record(0, True)], [ref, np.eye(4)[:, 1:3]], ref)
+    assert out["per_node_angle_deg"][0] == pytest.approx(0.0, abs=1e-10)
+    assert out["max_angle_deg"] == pytest.approx(90.0)
 
 
 def test_run_report_convergence_index():
@@ -117,6 +125,43 @@ def test_consensus_gap_is_largest_pairwise_angle():
     report = run_report(records, bases, plane(0.0))
     assert report["consensus_gap_deg"] == pytest.approx(60.0, abs=1e-9)
     assert report["max_angle_deg"] == pytest.approx(30.0, abs=1e-9)
+
+
+def test_largest_angles_match_scipy_on_stacks():
+    rng = np.random.default_rng(5)
+    for J in (1, 5, 20):
+        for D in (3, 20, 200):
+            for M in (m for m in (1, 3, 5) if m <= D):
+                a, b = rng.normal(size=(2, J, D, M))
+                pairs = largest_angles_deg(a, b)
+                against_first = largest_angles_deg(a, b[0])
+                assert pairs.shape == against_first.shape == (J,)
+                for k in range(J):
+                    expected = np.degrees(scipy_subspace_angles(a[k], b[k]).max())
+                    assert pairs[k] == pytest.approx(expected, abs=1e-8)
+                    expected = np.degrees(scipy_subspace_angles(a[k], b[0]).max())
+                    assert against_first[k] == pytest.approx(expected, abs=1e-8)
+
+
+def test_consensus_gap_matches_pairwise_angles():
+    rng = np.random.default_rng(6)
+    center = rng.normal(size=(10, 3))
+    bases = [center + 0.3 * rng.normal(size=(10, 3)) for _ in range(7)]
+    pairwise = max(subspace_angle(bases[i], bases[j]) for i in range(7) for j in range(i + 1, 7))
+    assert consensus_gap_deg(bases) == pytest.approx(pairwise, abs=1e-12)
+
+
+def test_collapsed_stack_member_is_named():
+    stack = np.random.default_rng(7).normal(size=(5, 6, 2))
+    stack[3, :, 1] = 2.0 * stack[3, :, 0]
+    with pytest.raises(ValueError, match=r"basis\[3\] is rank deficient"):
+        consensus_gap_deg(stack)
+    with pytest.raises(ValueError, match=r"first basis\[3\] is rank deficient"):
+        largest_angles_deg(stack, stack[0])
+    with pytest.raises(ValueError, match=r"second basis\[3\] is rank deficient"):
+        largest_angles_deg(stack[0], stack)
+    with pytest.raises(ValueError, match=r"first basis\[3\] is rank deficient"):
+        run_report([_record(0, True)], stack, stack[0])
 
 
 def test_lower_median():

@@ -75,3 +75,24 @@ def test_compare_reports_m_step_counts_without_failing(tmp_path, capsys, changed
     assert by_run["vp_cluster_eta3"] == f"byte-identical; m_step {M_STEP} -> None"
     assert by_run["fixed_complete_1"] == "byte-identical"
     assert total.endswith("M-step counts differ in 3; PASS")
+
+
+def test_compare_reports_angle_differences_without_failing(tmp_path, capsys):
+    # Angles that both summaries hold are compared by their largest
+    # absolute difference; a summary without them adds nothing.
+    base = _write_set(tmp_path / "base")
+    new = _write_set(tmp_path / "new")
+    angles = {"max_angle_deg": 2.0, "per_node_angle_deg": [1.0, 2.0], "consensus_gap_deg": 3.0}
+    moved = {**angles, "per_node_angle_deg": [1.0, 2.5], "consensus_gap_deg": 2.75}
+    for name, new_angles in (("vp_ring_1", moved), ("sfm_vp_ap", angles)):
+        (base / name / "summary.json").write_text(json.dumps({"m_step": M_STEP, **angles}))
+        (new / name / "summary.json").write_text(json.dumps({"m_step": M_STEP, **new_angles}))
+    (new / "ap_ring_2" / "summary.json").write_text(json.dumps({"m_step": M_STEP, **angles}))
+    assert trace_gate.compare(base, new, rtol=1e-9) is True
+    *runs, total = capsys.readouterr().out.splitlines()
+    by_run = dict(line.split(": ", 1) for line in runs)
+    assert by_run["vp_ring_1"] == "byte-identical; angles 0.5 deg"
+    assert by_run["sfm_vp_ap"] == "byte-identical; angles 0 deg"
+    assert by_run["ap_ring_2"] == "byte-identical"
+    assert "; largest angle difference 0.5 deg in vp_ring_1 over 2 runs; " in total
+    assert total.endswith("M-step counts differ in 0; PASS")
