@@ -50,7 +50,7 @@ for topology in ("complete", "ring", "cluster"):
             )
             result = engine.run(cfg, ppca.make_dppca_factory(spec.latent_dim), shards)
             bases = [m.params.W for m in result.models]
-            reports.append(metrics.run_report(result.records, bases, ground_truth))
+            reports.append(metrics.run_report(result, bases, ground_truth))
         agg = metrics.aggregate_reports(reports)
         print(f"{scheme:8s} {agg['median_iterations']:12d} "
               f"{agg['median_max_angle_deg']:15.2f}  "

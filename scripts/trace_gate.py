@@ -47,7 +47,10 @@ such runs on the total line. Where both summaries hold the angles
 ``max_angle_deg``, ``per_node_angle_deg`` and ``consensus_gap_deg`` (the
 quadratic run has none), it prints their largest absolute difference in
 degrees on the run's line, and the largest over all runs on the total
-line. Neither the counts nor the angles fail anything.
+line. Neither the counts nor the angles fail anything. It prints both sides'
+``outcome`` (how the run ended) on a run's line when they differ, and fails
+the run when both summaries hold one and they differ; a summary written
+before runs had an outcome holds none.
 """
 
 from __future__ import annotations
@@ -194,6 +197,10 @@ def compare(base_dir: Path, new_dir: Path, rtol: float) -> bool:
         if base_counts != new_counts:
             counts_differ += 1
             notes = f"; m_step {base_counts} -> {new_counts}"
+        base_outcome, new_outcome = base_summary.get("outcome"), new_summary.get("outcome")
+        same_outcome = None in (base_outcome, new_outcome) or base_outcome == new_outcome
+        if base_outcome != new_outcome:
+            notes += f"; outcome {base_outcome} -> {new_outcome}"
         angle_diff = _angle_diff(base_summary, new_summary)
         if angle_diff is not None:
             angle_runs += 1
@@ -202,7 +209,8 @@ def compare(base_dir: Path, new_dir: Path, rtol: float) -> bool:
                 angles_worst = (angle_diff, f" in {name}")
         if base.read_bytes() == new.read_bytes():
             identical += 1
-            print(f"{name}: byte-identical{notes}")
+            ok &= same_outcome
+            print(f"{name}: byte-identical{notes}" + ("" if same_outcome else "  FAIL"))
             continue
         b_rows, n_rows = _rows(base), _rows(new)
         header = b_rows[0]
@@ -217,7 +225,7 @@ def compare(base_dir: Path, new_dir: Path, rtol: float) -> bool:
                         run_worst, column = _field_diff(u, v), header[k]
         if run_worst > worst[0]:
             worst = (run_worst, f"{name} {column}")
-        passed = same_rows and same_flags and run_worst <= rtol
+        passed = same_rows and same_flags and run_worst <= rtol and same_outcome
         ok &= passed
         print(
             f"{name}: rows {len(b_rows) - 1} -> {len(n_rows) - 1}, "

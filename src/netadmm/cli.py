@@ -19,7 +19,7 @@ own settings in ``ExperimentConfig``. Each key is also a flag, spelled
 with dashes, or by the short spelling in ``FLAG_ALIASES``. The output
 directory may also be set through the ``NETADMM_OUTPUT_DIR`` environment
 variable. Exit codes: 0 converged, 2 iteration cap reached, 1 any error,
-usage errors included.
+usage errors included, or a run that diverged or failed mid-run.
 """
 
 from __future__ import annotations
@@ -223,12 +223,13 @@ def _budget_summary(result: engine.RunResult) -> dict | None:
 def _run_and_write(cfg: ExperimentConfig, shards, reference: np.ndarray, out_dir: Path, **extra) -> dict:
     """Run D-PPCA on ``shards``; write and return the summary and write the trace.
 
-    The summary scores every node's basis against ``reference`` and adds ``extra``.
+    Both are written however the run ended. The summary scores every node's
+    basis against ``reference`` (see :func:`metrics.run_report`) and adds ``extra``.
     """
     result = engine.run(cfg.run, ppca.make_dppca_factory(cfg.synthetic.latent_dim), shards)
     bases = [model.params.W for model in result.models]
     summary = engine.run_summary(cfg.echo(), result)
-    summary.update(metrics.run_report(result.records, bases, reference))
+    summary.update(metrics.run_report(result, bases, reference))
     summary["seed"] = cfg.run.seed
     summary.update(extra)
     budget = _budget_summary(result)
@@ -250,8 +251,16 @@ def execute_synthetic_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
     return _run_and_write(cfg, shards, ground_truth, out_dir)
 
 
+def _failed(summary: dict) -> bool:
+    """Whether the run diverged or failed mid-run (its summary then has a message and no angles)."""
+    return summary["outcome"] not in ("converged", "cap")
+
+
 def cmd_run(cfg: ExperimentConfig) -> int:
     summary = execute_synthetic_run(cfg, Path(cfg.output_dir))
+    if _failed(summary):
+        print(f"error: {summary['message']}", file=sys.stderr)
+        return 1
     run = cfg.run
     print(
         f"{run.scheme} on {run.topology}({run.num_nodes}), seed {run.seed}: "
@@ -300,34 +309,22 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     ]
     root.mkdir(parents=True, exist_ok=True)
 
-    outcomes: dict[tuple, dict] = {}
-
-    def note(cell, payload):
-        run = cell.run
-        outcomes[(run.scheme, run.topology, run.num_nodes, run.seed)] = payload
-
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for cell, res in zip(cells, pool.map(_sweep_cell_safe, cells)):
-                note(cell, res)
+            results = list(pool.map(_sweep_cell_safe, cells))
     else:
-        for cell in cells:
-            note(cell, _sweep_cell_safe(cell))
+        results = [_sweep_cell_safe(cell) for cell in cells]
 
+    # Seeds vary fastest in ``cells``, so each row's cells are consecutive.
     rows = []
-    for scheme in schemes:
-        for topology in topologies:
-            for n in node_counts:
-                group = [outcomes[(scheme, topology, n, s)] for s in seeds]
-                reports = [g for g in group if "error" not in g]
-                errors = [g["error"] for g in group if "error" in g]
-                row: dict = {"scheme": scheme, "topology": topology, "num_nodes": n}
-                if reports:
-                    row.update(
-                        metrics.aggregate_reports(reports, cfg.angle_filter_deg)
-                    )
-                row["errors"] = errors
-                rows.append(row)
+    for start in range(0, len(cells), len(seeds)):
+        run, group = cells[start].run, results[start : start + len(seeds)]
+        row: dict = {"scheme": run.scheme, "topology": run.topology, "num_nodes": run.num_nodes}
+        reports = [g for g in group if "error" not in g]
+        if reports:
+            row.update(metrics.aggregate_reports(reports, cfg.angle_filter_deg))
+        row["errors"] = [g["error"] for g in group if "error" in g]
+        rows.append(row)
 
     _write_json({"config": cfg.echo(), "cells": rows}, root / "comparison.json")
     _write_comparison_csv(rows, root / "comparison.csv")
@@ -346,10 +343,13 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
 
 def _sweep_cell_safe(cell: ExperimentConfig) -> dict:
+    # The cell's summary, or its error; a run that diverged or failed
+    # mid-run has written its artifacts.
     try:
-        return execute_synthetic_run(cell, Path(cell.output_dir))
-    except (ValueError, engine.DivergenceError, np.linalg.LinAlgError) as exc:
+        summary = execute_synthetic_run(cell, Path(cell.output_dir))
+    except ValueError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
+    return {"error": summary["message"]} if _failed(summary) else summary
 
 
 def _write_comparison_csv(rows: list[dict], path: Path) -> None:
@@ -415,6 +415,9 @@ def cmd_sfm(cfg: ExperimentConfig) -> int:
             "num_points": mm.num_points,
         },
     )
+    if _failed(summary):
+        print(f"error: {summary['message']}", file=sys.stderr)
+        return 1
     print(
         f"sfm {cfg.run.scheme} on {cfg.run.topology}({cfg.run.num_nodes}): "
         f"{summary['iterations']} iterations, "
@@ -463,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg)
         return cmd_sfm(cfg)
-    except (ValueError, OSError, engine.DivergenceError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,9 @@ update evaluates objectives at the edge midpoints only for the nodes
 whose ranking weights the scheduler will use, in one call for all of
 their edges.
 
+A run ends by returning a :class:`RunResult` that says how it ended,
+with the records so far, so a run that fails still leaves a trace.
+
 The simulator is an omniscient observer: it sums the per-node
 objectives into the global objective used for the convergence check
 and the trace, something a real deployment would need to aggregate
@@ -44,7 +47,6 @@ from .penalty import (
     RoundSignals,
     SCHEMES,
     local_residuals,
-    make_scheduler,
 )
 from .topology import Graph, TOPOLOGIES, build_graph
 
@@ -55,10 +57,8 @@ __all__ = [
     "RunConfig",
     "IterationRecord",
     "RunResult",
-    "DivergenceError",
     "convergence_check",
     "run",
-    "iterations_to_convergence",
     "write_trace_csv",
     "run_summary",
     "TRACE_COLUMNS",
@@ -225,41 +225,37 @@ class IterationRecord:
     exhausted_edges: int = 0
 
 
-class DivergenceError(RuntimeError):
-    """Raised when the global objective blows up or turns non-finite."""
-
-    def __init__(self, message: str, records: list[IterationRecord]):
-        super().__init__(message)
-        self.records = records
-
-    @property
-    def last_record(self) -> IterationRecord | None:
-        return self.records[-1] if self.records else None
-
-
 @dataclass
 class RunResult:
-    """Outcome of one simulation run.
+    """How one simulation run ended, with its records and final state.
 
-    ``m_step_cycles``, ``m_step_cap_hits`` and ``m_step_ridge`` are the
-    node group's totals (see :meth:`NodeGroup.m_step_counts`).
+    ``outcome`` is ``"converged"``, ``"cap"`` (``max_iterations`` reached
+    first), ``"diverged"`` (in the last record the global objective is
+    non-finite or exceeds 1e12 times its initial magnitude) or ``"error"``
+    (a phase raised ``ValueError``; the records are those before it).
+    ``message`` says why a diverged or errored run stopped, and is empty
+    otherwise. ``m_step_cycles``, ``m_step_cap_hits`` and ``m_step_ridge``
+    are the node group's totals (see :meth:`NodeGroup.m_step_counts`).
     """
 
     records: list[IterationRecord]
     models: list[ConsensusModel]
     graph: Graph
     scheduler: PenaltyScheduler
+    outcome: str
+    message: str = ""
     m_step_cycles: int = 0
     m_step_cap_hits: int = 0
     m_step_ridge: int = 0
 
     @property
     def converged(self) -> bool:
-        return bool(self.records) and self.records[-1].converged
+        return self.outcome == "converged"
 
     @property
     def iterations(self) -> int:
-        return iterations_to_convergence(self.records)
+        """Completed iterations: a run stops at its first converged record."""
+        return len(self.records)
 
 
 def convergence_check(objective_history: Sequence[float], tol: float) -> bool:
@@ -275,21 +271,13 @@ def convergence_check(objective_history: Sequence[float], tol: float) -> bool:
     return abs(curr - prev) / (abs(prev) + 1e-12) < tol
 
 
-def iterations_to_convergence(records: Sequence[IterationRecord]) -> int:
-    """Completed iterations up to the first converged record (or all)."""
-    for record in records:
-        if record.converged:
-            return record.t + 1
-    return len(records)
-
-
 def run(
     config: RunConfig,
     make_nodes: Callable[[Sequence[np.ndarray], list[np.random.Generator], Graph], NodeGroup],
     shards: Sequence[np.ndarray],
     trace_hook: Callable[[int, PenaltyScheduler, list[ConsensusModel]], None] | None = None,
 ) -> RunResult:
-    """Simulate consensus ADMM until convergence or the iteration cap.
+    """Simulate consensus ADMM until it converges, reaches the cap, diverges or fails.
 
     Parameters
     ----------
@@ -304,21 +292,23 @@ def run(
     trace_hook : callable, optional
         Called as ``hook(t, scheduler, models)`` after each iteration's
         record, for diagnostics that need scheduler internals; ``models``
-        are the group's views (:meth:`NodeGroup.views`).
+        are the group's views (:meth:`NodeGroup.views`). What it raises
+        propagates.
 
     Returns
     -------
     RunResult
-        Iteration records plus the final node views, graph, and scheduler.
+        How the run ended, its records so far, and the final node views,
+        graph, and scheduler. A ``ValueError`` from the node group's steps,
+        objectives or ranking, or from the scheduler's update, ends the run
+        with outcome ``"error"``.
 
     Raises
     ------
     ValueError
-        Before the first iteration, if the shard count or the shards' row
-        counts do not match; ``make_nodes`` is then not called.
-    DivergenceError
-        If the global objective turns non-finite or exceeds 1e12 times
-        its initial magnitude.
+        Before the first iteration: if the shard count or the shards' row
+        counts do not match (``make_nodes`` is then not called), or if
+        ``make_nodes`` raises it.
     """
     graph = build_graph(config.topology, config.num_nodes)
     graph.validate()
@@ -334,7 +324,7 @@ def run(
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(n)]
     nodes = make_nodes(shards, rngs, graph)
     models = nodes.views()
-    scheduler = make_scheduler(config.scheme, graph, config.penalty)
+    scheduler = PenaltyScheduler(config.scheme, graph, config.penalty)
     sources, _ = graph.edge_arrays()
     degrees = graph.degrees[:, None]
 
@@ -345,6 +335,7 @@ def run(
     no_residual = np.zeros(n)
     records: list[IterationRecord] = []
     history: list[float] = []
+    outcome, message = "cap", ""
     for t in range(config.max_iterations):
         # Penalties in force for this whole iteration.
         edge_eta = scheduler.edge_state.eta
@@ -358,32 +349,36 @@ def run(
         # a multiplier-shifted copy of it.
         dual_eta = 0.5 * (edge_eta + edge_eta[scheduler.reverse])
 
-        # Phase 1: local parameter steps against last-round broadcasts.
-        nodes.local_step(theta, edge_eta)
+        try:
+            # Phase 1: local parameter steps against last-round broadcasts.
+            nodes.local_step(theta, edge_eta)
 
-        # Phase 2: synchronous broadcast of the new parameters.
-        theta = nodes.params_matrix()
+            # Phase 2: synchronous broadcast of the new parameters.
+            theta = nodes.params_matrix()
 
-        # Phase 3: dual ascent with the edge-symmetrized penalties.
-        nodes.multiplier_step(theta, dual_eta)
+            # Phase 3: dual ascent with the edge-symmetrized penalties.
+            nodes.multiplier_step(theta, dual_eta)
 
-        # Phase 4: penalty (and budget) update from this round's signals.
-        f_self = nodes.objectives()
-        residuals = ResidualPair(no_residual, no_residual)
-        if len(sources):
-            navg = graph.adjacency @ theta / degrees
-            prev = navg if prev_navg is None else prev_navg
-            residuals = local_residuals(theta, navg, prev, node_eta)
-            prev_navg = navg
-        ranked = scheduler.ranking_nodes(t, residuals)
-        f_neighbors = np.zeros(len(sources))
-        if len(ranked) and len(sources):
-            # Each ranking node's objective at its edges' midpoints, one
-            # call for all edges.
-            f_neighbors[graph.out_edges(ranked)] = nodes.neighbor_objectives(ranked, theta)
-        scheduler.update(t, RoundSignals(residuals, f_self, f_prev_self, f_neighbors))
+            # Phase 4: penalty (and budget) update from this round's signals.
+            f_self = nodes.objectives()
+            residuals = ResidualPair(no_residual, no_residual)
+            if len(sources):
+                navg = graph.adjacency @ theta / degrees
+                prev = navg if prev_navg is None else prev_navg
+                residuals = local_residuals(theta, navg, prev, node_eta)
+                prev_navg = navg
+            ranked = scheduler.ranking_nodes(t, residuals)
+            f_neighbors = np.zeros(len(sources))
+            if len(ranked) and len(sources):
+                # Each ranking node's objective at its edges' midpoints, one
+                # call for all edges.
+                f_neighbors[graph.out_edges(ranked)] = nodes.neighbor_objectives(ranked, theta)
+            scheduler.update(t, RoundSignals(residuals, f_self, f_prev_self, f_neighbors))
+        except ValueError as exc:
+            outcome, message = "error", f"{type(exc).__name__} at iteration {t}: {exc}"
+            break
 
-        # Phase 5: record, then check convergence and divergence.
+        # Phase 5: record, then check divergence and convergence.
         objective = math.fsum(f_self)
         history.append(objective)
         all_etas = scheduler.all_etas()
@@ -404,15 +399,15 @@ def run(
         if not math.isfinite(objective) or abs(objective) > _DIVERGENCE_FACTOR * max(
             1.0, abs(initial_objective)
         ):
-            raise DivergenceError(
-                f"objective diverged at iteration {t}: {objective!r}", records
-            )
+            outcome, message = "diverged", f"objective diverged at iteration {t}: {objective!r}"
+            break
 
         f_prev_self = f_self
         if record.converged:
+            outcome = "converged"
             break
 
-    return RunResult(records, models, graph, scheduler, *nodes.m_step_counts())
+    return RunResult(records, models, graph, scheduler, outcome, message, *nodes.m_step_counts())
 
 
 TRACE_COLUMNS = (
@@ -455,14 +450,18 @@ def write_trace_csv(records: Sequence[IterationRecord], path: str | Path) -> Non
 
 
 def run_summary(config_echo: dict, result: RunResult) -> dict:
-    """Self-describing summary of one run (config echo plus final metrics)."""
-    last = result.records[-1]
+    """Self-describing summary of one run: the config echo, how the run
+    ended, and its last record's metrics (``final``, None without records)."""
+    last = result.records[-1] if result.records else None
     return {
         "config": config_echo,
         "iterations": result.iterations,
         "converged": result.converged,
-        "total_iterations_run": len(result.records),
-        "final": {
+        "outcome": result.outcome,
+        "message": result.message,
+        "final": None
+        if last is None
+        else {
             "objective": last.objective,
             "max_primal": last.max_primal,
             "max_dual": last.max_dual,

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import iterations_to_convergence
+from .engine import RunResult
 
 __all__ = [
     "largest_angles_deg",
@@ -77,25 +77,26 @@ def consensus_gap_deg(bases: Sequence[np.ndarray]) -> float:
     return float(_angles(q[i], q[j]).max(initial=0.0))
 
 
-def run_report(records, node_bases: Sequence[np.ndarray], reference: np.ndarray) -> dict:
-    """Summarize one completed run.
+def run_report(result: RunResult, node_bases: Sequence[np.ndarray], reference: np.ndarray) -> dict:
+    """Summarize one run: the engine's ``result`` and the nodes' final bases.
 
-    ``records`` is the engine's iteration stream (objects with ``t`` and
-    ``converged`` attributes). Iterations-to-convergence counts completed
-    iterations up to the first converged one; a run that never converges
-    reports the full iteration count and ``converged: False``.
-    ``consensus_gap_deg`` is the largest pairwise angle between the
-    nodes' final subspaces: a run can stop "converged" with its nodes
-    far apart.
+    ``iterations``, ``converged`` and ``outcome`` are the result's. Only a
+    run that converged or reached its cap is scored against ``reference``;
+    a diverged or errored run's bases may not be finite. The consensus gap
+    is the largest pairwise angle between the nodes' final subspaces: a run
+    can stop "converged" with its nodes far apart.
     """
-    angles = largest_angles_deg(node_bases, reference)
-    return {
-        "iterations": iterations_to_convergence(records),
-        "converged": any(record.converged for record in records),
-        "max_angle_deg": float(angles.max()),
-        "per_node_angle_deg": angles.tolist(),
-        "consensus_gap_deg": consensus_gap_deg(node_bases),
+    report = {
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "outcome": result.outcome,
     }
+    if result.outcome in ("converged", "cap"):
+        angles = largest_angles_deg(node_bases, reference)
+        report["max_angle_deg"] = float(angles.max())
+        report["per_node_angle_deg"] = angles.tolist()
+        report["consensus_gap_deg"] = consensus_gap_deg(node_bases)
+    return report
 
 
 def lower_median(values: Sequence[float]) -> float:

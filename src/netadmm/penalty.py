@@ -27,7 +27,7 @@ Six schemes map per-iteration signals to per-directed-edge penalties
 Penalty ranges: ``ap`` and ``nap`` set ``eta0 * (1 + tau_ij)`` from a
 weight in ``[-0.5, 1]``, so they stay within ``[eta0/2, 2*eta0]``. ``vp``,
 ``vp_ap`` and ``vp_nap`` multiply the running penalty and are unbounded.
-On the protocol data, run seeds 1-5 (``scripts/knob_sweep.py``), they
+On the protocol data, run seeds 1-5 (README's knob study), they
 ranged as follows: on complete(20) at ``eta0 = 10`` over 150 iterations,
 ``vp`` 2.5 to 20, ``vp_ap`` 0.35 to 40 and ``vp_nap`` 0.008 to 40; on
 ring(20) at ``eta0 = 320`` over 400 iterations, ``vp`` 0.63 to 640,
@@ -67,7 +67,6 @@ __all__ = [
     "vp_nap_update",
     "RoundSignals",
     "PenaltyScheduler",
-    "make_scheduler",
 ]
 
 SCHEMES = ("fixed", "vp", "ap", "nap", "vp_ap", "vp_nap")
@@ -444,8 +443,3 @@ class PenaltyScheduler:
         elif self.scheme == "vp_nap":
             state = vp_nap_update(state, tau, f_curr, f_prev, res, cfg)
         self.edge_state = state
-
-
-def make_scheduler(scheme: str, graph: Graph, cfg: PenaltyConfig) -> PenaltyScheduler:
-    """Instantiate the scheduler for a scheme name from :data:`SCHEMES`."""
-    return PenaltyScheduler(scheme, graph, cfg)

@@ -88,7 +88,7 @@ def protocol_matrix(protocol_data):
                 hook = BudgetHook() if scheme in ("nap", "vp_nap") else None
                 result = _protocol_run(observations, scheme, topology, seed, hook=hook)
                 bases = [m.params.W for m in result.models]
-                report = metrics.run_report(result.records, bases, ground_truth)
+                report = metrics.run_report(result, bases, ground_truth)
                 runs.append((result, report, hook))
             matrix[(scheme, topology)] = runs
     return matrix
@@ -393,9 +393,7 @@ def test_synthetic_sfm_against_svd_oracle(tmp_path):
                 seed=1,
             )
             result = engine.run(cfg, ppca.make_dppca_factory(3), shards)
-            report = metrics.run_report(
-                result.records, [m.params.W for m in result.models], oracle
-            )
+            report = metrics.run_report(result, [m.params.W for m in result.models], oracle)
             assert report["max_angle_deg"] < 5.0, (scheme, report["max_angle_deg"])
 
 

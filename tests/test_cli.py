@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from netadmm import cli
+from netadmm import cli, ppca
 from netadmm.data import generate_rigid_measurements
 
 # small but nontrivial run so CLI tests stay fast
@@ -28,6 +28,7 @@ def test_run_writes_artifacts(tmp_path):
     assert (out / "trace.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"] is True
+    assert (summary["outcome"], summary["message"]) == ("converged", "")
     assert summary["config"]["scheme"] == "fixed"
     assert summary["config"]["num_nodes"] == 6
     assert "max_angle_deg" in summary
@@ -39,6 +40,51 @@ def test_run_exit_two_on_iteration_cap(tmp_path):
         ["run", "--scheme", "fixed", *FAST, "--max-iterations", "2", "--output-dir", out]
     )
     assert code == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["outcome"], summary["iterations"], summary["converged"]) == ("cap", 2, False)
+    assert len((out / "trace.csv").read_text().splitlines()) == 1 + 2
+
+
+def _explode_first_run(monkeypatch):
+    # The first D-PPCA group that the CLI builds reports objectives 1e13
+    # times too large from their fourth call on (iteration 2), so its run
+    # diverges there.
+    make_factory = ppca.make_dppca_factory
+    built = []
+
+    class ExplodingNodes(ppca.DppcaNodes):
+        calls = 0
+
+        def objectives(self):
+            self.calls += 1
+            return super().objectives() * (1e13 if self.calls > 3 else 1.0)
+
+    def factory(latent_dim):
+        def build(shards, rngs, graph):
+            nodes = make_factory(latent_dim)(shards, rngs, graph)
+            built.append(nodes)
+            if len(built) > 1:
+                return nodes
+            return ExplodingNodes(nodes.stats, nodes.theta, graph)
+
+        return build
+
+    monkeypatch.setattr(cli.ppca, "make_dppca_factory", factory)
+
+
+def test_run_that_diverges_writes_artifacts_and_exits_one(tmp_path, monkeypatch, capsys):
+    _explode_first_run(monkeypatch)
+    out = tmp_path / "out"
+    code = _run_cli(["run", "--scheme", "fixed", *FAST, "--output-dir", out])
+    assert code == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["outcome"] == "diverged" and summary["converged"] is False
+    assert summary["message"].startswith("objective diverged at iteration 2: ")
+    assert summary["iterations"] == 3 and "max_angle_deg" not in summary
+    rows = (out / "trace.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["0", "1", "2"]
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {summary['message']}\n" and captured.out == ""
 
 
 def test_run_rejects_zero_nodes(tmp_path, capsys):
@@ -304,6 +350,22 @@ def test_sweep_records_per_cell_errors(tmp_path):
     by_nodes = {c["num_nodes"]: c for c in cells}
     assert by_nodes[6]["errors"] == []
     assert by_nodes[300]["errors"]
+
+
+def test_sweep_records_a_diverged_cell_and_aggregates_the_rest(tmp_path, monkeypatch):
+    # The first cell (seed 1) diverges: its message goes under the row's
+    # errors, its artifacts stay, and seed 2 is aggregated alone.
+    _explode_first_run(monkeypatch)
+    out = tmp_path / "sweep"
+    assert _run_cli(["sweep", "--schemes", "fixed", *FAST, "--seeds", "1,2", "--output-dir", out]) == 0
+    (row,) = json.loads((out / "comparison.json").read_text())["cells"]
+    diverged = json.loads((out / "fixed_complete_n6_seed1" / "summary.json").read_text())
+    assert diverged["outcome"] == "diverged"
+    assert row["errors"] == [diverged["message"]]
+    assert (out / "fixed_complete_n6_seed1" / "trace.csv").exists()
+    seed2 = json.loads((out / "fixed_complete_n6_seed2" / "summary.json").read_text())
+    assert row["runs"] == 1 and row["median_iterations"] == seed2["iterations"]
+    assert row["all_converged"] is (seed2["outcome"] == "converged")
 
 
 def _write_measurements(path, frames=12, points=40, seed=2):

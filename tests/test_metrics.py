@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import subspace_angles as scipy_subspace_angles
 
-from netadmm.engine import IterationRecord
+from netadmm.engine import IterationRecord, RunResult
 from netadmm.metrics import (
     aggregate_reports,
     consensus_gap_deg,
@@ -16,6 +16,12 @@ from netadmm.metrics import (
 
 def _record(t, converged):
     return IterationRecord(t, 0.0, 0.0, 0.0, 10.0, 10.0, 10.0, converged)
+
+
+def _result(outcome="converged", records=None):
+    # A RunResult with only the fields that run_report reads.
+    records = [_record(0, outcome == "converged")] if records is None else records
+    return RunResult(records, [], None, None, outcome)
 
 
 def test_identical_subspaces():
@@ -84,26 +90,36 @@ def test_dimension_mismatch_rejected():
 
 def test_run_report_max():
     ref = np.eye(4)[:, :2]
-    out = run_report([_record(0, True)], [ref, np.eye(4)[:, 1:3]], ref)
+    out = run_report(_result(), [ref, np.eye(4)[:, 1:3]], ref)
     assert out["per_node_angle_deg"][0] == pytest.approx(0.0, abs=1e-10)
     assert out["max_angle_deg"] == pytest.approx(90.0)
 
 
 def test_run_report_convergence_index():
-    records = [_record(0, False), _record(1, False), _record(2, True), _record(3, True)]
+    # The engine stops at the first converged record, so the count is the
+    # result's number of records.
+    records = [_record(0, False), _record(1, False), _record(2, True)]
     ref = np.eye(3)[:, :1]
-    out = run_report(records, [ref], ref)
-    assert out["iterations"] == 3
-    assert out["converged"] is True
+    out = run_report(_result("converged", records), [ref], ref)
+    assert (out["iterations"], out["converged"], out["outcome"]) == (3, True, "converged")
     assert out["max_angle_deg"] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_run_report_never_converges():
     records = [_record(t, False) for t in range(5)]
     ref = np.eye(3)[:, :1]
-    out = run_report(records, [ref], ref)
-    assert out["iterations"] == 5
-    assert out["converged"] is False
+    out = run_report(_result("cap", records), [ref], ref)
+    assert (out["iterations"], out["converged"], out["outcome"]) == (5, False, "cap")
+    assert out["max_angle_deg"] == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("outcome", ["diverged", "error"])
+def test_run_report_scores_no_angles_after_a_failed_run(outcome):
+    # The bases of a run that diverged may be NaN; they are not scored.
+    records = [_record(t, False) for t in range(4)]
+    ref = np.eye(3)[:, :1]
+    out = run_report(_result(outcome, records), [np.full((3, 1), np.nan)], ref)
+    assert out == {"iterations": 4, "converged": False, "outcome": outcome}
 
 
 def test_consensus_gap_is_largest_pairwise_angle():
@@ -121,8 +137,7 @@ def test_consensus_gap_is_largest_pairwise_angle():
     assert consensus_gap_deg(bases) == pytest.approx(60.0, abs=1e-9)
     assert consensus_gap_deg(bases[:2]) == pytest.approx(30.0, abs=1e-9)
     assert consensus_gap_deg(bases[:1]) == 0.0
-    records = [_record(0, True)]
-    report = run_report(records, bases, plane(0.0))
+    report = run_report(_result(), bases, plane(0.0))
     assert report["consensus_gap_deg"] == pytest.approx(60.0, abs=1e-9)
     assert report["max_angle_deg"] == pytest.approx(30.0, abs=1e-9)
 
@@ -161,7 +176,7 @@ def test_collapsed_stack_member_is_named():
     with pytest.raises(ValueError, match=r"second basis\[3\] is rank deficient"):
         largest_angles_deg(stack[0], stack)
     with pytest.raises(ValueError, match=r"first basis\[3\] is rank deficient"):
-        run_report([_record(0, True)], stack, stack[0])
+        run_report(_result(), stack, stack[0])
 
 
 def test_lower_median():

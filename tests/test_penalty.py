@@ -7,11 +7,11 @@ from netadmm.penalty import (
     TIE_EPSILON,
     EdgePenaltyState,
     PenaltyConfig,
+    PenaltyScheduler,
     ResidualPair,
     RoundSignals,
     ap_update,
     local_residuals,
-    make_scheduler,
     nap_update,
     rank_weights,
     vp_ap_update,
@@ -162,7 +162,7 @@ def test_ap_taus_extreme_weight():
 def test_ap_taus_rejects_non_finite():
     # the scheduler checks the objective values of the nodes it ranks
     g = build_complete(3)
-    sched = make_scheduler("ap", g, CFG)
+    sched = PenaltyScheduler("ap", g, CFG)
     zeros = np.zeros(3)
     bad = ((np.array([np.nan, 1.0, 1.0]), np.ones(6)), (np.ones(3), np.full(6, np.inf)))
     for f_self, f_neighbors in bad:
@@ -303,13 +303,13 @@ def test_vp_nap_growth_resumes_updates():
 # ------------------------------------------------------------ schedulers
 
 
-def test_make_scheduler_rejects_unknown():
+def test_scheduler_rejects_unknown_scheme():
     with pytest.raises(ValueError, match="unknown scheme"):
-        make_scheduler("adam", build_complete(3), CFG)
+        PenaltyScheduler("adam", build_complete(3), CFG)
 
 
 def test_fixed_scheduler_constant():
-    sched = make_scheduler("fixed", build_complete(4), CFG)
+    sched = PenaltyScheduler("fixed", build_complete(4), CFG)
     assert sched.state(0, 1).eta == 10.0
     assert sched.node_etas()[2] == 10.0
     assert np.all(sched.all_etas() == 10.0)
@@ -328,7 +328,7 @@ def _edge_values(graph, per_node):
 
 def test_vp_scheduler_is_per_node():
     g = build_complete(3)
-    sched = make_scheduler("vp", g, CFG)
+    sched = PenaltyScheduler("vp", g, CFG)
     signals = RoundSignals(
         residuals=_residual_arrays([_pair(5.0, 0.1), _pair(0.1, 5.0), _pair(1.0, 1.0)]),
         f_self=np.zeros(3),
@@ -345,7 +345,7 @@ def test_scheduler_determinism():
     g = build_complete(4)
 
     def drive():
-        sched = make_scheduler("nap", g, CFG)
+        sched = PenaltyScheduler("nap", g, CFG)
         rng = np.random.default_rng(5)
         for t in range(20):
             f = list(rng.normal(size=4))
@@ -372,7 +372,7 @@ def test_scheduler_matches_scalar_rules_on_ragged_graph(scheme):
 
     g = build_cluster(6)
     cfg = PenaltyConfig(t_max=12, budget=0.8)
-    sched = make_scheduler(scheme, g, cfg)
+    sched = PenaltyScheduler(scheme, g, cfg)
     ref = [_ledger(np.full(d, cfg.eta0), ceiling=cfg.budget) for d in g.degrees]
     rng = np.random.default_rng(17)
     f_prev = list(rng.uniform(1.0, 2.0, size=6))
@@ -420,7 +420,7 @@ def test_update_reads_ranking_weights_only_of_ranking_nodes(scheme):
 
     g = build_cluster(6)
     cfg = PenaltyConfig(t_max=12, budget=0.8)
-    kept, scrambled = make_scheduler(scheme, g, cfg), make_scheduler(scheme, g, cfg)
+    kept, scrambled = PenaltyScheduler(scheme, g, cfg), PenaltyScheduler(scheme, g, cfg)
     sources, _ = g.edge_arrays()
     rng = np.random.default_rng(41)
     f_prev = rng.uniform(1.0, 2.0, size=6)

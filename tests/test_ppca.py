@@ -898,10 +898,15 @@ def test_nan_neighbor_broadcast_ends_run_with_error():
     from netadmm import engine
 
     class CorruptNodes(DppcaNodes):
-        # node 0 broadcasts a NaN
+        # node 0 broadcasts a NaN from iteration 1 on (the first broadcast
+        # is the initial one)
+        broadcasts = 0
+
         def params_matrix(self):
             theta = super().params_matrix()
-            theta[0, 0] = np.nan
+            self.broadcasts += 1
+            if self.broadcasts > 2:
+                theta[0, 0] = np.nan
             return theta
 
     def corrupt(shards, rngs, graph):
@@ -911,8 +916,10 @@ def test_nan_neighbor_broadcast_ends_run_with_error():
     rng = np.random.default_rng(20)
     shards = [rng.normal(size=(4, 10)) for _ in range(3)]
     cfg = engine.RunConfig(topology="complete", num_nodes=3, scheme="ap", max_iterations=5)
-    with pytest.raises(ValueError, match="non-finite"):
-        engine.run(cfg, corrupt, shards)
+    result = engine.run(cfg, corrupt, shards)
+    assert result.outcome == "error" and not result.converged
+    assert result.message == "LinAlgError at iteration 1: latent normal equations are non-finite"
+    assert [record.t for record in result.records] == [0]
 
 
 # ------------------------------------------------- stacked node group

@@ -96,3 +96,26 @@ def test_compare_reports_angle_differences_without_failing(tmp_path, capsys):
     assert by_run["ap_ring_2"] == "byte-identical"
     assert "; largest angle difference 0.5 deg in vp_ring_1 over 2 runs; " in total
     assert total.endswith("M-step counts differ in 0; PASS")
+
+
+def test_compare_fails_on_an_outcome_that_both_summaries_hold_and_that_differs(tmp_path, capsys):
+    # A summary without an outcome (written before runs had one) is noted
+    # and passes; two outcomes that differ fail the run, even on an
+    # identical trace.
+    base = _write_set(tmp_path / "base")
+    new = _write_set(tmp_path / "new")
+    for name, (before, after) in {
+        "fixed_ring_1": (None, "cap"),
+        "vp_ring_1": ("converged", "converged"),
+        "ap_ring_1": ("converged", "diverged"),
+    }.items():
+        for root, outcome in ((base, before), (new, after)):
+            summary = {"m_step": M_STEP} if outcome is None else {"m_step": M_STEP, "outcome": outcome}
+            (root / name / "summary.json").write_text(json.dumps(summary))
+    assert trace_gate.compare(base, new, rtol=1e-9) is False
+    *runs, total = capsys.readouterr().out.splitlines()
+    by_run = dict(line.split(": ", 1) for line in runs)
+    assert by_run["fixed_ring_1"] == "byte-identical; outcome None -> cap"
+    assert by_run["vp_ring_1"] == "byte-identical"
+    assert by_run["ap_ring_1"] == "byte-identical; outcome converged -> diverged  FAIL"
+    assert total.startswith("31 of 31 byte-identical;") and total.endswith("; FAIL")
