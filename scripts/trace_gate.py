@@ -50,7 +50,9 @@ degrees on the run's line, and the largest over all runs on the total
 line. Neither the counts nor the angles fail anything. It prints both sides'
 ``outcome`` (how the run ended) on a run's line when they differ, and fails
 the run when both summaries hold one and they differ; a summary written
-before runs had an outcome holds none.
+before runs had an outcome holds none. Summaries are read as strict JSON:
+a run whose ``summary.json`` holds ``NaN`` or ``Infinity``, which JSON
+does not have, fails.
 """
 
 from __future__ import annotations
@@ -163,10 +165,14 @@ def _field_diff(base: str, new: str) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"summary.json holds {token}")
+
+
 def _summary(run_dir: Path) -> dict:
-    # The run's summary, or {} without one.
+    # The run's summary, or {} without one; ValueError unless strict JSON.
     path = run_dir / "summary.json"
-    return json.loads(path.read_text()) if path.exists() else {}
+    return json.loads(path.read_text(), parse_constant=_refuse_constant) if path.exists() else {}
 
 
 def _angle_diff(base: dict, new: dict) -> float | None:
@@ -192,7 +198,12 @@ def compare(base_dir: Path, new_dir: Path, rtol: float) -> bool:
             ok = False
             continue
         notes = ""
-        base_summary, new_summary = _summary(base_dir / name), _summary(new_dir / name)
+        try:
+            base_summary, new_summary = _summary(base_dir / name), _summary(new_dir / name)
+        except ValueError as exc:
+            print(f"{name}: {exc}  FAIL")
+            ok = False
+            continue
         base_counts, new_counts = base_summary.get("m_step"), new_summary.get("m_step")
         if base_counts != new_counts:
             counts_differ += 1

@@ -68,6 +68,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.angle_filter_deg is not None and not np.isfinite(self.angle_filter_deg):
+            raise ValueError("angle_filter_deg must be finite or none")
 
     def echo(self) -> dict:
         """The settings as one flat ``key: value`` dictionary."""
@@ -203,8 +205,9 @@ def resolve_config(
 
 
 def _write_json(obj: dict, path: Path) -> None:
+    # Strict JSON: a NaN or infinity raises instead of writing a bare token.
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    tmp.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
     os.replace(tmp, path)
 
 

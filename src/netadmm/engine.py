@@ -14,10 +14,10 @@ per-edge penalties act through the J x J penalty matrix (the
 weighted-graph form of consensus ADMM, Boyd et al. 2011, section 7). A
 builder makes the group once from the shards, and a
 :class:`ConsensusModel` is one node's read-only view of its row.
-Neighbor means and residuals are array operations, and the penalty
-update evaluates objectives at the edge midpoints only for the nodes
-whose ranking weights the scheduler will use, in one call for all of
-their edges.
+The penalty phase is one call on the :class:`PenaltyScheduler`: it
+measures the residuals from the broadcasts and has the group evaluate
+objectives at the edge midpoints only for the nodes whose ranking
+weights it will use, in one call for all of their edges.
 
 A run ends by returning a :class:`RunResult` that says how it ended,
 with the records so far, so a run that fails still leaves a trace.
@@ -40,14 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .penalty import (
-    PenaltyConfig,
-    PenaltyScheduler,
-    ResidualPair,
-    RoundSignals,
-    SCHEMES,
-    local_residuals,
-)
+from .penalty import PenaltyConfig, PenaltyScheduler, SCHEMES
 from .topology import Graph, TOPOLOGIES, build_graph
 
 __all__ = [
@@ -112,10 +105,18 @@ class NodeGroup(abc.ABC):
     def multiplier_step(self, theta: np.ndarray, eta: np.ndarray) -> None:
         """Dual ascent against this round's broadcasts ``theta`` with per-edge penalties ``eta``.
 
-        Node i's row of ``dual`` gains ``(1/2) Σ_j η_ij (θ_i − θ_j)``: the
+        Node i's row of ``dual`` gains ``(1/2) Σ_j η̄_ij (θ_i − θ_j)``: the
         penalty-weighted consensus errors, halved, the same for every model.
+        ``η̄_ij = (η_ij + η_ji)/2`` averages each edge's two directed
+        penalties, so the two ends of an edge receive opposite, equally
+        weighted increments and the network-wide sum of ``dual`` is
+        conserved whatever ``eta`` holds. Once a scheme resets to a
+        homogeneous penalty, the remaining iterations are then standard
+        ADMM converging to the true constrained optimum instead of a
+        multiplier-shifted copy of it.
         """
         weights = self.graph.weights(eta)
+        weights = 0.5 * (weights + weights.T)
         self.dual += 0.5 * (weights.sum(axis=1)[:, None] * theta - weights @ theta)
 
     @abc.abstractmethod
@@ -180,8 +181,8 @@ class RunConfig:
     """Everything that identifies one simulation run.
 
     ``convergence_tol`` is the relative objective change that stops a run
-    (:func:`convergence_check`); 0 means no stopping rule, so the run goes
-    to ``max_iterations``.
+    (:func:`convergence_check`), finite; 0 means no stopping rule, so the
+    run goes to ``max_iterations``.
     """
 
     topology: str = "complete"
@@ -201,8 +202,8 @@ class RunConfig:
             raise ValueError(f"scheme must be one of {', '.join(SCHEMES)}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.convergence_tol >= 0:
-            raise ValueError("convergence_tol must be >= 0")
+        if not 0 <= self.convergence_tol < math.inf:
+            raise ValueError("convergence_tol must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -311,7 +312,6 @@ def run(
         ``make_nodes`` raises it.
     """
     graph = build_graph(config.topology, config.num_nodes)
-    graph.validate()
     if len(shards) != config.num_nodes:
         raise ValueError(
             f"got {len(shards)} data shards for {config.num_nodes} nodes"
@@ -325,55 +325,30 @@ def run(
     nodes = make_nodes(shards, rngs, graph)
     models = nodes.views()
     scheduler = PenaltyScheduler(config.scheme, graph, config.penalty)
-    sources, _ = graph.edge_arrays()
-    degrees = graph.degrees[:, None]
 
     theta = nodes.params_matrix()
     f_prev_self = nodes.objectives()
     initial_objective = math.fsum(f_prev_self)
-    prev_navg = None
-    no_residual = np.zeros(n)
     records: list[IterationRecord] = []
     history: list[float] = []
     outcome, message = "cap", ""
     for t in range(config.max_iterations):
         # Penalties in force for this whole iteration.
-        edge_eta = scheduler.edge_state.eta
-        node_eta = scheduler.node_etas()
-        # The dual ascent sees each edge's two directed penalties
-        # averaged. This keeps the network-wide multiplier sum
-        # conserved (the two ends of an edge receive opposite,
-        # equally-weighted increments), so once a scheme resets to a
-        # homogeneous penalty the remaining iterations are standard
-        # ADMM converging to the true constrained optimum instead of
-        # a multiplier-shifted copy of it.
-        dual_eta = 0.5 * (edge_eta + edge_eta[scheduler.reverse])
+        eta = scheduler.edge_state.eta
 
         try:
             # Phase 1: local parameter steps against last-round broadcasts.
-            nodes.local_step(theta, edge_eta)
+            nodes.local_step(theta, eta)
 
             # Phase 2: synchronous broadcast of the new parameters.
             theta = nodes.params_matrix()
 
-            # Phase 3: dual ascent with the edge-symmetrized penalties.
-            nodes.multiplier_step(theta, dual_eta)
+            # Phase 3: dual ascent; the step symmetrizes the penalties.
+            nodes.multiplier_step(theta, eta)
 
             # Phase 4: penalty (and budget) update from this round's signals.
             f_self = nodes.objectives()
-            residuals = ResidualPair(no_residual, no_residual)
-            if len(sources):
-                navg = graph.adjacency @ theta / degrees
-                prev = navg if prev_navg is None else prev_navg
-                residuals = local_residuals(theta, navg, prev, node_eta)
-                prev_navg = navg
-            ranked = scheduler.ranking_nodes(t, residuals)
-            f_neighbors = np.zeros(len(sources))
-            if len(ranked) and len(sources):
-                # Each ranking node's objective at its edges' midpoints, one
-                # call for all edges.
-                f_neighbors[graph.out_edges(ranked)] = nodes.neighbor_objectives(ranked, theta)
-            scheduler.update(t, RoundSignals(residuals, f_self, f_prev_self, f_neighbors))
+            residuals = scheduler.update(t, theta, f_self, f_prev_self, nodes.neighbor_objectives)
         except ValueError as exc:
             outcome, message = "error", f"{type(exc).__name__} at iteration {t}: {exc}"
             break
@@ -385,8 +360,8 @@ def run(
         record = IterationRecord(
             t=t,
             objective=objective,
-            max_primal=float(np.sqrt(residuals.primal_sq).max()),
-            max_dual=float(np.sqrt(residuals.dual_sq).max()),
+            max_primal=float(residuals.primal_norm.max()),
+            max_dual=float(residuals.dual_norm.max()),
             eta_min=float(all_etas.min()),
             eta_max=float(all_etas.max()),
             eta_mean=float(all_etas.mean()),
@@ -451,7 +426,11 @@ def write_trace_csv(records: Sequence[IterationRecord], path: str | Path) -> Non
 
 def run_summary(config_echo: dict, result: RunResult) -> dict:
     """Self-describing summary of one run: the config echo, how the run
-    ended, and its last record's metrics (``final``, None without records)."""
+    ended, and its last record's metrics (``final``, None without records).
+
+    A non-finite metric in ``final`` is None, so the summary is strict JSON;
+    the ``message`` of a diverged run names the value.
+    """
     last = result.records[-1] if result.records else None
     return {
         "config": config_echo,
@@ -462,13 +441,9 @@ def run_summary(config_echo: dict, result: RunResult) -> dict:
         "final": None
         if last is None
         else {
-            "objective": last.objective,
-            "max_primal": last.max_primal,
-            "max_dual": last.max_dual,
-            "eta_min": last.eta_min,
-            "eta_max": last.eta_max,
-            "eta_mean": last.eta_mean,
-            "exhausted_edges": last.exhausted_edges,
+            name: value if math.isfinite(value) else None
+            for name, value in vars(last).items()
+            if name not in ("t", "converged")
         },
         "m_step": {
             "cycles": result.m_step_cycles,

@@ -35,11 +35,13 @@ ring(20) at ``eta0 = 320`` over 400 iterations, ``vp`` 0.63 to 640,
 
 The update rules are pure elementwise functions of arrays over edges (or
 nodes). :class:`PenaltyScheduler` keeps every directed edge's ledger in
-arrays and applies the scheme's rule to all at once.
+arrays and runs a round's whole penalty phase in one call: it measures
+the nodes' residuals from their broadcasts, asks for the ranking values
+it needs, and applies the scheme's rule to every edge at once.
 
-Ranking weights cost one objective evaluation per outgoing edge, so they
-are asked for only where a rule reads them (``ranking_nodes``): ``ap``
-while ``t < t_max``; ``nap`` at nodes with an edge that has budget left;
+Ranking values cost one objective evaluation per outgoing edge, so they
+are asked for only where a rule reads them, once per round: ``ap`` while
+``t < t_max``; ``nap`` at nodes with an edge that has budget left;
 ``vp_ap`` (while ``t <= t_max``) and ``vp_nap`` (at nodes with budget
 left) only at nodes whose residual-balancing branch fires, since the
 weight multiplies nothing elsewhere.
@@ -65,7 +67,6 @@ __all__ = [
     "nap_update",
     "vp_ap_update",
     "vp_nap_update",
-    "RoundSignals",
     "PenaltyScheduler",
 ]
 
@@ -307,32 +308,13 @@ def vp_nap_update(
     return _budget_step(state, eta, np.where(fired, abs(tau_ij), 0.0), f_curr, f_prev, cfg)
 
 
-@dataclass
-class RoundSignals:
-    """Per-iteration inputs the engine hands to a scheduler, as arrays.
-
-    ``residuals`` holds the nodes' squared residual norms as one pair of
-    arrays over the nodes; ``f_self`` and ``f_prev_self`` are indexed by
-    node id. ``f_neighbors`` holds, in directed-edge order, the source
-    node's objective at the edge midpoint. It is read only on the
-    outgoing edges of the nodes that :meth:`PenaltyScheduler.ranking_nodes`
-    names for these residuals, and may hold anything elsewhere.
-    """
-
-    residuals: ResidualPair
-    f_self: np.ndarray
-    f_prev_self: np.ndarray
-    f_neighbors: np.ndarray
-
-
 class PenaltyScheduler:
     """Per-directed-edge penalty state of one scheme on one graph.
 
     ``edge_state`` holds one array per ledger field in
     ``graph.directed_edges()`` order (see :class:`Graph` for that layout):
-    edge k runs from ``sources[k]`` to ``targets[k]``, and its opposite is
-    ``reverse[k]``. An update broadcasts each node's signals to its
-    outgoing edges.
+    edge k runs from node ``sources[k]``. :meth:`update` runs one round's
+    penalty phase and broadcasts each node's signals to its outgoing edges.
     """
 
     def __init__(self, scheme: str, graph: Graph, cfg: PenaltyConfig):
@@ -341,17 +323,16 @@ class PenaltyScheduler:
         self.scheme = scheme
         self.graph = graph
         self.cfg = cfg
-        self.sources, self.targets = graph.edge_arrays()
+        self.sources, _ = graph.edge_arrays()
         m = len(self.sources)
-        # Edge k's index sits at [i, j] of the node-by-node layout; its
-        # opposite's at [j, i].
-        self.reverse = graph.weights(np.arange(m))[self.targets, self.sources].astype(int)
         self.edge_state = EdgePenaltyState(
             eta=np.full(m, cfg.eta0),
             spent=np.zeros(m),
             ceiling=np.full(m, cfg.budget),
             growth_count=np.ones(m, dtype=int),
         )
+        # last round's neighbor means, for the dual residual
+        self._prev_navg: np.ndarray | None = None
 
     def state(self, i: int, j: int) -> EdgePenaltyState:
         """Ledger of the directed edge (i, j), its fields Python scalars."""
@@ -388,16 +369,24 @@ class PenaltyScheduler:
             return np.zeros(0)
         return self.edge_state.ceiling.copy()
 
-    def ranking_nodes(self, t: int, residuals: ResidualPair) -> np.ndarray:
-        """Nodes, ascending, whose ranking weights ``update(t, ...)`` reads.
+    def _residuals(self, theta: np.ndarray) -> ResidualPair:
+        # Residuals against the neighbor means of this round and the last
+        # (the first round has no last: its dual residual is 0), scaled by
+        # the penalties in force; zero for a single node.
+        if not len(self.sources):
+            zero = np.zeros(self.graph.num_nodes)
+            return ResidualPair(zero, zero)
+        navg = self.graph.adjacency @ theta / self.graph.degrees[:, None]
+        prev = navg if self._prev_navg is None else self._prev_navg
+        self._prev_navg = navg
+        return local_residuals(theta, navg, prev, self.node_etas())
 
-        ``residuals`` are the nodes' residuals of this round, as in
-        :class:`RoundSignals`. ``ap`` ranks every node while ``t < t_max``
-        and ``nap`` a node while one of its edges has budget. ``vp_ap``
-        (while ``t <= t_max``) and ``vp_nap`` (a node with budget left)
-        rank only the nodes whose residual-balancing branch fires: elsewhere
-        their weight multiplies nothing.
-        """
+    def _ranking_nodes(self, t: int, residuals: ResidualPair) -> np.ndarray:
+        # Nodes, ascending, whose ranking weights the update at t reads:
+        # ap ranks every node while t < t_max and nap a node while one of
+        # its edges has budget. vp_ap (while t <= t_max) and vp_nap (a node
+        # with budget left) rank only the nodes whose residual-balancing
+        # branch fires: elsewhere their weight multiplies nothing.
         cfg, scheme = self.cfg, self.scheme
         if scheme in _BUDGET_SCHEMES:
             rank = np.zeros(self.graph.num_nodes, dtype=bool)
@@ -409,14 +398,17 @@ class PenaltyScheduler:
             rank &= np.logical_or(*_branches(residuals, cfg.mu))
         return np.flatnonzero(rank)
 
-    def _ranking_taus(self, nodes: np.ndarray, f_self: np.ndarray, f_neighbors: np.ndarray) -> np.ndarray:
-        # ``rank_weights`` of every outgoing edge of ``nodes`` at once; the
-        # other edges see a tie (all values 0) and get 0.
-        if not len(nodes) or not len(self.sources):
-            return np.zeros(len(self.sources))
+    def _ranking_taus(self, nodes: np.ndarray, theta, f_self, score) -> np.ndarray:
+        # ``rank_weights`` of every outgoing edge of ``nodes`` at once, from
+        # one ``score`` call; the other edges see a tie (all values 0) and
+        # get 0.
+        m = len(self.sources)
+        if not len(nodes) or not m:
+            return np.zeros(m)
+        f_edge = np.zeros(m)
+        f_edge[self.graph.out_edges(nodes)] = score(nodes, theta)
         ranked = np.zeros(self.graph.num_nodes, dtype=bool)
         ranked[nodes] = True
-        f_edge = np.where(ranked[self.sources], f_neighbors, 0.0)
         f_own = np.where(ranked, f_self, 0.0)
         if not (np.all(np.isfinite(f_own)) and np.all(np.isfinite(f_edge))):
             raise ValueError("objective evaluations must be finite for penalty ranking")
@@ -425,21 +417,34 @@ class PenaltyScheduler:
         hi = np.maximum(np.maximum.reduceat(f_edge, starts), f_own)
         return rank_weights(f_own[src], f_edge, lo[src], hi[src])
 
-    def update(self, t: int, signals: RoundSignals) -> None:
-        cfg, res, f_self = self.cfg, signals.residuals, signals.f_self
-        tau = self._ranking_taus(self.ranking_nodes(t, res), f_self, signals.f_neighbors)
-        src = self.sources
-        res = ResidualPair(res.primal_sq[src], res.dual_sq[src])
-        f_curr, f_prev = f_self[src], signals.f_prev_self[src]
+    def update(self, t: int, theta: np.ndarray, f_self, f_prev_self, score) -> ResidualPair:
+        """Run round ``t``'s penalty (and budget) phase; return the nodes' residuals.
+
+        ``theta`` holds this round's broadcasts, one row per node, and
+        ``f_self`` and ``f_prev_self`` every node's objective at its own
+        parameters this round and last. The residuals (:func:`local_residuals`)
+        use the neighbor means of this round and the last and the
+        :meth:`node_etas` in force. ``score(nodes, theta)``, such as
+        ``NodeGroup.neighbor_objectives``, gives the ascending ``nodes``'
+        objectives at their edges' midpoints, in edge order. It is called
+        once with exactly the nodes whose ranking weights the scheme reads,
+        or not at all: never on a single node, whose residuals are zero.
+        """
+        res = self._residuals(theta)
+        tau = self._ranking_taus(self._ranking_nodes(t, res), theta, f_self, score)
+        cfg, src = self.cfg, self.sources
+        edge_res = ResidualPair(res.primal_sq[src], res.dual_sq[src])
+        f_curr, f_prev = f_self[src], f_prev_self[src]
         state = self.edge_state
         if self.scheme == "vp":
-            state = vp_update(state, res, cfg, t)
+            state = vp_update(state, edge_res, cfg, t)
         elif self.scheme == "ap":
             state = replace(state, eta=ap_update(tau, cfg, t))
         elif self.scheme == "nap":
             state = nap_update(state, tau, f_curr, f_prev, cfg)
         elif self.scheme == "vp_ap":
-            state = vp_ap_update(state, tau, res, cfg, t)
+            state = vp_ap_update(state, tau, edge_res, cfg, t)
         elif self.scheme == "vp_nap":
-            state = vp_nap_update(state, tau, f_curr, f_prev, res, cfg)
+            state = vp_nap_update(state, tau, f_curr, f_prev, edge_res, cfg)
         self.edge_state = state
+        return res

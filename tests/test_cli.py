@@ -45,9 +45,17 @@ def test_run_exit_two_on_iteration_cap(tmp_path):
     assert len((out / "trace.csv").read_text().splitlines()) == 1 + 2
 
 
-def _explode_first_run(monkeypatch):
-    # The first D-PPCA group that the CLI builds reports objectives 1e13
-    # times too large from their fourth call on (iteration 2), so its run
+def _strict_json(path):
+    # the file's JSON, refusing the NaN and Infinity tokens that JSON lacks
+    def refuse(token):
+        raise ValueError(f"{path} holds {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def _explode_first_run(monkeypatch, factor=1e13):
+    # The first D-PPCA group that the CLI builds reports its objectives
+    # times ``factor`` from their fourth call on (iteration 2), so its run
     # diverges there.
     make_factory = ppca.make_dppca_factory
     built = []
@@ -57,7 +65,7 @@ def _explode_first_run(monkeypatch):
 
         def objectives(self):
             self.calls += 1
-            return super().objectives() * (1e13 if self.calls > 3 else 1.0)
+            return super().objectives() * (factor if self.calls > 3 else 1.0)
 
     def factory(latent_dim):
         def build(shards, rngs, graph):
@@ -72,14 +80,20 @@ def _explode_first_run(monkeypatch):
     monkeypatch.setattr(cli.ppca, "make_dppca_factory", factory)
 
 
-def test_run_that_diverges_writes_artifacts_and_exits_one(tmp_path, monkeypatch, capsys):
-    _explode_first_run(monkeypatch)
+@pytest.mark.parametrize("factor", [1e13, np.nan], ids=["huge", "nan"])
+def test_run_that_diverges_writes_artifacts_and_exits_one(tmp_path, monkeypatch, capsys, factor):
+    # The summary is strict JSON: a NaN objective is written as null.
+    _explode_first_run(monkeypatch, factor)
     out = tmp_path / "out"
     code = _run_cli(["run", "--scheme", "fixed", *FAST, "--output-dir", out])
     assert code == 1
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _strict_json(out / "summary.json")
     assert summary["outcome"] == "diverged" and summary["converged"] is False
     assert summary["message"].startswith("objective diverged at iteration 2: ")
+    if np.isnan(factor):
+        assert summary["final"]["objective"] is None
+    else:
+        assert summary["final"]["objective"] > 1e12
     assert summary["iterations"] == 3 and "max_angle_deg" not in summary
     rows = (out / "trace.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in rows[1:]] == ["0", "1", "2"]
@@ -311,7 +325,7 @@ def test_sweep_rejects_a_repeated_value(tmp_path, capsys, source, key, flag, val
 @pytest.mark.parametrize(
     "key,flag,bound",
     [("eta0", "--eta0", "> 0"), ("mu", "--mu", "> 1"), ("tau_fixed", "--tau-fixed", "> 0"),
-     ("budget", "--budget", "> 0")],
+     ("budget", "--budget", "> 0"), ("convergence_tol", "--tol", ">= 0")],
 )
 def test_run_rejects_an_infinite_penalty_setting(tmp_path, capsys, source, key, flag, bound):
     out = tmp_path / "out"
@@ -464,8 +478,10 @@ def test_sweep_with_every_run_filtered_out_still_writes_comparison(tmp_path, cap
         (["--node-counts", "6,0"], "num_nodes must be >= 1"),
         (["--schemes", "fixed,bogus"], "scheme must be one of"),
         (["--samples", "0"], "num_samples must be >= 1"),
+        (["--angle-filter", "inf"], "angle_filter_deg must be finite or none"),
+        (["--angle-filter", "nan"], "angle_filter_deg must be finite or none"),
     ],
-    ids=["zero-nodes", "bad-scheme", "zero-samples"],
+    ids=["zero-nodes", "bad-scheme", "zero-samples", "inf-angle-filter", "nan-angle-filter"],
 )
 def test_sweep_fails_before_any_cell_on_a_value_no_run_accepts(tmp_path, capsys, flags, message):
     out = tmp_path / "sweep"

@@ -39,6 +39,8 @@ def test_convergence_check_examples():
         {"topology": "star"},
         {"max_iterations": 0},
         {"convergence_tol": -1e-3},
+        {"convergence_tol": float("inf")},
+        {"convergence_tol": float("nan")},
     ],
 )
 def test_run_config_validation(kwargs):
@@ -338,7 +340,7 @@ def test_nap_skips_neighbor_objectives_of_exhausted_nodes():
 def test_vp_ranking_schemes_score_only_firing_nodes(monkeypatch, scheme):
     # A node is scored at its edge midpoints only when its residual-balancing
     # branch fires (and, for vp_nap, one of its edges has budget left).
-    from netadmm import engine
+    from netadmm import penalty as penalty_module
 
     residuals = []
 
@@ -346,7 +348,7 @@ def test_vp_ranking_schemes_score_only_firing_nodes(monkeypatch, scheme):
         residuals.append(local_residuals(*args))
         return residuals[-1]
 
-    monkeypatch.setattr(engine, "local_residuals", recorded)
+    monkeypatch.setattr(penalty_module, "local_residuals", recorded)
     penalty = PenaltyConfig(t_max=14, budget=2.0, mu=3.0)
     evals, live_nodes = _per_iteration_evals(scheme, "cluster", 6, penalty, 20)
     degrees = [2, 2, 3, 3, 2, 2]  # cluster(6)
@@ -391,7 +393,8 @@ def test_quadratic_nodes_match_the_per_node_loop():
         nodes.multiplier_step(nodes.params_matrix(), eta)
         for i, nbs in enumerate(graph.neighbors):
             for j in nbs:
-                gamma[i] += 0.5 * eta[edges.index((i, j))] * (theta[i] - theta[j])
+                mean = 0.5 * (eta[edges.index((i, j))] + eta[edges.index((j, i))])
+                gamma[i] += 0.5 * mean * (theta[i] - theta[j])
 
     np.testing.assert_allclose(nodes.dual, gamma, rtol=1e-12)
     want = [np.sum((theta[i] - centers[i]) ** 2) for i in range(6)]
@@ -406,26 +409,47 @@ def test_quadratic_nodes_match_the_per_node_loop():
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+def _quadratic_and_dppca_nodes(graph, rng):
+    # Quadratic and D-PPCA nodes on ``graph``, each with zero multipliers.
+    from netadmm.ppca import make_dppca_factory
+
+    n = graph.num_nodes
+    shards = [rng.normal(size=(4, 7)) for _ in range(n)]
+    dppca = make_dppca_factory(2)(shards, [np.random.default_rng(i) for i in range(n)], graph)
+    return QuadraticNodes(rng.normal(size=(n, 3)), graph), dppca
+
+
 def test_shared_dual_step_matches_the_per_node_loop():
     # NodeGroup.multiplier_step of quadratic and of D-PPCA nodes on the
     # ragged cluster(6), with a different penalty on every directed edge,
-    # against (1/2) sum_j eta_ij (theta_i - theta_j) node by node.
-    from netadmm.ppca import make_dppca_factory
-
+    # against (1/2) sum_j (eta_ij + eta_ji)/2 (theta_i - theta_j) node by node.
     graph = build_cluster(6)
     edges = list(graph.directed_edges())
     rng = np.random.default_rng(9)
-    shards = [rng.normal(size=(4, 7)) for _ in range(6)]
-    dppca = make_dppca_factory(2)(shards, [np.random.default_rng(i) for i in range(6)], graph)
-    for nodes in (QuadraticNodes(rng.normal(size=(6, 3)), graph), dppca):
+    for nodes in _quadratic_and_dppca_nodes(graph, rng):
         want = np.zeros_like(nodes.dual)
         for _ in range(3):
             theta = rng.normal(size=nodes.theta.shape)
             eta = rng.uniform(1.0, 20.0, size=len(edges))
             nodes.multiplier_step(theta, eta)
             for k, (i, j) in enumerate(edges):
-                want[i] += 0.5 * eta[k] * (theta[i] - theta[j])
+                mean = 0.5 * (eta[k] + eta[edges.index((j, i))])
+                want[i] += 0.5 * mean * (theta[i] - theta[j])
         np.testing.assert_allclose(nodes.dual, want, rtol=1e-12)
+
+
+def test_dual_step_conserves_the_multiplier_sum_under_directed_penalties():
+    # The two ends of an edge receive opposite increments whatever the two
+    # directed penalties are, so sum_i dual_i stays 0 to rounding.
+    graph = build_cluster(6)
+    rng = np.random.default_rng(10)
+    for nodes in _quadratic_and_dppca_nodes(graph, rng):
+        for _ in range(5):
+            theta = rng.normal(size=nodes.theta.shape)
+            nodes.multiplier_step(theta, rng.uniform(1.0, 20.0, size=len(graph.edge_arrays()[0])))
+        scale = np.linalg.norm(nodes.dual, axis=1).sum()
+        assert scale > 1.0
+        assert np.abs(nodes.dual.sum(axis=0)).max() <= 1e-12 * scale
 
 
 def test_zero_tolerance_runs_to_the_cap():

@@ -9,7 +9,6 @@ from netadmm.penalty import (
     PenaltyConfig,
     PenaltyScheduler,
     ResidualPair,
-    RoundSignals,
     ap_update,
     local_residuals,
     nap_update,
@@ -18,7 +17,7 @@ from netadmm.penalty import (
     vp_nap_update,
     vp_update,
 )
-from netadmm.topology import build_complete
+from netadmm.topology import build_cluster, build_complete
 
 CFG = PenaltyConfig()
 
@@ -162,13 +161,11 @@ def test_ap_taus_extreme_weight():
 def test_ap_taus_rejects_non_finite():
     # the scheduler checks the objective values of the nodes it ranks
     g = build_complete(3)
-    sched = PenaltyScheduler("ap", g, CFG)
-    zeros = np.zeros(3)
     bad = ((np.array([np.nan, 1.0, 1.0]), np.ones(6)), (np.ones(3), np.full(6, np.inf)))
     for f_self, f_neighbors in bad:
-        signals = RoundSignals(ResidualPair(zeros, zeros), f_self, np.ones(3), f_neighbors)
+        sched = PenaltyScheduler("ap", g, CFG)
         with pytest.raises(ValueError, match="finite"):
-            sched.update(0, signals)
+            sched.update(0, np.zeros((3, 2)), f_self, np.ones(3), _score(g, f_neighbors))
 
 
 def test_ap_taus_bounds_and_ordering():
@@ -315,27 +312,60 @@ def test_fixed_scheduler_constant():
     assert np.all(sched.all_etas() == 10.0)
 
 
-def _residual_arrays(pairs):
-    # per-node residual pairs as the engine passes them: one pair of arrays
-    primal, dual = zip(*((r.primal_sq, r.dual_sq) for r in pairs))
-    return ResidualPair(np.concatenate(primal), np.concatenate(dual))
-
-
 def _edge_values(graph, per_node):
-    # f_neighbors[i][j] laid out in directed-edge order
+    # per_node[i][j] laid out in directed-edge order
     return np.array([per_node[i][j] for i, j in graph.directed_edges()], dtype=float)
 
 
+def _score(graph, values, calls=None):
+    # A ``score(nodes, theta)`` stub: the per-edge ``values`` (in edge order)
+    # of the outgoing edges of ``nodes``; appends each call's nodes to ``calls``.
+    def score(nodes, theta):
+        if calls is not None:
+            calls.append(np.array(nodes))
+        return values[graph.out_edges(nodes)]
+
+    return score
+
+
+def _spread_theta(rng, n, width=4):
+    # every node's parameters at its own scale, drawn over six decades, so
+    # that primal and dual residuals dominate in turn
+    return rng.normal(size=(n, width)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+
+
+def _reference_residuals(graph, theta, prev_theta, node_etas):
+    # local_residuals against each node's neighbor means, node by node
+    def means(x):
+        return np.array([sum(x[j] for j in nbs) / len(nbs) for nbs in graph.neighbors])
+
+    navg = means(theta)
+    prev = navg if prev_theta is None else means(prev_theta)
+    return local_residuals(theta, navg, prev, node_etas)
+
+
+def _fires(res, mu):
+    # whether each node's residual-balancing branch fires: grow, shrink
+    primal, dual = np.sqrt(res.primal_sq), np.sqrt(res.dual_sq)
+    return primal > mu * dual, dual > mu * primal
+
+
 def test_vp_scheduler_is_per_node():
+    # At consensus nothing fires. Then node 0 moves far from its neighbors'
+    # mean (primal dominates: grow), node 1's neighbors' mean moves while
+    # node 1 sits near it (dual dominates: shrink), and node 2's residuals
+    # balance.
     g = build_complete(3)
     sched = PenaltyScheduler("vp", g, CFG)
-    signals = RoundSignals(
-        residuals=_residual_arrays([_pair(5.0, 0.1), _pair(0.1, 5.0), _pair(1.0, 1.0)]),
-        f_self=np.zeros(3),
-        f_prev_self=np.zeros(3),
-        f_neighbors=np.zeros(6),
-    )
-    sched.update(0, signals)
+    score = _score(g, np.zeros(6))
+    zeros = np.zeros(3)
+    sched.update(0, np.zeros((3, 1)), zeros, zeros, score)
+    assert np.all(sched.all_etas() == 10.0)
+    theta = np.array([[1.0], [0.4], [-0.399]])
+    res = sched.update(1, theta, zeros, zeros, score)
+    want = _reference_residuals(g, theta, np.zeros((3, 1)), np.full(3, 10.0))
+    np.testing.assert_allclose(res.primal_sq, want.primal_sq, rtol=1e-12)
+    np.testing.assert_allclose(res.dual_sq, want.dual_sq, rtol=1e-12)
     assert sched.state(0, 1).eta == sched.state(0, 2).eta == 20.0
     assert sched.state(1, 0).eta == 5.0
     assert sched.state(2, 0).eta == 10.0
@@ -349,15 +379,11 @@ def test_scheduler_determinism():
         rng = np.random.default_rng(5)
         for t in range(20):
             f = list(rng.normal(size=4))
-            signals = RoundSignals(
-                residuals=_residual_arrays([_pair(abs(x), abs(1 - x)) for x in f]),
-                f_self=np.array(f),
-                f_prev_self=rng.normal(size=4),
-                f_neighbors=_edge_values(
-                    g, [{j: f[j] + 0.1 * (i - j) for j in g.neighbors[i]} for i in range(4)]
-                ),
+            f_neighbors = _edge_values(
+                g, [{j: f[j] + 0.1 * (i - j) for j in g.neighbors[i]} for i in range(4)]
             )
-            sched.update(t, signals)
+            theta = _spread_theta(rng, 4)
+            sched.update(t, theta, np.array(f), rng.normal(size=4), _score(g, f_neighbors))
         return sched.all_etas()
 
     np.testing.assert_array_equal(drive(), drive())
@@ -367,29 +393,33 @@ def test_scheduler_determinism():
 def test_scheduler_matches_scalar_rules_on_ragged_graph(scheme):
     # cluster(6) has degrees 2, 2, 3, 3, 2, 2, so every node's edges sit
     # at a different offset of the scheduler's edge arrays; the reference
-    # applies the rules to one node's edges at a time
-    from netadmm.topology import build_cluster
-
+    # applies the rules to one node's edges at a time, with residuals from
+    # local_residuals at the reference ledger's per-node penalty means
     g = build_cluster(6)
     cfg = PenaltyConfig(t_max=12, budget=0.8)
     sched = PenaltyScheduler(scheme, g, cfg)
     ref = [_ledger(np.full(d, cfg.eta0), ceiling=cfg.budget) for d in g.degrees]
     rng = np.random.default_rng(17)
     f_prev = list(rng.uniform(1.0, 2.0, size=6))
+    prev_theta, grew, shrank = None, 0, 0
     for t in range(30):
         f_self = list(f_prev * rng.uniform(0.7, 1.3, size=6))
-        residuals = [_pair(*10.0 ** rng.uniform(-3, 3, size=2)) for _ in range(6)]
+        theta = _spread_theta(rng, 6)
         f_neighbors = [{j: float(rng.uniform(0.5, 3.0)) for j in g.neighbors[i]} for i in range(6)]
-        signals = RoundSignals(
-            _residual_arrays(residuals),
-            np.array(f_self),
-            np.array(f_prev),
-            _edge_values(g, f_neighbors),
+        # vp keeps one value per node, which its mean would round away from
+        node_etas = [s.eta[0] if scheme == "vp" else sum(s.eta.tolist()) / len(s.eta) for s in ref]
+        residuals = _reference_residuals(g, theta, prev_theta, np.array(node_etas))
+        got = sched.update(
+            t, theta, np.array(f_self), np.array(f_prev), _score(g, _edge_values(g, f_neighbors))
         )
-        sched.update(t, signals)
+        np.testing.assert_allclose(got.primal_sq, residuals.primal_sq, rtol=1e-12)
+        np.testing.assert_allclose(got.dual_sq, residuals.dual_sq, rtol=1e-12)
+        grow, shrink = _fires(residuals, cfg.mu)
+        grew, shrank = grew + grow.sum(), shrank + shrink.sum()
         for i in range(6):
             tau = _taus(f_self[i], [f_neighbors[i][j] for j in g.neighbors[i]])
-            res, s = residuals[i], ref[i]
+            res = ResidualPair(residuals.primal_sq[[i]], residuals.dual_sq[[i]])
+            s = ref[i]
             ref[i] = {
                 "fixed": lambda: s,
                 "vp": lambda: vp_update(s, res, cfg, t),
@@ -400,11 +430,13 @@ def test_scheduler_matches_scalar_rules_on_ragged_graph(scheme):
             }[scheme]()
         for i, expected in enumerate(ref):
             for k, j in enumerate(g.neighbors[i]):
-                got = sched.state(i, j)
+                state = sched.state(i, j)
                 for field in ("eta", "spent", "ceiling", "growth_count"):
-                    assert getattr(got, field) == getattr(expected, field)[k], (t, i, j, field)
+                    assert getattr(state, field) == getattr(expected, field)[k], (t, i, j, field)
         assert sched.exhausted_edges() == sum(np.count_nonzero(s.exhausted) for s in ref)
-        f_prev = f_self
+        f_prev, prev_theta = f_self, theta
+    # both balancing branches fired, several times
+    assert grew > 5 and shrank > 5
     if scheme in ("nap", "vp_nap"):
         # the signals exercised exhaustion and ceiling growth
         assert sched.exhausted_edges() > 0
@@ -413,46 +445,53 @@ def test_scheduler_matches_scalar_rules_on_ragged_graph(scheme):
 
 @pytest.mark.parametrize("scheme", ["ap", "nap", "vp_ap", "vp_nap"])
 def test_update_reads_ranking_weights_only_of_ranking_nodes(scheme):
-    # Objective values on the edges of nodes outside ranking_nodes(t, res)
-    # change nothing, whatever they hold; vp_ap and vp_nap rank only the
-    # nodes whose residual-balancing branch fires.
-    from netadmm.topology import build_cluster
-
+    # An update scores at most once, never no node, and exactly the nodes
+    # whose ranking weights its rule reads: ap every node while t < t_max,
+    # nap the nodes with an edge that has budget left, and vp_ap and vp_nap
+    # only those of them whose residual-balancing branch fires.
     g = build_cluster(6)
     cfg = PenaltyConfig(t_max=12, budget=0.8)
-    kept, scrambled = PenaltyScheduler(scheme, g, cfg), PenaltyScheduler(scheme, g, cfg)
+    sched = PenaltyScheduler(scheme, g, cfg)
     sources, _ = g.edge_arrays()
     rng = np.random.default_rng(41)
     f_prev = rng.uniform(1.0, 2.0, size=6)
-    skipped = 0
+    partial = 0
     for t in range(30):
         f_self = f_prev * rng.uniform(0.7, 1.3, size=6)
-        res = ResidualPair(*10.0 ** rng.uniform(-3, 3, size=(2, 6)))
-        f_neighbors = rng.uniform(0.5, 3.0, size=len(sources))
-        ranked = kept.ranking_nodes(t, res)
-        np.testing.assert_array_equal(ranked, scrambled.ranking_nodes(t, res))
-        fires = (np.sqrt(res.primal_sq) > cfg.mu * np.sqrt(res.dual_sq)) | (
-            np.sqrt(res.dual_sq) > cfg.mu * np.sqrt(res.primal_sq)
-        )
         live = np.zeros(6, dtype=bool)
-        live[sources[~kept.edge_state.exhausted]] = True
-        expected = {
-            "ap": np.full(6, t < cfg.t_max),
-            "nap": live,
-            "vp_ap": fires & (t <= cfg.t_max),
-            "vp_nap": fires & live,
-        }[scheme]
-        np.testing.assert_array_equal(ranked, np.flatnonzero(expected))
-        outside = ~np.isin(sources, ranked)
-        skipped += outside.any() and len(ranked) > 0
-        noise = np.where(rng.random(len(sources)) < 0.5, np.nan, rng.normal(size=len(sources)))
-        kept.update(t, RoundSignals(res, f_self, f_prev, f_neighbors))
-        scrambled.update(t, RoundSignals(res, f_self, f_prev, np.where(outside, noise, f_neighbors)))
-        for field in ("eta", "spent", "ceiling", "growth_count"):
-            np.testing.assert_array_equal(
-                getattr(kept.edge_state, field), getattr(scrambled.edge_state, field), (t, field)
-            )
+        live[sources[~sched.edge_state.exhausted]] = True
+        calls = []
+        score = _score(g, rng.uniform(0.5, 3.0, size=len(sources)), calls)
+        res = sched.update(t, _spread_theta(rng, 6), f_self, f_prev, score)
+        fires = np.logical_or(*_fires(res, cfg.mu))
+        expected = np.flatnonzero(
+            {
+                "ap": np.full(6, t < cfg.t_max),
+                "nap": live,
+                "vp_ap": fires & (t <= cfg.t_max),
+                "vp_nap": fires & live,
+            }[scheme]
+        )
+        assert len(calls) == (len(expected) > 0), t
+        if calls:
+            np.testing.assert_array_equal(calls[0], expected)
+        partial += 0 < len(expected) < 6
         f_prev = f_self
     if scheme != "ap":
         # some iterations ranked only part of the nodes
-        assert skipped > 3
+        assert partial > 3
+
+
+@pytest.mark.parametrize("scheme", ["fixed", "vp", "ap", "nap", "vp_ap", "vp_nap"])
+def test_single_node_update_scores_nothing(scheme):
+    # complete(1) has no edge: zero residuals, no score call, and the
+    # reported penalty stays eta0
+    g = build_complete(1)
+    sched = PenaltyScheduler(scheme, g, CFG)
+    calls = []
+    score = _score(g, np.zeros(0), calls)
+    for t in range(3):
+        res = sched.update(t, np.full((1, 2), 5.0 * t), np.ones(1), np.ones(1), score)
+        assert res.primal_sq.tolist() == res.dual_sq.tolist() == [0.0]
+    assert calls == []
+    assert sched.all_etas().tolist() == [CFG.eta0]

@@ -993,7 +993,8 @@ def test_stacked_phases_match_one_node_at_a_time():
         nodes.counts += np.stack([out.cycles, out.capped, out.ridge], axis=1)
 
     def multiplier_step_alone(model, i, theta, weights):
-        row = weights[[i]]
+        # the group averages each edge's two directed penalties
+        row = 0.5 * (weights + weights.T)[[i]]
         model._nodes.dual += 0.5 * (row.sum(axis=1)[:, None] * theta[[i]] - row @ theta)
 
     def assert_rows_match():

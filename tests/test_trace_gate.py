@@ -119,3 +119,16 @@ def test_compare_fails_on_an_outcome_that_both_summaries_hold_and_that_differs(t
     assert by_run["vp_ring_1"] == "byte-identical"
     assert by_run["ap_ring_1"] == "byte-identical; outcome converged -> diverged  FAIL"
     assert total.startswith("31 of 31 byte-identical;") and total.endswith("; FAIL")
+
+
+def test_compare_fails_on_a_summary_that_is_not_strict_json(tmp_path, capsys):
+    # JSON has no NaN: a summary that holds one fails its run.
+    base = _write_set(tmp_path / "base")
+    new = _write_set(tmp_path / "new")
+    (new / "vp_ring_1" / "summary.json").write_text('{"m_step": {}, "final": {"objective": NaN}}')
+    assert trace_gate.compare(base, new, rtol=1e-9) is False
+    *runs, total = capsys.readouterr().out.splitlines()
+    by_run = dict(line.split(": ", 1) for line in runs)
+    assert by_run["vp_ring_1"] == "summary.json holds NaN  FAIL"
+    assert by_run["ap_ring_1"] == "byte-identical"
+    assert total.startswith("30 of 31 byte-identical;") and total.endswith("; FAIL")
