@@ -49,8 +49,7 @@ for topology in ("complete", "ring", "cluster"):
                 max_iterations=400, convergence_tol=1e-3, seed=seed,
             )
             result = engine.run(cfg, ppca.make_dppca_factory(spec.latent_dim), shards)
-            bases = [m.params.W for m in result.models]
-            reports.append(metrics.run_report(result, bases, ground_truth))
+            reports.append(metrics.run_report(result, ground_truth))
         agg = metrics.aggregate_reports(reports)
         print(f"{scheme:8s} {agg['median_iterations']:12d} "
               f"{agg['median_max_angle_deg']:15.2f}  "

@@ -38,7 +38,7 @@ for scheme in ("fixed", "vp", "vp_ap"):
         max_iterations=500, convergence_tol=1e-3, seed=1,
     )
     result = engine.run(cfg, ppca.make_dppca_factory(3), shards)
-    report = metrics.run_report(result, [m.params.W for m in result.models], oracle)
+    report = metrics.run_report(result, oracle)
     iterations[scheme] = report["iterations"]
     print(f"{scheme:6s}: {report['iterations']:3d} iterations, "
           f"max angle vs SVD structure {report['max_angle_deg']:.3f} deg")

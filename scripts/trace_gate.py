@@ -24,7 +24,7 @@ than the CLI: ``engine.QuadraticNodes`` at the centers of
 ``demos/02_quadratic_consensus.py`` (8 draws of ``normal(size=3)`` from
 ``default_rng(0)``), ap on complete(8), eta0 = 10, no stopping rule
 (tolerance 0), 200 iterations, through ``engine.run``,
-``engine.write_trace_csv`` and ``engine.run_summary``.
+``metrics.run_report`` and ``metrics.write_run``, the CLI's writer.
 
 Write a set, one directory per run holding ``trace.csv`` and
 ``summary.json``::
@@ -32,7 +32,10 @@ Write a set, one directory per run holding ``trace.csv`` and
     python scripts/trace_gate.py write OUT_DIR [--src SRC_DIR]
 
 ``--src`` puts another checkout's ``src`` first on the import path, so
-the same script writes the set of an older commit. Compare two sets::
+the same script writes the set of another commit with the same library
+API. A commit from before ``metrics.write_run`` has its set written by
+its own copy of this script, run in a checkout of it (a ``git worktree``).
+Compare two sets::
 
     python scripts/trace_gate.py compare BASE_DIR NEW_DIR [--rtol 1e-9]
 
@@ -114,7 +117,7 @@ def _quadratic_run(run_dir: Path) -> str:
     # QUADRATIC_RUN's trace and summary; returns a one-line report.
     import numpy as np
 
-    from netadmm import engine, penalty
+    from netadmm import engine, metrics, penalty
 
     rng = np.random.default_rng(0)
     centers = [rng.normal(size=3) for _ in range(8)]
@@ -123,9 +126,7 @@ def _quadratic_run(run_dir: Path) -> str:
         max_iterations=200, convergence_tol=0.0,
     )
     result = engine.run(config, lambda shards, rngs, graph: engine.QuadraticNodes(shards, graph), centers)
-    engine.write_trace_csv(result.records, run_dir / "trace.csv")
-    summary = engine.run_summary(dataclasses.asdict(config), result)
-    (run_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    metrics.write_run(run_dir, result, metrics.run_report(result, config=dataclasses.asdict(config)))
     return f"{len(result.records)} iterations, objective {result.records[-1].objective:.12g}"
 
 

@@ -25,9 +25,7 @@ usage errors included, or a run that diverged or failed mid-run.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import json
 import os
 import sys
 import typing
@@ -45,6 +43,16 @@ __all__ = ["ExperimentConfig", "SETTINGS", "cmd_run", "cmd_sweep", "cmd_sfm", "m
 OUTPUT_DIR_ENV = "NETADMM_OUTPUT_DIR"
 SFM_LATENT_DIM = 3  # affine structure from motion factorizes into 3-D structure
 _SWEEP = {"command": "sweep"}
+COMPARISON_COLUMNS = (
+    "scheme",
+    "topology",
+    "num_nodes",
+    "runs",
+    "median_iterations",
+    "median_max_angle_deg",
+    "all_converged",
+    "errors",
+)
 
 
 @dataclass(frozen=True)
@@ -204,43 +212,14 @@ def resolve_config(
     return _with_settings(ExperimentConfig(), overrides)
 
 
-def _write_json(obj: dict, path: Path) -> None:
-    # Strict JSON: a NaN or infinity raises instead of writing a bare token.
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    os.replace(tmp, path)
-
-
-def _budget_summary(result: engine.RunResult) -> dict | None:
-    ceilings = result.scheduler.budget_ceilings()
-    if not ceilings.size:
-        return None
-    sources, targets = result.graph.edge_arrays()
-    return {
-        "ceilings": {f"{i}->{j}": c for i, j, c in zip(sources, targets, ceilings.tolist())},
-        "max_ceiling": float(ceilings.max()),
-        "exhausted_edges": result.scheduler.exhausted_edges(),
-    }
-
-
 def _run_and_write(cfg: ExperimentConfig, shards, reference: np.ndarray, out_dir: Path, **extra) -> dict:
-    """Run D-PPCA on ``shards``; write and return the summary and write the trace.
+    """Run D-PPCA on ``shards`` and write its artifacts however it ended; return its summary.
 
-    Both are written however the run ended. The summary scores every node's
-    basis against ``reference`` (see :func:`metrics.run_report`) and adds ``extra``.
+    The summary is :func:`metrics.run_report`'s, scored against ``reference``, plus ``extra``.
     """
     result = engine.run(cfg.run, ppca.make_dppca_factory(cfg.synthetic.latent_dim), shards)
-    bases = [model.params.W for model in result.models]
-    summary = engine.run_summary(cfg.echo(), result)
-    summary.update(metrics.run_report(result, bases, reference))
-    summary["seed"] = cfg.run.seed
-    summary.update(extra)
-    budget = _budget_summary(result)
-    if budget is not None:
-        summary["budget"] = budget
-    out_dir.mkdir(parents=True, exist_ok=True)
-    engine.write_trace_csv(result.records, out_dir / "trace.csv")
-    _write_json(summary, out_dir / "summary.json")
+    summary = {**metrics.run_report(result, reference, cfg.echo()), **extra}
+    metrics.write_run(out_dir, result, summary)
     return summary
 
 
@@ -259,20 +238,29 @@ def _failed(summary: dict) -> bool:
     return summary["outcome"] not in ("converged", "cap")
 
 
-def cmd_run(cfg: ExperimentConfig) -> int:
-    summary = execute_synthetic_run(cfg, Path(cfg.output_dir))
+def _finish(cfg: ExperimentConfig, summary: dict, line: str) -> int:
+    """The exit code of a ``run`` or ``sfm``, after its one line of output.
+
+    A run that diverged or failed prints its message and exits 1. Any other
+    prints ``line``, formatted with the summary's keys and ``run``, the
+    run's settings, and exits 0 if it converged or 2 at the iteration cap.
+    """
     if _failed(summary):
         print(f"error: {summary['message']}", file=sys.stderr)
         return 1
-    run = cfg.run
-    print(
-        f"{run.scheme} on {run.topology}({run.num_nodes}), seed {run.seed}: "
-        f"{summary['iterations']} iterations, "
-        f"max angle {summary['max_angle_deg']:.2f} deg, "
-        f"consensus gap {summary['consensus_gap_deg']:.2f} deg, "
-        f"converged={summary['converged']}"
-    )
+    print(line.format(run=cfg.run, **summary))
     return 0 if summary["converged"] else 2
+
+
+def cmd_run(cfg: ExperimentConfig) -> int:
+    summary = execute_synthetic_run(cfg, Path(cfg.output_dir))
+    return _finish(
+        cfg,
+        summary,
+        "{run.scheme} on {run.topology}({run.num_nodes}), seed {run.seed}: "
+        "{iterations} iterations, max angle {max_angle_deg:.2f} deg, "
+        "consensus gap {consensus_gap_deg:.2f} deg, converged={converged}",
+    )
 
 
 def _cell_dir(root: Path, scheme: str, topology: str, n: int, seed: int) -> Path:
@@ -329,8 +317,14 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         row["errors"] = [g["error"] for g in group if "error" in g]
         rows.append(row)
 
-    _write_json({"config": cfg.echo(), "cells": rows}, root / "comparison.json")
-    _write_comparison_csv(rows, root / "comparison.csv")
+    metrics.write_artifact(root / "comparison.json", {"config": cfg.echo(), "cells": rows})
+    table = [
+        [row["scheme"], row["topology"], row["num_nodes"], row.get("runs", 0)]
+        + [row.get(key, "") for key in ("median_iterations", "median_max_angle_deg", "all_converged")]
+        + ["; ".join(row["errors"])]
+        for row in rows
+    ]
+    metrics.write_artifact(root / "comparison.csv", [COMPARISON_COLUMNS, *table])
     for row in rows:
         label = f"{row['scheme']:8s} {row['topology']:9s} n={row['num_nodes']}"
         if "median_iterations" in row:
@@ -353,40 +347,6 @@ def _sweep_cell_safe(cell: ExperimentConfig) -> dict:
     except ValueError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     return {"error": summary["message"]} if _failed(summary) else summary
-
-
-def _write_comparison_csv(rows: list[dict], path: Path) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "scheme",
-                "topology",
-                "num_nodes",
-                "runs",
-                "median_iterations",
-                "median_max_angle_deg",
-                "all_converged",
-                "errors",
-            ]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row["scheme"],
-                    row["topology"],
-                    row["num_nodes"],
-                    row.get("runs", 0),
-                    row.get("median_iterations", ""),
-                    format(row["median_max_angle_deg"], ".12g")
-                    if "median_max_angle_deg" in row
-                    else "",
-                    row.get("all_converged", ""),
-                    "; ".join(row["errors"]),
-                ]
-            )
-    os.replace(tmp, path)
 
 
 def svd_structure_basis(values: np.ndarray, rank: int = SFM_LATENT_DIM) -> np.ndarray:
@@ -418,15 +378,12 @@ def cmd_sfm(cfg: ExperimentConfig) -> int:
             "num_points": mm.num_points,
         },
     )
-    if _failed(summary):
-        print(f"error: {summary['message']}", file=sys.stderr)
-        return 1
-    print(
-        f"sfm {cfg.run.scheme} on {cfg.run.topology}({cfg.run.num_nodes}): "
-        f"{summary['iterations']} iterations, "
-        f"max angle vs SVD structure {summary['max_angle_deg']:.2f} deg"
+    return _finish(
+        cfg,
+        summary,
+        "sfm {run.scheme} on {run.topology}({run.num_nodes}): {iterations} iterations, "
+        "max angle vs SVD structure {max_angle_deg:.2f} deg",
     )
-    return 0 if summary["converged"] else 2
 
 
 class _ArgumentParser(argparse.ArgumentParser):

@@ -49,8 +49,8 @@ class SyntheticSpec:
             raise ValueError("num_samples must be >= 1")
         if not self.ambient_dim >= self.latent_dim >= 1:
             raise ValueError("need ambient_dim >= latent_dim >= 1")
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be >= 0")
+        if not 0 <= self.noise_variance < np.inf:
+            raise ValueError("noise_variance must be finite and >= 0")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,8 @@ objectives at the edge midpoints only for the nodes whose ranking
 weights it will use, in one call for all of their edges.
 
 A run ends by returning a :class:`RunResult` that says how it ended,
-with the records so far, so a run that fails still leaves a trace.
+with the records so far, so a run that fails still leaves a trace. The
+engine writes no files: ``metrics`` turns a result into its artifacts.
 
 The simulator is an omniscient observer: it sums the per-node
 objectives into the global objective used for the convergence check
@@ -31,17 +32,14 @@ explicitly.
 from __future__ import annotations
 
 import abc
-import csv
 import math
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .penalty import PenaltyConfig, PenaltyScheduler, SCHEMES
-from .topology import Graph, TOPOLOGIES, build_graph
+from .topology import Graph, build_graph
 
 __all__ = [
     "ConsensusModel",
@@ -52,9 +50,6 @@ __all__ = [
     "RunResult",
     "convergence_check",
     "run",
-    "write_trace_csv",
-    "run_summary",
-    "TRACE_COLUMNS",
 ]
 
 #: factor by which the |objective| may exceed its initial magnitude
@@ -182,7 +177,8 @@ class RunConfig:
 
     ``convergence_tol`` is the relative objective change that stops a run
     (:func:`convergence_check`), finite; 0 means no stopping rule, so the
-    run goes to ``max_iterations``.
+    run goes to ``max_iterations``. The topology's graph builder must
+    accept ``num_nodes``.
     """
 
     topology: str = "complete"
@@ -194,10 +190,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.topology not in TOPOLOGIES:
-            raise ValueError(f"topology must be one of {', '.join(TOPOLOGIES)}")
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
+        build_graph(self.topology, self.num_nodes)  # the builder's rules and messages
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {', '.join(SCHEMES)}")
         if self.max_iterations < 1:
@@ -241,7 +236,6 @@ class RunResult:
 
     records: list[IterationRecord]
     models: list[ConsensusModel]
-    graph: Graph
     scheduler: PenaltyScheduler
     outcome: str
     message: str = ""
@@ -299,10 +293,10 @@ def run(
     Returns
     -------
     RunResult
-        How the run ended, its records so far, and the final node views,
-        graph, and scheduler. A ``ValueError`` from the node group's steps,
-        objectives or ranking, or from the scheduler's update, ends the run
-        with outcome ``"error"``.
+        How the run ended, its records so far, and the final node views
+        and scheduler, whose ``graph`` is the run's. A ``ValueError`` from
+        the node group's steps, objectives or ranking, or from the
+        scheduler's update, ends the run with outcome ``"error"``.
 
     Raises
     ------
@@ -382,72 +376,5 @@ def run(
             outcome = "converged"
             break
 
-    return RunResult(records, models, graph, scheduler, outcome, message, *nodes.m_step_counts())
+    return RunResult(records, models, scheduler, outcome, message, *nodes.m_step_counts())
 
-
-TRACE_COLUMNS = (
-    "t",
-    "objective",
-    "max_primal",
-    "max_dual",
-    "eta_min",
-    "eta_max",
-    "eta_mean",
-    "converged",
-)
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".12g")
-
-
-def write_trace_csv(records: Sequence[IterationRecord], path: str | Path) -> None:
-    """Write the iteration trace as CSV (atomically, 12 significant digits)."""
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.t,
-                    _fmt(r.objective),
-                    _fmt(r.max_primal),
-                    _fmt(r.max_dual),
-                    _fmt(r.eta_min),
-                    _fmt(r.eta_max),
-                    _fmt(r.eta_mean),
-                    int(r.converged),
-                ]
-            )
-    os.replace(tmp, path)
-
-
-def run_summary(config_echo: dict, result: RunResult) -> dict:
-    """Self-describing summary of one run: the config echo, how the run
-    ended, and its last record's metrics (``final``, None without records).
-
-    A non-finite metric in ``final`` is None, so the summary is strict JSON;
-    the ``message`` of a diverged run names the value.
-    """
-    last = result.records[-1] if result.records else None
-    return {
-        "config": config_echo,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "outcome": result.outcome,
-        "message": result.message,
-        "final": None
-        if last is None
-        else {
-            name: value if math.isfinite(value) else None
-            for name, value in vars(last).items()
-            if name not in ("t", "converged")
-        },
-        "m_step": {
-            "cycles": result.m_step_cycles,
-            "cap_hits": result.m_step_cap_hits,
-            "ridge": result.m_step_ridge,
-        },
-    }

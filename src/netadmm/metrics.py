@@ -1,12 +1,21 @@
-"""Evaluation metrics: subspace angles, run reports, speed-up figures.
+"""Evaluation metrics and run artifacts: subspace angles, run reports, speed-up figures.
 
 Every angle is the largest principal angle between QR-orthonormalized
 bases, atan2(σ_max(Qb − Qa Qaᵀ Qb), σ_min(Qaᵀ Qb)), accurate at 0 and at
 90 degrees; :func:`largest_angles_deg` scores whole stacks in one call.
+
+A run's :class:`RunResult` becomes its summary in :func:`run_report`, and
+:func:`write_run` writes its artifacts through :func:`write_artifact`.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+import math
+import os
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -18,10 +27,18 @@ __all__ = [
     "subspace_angle",
     "consensus_gap_deg",
     "run_report",
+    "TRACE_COLUMNS",
+    "write_artifact",
+    "write_run",
     "lower_median",
     "aggregate_reports",
     "speedup",
 ]
+
+#: the fields of an ``engine.IterationRecord`` that ``trace.csv`` holds, in column order
+TRACE_COLUMNS = (
+    "t", "objective", "max_primal", "max_dual", "eta_min", "eta_max", "eta_mean", "converged"
+)
 
 
 def _orthonormalize(bases, label: str) -> np.ndarray:
@@ -77,26 +94,82 @@ def consensus_gap_deg(bases: Sequence[np.ndarray]) -> float:
     return float(_angles(q[i], q[j]).max(initial=0.0))
 
 
-def run_report(result: RunResult, node_bases: Sequence[np.ndarray], reference: np.ndarray) -> dict:
-    """Summarize one run: the engine's ``result`` and the nodes' final bases.
+def run_report(result: RunResult, reference: np.ndarray | None = None, config: dict | None = None) -> dict:
+    """The summary of one run, each fact once, with ``config`` echoed as given.
 
-    ``iterations``, ``converged`` and ``outcome`` are the result's. Only a
-    run that converged or reached its cap is scored against ``reference``;
-    a diverged or errored run's bases may not be finite. The consensus gap
-    is the largest pairwise angle between the nodes' final subspaces: a run
-    can stop "converged" with its nodes far apart.
+    ``final`` holds the last record's metrics (None without records), a
+    non-finite one as None so the summary is strict JSON; a diverged run's
+    ``message`` names it. ``budget`` holds a budgeted scheme's final ceilings.
+    With a ``reference``, a run that converged or reached its cap scores the
+    nodes' final bases (``params.W`` of ``result.models``; a failed run's may
+    not be finite) against it and reports their consensus gap, the largest
+    pairwise angle: a run can stop "converged" with its nodes far apart.
     """
+    last = vars(result.records[-1]) if result.records else {}
+    final = {k: v if math.isfinite(v) else None for k, v in last.items() if k not in ("t", "converged")}
     report = {
+        "config": config,
         "iterations": result.iterations,
         "converged": result.converged,
         "outcome": result.outcome,
+        "message": result.message,
+        "final": final or None,
+        "m_step": {
+            "cycles": result.m_step_cycles,
+            "cap_hits": result.m_step_cap_hits,
+            "ridge": result.m_step_ridge,
+        },
     }
-    if result.outcome in ("converged", "cap"):
-        angles = largest_angles_deg(node_bases, reference)
+    ceilings = result.scheduler.budget_ceilings()
+    if ceilings.size:
+        sources, targets = result.scheduler.graph.edge_arrays()
+        report["budget"] = {
+            "ceilings": {f"{i}->{j}": c for i, j, c in zip(sources, targets, ceilings.tolist())},
+            "max_ceiling": float(ceilings.max()),
+        }
+    if reference is not None and result.outcome in ("converged", "cap"):
+        bases = [model.params.W for model in result.models]
+        angles = largest_angles_deg(bases, reference)
         report["max_angle_deg"] = float(angles.max())
         report["per_node_angle_deg"] = angles.tolist()
-        report["consensus_gap_deg"] = consensus_gap_deg(node_bases)
+        report["consensus_gap_deg"] = consensus_gap_deg(bases)
     return report
+
+
+def write_artifact(path: str | Path, content) -> None:
+    """Write ``content`` to ``path`` atomically, through a temporary file that replaces it.
+
+    A ``.json`` path gets strict JSON with sorted keys: a NaN or an infinity
+    raises instead of writing a token that JSON lacks. Any other path gets
+    the rows ``content`` as CSV, each float to 12 significant digits.
+    """
+    path = Path(path)
+    if path.suffix == ".json":
+        text = json.dumps(content, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    else:
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows(
+            [format(value, ".12g") if isinstance(value, float) else value for value in row]
+            for row in content
+        )
+        text = buffer.getvalue()
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    with tmp.open("w", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
+def write_run(out_dir: str | Path, result: RunResult, summary: dict) -> None:
+    """Write a run's trace as ``trace.csv`` and ``summary`` as ``summary.json`` into ``out_dir``.
+
+    One trace row of ``TRACE_COLUMNS`` per record, its flag as 0 or 1; ``out_dir`` is made if missing.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = [[vars(record)[name] for name in TRACE_COLUMNS] for record in result.records]
+    rows = [[int(value) if isinstance(value, bool) else value for value in row] for row in rows]
+    write_artifact(out_dir / "trace.csv", [TRACE_COLUMNS, *rows])
+    write_artifact(out_dir / "summary.json", summary)
 
 
 def lower_median(values: Sequence[float]) -> float:

@@ -87,8 +87,7 @@ def protocol_matrix(protocol_data):
             for seed in SEEDS:
                 hook = BudgetHook() if scheme in ("nap", "vp_nap") else None
                 result = _protocol_run(observations, scheme, topology, seed, hook=hook)
-                bases = [m.params.W for m in result.models]
-                report = metrics.run_report(result, bases, ground_truth)
+                report = metrics.run_report(result, ground_truth)
                 runs.append((result, report, hook))
             matrix[(scheme, topology)] = runs
     return matrix
@@ -393,7 +392,7 @@ def test_synthetic_sfm_against_svd_oracle(tmp_path):
                 seed=1,
             )
             result = engine.run(cfg, ppca.make_dppca_factory(3), shards)
-            report = metrics.run_report(result, [m.params.W for m in result.models], oracle)
+            report = metrics.run_report(result, oracle)
             assert report["max_angle_deg"] < 5.0, (scheme, report["max_angle_deg"])
 
 
@@ -415,8 +414,7 @@ def test_determinism_across_runs_and_modes(tmp_path):
                 seed=4,
             )
             result = engine.run(cfg, ppca.make_dppca_factory(3), shards)
-            path = tmp_path / f"{tag}.csv"
-            engine.write_trace_csv(result.records, path)
-            return path.read_bytes()
+            metrics.write_run(tmp_path / tag, result, metrics.run_report(result))
+            return (tmp_path / tag / "trace.csv").read_bytes()
 
         assert trace("serial_1") == trace("serial_2")

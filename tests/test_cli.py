@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -480,8 +481,22 @@ def test_sweep_with_every_run_filtered_out_still_writes_comparison(tmp_path, cap
         (["--samples", "0"], "num_samples must be >= 1"),
         (["--angle-filter", "inf"], "angle_filter_deg must be finite or none"),
         (["--angle-filter", "nan"], "angle_filter_deg must be finite or none"),
+        (["--noise-variance", "nan"], "noise_variance must be finite and >= 0"),
+        (["--noise-variance", "inf"], "noise_variance must be finite and >= 0"),
+        (["--topologies", "complete,ring", "--node-counts", "6,2"], "ring graph needs n >= 3, got 2"),
+        (["--topologies", "cluster", "--node-counts", "4,5"], "cluster graph needs even n >= 4, got 5"),
     ],
-    ids=["zero-nodes", "bad-scheme", "zero-samples", "inf-angle-filter", "nan-angle-filter"],
+    ids=[
+        "zero-nodes",
+        "bad-scheme",
+        "zero-samples",
+        "inf-angle-filter",
+        "nan-angle-filter",
+        "nan-noise-variance",
+        "inf-noise-variance",
+        "small-ring",
+        "odd-cluster",
+    ],
 )
 def test_sweep_fails_before_any_cell_on_a_value_no_run_accepts(tmp_path, capsys, flags, message):
     out = tmp_path / "sweep"
@@ -574,3 +589,50 @@ def test_summary_config_echoes_every_key(tmp_path):
     echoed = json.loads((sfm_out / "summary.json").read_text())["config"]
     assert set(echoed) == set(SURFACE)
     assert (echoed["latent_dim"], echoed["num_nodes"]) == (3, 5)
+
+
+def test_summary_holds_each_fact_once(tmp_path):
+    # The top-level keys of a budgeted run's, an sfm run's and a quadratic
+    # run's summary. The seed is only in the config echo and the exhausted
+    # edge count only in final.
+    from netadmm import engine, metrics
+
+    common = {"config", "iterations", "converged", "outcome", "message", "final", "m_step"}
+    angles = {"max_angle_deg", "per_node_angle_deg", "consensus_gap_deg"}
+    out = tmp_path / "nap"
+    assert _run_cli(["run", "--scheme", "nap", *FAST, "--output-dir", out]) in (0, 2)
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary) == common | angles | {"budget"}
+    assert set(summary["budget"]) == {"ceilings", "max_ceiling"}
+    assert summary["config"]["seed"] == 1
+    assert set(summary["final"]) == {
+        "objective", "max_primal", "max_dual", "eta_min", "eta_max", "eta_mean", "exhausted_edges",
+    }
+    meas = tmp_path / "meas.csv"
+    _write_measurements(meas)
+    out = tmp_path / "sfm"
+    args = ["sfm", "--measurements", meas, "--max-iterations", "5", "--output-dir", out]
+    assert _run_cli(args) in (0, 2)
+    assert set(json.loads((out / "summary.json").read_text())) == common | angles | {"measurements"}
+    cfg = engine.RunConfig(num_nodes=3, scheme="ap", max_iterations=5)
+    centers = np.random.default_rng(0).normal(size=(3, 2))
+    result = engine.run(cfg, lambda shards, rngs, graph: engine.QuadraticNodes(shards, graph), centers)
+    assert set(metrics.run_report(result)) == common
+
+
+def test_sweep_comparison_csv_rows_carry_the_json_cells(tmp_path):
+    out = tmp_path / "sweep"
+    args = ["sweep", "--schemes", "fixed,vp", *FAST, "--node-counts", "6,300", "--seeds", "1,2"]
+    assert _run_cli([*args, "--output-dir", out]) == 0
+    cells = json.loads((out / "comparison.json").read_text())["cells"]
+    with (out / "comparison.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["num_nodes"] for row in rows] == ["6", "300", "6", "300"]
+    for row, cell in zip(rows, cells, strict=True):
+        assert row.pop("errors") == "; ".join(cell["errors"])
+        angle = row.pop("median_max_angle_deg")
+        if "median_max_angle_deg" in cell:
+            assert float(angle) == pytest.approx(cell["median_max_angle_deg"], rel=1e-11)
+        else:
+            assert angle == ""
+        assert row == {key: str(cell.get(key, 0 if key == "runs" else "")) for key in row}

@@ -54,7 +54,14 @@ def test_sample_mean_near_zero():
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"num_samples": 0}, {"ambient_dim": 3, "latent_dim": 4}, {"noise_variance": -1.0}]
+    "kwargs",
+    [
+        {"num_samples": 0},
+        {"ambient_dim": 3, "latent_dim": 4},
+        {"noise_variance": -1.0},
+        {"noise_variance": float("nan")},
+        {"noise_variance": float("inf")},
+    ],
 )
 def test_spec_validation(kwargs):
     with pytest.raises(ValueError):

@@ -8,10 +8,11 @@ from netadmm.engine import (
     IterationRecord,
     QuadraticNodes,
     RunConfig,
+    RunResult,
     convergence_check,
     run,
-    write_trace_csv,
 )
+from netadmm.metrics import write_run
 from netadmm.penalty import PenaltyConfig, local_residuals
 from netadmm.topology import build_cluster
 
@@ -41,6 +42,8 @@ def test_convergence_check_examples():
         {"convergence_tol": -1e-3},
         {"convergence_tol": float("inf")},
         {"convergence_tol": float("nan")},
+        {"topology": "ring", "num_nodes": 2},
+        {"topology": "cluster", "num_nodes": 7},
     ],
 )
 def test_run_config_validation(kwargs):
@@ -226,9 +229,8 @@ def test_seeded_determinism_and_parallel_equivalence(tmp_path):
             seed=9,
         )
         result = run(cfg, make_dppca_factory(2), shards)
-        path = tmp_path / f"trace_{tag}.csv"
-        write_trace_csv(result.records, path)
-        return path.read_bytes()
+        write_run(tmp_path / tag, result, {})
+        return (tmp_path / tag / "trace.csv").read_bytes()
 
     assert trace_bytes("a") == trace_bytes("b")
 
@@ -259,9 +261,8 @@ def test_trace_csv_format(tmp_path):
         IterationRecord(0, 1.23456789012345, 0.5, 0.25, 10.0, 10.0, 10.0, False),
         IterationRecord(1, 1.2, 0.1, 0.1, 10.0, 10.0, 10.0, True),
     ]
-    path = tmp_path / "trace.csv"
-    write_trace_csv(records, path)
-    lines = path.read_text().splitlines()
+    write_run(tmp_path, RunResult(records, [], None, "converged"), {})
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0] == "t,objective,max_primal,max_dual,eta_min,eta_max,eta_mean,converged"
     assert lines[1].startswith("0,1.23456789012,")
     assert lines[2].endswith(",1")

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles as scipy_subspace_angles
@@ -12,16 +14,25 @@ from netadmm.metrics import (
     speedup,
     subspace_angle,
 )
+from netadmm.penalty import PenaltyConfig, PenaltyScheduler
+from netadmm.topology import build_complete
 
 
 def _record(t, converged):
     return IterationRecord(t, 0.0, 0.0, 0.0, 10.0, 10.0, 10.0, converged)
 
 
-def _result(outcome="converged", records=None):
-    # A RunResult with only the fields that run_report reads.
+class _View:
+    # A node view with only the basis that run_report reads.
+    def __init__(self, W):
+        self.params = SimpleNamespace(W=W)
+
+
+def _result(outcome="converged", records=None, bases=()):
+    # A RunResult of one-node-per-basis views under an unbudgeted scheme.
     records = [_record(0, outcome == "converged")] if records is None else records
-    return RunResult(records, [], None, None, outcome)
+    scheduler = PenaltyScheduler("fixed", build_complete(max(len(bases), 1)), PenaltyConfig())
+    return RunResult(records, [_View(W) for W in bases], scheduler, outcome)
 
 
 def test_identical_subspaces():
@@ -90,7 +101,7 @@ def test_dimension_mismatch_rejected():
 
 def test_run_report_max():
     ref = np.eye(4)[:, :2]
-    out = run_report(_result(), [ref, np.eye(4)[:, 1:3]], ref)
+    out = run_report(_result(bases=[ref, np.eye(4)[:, 1:3]]), ref)
     assert out["per_node_angle_deg"][0] == pytest.approx(0.0, abs=1e-10)
     assert out["max_angle_deg"] == pytest.approx(90.0)
 
@@ -100,7 +111,7 @@ def test_run_report_convergence_index():
     # result's number of records.
     records = [_record(0, False), _record(1, False), _record(2, True)]
     ref = np.eye(3)[:, :1]
-    out = run_report(_result("converged", records), [ref], ref)
+    out = run_report(_result("converged", records, [ref]), ref)
     assert (out["iterations"], out["converged"], out["outcome"]) == (3, True, "converged")
     assert out["max_angle_deg"] == pytest.approx(0.0, abs=1e-10)
 
@@ -108,7 +119,7 @@ def test_run_report_convergence_index():
 def test_run_report_never_converges():
     records = [_record(t, False) for t in range(5)]
     ref = np.eye(3)[:, :1]
-    out = run_report(_result("cap", records), [ref], ref)
+    out = run_report(_result("cap", records, [ref]), ref)
     assert (out["iterations"], out["converged"], out["outcome"]) == (5, False, "cap")
     assert out["max_angle_deg"] == pytest.approx(0.0, abs=1e-10)
 
@@ -118,8 +129,9 @@ def test_run_report_scores_no_angles_after_a_failed_run(outcome):
     # The bases of a run that diverged may be NaN; they are not scored.
     records = [_record(t, False) for t in range(4)]
     ref = np.eye(3)[:, :1]
-    out = run_report(_result(outcome, records), [np.full((3, 1), np.nan)], ref)
-    assert out == {"iterations": 4, "converged": False, "outcome": outcome}
+    out = run_report(_result(outcome, records, [np.full((3, 1), np.nan)]), ref)
+    assert (out["iterations"], out["converged"], out["outcome"]) == (4, False, outcome)
+    assert not {"max_angle_deg", "per_node_angle_deg", "consensus_gap_deg"} & set(out)
 
 
 def test_consensus_gap_is_largest_pairwise_angle():
@@ -137,7 +149,7 @@ def test_consensus_gap_is_largest_pairwise_angle():
     assert consensus_gap_deg(bases) == pytest.approx(60.0, abs=1e-9)
     assert consensus_gap_deg(bases[:2]) == pytest.approx(30.0, abs=1e-9)
     assert consensus_gap_deg(bases[:1]) == 0.0
-    report = run_report(_result(), bases, plane(0.0))
+    report = run_report(_result(bases=bases), plane(0.0))
     assert report["consensus_gap_deg"] == pytest.approx(60.0, abs=1e-9)
     assert report["max_angle_deg"] == pytest.approx(30.0, abs=1e-9)
 
@@ -176,7 +188,7 @@ def test_collapsed_stack_member_is_named():
     with pytest.raises(ValueError, match=r"second basis\[3\] is rank deficient"):
         largest_angles_deg(stack[0], stack)
     with pytest.raises(ValueError, match=r"first basis\[3\] is rank deficient"):
-        run_report(_result(), stack, stack[0])
+        run_report(_result(bases=stack), stack[0])
 
 
 def test_lower_median():

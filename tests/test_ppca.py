@@ -610,7 +610,7 @@ def test_singular_joint_system_recovers_with_ridge():
 def test_ridge_retries_are_counted(monkeypatch):
     # one node alone (no penalties) with zero latent moments: K is singular
     # in every M-step, and the run counts each node step that retried it
-    from netadmm import engine, ppca
+    from netadmm import engine, metrics, ppca
 
     def zero_moments(latent, params, stats):
         zeros = _zero_moments(*params.W.shape[1:])
@@ -627,7 +627,7 @@ def test_ridge_retries_are_counted(monkeypatch):
         result = engine.run(cfg, ppca.make_dppca_factory(2), [rng.normal(size=(4, 10))])
     assert len(result.records) == 2 and result.m_step_ridge == 2
     assert result.models[0].m_step_counts()[1:] == (0, 2)
-    assert engine.run_summary({}, result)["m_step"] == {"cycles": 3, "cap_hits": 0, "ridge": 2}
+    assert metrics.run_report(result)["m_step"] == {"cycles": 3, "cap_hits": 0, "ridge": 2}
 
 
 def _inverse_first_step(moments, stats, params, pull, eta_sum):
@@ -1219,7 +1219,7 @@ def test_m_step_freezes_converged_rows():
 
 
 def test_m_step_cycle_cap_is_counted_and_warned(tmp_path):
-    from netadmm import engine
+    from netadmm import engine, metrics
 
     def one_cycle(shards, rngs, graph):
         nodes = make_dppca_factory(2)(shards, rngs, graph)
@@ -1234,13 +1234,12 @@ def test_m_step_cycle_cap_is_counted_and_warned(tmp_path):
     with pytest.warns(RuntimeWarning, match="max_cycles=1"):
         capped = engine.run(cfg, one_cycle, shards)
     assert (capped.m_step_cycles, capped.m_step_cap_hits) == (12, 12)
-    assert engine.run_summary({}, capped)["m_step"] == {"cycles": 12, "cap_hits": 12, "ridge": 0}
+    assert metrics.run_report(capped)["m_step"] == {"cycles": 12, "cap_hits": 12, "ridge": 0}
     free = engine.run(cfg, make_dppca_factory(2), shards)
     assert free.m_step_cycles > 12 and free.m_step_cap_hits == 0
     assert [m.m_step_counts() for m in capped.models] == [(4, 4, 0)] * 3
-    path = tmp_path / "trace.csv"
-    engine.write_trace_csv(capped.records, path)
-    assert path.read_text().splitlines()[0] == ",".join(engine.TRACE_COLUMNS)
+    metrics.write_run(tmp_path, capped, {})
+    assert (tmp_path / "trace.csv").read_text().splitlines()[0] == ",".join(metrics.TRACE_COLUMNS)
 
 
 def test_secant_steps_follow_the_sign_of_g_minus_a():
