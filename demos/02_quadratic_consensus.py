@@ -29,7 +29,7 @@ for topology in ("complete", "ring"):
             seed=0,
         )
         result = run(cfg, lambda shards, rngs, graph: QuadraticNodes(shards, graph), centers)
-        err = max(np.abs(m.params_vector() - mean).max() for m in result.models)
+        err = np.abs(result.nodes.theta - mean).max()
         last = result.records[-1]
         print(
             f"{scheme:7s} stopped at t={last.t:3d}  "

@@ -8,7 +8,7 @@ tolerance 1e-3, ranking at the edge midpoints):
 - vp, vp_ap and vp_nap on cluster(20) at eta0 = 3, run seed 1;
 - vp_nap on cluster(20), run seed 3, configured only by the ``key = value``
   file ``CONFIG_TEXT``, which ``write`` puts in the run's directory. Its
-  keys take a string, a float, an int and a ``float | None``;
+  keys take a string, a float and an int;
 - fixed on complete(20), run seed 1, on noiseless data
   (``--noise-variance 0``): each node's 25 samples span only the 5-d
   subspace, so its 20 x 20 scatter is singular and ``ppca.shard_stats``
@@ -81,7 +81,6 @@ topology = cluster
 eta0 = 3
 tau_fixed = 0.5
 seed = 3
-angle_filter_deg = 30
 """
 
 

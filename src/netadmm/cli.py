@@ -68,7 +68,6 @@ class ExperimentConfig:
     topologies: tuple[str, ...] | None = field(default=None, metadata=_SWEEP)
     node_counts: tuple[int, ...] | None = field(default=None, metadata=_SWEEP)
     seeds: tuple[int, ...] | None = field(default=None, metadata=_SWEEP)
-    angle_filter_deg: float | None = field(default=None, metadata=_SWEEP)
     # execution
     output_dir: str = "runs"
     jobs: int = field(default=1, metadata=_SWEEP)
@@ -76,8 +75,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.angle_filter_deg is not None and not np.isfinite(self.angle_filter_deg):
-            raise ValueError("angle_filter_deg must be finite or none")
 
     def echo(self) -> dict:
         """The settings as one flat ``key: value`` dictionary."""
@@ -104,7 +101,6 @@ FLAG_ALIASES = {
     "num_nodes": "--nodes",
     "convergence_tol": "--tol",
     "num_samples": "--samples",
-    "angle_filter_deg": "--angle-filter",
 }
 
 
@@ -311,15 +307,13 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     for start in range(0, len(cells), len(seeds)):
         run, group = cells[start].run, results[start : start + len(seeds)]
         row: dict = {"scheme": run.scheme, "topology": run.topology, "num_nodes": run.num_nodes}
-        reports = [g for g in group if "error" not in g]
-        if reports:
-            row.update(metrics.aggregate_reports(reports, cfg.angle_filter_deg))
+        row.update(metrics.aggregate_reports([g for g in group if "error" not in g]))
         row["errors"] = [g["error"] for g in group if "error" in g]
         rows.append(row)
 
     metrics.write_artifact(root / "comparison.json", {"config": cfg.echo(), "cells": rows})
     table = [
-        [row["scheme"], row["topology"], row["num_nodes"], row.get("runs", 0)]
+        [row["scheme"], row["topology"], row["num_nodes"], row["runs"]]
         + [row.get(key, "") for key in ("median_iterations", "median_max_angle_deg", "all_converged")]
         + ["; ".join(row["errors"])]
         for row in rows
@@ -332,8 +326,6 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
                 f"{label}: median {row['median_iterations']} iterations, "
                 f"median max angle {row['median_max_angle_deg']:.2f} deg"
             )
-        elif row.get("filtered_out"):
-            print(f"{label}: all runs filtered out")
         else:
             print(f"{label}: all runs failed ({'; '.join(row['errors'])})")
     return 0
@@ -372,11 +364,7 @@ def cmd_sfm(cfg: ExperimentConfig) -> int:
         shards,
         svd_structure_basis(mm.values),
         Path(cfg.output_dir),
-        measurements={
-            "path": str(cfg.measurements),
-            "num_frames": mm.num_frames,
-            "num_points": mm.num_points,
-        },
+        measurements={"num_frames": mm.num_frames, "num_points": mm.num_points},
     )
     return _finish(
         cfg,

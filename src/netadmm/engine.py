@@ -4,7 +4,8 @@ Each iteration runs four barrier-separated phases over all nodes:
 local parameter step, broadcast, multiplier step, then the penalty
 (and, for budgeted schemes, budget) update. A node only ever sees
 neighbor values produced before the current phase, so results are
-independent of node execution order.
+independent of node execution order. :func:`step` is the first three,
+the map (theta, dual) -> (theta', dual') at fixed penalties.
 
 A run's nodes are one :class:`NodeGroup`, and each phase is one call on
 it. The group holds two (J, P) matrices, one row per node: ``theta``,
@@ -13,15 +14,17 @@ whose step is the same for every model and runs in the group. The
 per-edge penalties act through the J x J penalty matrix (the
 weighted-graph form of consensus ADMM, Boyd et al. 2011, section 7). A
 builder makes the group once from the shards, and a
-:class:`ConsensusModel` is one node's read-only view of its row.
+:class:`ConsensusModel`, one node's read-only view of its row, serves
+only the trace hook.
 The penalty phase is one call on the :class:`PenaltyScheduler`: it
 measures the residuals from the broadcasts and has the group evaluate
 objectives at the edge midpoints only for the nodes whose ranking
 weights it will use, in one call for all of their edges.
 
 A run ends by returning a :class:`RunResult` that says how it ended,
-with the records so far, so a run that fails still leaves a trace. The
-engine writes no files: ``metrics`` turns a result into its artifacts.
+with the records so far and the node group, so a run that fails still
+leaves a trace. The engine writes no files: ``metrics`` turns a result
+into its artifacts.
 
 The simulator is an omniscient observer: it sums the per-node
 objectives into the global objective used for the convergence check
@@ -49,6 +52,7 @@ __all__ = [
     "IterationRecord",
     "RunResult",
     "convergence_check",
+    "step",
     "run",
 ]
 
@@ -59,16 +63,12 @@ _DIVERGENCE_FACTOR = 1e12
 class ConsensusModel:
     """One node of a run: a read-only view of row ``_row`` of the :class:`NodeGroup` ``_nodes``.
 
-    The group hands out its nodes' views (:meth:`NodeGroup.views`); trace
-    hooks and results read the nodes through them, and only the group steps.
+    The group hands out its nodes' views (:meth:`NodeGroup.views`) for the
+    trace hook only; results read the group itself, and only the group steps.
     """
 
     def __init__(self, nodes: "NodeGroup", row: int):
         self._nodes, self._row = nodes, row
-
-    def params_vector(self) -> np.ndarray:
-        """Current parameters flattened to one vector (a copy of its row of ``theta``)."""
-        return self._nodes.theta[self._row].copy()
 
 
 class NodeGroup(abc.ABC):
@@ -230,18 +230,14 @@ class RunResult:
     non-finite or exceeds 1e12 times its initial magnitude) or ``"error"``
     (a phase raised ``ValueError``; the records are those before it).
     ``message`` says why a diverged or errored run stopped, and is empty
-    otherwise. ``m_step_cycles``, ``m_step_cap_hits`` and ``m_step_ridge``
-    are the node group's totals (see :meth:`NodeGroup.m_step_counts`).
+    otherwise. ``nodes`` is the run's node group in its final state.
     """
 
     records: list[IterationRecord]
-    models: list[ConsensusModel]
+    nodes: NodeGroup
     scheduler: PenaltyScheduler
     outcome: str
     message: str = ""
-    m_step_cycles: int = 0
-    m_step_cap_hits: int = 0
-    m_step_ridge: int = 0
 
     @property
     def converged(self) -> bool:
@@ -266,6 +262,20 @@ def convergence_check(objective_history: Sequence[float], tol: float) -> bool:
     return abs(curr - prev) / (abs(prev) + 1e-12) < tol
 
 
+def step(nodes: NodeGroup, theta: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """One iteration's phases 1-3 on ``nodes`` at per-edge penalties ``eta``; returns the broadcasts.
+
+    The local steps run against last round's broadcasts ``theta``, the
+    nodes broadcast (``params_matrix()``), and the dual step runs against
+    those broadcasts, so ``nodes.theta`` and ``nodes.dual`` end at the next
+    iterate.
+    """
+    nodes.local_step(theta, eta)
+    theta = nodes.params_matrix()
+    nodes.multiplier_step(theta, eta)
+    return theta
+
+
 def run(
     config: RunConfig,
     make_nodes: Callable[[Sequence[np.ndarray], list[np.random.Generator], Graph], NodeGroup],
@@ -287,13 +297,13 @@ def run(
     trace_hook : callable, optional
         Called as ``hook(t, scheduler, models)`` after each iteration's
         record, for diagnostics that need scheduler internals; ``models``
-        are the group's views (:meth:`NodeGroup.views`). What it raises
-        propagates.
+        are the group's views (:meth:`NodeGroup.views`), built once, and
+        built only for the hook. What it raises propagates.
 
     Returns
     -------
     RunResult
-        How the run ended, its records so far, and the final node views
+        How the run ended, its records so far, and the final node group
         and scheduler, whose ``graph`` is the run's. A ``ValueError`` from
         the node group's steps, objectives or ranking, or from the
         scheduler's update, ends the run with outcome ``"error"``.
@@ -317,7 +327,7 @@ def run(
     n = graph.num_nodes
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(n)]
     nodes = make_nodes(shards, rngs, graph)
-    models = nodes.views()
+    models = nodes.views() if trace_hook is not None else None
     scheduler = PenaltyScheduler(config.scheme, graph, config.penalty)
 
     theta = nodes.params_matrix()
@@ -331,14 +341,8 @@ def run(
         eta = scheduler.edge_state.eta
 
         try:
-            # Phase 1: local parameter steps against last-round broadcasts.
-            nodes.local_step(theta, eta)
-
-            # Phase 2: synchronous broadcast of the new parameters.
-            theta = nodes.params_matrix()
-
-            # Phase 3: dual ascent; the step symmetrizes the penalties.
-            nodes.multiplier_step(theta, eta)
+            # Phases 1-3: local steps, broadcast, dual ascent.
+            theta = step(nodes, theta, eta)
 
             # Phase 4: penalty (and budget) update from this round's signals.
             f_self = nodes.objectives()
@@ -376,5 +380,5 @@ def run(
             outcome = "converged"
             break
 
-    return RunResult(records, models, scheduler, outcome, message, *nodes.m_step_counts())
+    return RunResult(records, nodes, scheduler, outcome, message)
 

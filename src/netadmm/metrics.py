@@ -99,11 +99,13 @@ def run_report(result: RunResult, reference: np.ndarray | None = None, config: d
 
     ``final`` holds the last record's metrics (None without records), a
     non-finite one as None so the summary is strict JSON; a diverged run's
-    ``message`` names it. ``budget`` holds a budgeted scheme's final ceilings.
+    ``message`` names it. ``m_step`` holds the node group's
+    ``m_step_counts()``, and ``budget`` a budgeted scheme's final ceilings.
     With a ``reference``, a run that converged or reached its cap scores the
-    nodes' final bases (``params.W`` of ``result.models``; a failed run's may
-    not be finite) against it and reports their consensus gap, the largest
-    pairwise angle: a run can stop "converged" with its nodes far apart.
+    nodes' final bases, the (J, D, M) stack ``result.nodes.params.W`` (a
+    failed run's may not be finite), against it in one call and reports
+    their consensus gap, the largest pairwise angle: a run can stop
+    "converged" with its nodes far apart.
     """
     last = vars(result.records[-1]) if result.records else {}
     final = {k: v if math.isfinite(v) else None for k, v in last.items() if k not in ("t", "converged")}
@@ -114,11 +116,7 @@ def run_report(result: RunResult, reference: np.ndarray | None = None, config: d
         "outcome": result.outcome,
         "message": result.message,
         "final": final or None,
-        "m_step": {
-            "cycles": result.m_step_cycles,
-            "cap_hits": result.m_step_cap_hits,
-            "ridge": result.m_step_ridge,
-        },
+        "m_step": dict(zip(("cycles", "cap_hits", "ridge"), result.nodes.m_step_counts())),
     }
     ceilings = result.scheduler.budget_ceilings()
     if ceilings.size:
@@ -128,7 +126,7 @@ def run_report(result: RunResult, reference: np.ndarray | None = None, config: d
             "max_ceiling": float(ceilings.max()),
         }
     if reference is not None and result.outcome in ("converged", "cap"):
-        bases = [model.params.W for model in result.models]
+        bases = result.nodes.params.W
         angles = largest_angles_deg(bases, reference)
         report["max_angle_deg"] = float(angles.max())
         report["per_node_angle_deg"] = angles.tolist()
@@ -180,22 +178,13 @@ def lower_median(values: Sequence[float]) -> float:
     return ordered[(len(ordered) - 1) // 2]
 
 
-def aggregate_reports(reports: Sequence[dict], angle_filter_deg: float | None = None) -> dict:
-    """Aggregate per-seed run reports into medians.
-
-    ``angle_filter_deg`` drops runs whose max angle exceeds the threshold
-    before aggregating (useful for screening degenerate instances);
-    the number of dropped runs is reported. With no run left there are
-    no medians: only ``runs`` (0) and ``filtered_out``.
-    """
-    kept = list(reports)
-    if angle_filter_deg is not None:
-        kept = [r for r in kept if r["max_angle_deg"] <= angle_filter_deg]
-    summary = {"runs": len(kept), "filtered_out": len(reports) - len(kept)}
-    if kept:
-        summary["median_iterations"] = lower_median([r["iterations"] for r in kept])
-        summary["median_max_angle_deg"] = lower_median([r["max_angle_deg"] for r in kept])
-        summary["all_converged"] = all(r["converged"] for r in kept)
+def aggregate_reports(reports: Sequence[dict]) -> dict:
+    """Aggregate per-seed run reports into medians; with no report, only ``runs`` (0)."""
+    summary = {"runs": len(reports)}
+    if reports:
+        summary["median_iterations"] = lower_median([r["iterations"] for r in reports])
+        summary["median_max_angle_deg"] = lower_median([r["max_angle_deg"] for r in reports])
+        summary["all_converged"] = all(r["converged"] for r in reports)
     return summary
 
 

@@ -9,7 +9,8 @@ In the distributed variant every node keeps its own parameter copy and
 augments the expected complete-data objective with multiplier and
 penalty terms that pull it toward the midpoints of its neighbors' last
 broadcasts. A run's nodes are one ``DppcaNodes``, which runs every phase
-for all of them at once; a ``DppcaModel`` is one node's read-only view.
+for all of them at once and which results read; a ``DppcaModel`` is one
+node's read-only view, for the engine's trace hook.
 Their parameters and multipliers are the rows of the engine's ``theta``
 and ``dual`` matrices, read in blocks through ``unpack``.
 The M-step finds a stationary point of the node's augmented Lagrangian:
@@ -62,7 +63,6 @@ __all__ = [
     "PpcaParams",
     "ShardStats",
     "LatentMoments",
-    "DppcaMultipliers",
     "shard_stats",
     "unpack",
     "initial_params",
@@ -187,14 +187,6 @@ class LatentMoments(NamedTuple):
     sum_ez: np.ndarray
     sum_ezz: np.ndarray
     sum_cez: np.ndarray
-
-
-class DppcaMultipliers(NamedTuple):
-    """Lagrange multipliers of one node, one per parameter block."""
-
-    lam: np.ndarray
-    gamma: np.ndarray
-    beta: float
 
 
 def initial_params(data: np.ndarray, latent_dim: int, rng: np.random.Generator) -> PpcaParams:
@@ -565,26 +557,15 @@ def centralized_em(
 
 
 class DppcaModel(ConsensusModel):
-    """One node of a :class:`DppcaNodes`: a read-only view of its row ``_row``.
+    """One node of a :class:`DppcaNodes` for the trace hook: a read-only view of its row ``_row``.
 
-    ``params`` and ``multipliers`` return copies of the node's current
-    values; only the group steps. Flattening follows ``PpcaParams.to_vector``.
+    ``params`` returns a copy of the node's current parameters; only the group steps.
     """
 
     @property
     def params(self) -> ParamView:
         p, i = self._nodes.params, self._row
         return ParamView(p.W[i].copy(), p.mu[i].copy(), float(p.a[i]))
-
-    @property
-    def multipliers(self) -> DppcaMultipliers:
-        m, i = self._nodes.multipliers, self._row
-        return DppcaMultipliers(m.W[i].copy(), m.mu[i].copy(), float(m.a[i]))
-
-    def m_step_counts(self) -> tuple[int, int, int]:
-        """This node's M-step precision steps, its steps stopped at
-        ``max_cycles`` and its steps that took the ridge of a singular system."""
-        return tuple(self._nodes.counts[self._row].tolist())
 
 
 class DppcaNodes(NodeGroup):
@@ -595,7 +576,10 @@ class DppcaNodes(NodeGroup):
     Shard factors narrower than the widest are padded with zero columns
     (:func:`make_dppca_factory` builds a group from a run's shards). Each
     phase runs the stacked kernels once for all nodes, on the broadcasts
-    and the J x J matrix of penalties (``Graph.weights``).
+    and the J x J matrix of penalties (``Graph.weights``). Row i of the
+    (J, 3) ``counts`` holds node i's M-step precision steps, its steps
+    stopped at ``max_cycles`` and its steps that took the ridge of a
+    singular system; :meth:`m_step_counts` sums them.
 
     :meth:`objectives` keeps its latent solve at the current parameters,
     and the next :meth:`local_step` takes its E-step moments from it, so a
@@ -614,8 +598,6 @@ class DppcaNodes(NodeGroup):
         d = stats.mean.shape[-1]
         m = (self.theta.shape[-1] - 1) // d - 1
         self.params, self.multipliers = unpack(self.theta, d, m), unpack(self.dual, d, m)
-        # per node: M-step precision steps, steps stopped at max_cycles and
-        # steps that took the ridge of a singular system
         self.counts = np.zeros((graph.num_nodes, 3), dtype=int)
         self._kept: _Latent | None = None
 

@@ -143,21 +143,33 @@ class Graph:
         return len(seen) == self.num_nodes
 
     def validate(self) -> None:
-        """Raise ValueError unless the graph is simple, symmetric, and connected."""
-        if self.num_nodes < 1:
+        """Raise ValueError unless the graph is simple, symmetric, and connected.
+
+        The checks run on ``edge_arrays()`` in O(E log E), in this order:
+        self-loops, unsorted or repeated neighbor lists, edges to unknown
+        nodes, edges without a reverse edge. The error names the first
+        fault, in edge order, of the first check that fails.
+        """
+        n = self.num_nodes
+        if n < 1:
             raise ValueError("graph must have at least one node")
-        if len(self.neighbors) != self.num_nodes:
+        if len(self.neighbors) != n:
             raise ValueError("neighbor table length does not match num_nodes")
-        for i, nbs in enumerate(self.neighbors):
-            if i in nbs:
-                raise ValueError(f"self-loop at node {i}")
-            if list(nbs) != sorted(set(nbs)):
-                raise ValueError(f"neighbor list of node {i} not sorted and unique")
-            for j in nbs:
-                if not 0 <= j < self.num_nodes:
-                    raise ValueError(f"edge ({i}, {j}) references unknown node")
-                if i not in self.neighbors[j]:
-                    raise ValueError(f"asymmetric edge ({i}, {j})")
+        sources, targets = self.edge_arrays()
+        loops = sources[sources == targets]
+        if loops.size:
+            raise ValueError(f"self-loop at node {loops[0]}")
+        unsorted = sources[1:][(sources[1:] == sources[:-1]) & (targets[1:] <= targets[:-1])]
+        if unsorted.size:
+            raise ValueError(f"neighbor list of node {unsorted[0]} not sorted and unique")
+        unknown = np.flatnonzero((targets < 0) | (targets >= n))
+        if unknown.size:
+            k = unknown[0]
+            raise ValueError(f"edge ({sources[k]}, {targets[k]}) references unknown node")
+        asymmetric = np.flatnonzero(~np.isin(targets * n + sources, sources * n + targets))
+        if asymmetric.size:
+            k = asymmetric[0]
+            raise ValueError(f"asymmetric edge ({sources[k]}, {targets[k]})")
         if not self.is_connected():
             raise ValueError("graph is not connected")
 

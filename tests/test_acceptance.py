@@ -111,14 +111,14 @@ def test_single_node_oracle_equivalence():
             )
             result = engine.run(cfg, ppca.make_dppca_factory(3), [observations])
             assert len(result.records) == 30
-            node = result.models[0].params
+            node = result.nodes.params
 
             child = np.random.SeedSequence(42).spawn(1)[0]
             init = ppca.initial_params(observations, 3, np.random.default_rng(child))
             oracle = ppca.centralized_em(observations, 3, init=init, iterations=30)
-            assert np.abs(node.W - oracle.W).max() <= 1e-10
-            assert np.abs(node.mu - oracle.mu).max() <= 1e-10
-            assert abs(node.a - oracle.a) <= 1e-10
+            assert np.abs(node.W[0] - oracle.W).max() <= 1e-10
+            assert np.abs(node.mu[0] - oracle.mu).max() <= 1e-10
+            assert abs(node.a[0] - oracle.a) <= 1e-10
 
 
 def test_quadratic_consensus_oracle():
@@ -136,9 +136,7 @@ def test_quadratic_consensus_oracle():
             cfg, lambda shards, rngs, graph: engine.QuadraticNodes(shards, graph), centers
         )
         assert len(result.records) <= 500
-        mean = np.mean(centers, axis=0)
-        for model in result.models:
-            assert np.abs(model.params_vector() - mean).max() < 1e-6
+        assert np.abs(result.nodes.theta - np.mean(centers, axis=0)).max() < 1e-6
 
 
 def _lagrangian_value_fn(moments, X, mult, neighbors, eta, anchors):
@@ -154,9 +152,9 @@ def _lagrangian_value_fn(moments, X, mult, neighbors, eta, anchors):
         )
         total = 0.5 * a * resid - 0.5 * n * d * np.log(a)
         total += (
-            2.0 * float(np.sum(mult.lam * w))
-            + 2.0 * float(mult.gamma @ mu)
-            + 2.0 * mult.beta * a
+            2.0 * float(np.sum(mult.W * w))
+            + 2.0 * float(mult.mu @ mu)
+            + 2.0 * mult.a * a
         )
         for j in neighbors:
             aw, amu, aa = anchors[j]
@@ -183,7 +181,7 @@ def test_m_step_stationarity():
                 rng.standard_normal(d),
                 float(rng.uniform(0.5, 3.0)),
             )
-            mult = ppca.DppcaMultipliers(
+            mult = ppca.ParamView(
                 0.3 * rng.standard_normal((d, m)),
                 0.3 * rng.standard_normal(d),
                 float(0.3 * rng.standard_normal()),

@@ -451,36 +451,12 @@ def test_help_exits_zero(capsys):
     assert "--tol" in capsys.readouterr().out
 
 
-def test_sweep_with_every_run_filtered_out_still_writes_comparison(tmp_path, capsys):
-    out = tmp_path / "sweep"
-    code = _run_cli(
-        [
-            "sweep",
-            "--schemes", "fixed,vp",
-            "--seeds", "1,2",
-            *FAST,
-            "--angle-filter", "1e-9",
-            "--output-dir", out,
-        ]
-    )
-    assert code == 0
-    cells = json.loads((out / "comparison.json").read_text())["cells"]
-    assert [(c["runs"], c["filtered_out"], c["errors"]) for c in cells] == [(0, 2, [])] * 2
-    assert not any("median_iterations" in c for c in cells)
-    assert len((out / "comparison.csv").read_text().splitlines()) == 3
-    printed = capsys.readouterr().out
-    assert printed.count("all runs filtered out") == 2
-    assert "all runs failed" not in printed
-
-
 @pytest.mark.parametrize(
     "flags,message",
     [
         (["--node-counts", "6,0"], "num_nodes must be >= 1"),
         (["--schemes", "fixed,bogus"], "scheme must be one of"),
         (["--samples", "0"], "num_samples must be >= 1"),
-        (["--angle-filter", "inf"], "angle_filter_deg must be finite or none"),
-        (["--angle-filter", "nan"], "angle_filter_deg must be finite or none"),
         (["--noise-variance", "nan"], "noise_variance must be finite and >= 0"),
         (["--noise-variance", "inf"], "noise_variance must be finite and >= 0"),
         (["--topologies", "complete,ring", "--node-counts", "6,2"], "ring graph needs n >= 3, got 2"),
@@ -490,8 +466,6 @@ def test_sweep_with_every_run_filtered_out_still_writes_comparison(tmp_path, cap
         "zero-nodes",
         "bad-scheme",
         "zero-samples",
-        "inf-angle-filter",
-        "nan-angle-filter",
         "nan-noise-variance",
         "inf-noise-variance",
         "small-ring",
@@ -532,11 +506,10 @@ SURFACE = {
     "topologies": ("--topologies", None, "complete,ring", ["complete", "ring"]),
     "node_counts": ("--node-counts", None, "6,8", [6, 8]),
     "seeds": ("--seeds", None, "1,2", [1, 2]),
-    "angle_filter_deg": ("--angle-filter", None, "5", 5.0),
     "output_dir": ("--output-dir", "runs", "elsewhere", "elsewhere"),
     "jobs": ("--jobs", 1, "2", 2),
 }
-SWEEP_ONLY = {"schemes", "topologies", "node_counts", "seeds", "angle_filter_deg", "jobs"}
+SWEEP_ONLY = {"schemes", "topologies", "node_counts", "seeds", "jobs"}
 
 
 def _command_of(key):
@@ -572,9 +545,8 @@ def test_config_key_by_file_equals_key_by_flag(tmp_path, monkeypatch, key):
 
 
 def test_config_none_and_empty_values():
-    for key in ("measurements", "angle_filter_deg"):
-        assert cli.SETTINGS[key].parse("none") is None
-        assert cli.SETTINGS[key].parse("") is None
+    assert cli.SETTINGS["measurements"].parse("none") is None
+    assert cli.SETTINGS["measurements"].parse("") is None
     assert cli.SETTINGS["schemes"].parse("") == ()
 
 
@@ -613,7 +585,9 @@ def test_summary_holds_each_fact_once(tmp_path):
     out = tmp_path / "sfm"
     args = ["sfm", "--measurements", meas, "--max-iterations", "5", "--output-dir", out]
     assert _run_cli(args) in (0, 2)
-    assert set(json.loads((out / "summary.json").read_text())) == common | angles | {"measurements"}
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary) == common | angles | {"measurements"}
+    assert "path" not in summary["measurements"]  # the config echo holds it
     cfg = engine.RunConfig(num_nodes=3, scheme="ap", max_iterations=5)
     centers = np.random.default_rng(0).normal(size=(3, 2))
     result = engine.run(cfg, lambda shards, rngs, graph: engine.QuadraticNodes(shards, graph), centers)
@@ -635,4 +609,5 @@ def test_sweep_comparison_csv_rows_carry_the_json_cells(tmp_path):
             assert float(angle) == pytest.approx(cell["median_max_angle_deg"], rel=1e-11)
         else:
             assert angle == ""
-        assert row == {key: str(cell.get(key, 0 if key == "runs" else "")) for key in row}
+        assert row.pop("runs") == str(cell["runs"])
+        assert row == {key: str(cell.get(key, "")) for key in row}

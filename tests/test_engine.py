@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from netadmm.engine import (
-    ConsensusModel,
     IterationRecord,
     QuadraticNodes,
     RunConfig,
     RunResult,
     convergence_check,
     run,
+    step,
 )
 from netadmm.metrics import write_run
 from netadmm.penalty import PenaltyConfig, local_residuals
-from netadmm.topology import build_cluster
+from netadmm.topology import build_cluster, build_complete
 
 
 def _quadratic(shards, rngs, graph):
@@ -65,9 +65,7 @@ def test_quadratic_consensus_reaches_mean():
         convergence_tol=1e-14,
     )
     result = run(cfg, _quadratic, centers)
-    mean = np.mean(centers, axis=0)
-    for model in result.models:
-        np.testing.assert_allclose(model.params_vector(), mean, atol=1e-6)
+    np.testing.assert_allclose(result.nodes.theta, np.tile(np.mean(centers, axis=0), (5, 1)), atol=1e-6)
 
 
 def _common_mode_errors(scheme, topology, iterations):
@@ -75,16 +73,20 @@ def _common_mode_errors(scheme, topology, iterations):
     # each iteration, with no stopping rule.
     rng = np.random.default_rng(0)
     centers = [rng.normal(size=3) for _ in range(8)]
-    errors = []
+    built, errors = [], []
+
+    def build(shards, rngs, graph):
+        built.append(QuadraticNodes(shards, graph))
+        return built[0]
 
     def hook(t, scheduler, models):
-        errors.append(models[0]._nodes.theta.mean(axis=0) - np.mean(centers, axis=0))
+        errors.append(built[0].theta.mean(axis=0) - np.mean(centers, axis=0))
 
     cfg = RunConfig(
         topology=topology, num_nodes=8, scheme=scheme, max_iterations=iterations,
         convergence_tol=0.0,
     )
-    run(cfg, _quadratic, centers, trace_hook=hook)
+    run(cfg, build, centers, trace_hook=hook)
     return np.array(errors)
 
 
@@ -113,7 +115,7 @@ def test_single_node_matches_unconstrained_minimum():
     center = np.array([2.0, -3.0])
     cfg = RunConfig(num_nodes=1, scheme="fixed", max_iterations=5, convergence_tol=1e-12)
     result = run(cfg, _quadratic, [center])
-    np.testing.assert_allclose(result.models[0].params_vector(), center, atol=1e-12)
+    np.testing.assert_allclose(result.nodes.theta[0], center, atol=1e-12)
 
 
 def test_ranking_ties_reduce_to_fixed():
@@ -210,7 +212,7 @@ def test_phase_purity():
     # initial parameters count as round -1
     probe = [[float(i), -1.0] for i in range(6)]
     result = run(cfg, lambda s, r, graph: PhaseProbeNodes(probe, graph), [np.zeros(1)] * 6)
-    assert [model.params_vector().tolist() for model in result.models] == [[i, 6.0] for i in range(6)]
+    assert result.nodes.theta.tolist() == [[i, 6.0] for i in range(6)]
 
 
 def test_seeded_determinism_and_parallel_equivalence(tmp_path):
@@ -261,23 +263,15 @@ def test_trace_csv_format(tmp_path):
         IterationRecord(0, 1.23456789012345, 0.5, 0.25, 10.0, 10.0, 10.0, False),
         IterationRecord(1, 1.2, 0.1, 0.1, 10.0, 10.0, 10.0, True),
     ]
-    write_run(tmp_path, RunResult(records, [], None, "converged"), {})
+    write_run(tmp_path, RunResult(records, None, None, "converged"), {})
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0] == "t,objective,max_primal,max_dual,eta_min,eta_max,eta_mean,converged"
     assert lines[1].startswith("0,1.23456789012,")
     assert lines[2].endswith(",1")
 
 
-class CountingModel(ConsensusModel):
-    @property
-    def neighbor_evals(self):
-        return int(self._nodes.neighbor_evals[self._row])
-
-
 class CountingNodes(QuadraticNodes):
     """Quadratic nodes that count, per node, the objectives scored at neighbors."""
-
-    view = CountingModel
 
     def __init__(self, center, graph):
         super().__init__(center, graph)
@@ -292,12 +286,17 @@ class CountingNodes(QuadraticNodes):
 def _per_iteration_evals(scheme, topology, num_nodes, penalty, iterations):
     rng = np.random.default_rng(4)
     centers = [rng.normal(size=3) * (i + 1) for i in range(num_nodes)]
-    evals, live_nodes = [], []
-    seen = [0] * num_nodes
+    built, evals, live_nodes = [], [], []
+    seen = np.zeros(num_nodes, dtype=int)
+
+    def build(shards, rngs, graph):
+        built.append(CountingNodes(shards, graph))
+        return built[0]
 
     def hook(t, scheduler, models):
-        evals.append([m.neighbor_evals - s for m, s in zip(models, seen)])
-        seen[:] = [m.neighbor_evals for m in models]
+        counts = built[0].neighbor_evals
+        evals.append((counts - seen).tolist())
+        seen[:] = counts
         # nodes with an edge not yet exhausted, as the next update sees them
         live_nodes.append(
             {
@@ -315,7 +314,7 @@ def _per_iteration_evals(scheme, topology, num_nodes, penalty, iterations):
         max_iterations=iterations,
         convergence_tol=1e-30,
     )
-    run(cfg, lambda s, r, graph: CountingNodes(s, graph), centers, trace_hook=hook)
+    run(cfg, build, centers, trace_hook=hook)
     return evals, live_nodes
 
 
@@ -408,6 +407,45 @@ def test_quadratic_nodes_match_the_per_node_loop():
                 want.append(np.sum((point - centers[i]) ** 2))
         got = nodes.neighbor_objectives(np.array(ranked), nodes.params_matrix())
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_step_is_one_iteration_of_run():
+    # From a quadratic and a D-PPCA group whose theta and dual are set from
+    # outside, one step at eta0 on complete(4) leaves the state, bit for bit,
+    # that a one-iteration fixed run holds.
+    from netadmm.ppca import make_dppca_factory
+
+    rng = np.random.default_rng(11)
+    shards = [rng.normal(size=(4, 7)) for _ in range(4)]
+    dppca = make_dppca_factory(2)
+
+    def set_from_outside(build):
+        def wrapped(shards, rngs, graph):
+            nodes = build(shards, graph)
+            noise = np.random.default_rng(12)
+            nodes.theta[:, :-1] += 0.1 * noise.normal(size=(4, nodes.theta.shape[1] - 1))
+            nodes.dual[:] = 0.1 * noise.normal(size=nodes.dual.shape)
+            return nodes
+
+        return wrapped
+
+    builders = (
+        lambda shards, graph: QuadraticNodes([x[:, 0] for x in shards], graph),
+        lambda shards, graph: dppca(shards, [np.random.default_rng(i) for i in range(4)], graph),
+    )
+    graph = build_complete(4)
+    eta = np.full(len(graph.edge_arrays()[0]), PenaltyConfig().eta0)
+    cfg = RunConfig(topology="complete", num_nodes=4, scheme="fixed", max_iterations=1)
+    for build in map(set_from_outside, builders):
+        nodes = build(shards, None, graph)
+        start = nodes.theta.copy(), nodes.dual.copy()
+        theta = step(nodes, nodes.params_matrix(), eta)
+        assert not np.array_equal(nodes.theta, start[0]) and not np.array_equal(nodes.dual, start[1])
+        np.testing.assert_array_equal(theta, nodes.theta)
+        result = run(cfg, build, shards)
+        assert result.iterations == 1
+        np.testing.assert_array_equal(result.nodes.theta, nodes.theta)
+        np.testing.assert_array_equal(result.nodes.dual, nodes.dual)
 
 
 def _quadratic_and_dppca_nodes(graph, rng):

@@ -22,17 +22,13 @@ def _record(t, converged):
     return IterationRecord(t, 0.0, 0.0, 0.0, 10.0, 10.0, 10.0, converged)
 
 
-class _View:
-    # A node view with only the basis that run_report reads.
-    def __init__(self, W):
-        self.params = SimpleNamespace(W=W)
-
-
 def _result(outcome="converged", records=None, bases=()):
-    # A RunResult of one-node-per-basis views under an unbudgeted scheme.
+    # A RunResult under an unbudgeted scheme whose node group holds only what
+    # run_report reads: one basis per node and no M-step counts.
     records = [_record(0, outcome == "converged")] if records is None else records
     scheduler = PenaltyScheduler("fixed", build_complete(max(len(bases), 1)), PenaltyConfig())
-    return RunResult(records, [_View(W) for W in bases], scheduler, outcome)
+    nodes = SimpleNamespace(params=SimpleNamespace(W=np.array(bases)), m_step_counts=lambda: (0, 0, 0))
+    return RunResult(records, nodes, scheduler, outcome)
 
 
 def test_identical_subspaces():
@@ -199,19 +195,17 @@ def test_lower_median():
         lower_median([])
 
 
-def test_aggregate_reports_medians_and_filter():
+def test_aggregate_reports_medians():
+    # An 88-degree run counts in the medians like any other.
     reports = [
         {"iterations": 10, "max_angle_deg": 2.0, "converged": True},
         {"iterations": 30, "max_angle_deg": 4.0, "converged": True},
-        {"iterations": 20, "max_angle_deg": 88.0, "converged": True},
+        {"iterations": 20, "max_angle_deg": 88.0, "converged": False},
     ]
-    agg = aggregate_reports(reports)
-    assert agg["median_iterations"] == 20
-    assert agg["median_max_angle_deg"] == 4.0
-    filtered = aggregate_reports(reports, angle_filter_deg=15.0)
-    assert filtered["runs"] == 2
-    assert filtered["filtered_out"] == 1
-    assert filtered["median_iterations"] == 10
+    assert aggregate_reports(reports) == {
+        "runs": 3, "median_iterations": 20, "median_max_angle_deg": 4.0, "all_converged": False,
+    }
+    assert aggregate_reports([]) == {"runs": 0}
 
 
 def test_speedup_quoted_values():

@@ -4,7 +4,6 @@ from scipy.stats import multivariate_normal
 
 from netadmm.metrics import subspace_angle
 from netadmm.ppca import (
-    DppcaMultipliers,
     DppcaNodes,
     LatentMoments,
     ParamView,
@@ -66,9 +65,14 @@ def _consensus_multiplier_step(params, neighbor, eta, mult):
     shards = [np.random.default_rng(k).normal(size=(d, 4)) for k in range(2)]
     group = _build(shards, build_complete(2), range(2), m)
     group.theta[:] = [params.to_vector(), neighbor.to_vector()]
-    group.dual[0] = ParamView(*mult).to_vector()
+    group.dual[0] = mult.to_vector()
     group.multiplier_step(group.params_matrix(), np.full(2, eta))
-    return group.views()[0].multipliers
+    return _node(group.multipliers, 0)
+
+
+def _node(blocks, i):
+    # node i's (W, mu, a) of a group's params or multipliers
+    return ParamView(blocks.W[i], blocks.mu[i], float(blocks.a[i]))
 
 
 def _posterior_means(params, X):
@@ -263,9 +267,9 @@ def test_latent_kernel_matches_per_sample_reference():
     group.params.mu[:] += rng.normal(size=group.params.mu.shape)
     moments = e_step(group.params, group.stats)
     values = negative_log_likelihood(group.params, group.stats)
-    for i, (x, model) in enumerate(zip(shards, group.views())):
+    for i, x in enumerate(shards):
         _assert_matches_reference(
-            [f[i] for f in moments], values[i], *_per_sample_reference(model.params, x)
+            [f[i] for f in moments], values[i], *_per_sample_reference(_node(group.params, i), x)
         )
 
 
@@ -287,7 +291,7 @@ def test_objective_lower_near_truth_than_perturbed():
 # ----------------------------------------------------------- parameters
 
 
-def test_params_vector_roundtrip():
+def test_to_vector_roundtrip():
     rng = np.random.default_rng(7)
     params = _random_params(rng, 4, 2)
     again = unpack(params.to_vector(), 4, 2)
@@ -404,7 +408,7 @@ def test_centralized_em_monotone_log_likelihood():
 
 
 def _no_multipliers(d, m):
-    return DppcaMultipliers(np.zeros((d, m)), np.zeros(d), 0.0)
+    return ParamView(np.zeros((d, m)), np.zeros(d), 0.0)
 
 
 def _one_node_m_step(X, params, mult=None, anchor=None, eta_sum=0.0):
@@ -472,7 +476,7 @@ def test_m_step_depends_on_entry_precision_only():
     d, m, n = 5, 2, 8
     X = rng.normal(size=(d, n))
     params = _random_params(rng, d, m)
-    mult = DppcaMultipliers(
+    mult = ParamView(
         0.3 * rng.standard_normal((d, m)), 0.3 * rng.standard_normal(d), 0.2
     )
     anchor = ParamView(rng.normal(size=(d, m)), rng.normal(size=d), 5.0)
@@ -500,9 +504,9 @@ def _node_lagrangian(moments, X, mult, neighbors, eta, anchors):
         )
         total = 0.5 * a * resid - 0.5 * n * d * np.log(a)
         total += (
-            2.0 * float(np.sum(mult.lam * w))
-            + 2.0 * float(mult.gamma @ mu)
-            + 2.0 * mult.beta * a
+            2.0 * float(np.sum(mult.W * w))
+            + 2.0 * float(mult.mu @ mu)
+            + 2.0 * mult.a * a
         )
         for j in neighbors:
             aw, amu, aa = anchors[j]
@@ -547,7 +551,7 @@ def test_m_step_stationarity_randomized():
         n = int(rng.integers(m + 1, 11))
         X = rng.standard_normal((d, n))
         params = _random_params(rng, d, m)
-        mult = DppcaMultipliers(
+        mult = ParamView(
             0.3 * rng.standard_normal((d, m)),
             0.3 * rng.standard_normal(d),
             float(0.3 * rng.standard_normal()),
@@ -625,8 +629,7 @@ def test_ridge_retries_are_counted(monkeypatch):
     )
     with pytest.warns(RuntimeWarning, match="ridge"):
         result = engine.run(cfg, ppca.make_dppca_factory(2), [rng.normal(size=(4, 10))])
-    assert len(result.records) == 2 and result.m_step_ridge == 2
-    assert result.models[0].m_step_counts()[1:] == (0, 2)
+    assert len(result.records) == 2 and result.nodes.counts[0, 1:].tolist() == [0, 2]
     assert metrics.run_report(result)["m_step"] == {"cycles": 3, "cap_hits": 0, "ridge": 2}
 
 
@@ -760,7 +763,7 @@ def test_network_consensus_at_convergence():
         )
         result = engine.run(cfg, make_dppca_factory(3), shards)
         assert result.converged
-        bases = [m.params.W for m in result.models]
+        bases = result.nodes.params.W
         worst = max(
             subspace_angle(bases[i], bases[j]) for i, j in combinations(range(8), 2)
         )
@@ -773,20 +776,20 @@ def test_network_consensus_at_convergence():
 def test_multipliers_unchanged_at_consensus():
     rng = np.random.default_rng(14)
     params = _random_params(rng, 3, 2)
-    mult = DppcaMultipliers(
+    mult = ParamView(
         rng.normal(size=(3, 2)), rng.normal(size=3), float(rng.normal())
     )
     out = _consensus_multiplier_step(params, params, 10.0, mult)
-    np.testing.assert_array_equal(out.lam, mult.lam)
-    np.testing.assert_array_equal(out.gamma, mult.gamma)
-    assert out.beta == mult.beta
+    np.testing.assert_array_equal(out.W, mult.W)
+    np.testing.assert_array_equal(out.mu, mult.mu)
+    assert out.a == mult.a
 
 
 def test_multiplier_increment_direct():
     own = PpcaParams(np.zeros((1, 1)), np.array([0.2]), 1.0)
     nb = PpcaParams(np.zeros((1, 1)), np.array([0.0]), 1.0)
     out = _consensus_multiplier_step(own, nb, 10.0, _no_multipliers(1, 1))
-    np.testing.assert_allclose(out.gamma, [1.0])
+    np.testing.assert_allclose(out.mu, [1.0])
 
 
 def test_multiplier_increment_linear_in_eta():
@@ -796,9 +799,9 @@ def test_multiplier_increment_linear_in_eta():
     zero = _no_multipliers(3, 2)
     single = _consensus_multiplier_step(own, nb, 7.0, zero)
     double = _consensus_multiplier_step(own, nb, 14.0, zero)
-    np.testing.assert_allclose(double.lam, 2.0 * single.lam, rtol=1e-12)
-    np.testing.assert_allclose(double.gamma, 2.0 * single.gamma, rtol=1e-12)
-    assert double.beta == pytest.approx(2.0 * single.beta, rel=1e-12)
+    np.testing.assert_allclose(double.W, 2.0 * single.W, rtol=1e-12)
+    np.testing.assert_allclose(double.mu, 2.0 * single.mu, rtol=1e-12)
+    assert double.a == pytest.approx(2.0 * single.a, rel=1e-12)
 
 
 def test_row_dots_match_vdot_bit_for_bit():
@@ -816,7 +819,7 @@ def test_row_dots_match_vdot_bit_for_bit():
 
 
 def _arrays(obj, seen=None):
-    # every ndarray reachable from a model's attributes
+    # every ndarray reachable from a node group's attributes
     seen = set() if seen is None else seen
     if id(obj) in seen:
         return []
@@ -840,13 +843,14 @@ def test_model_keeps_no_per_sample_array():
     shard = np.random.default_rng(19).normal(size=(d, n))
     group = _build([shard], build_complete(1), [0])
     group.local_step(group.params_matrix(), np.zeros(0))
-    held = _arrays(group.views()[0])
+    held = _arrays(group)
     assert held, "walker found no arrays"
     assert all(n not in a.shape for a in held), [a.shape for a in held]
 
 
 def test_trace_hook_sees_each_iterations_parameters():
-    # a hook that stores params without copying keeps that iteration's values
+    # a hook that stores its views' params without copying keeps that
+    # iteration's values
     from netadmm import engine
 
     rng = np.random.default_rng(25)
@@ -860,7 +864,7 @@ def test_trace_hook_sees_each_iterations_parameters():
         make_dppca_factory(2),
         shards,
         trace_hook=lambda t, s, models: stored.append(
-            [(m.params.W, m.multipliers.lam) for m in models]
+            [(m.params.W, m.params.mu) for m in models]
         ),
     )
     assert len(stored) == 4
@@ -868,7 +872,7 @@ def test_trace_hook_sees_each_iterations_parameters():
         for t in range(3):
             for block in range(2):
                 assert not np.array_equal(stored[t][node][block], stored[t + 1][node][block])
-        np.testing.assert_array_equal(stored[-1][node][0], result.models[node].params.W)
+        np.testing.assert_array_equal(stored[-1][node][0], result.nodes.params.W[node])
 
 
 @pytest.mark.parametrize(
@@ -973,16 +977,15 @@ def test_stacked_phases_match_one_node_at_a_time():
     from netadmm.topology import build_complete
 
     shards, group = _ragged_nodes()
-    singles = [_build([x], build_complete(1), [i]).views()[0] for i, x in enumerate(shards)]
-    stacked = group.views()
+    singles = [_build([x], build_complete(1), [i]) for i, x in enumerate(shards)]
     graph = group.graph
     assert group.stats.factor.shape == (5, 6, 6)
-    assert [m._nodes.stats.factor.shape[-1] for m in singles] == [3, 4, 6, 6, 6]
+    assert [single.stats.factor.shape[-1] for single in singles] == [3, 4, 6, 6, 6]
     rng = np.random.default_rng(22)
     edges = graph.edge_arrays()[0]
 
-    def local_step_alone(model, i, theta, weights):
-        nodes, row = model._nodes, weights[[i]]
+    def local_step_alone(nodes, i, theta, weights):
+        row = weights[[i]]
         eta_sum = row.sum(axis=1)
         anchor = unpack(eta_sum[:, None] * theta[[i]] + row @ theta, 6, 2)
         moments = e_step(nodes.params, nodes.stats)
@@ -992,27 +995,26 @@ def test_stacked_phases_match_one_node_at_a_time():
             field[:] = new
         nodes.counts += np.stack([out.cycles, out.capped, out.ridge], axis=1)
 
-    def multiplier_step_alone(model, i, theta, weights):
+    def multiplier_step_alone(nodes, i, theta, weights):
         # the group averages each edge's two directed penalties
         row = 0.5 * (weights + weights.T)[[i]]
-        model._nodes.dual += 0.5 * (row.sum(axis=1)[:, None] * theta[[i]] - row @ theta)
+        nodes.dual += 0.5 * (row.sum(axis=1)[:, None] * theta[[i]] - row @ theta)
 
     def assert_rows_match():
-        for i, model in enumerate(singles):
-            np.testing.assert_array_equal(stacked[i].params_vector(), stacked[i].params.to_vector())
-            got, want = stacked[i].params, model.params
+        for i, single in enumerate(singles):
+            got, want = _node(group.params, i), _node(single.params, 0)
             np.testing.assert_allclose(got.W, want.W, rtol=1e-12, atol=0)
             np.testing.assert_allclose(got.mu, want.mu, rtol=1e-12, atol=0)
             assert got.a == pytest.approx(want.a, rel=1e-12)
-            got, want = stacked[i].multipliers, model.multipliers
-            np.testing.assert_allclose(got.lam, want.lam, rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(got.gamma, want.gamma, rtol=1e-12, atol=1e-15)
-            assert got.beta == pytest.approx(want.beta, rel=1e-12, abs=1e-15)
+            got, want = _node(group.multipliers, i), _node(single.multipliers, 0)
+            np.testing.assert_allclose(got.W, want.W, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(got.mu, want.mu, rtol=1e-12, atol=1e-15)
+            assert got.a == pytest.approx(want.a, rel=1e-12, abs=1e-15)
 
     # E-step on padded stacked statistics against each node's own
     moments = e_step(group.params, group.stats)
     for i, x in enumerate(shards):
-        own = e_step(singles[i].params, shard_stats(x))
+        own = e_step(_node(singles[i].params, 0), shard_stats(x))
         for got, want in zip(moments, own):
             np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-13)
 
@@ -1021,22 +1023,22 @@ def test_stacked_phases_match_one_node_at_a_time():
         eta = rng.uniform(1.0, 20.0, size=len(edges))
         group.objectives()  # keeps the latent solve the next local step reads
         group.local_step(theta, eta)
-        for i, model in enumerate(singles):
-            local_step_alone(model, i, theta, graph.weights(eta))
+        for i, single in enumerate(singles):
+            local_step_alone(single, i, theta, graph.weights(eta))
         theta = group.params_matrix()
         dual = rng.uniform(1.0, 20.0, size=len(edges))
         group.multiplier_step(theta, dual)
-        for i, model in enumerate(singles):
-            multiplier_step_alone(model, i, theta, graph.weights(dual))
+        for i, single in enumerate(singles):
+            multiplier_step_alone(single, i, theta, graph.weights(dual))
         assert_rows_match()
 
     # own objectives against each node's likelihood, and ranking objectives
     # at every edge midpoint against the owner's likelihood there
-    want = [negative_log_likelihood(m.params, shard_stats(x)) for m, x in zip(singles, shards)]
+    want = [negative_log_likelihood(_node(s.params, 0), shard_stats(x)) for s, x in zip(singles, shards)]
     np.testing.assert_allclose(group.objectives(), want, rtol=1e-12)
     _assert_ranking_matches_nll(group, [0, 2, 4], group.params_matrix())
     cycles, cap_hits, ridge = group.m_step_counts()
-    assert cycles == sum(m.m_step_counts()[0] for m in singles) > 0 and cap_hits == ridge == 0
+    assert cycles == sum(s.m_step_counts()[0] for s in singles) > 0 and cap_hits == ridge == 0
 
 
 def _ragged_group(graph):
@@ -1109,7 +1111,7 @@ def test_ranking_objectives_on_an_sfm_shard():
         topology="complete", num_nodes=5, scheme="fixed", max_iterations=35,
         convergence_tol=1e-300, seed=7,
     )
-    group = engine.run(cfg, make_dppca_factory(3), shards).models[0]._nodes
+    group = engine.run(cfg, make_dppca_factory(3), shards).nodes
     assert group.stats.factor.shape == (5, 200, 16)
     theta = group.params_matrix()
     assert theta[:, -1].min() > 30
@@ -1233,11 +1235,11 @@ def test_m_step_cycle_cap_is_counted_and_warned(tmp_path):
     )
     with pytest.warns(RuntimeWarning, match="max_cycles=1"):
         capped = engine.run(cfg, one_cycle, shards)
-    assert (capped.m_step_cycles, capped.m_step_cap_hits) == (12, 12)
+    assert capped.nodes.m_step_counts() == (12, 12, 0)
     assert metrics.run_report(capped)["m_step"] == {"cycles": 12, "cap_hits": 12, "ridge": 0}
-    free = engine.run(cfg, make_dppca_factory(2), shards)
-    assert free.m_step_cycles > 12 and free.m_step_cap_hits == 0
-    assert [m.m_step_counts() for m in capped.models] == [(4, 4, 0)] * 3
+    free = engine.run(cfg, make_dppca_factory(2), shards).nodes.m_step_counts()
+    assert free[0] > 12 and free[1] == 0
+    assert capped.nodes.counts.tolist() == [[4, 4, 0]] * 3
     metrics.write_run(tmp_path, capped, {})
     assert (tmp_path / "trace.csv").read_text().splitlines()[0] == ",".join(metrics.TRACE_COLUMNS)
 
@@ -1258,9 +1260,9 @@ def test_secant_steps_follow_the_sign_of_g_minus_a():
         topology="complete", num_nodes=5, scheme="vp_ap", penalty=PenaltyConfig(eta0=10.0),
         max_iterations=6, convergence_tol=1e-300, seed=seed,
     )
-    result = engine.run(cfg, make_dppca_factory(3), shards)
-    assert result.m_step_cap_hits == 0
-    assert result.m_step_cycles < 6 * 5 * 20
+    cycles, cap_hits, _ = engine.run(cfg, make_dppca_factory(3), shards).nodes.m_step_counts()
+    assert cap_hits == 0
+    assert cycles < 6 * 5 * 20
 
 
 @pytest.mark.parametrize("topology", ["ring", "cluster"])
@@ -1279,9 +1281,8 @@ def test_network_multiplier_sums_stay_zero(topology):
         )
         result = engine.run(cfg, make_dppca_factory(2), shards)
         assert len(result.records) == 40
-        for block in ("lam", "gamma", "beta"):
-            rows = np.array([getattr(m.multipliers, block) for m in result.models])
-            rows = rows.reshape(20, -1)
+        for block in ("W", "mu", "a"):
+            rows = getattr(result.nodes.multipliers, block).reshape(20, -1)
             scale = np.linalg.norm(rows, axis=1).sum()
             assert scale > 0
             assert np.linalg.norm(rows.sum(axis=0)) <= 1e-10 * scale, (scheme, block)
