@@ -45,5 +45,5 @@ for scheme in ("fixed", "vp", "vp_ap"):
 
 print()
 for scheme in ("vp", "vp_ap"):
-    gain = metrics.speedup(iterations["fixed"], iterations[scheme])
+    gain = 100.0 * (iterations["fixed"] - iterations[scheme]) / iterations["fixed"]
     print(f"{scheme} speed-up over the fixed penalty: {gain:.1f}%")

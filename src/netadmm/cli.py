@@ -15,7 +15,8 @@ Settings come from built-in defaults, overridden by a ``key = value``
 config file, overridden by command-line flags. The keys are the fields
 of ``engine.RunConfig``, ``penalty.PenaltyConfig`` and
 ``data.SyntheticSpec`` (its seed as ``data_seed``) plus the command's
-own settings in ``ExperimentConfig``. Each key is also a flag, spelled
+own settings in ``ExperimentConfig``. Each key is also a flag of the
+commands that read it (``sfm`` takes no synthetic-data flag), spelled
 with dashes, or by the short spelling in ``FLAG_ALIASES``. The output
 directory may also be set through the ``NETADMM_OUTPUT_DIR`` environment
 variable. Exit codes: 0 converged, 2 iteration cap reached, 1 any error,
@@ -42,7 +43,7 @@ __all__ = ["ExperimentConfig", "SETTINGS", "cmd_run", "cmd_sweep", "cmd_sfm", "m
 
 OUTPUT_DIR_ENV = "NETADMM_OUTPUT_DIR"
 SFM_LATENT_DIM = 3  # affine structure from motion factorizes into 3-D structure
-_SWEEP = {"command": "sweep"}
+_SWEEP = {"commands": ("sweep",)}
 COMPARISON_COLUMNS = (
     "scheme",
     "topology",
@@ -50,6 +51,7 @@ COMPARISON_COLUMNS = (
     "runs",
     "median_iterations",
     "median_max_angle_deg",
+    "worst_max_angle_deg",
     "all_converged",
     "errors",
 )
@@ -60,9 +62,12 @@ class ExperimentConfig:
     """Fully-resolved settings of a run, sweep, or factorization."""
 
     run: engine.RunConfig = engine.RunConfig(num_nodes=20, seed=1)
-    synthetic: data.SyntheticSpec = data.SyntheticSpec()
+    # sfm reads its data from ``measurements`` and takes no synthetic flag
+    synthetic: data.SyntheticSpec = field(
+        default=data.SyntheticSpec(), metadata={"commands": ("run", "sweep")}
+    )
     # measurement ingestion (sfm)
-    measurements: str | None = field(default=None, metadata={"command": "sfm"})
+    measurements: str | None = field(default=None, metadata={"commands": ("sfm",)})
     # sweep lists (None = sweep over the single value in ``run``)
     schemes: tuple[str, ...] | None = field(default=None, metadata=_SWEEP)
     topologies: tuple[str, ...] | None = field(default=None, metadata=_SWEEP)
@@ -92,7 +97,7 @@ class Setting(NamedTuple):
 
     path: tuple[str, ...]  # attribute names from ExperimentConfig down to the field
     parse: Callable[[str], object]
-    command: str | None  # the only subcommand that takes it as a flag, if any
+    commands: tuple[str, ...] | None  # the subcommands that take it as a flag, if not all
 
 
 # Keys are field names; this one would clash with RunConfig.seed.
@@ -131,15 +136,17 @@ def _value_parser(kind) -> Callable[[str], object]:
     return kind
 
 
-def _settings(cls, prefix: tuple[str, ...] = ()) -> Iterator[tuple[str, Setting]]:
+def _settings(cls, prefix: tuple[str, ...] = (), commands=None) -> Iterator[tuple[str, Setting]]:
+    # A nested config's fields inherit its commands.
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
         path, kind = prefix + (f.name,), hints[f.name]
+        field_commands = f.metadata.get("commands", commands)
         if dataclasses.is_dataclass(kind):
-            yield from _settings(kind, path)
+            yield from _settings(kind, path, field_commands)
         else:
             key = _KEY_RENAMES.get(path, f.name)
-            yield key, Setting(path, _value_parser(kind), f.metadata.get("command"))
+            yield key, Setting(path, _value_parser(kind), field_commands)
 
 
 SETTINGS: dict[str, Setting] = dict(_settings(ExperimentConfig))
@@ -312,9 +319,10 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         rows.append(row)
 
     metrics.write_artifact(root / "comparison.json", {"config": cfg.echo(), "cells": rows})
+    aggregates = COMPARISON_COLUMNS[4:-1]  # absent from a row whose every cell failed
     table = [
         [row["scheme"], row["topology"], row["num_nodes"], row["runs"]]
-        + [row.get(key, "") for key in ("median_iterations", "median_max_angle_deg", "all_converged")]
+        + [row.get(key, "") for key in aggregates]
         + ["; ".join(row["errors"])]
         for row in rows
     ]
@@ -324,7 +332,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         if "median_iterations" in row:
             print(
                 f"{label}: median {row['median_iterations']} iterations, "
-                f"median max angle {row['median_max_angle_deg']:.2f} deg"
+                f"median max angle {row['median_max_angle_deg']:.2f} deg, "
+                f"worst {row['worst_max_angle_deg']:.2f} deg"
             )
         else:
             print(f"{label}: all runs failed ({'; '.join(row['errors'])})")
@@ -396,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="key = value config file")
         for key, setting in SETTINGS.items():
-            if setting.command in (None, command):
+            if setting.commands is None or command in setting.commands:
                 flag = FLAG_ALIASES.get(key, "--" + key.replace("_", "-"))
                 p.add_argument(flag, dest=key, type=setting.parse)
     return parser

@@ -1,4 +1,4 @@
-"""Evaluation metrics and run artifacts: subspace angles, run reports, speed-up figures.
+"""Evaluation metrics and run artifacts: subspace angles, run reports, sweep aggregates.
 
 Every angle is the largest principal angle between QR-orthonormalized
 bases, atan2(σ_max(Qb − Qa Qaᵀ Qb), σ_min(Qaᵀ Qb)), accurate at 0 and at
@@ -32,7 +32,6 @@ __all__ = [
     "write_run",
     "lower_median",
     "aggregate_reports",
-    "speedup",
 ]
 
 #: the fields of an ``engine.IterationRecord`` that ``trace.csv`` holds, in column order
@@ -179,17 +178,16 @@ def lower_median(values: Sequence[float]) -> float:
 
 
 def aggregate_reports(reports: Sequence[dict]) -> dict:
-    """Aggregate per-seed run reports into medians; with no report, only ``runs`` (0)."""
+    """Aggregate per-seed run reports into medians; with no report, only ``runs`` (0).
+
+    ``worst_max_angle_deg`` is the largest ``max_angle_deg`` of the reports,
+    which a median can hide.
+    """
     summary = {"runs": len(reports)}
     if reports:
+        angles = [r["max_angle_deg"] for r in reports]
         summary["median_iterations"] = lower_median([r["iterations"] for r in reports])
-        summary["median_max_angle_deg"] = lower_median([r["max_angle_deg"] for r in reports])
+        summary["median_max_angle_deg"] = lower_median(angles)
+        summary["worst_max_angle_deg"] = max(angles)
         summary["all_converged"] = all(r["converged"] for r in reports)
     return summary
-
-
-def speedup(baseline_iters: float, candidate_iters: float) -> float:
-    """Percent reduction in iterations relative to a baseline."""
-    if baseline_iters <= 0:
-        raise ValueError("baseline iteration count must be positive")
-    return 100.0 * (baseline_iters - candidate_iters) / baseline_iters

@@ -1,50 +1,49 @@
 """Penalty schedules for consensus ADMM.
 
 Six schemes map per-iteration signals to per-directed-edge penalties
-``eta[i, j]``:
+``eta[i, j]``. They differ in two ways only: the *gate*, which edges
+adapt at iteration ``t``, and the *proposal*, the value an adapting edge
+takes. An edge that the gate closes takes ``eta0``, so the capped
+schemes finish with a homogeneous penalty.
 
-* ``fixed``: constant ``eta0``.
-* ``vp`` (varying penalty): per-node residual balancing. The node's
-  penalty is multiplied by ``1 + tau_fixed`` when the primal residual
-  dominates the dual one by a factor ``mu`` (and divided in the mirror
-  case), then reset to ``eta0`` from iteration ``t_max`` on, so the
-  network finishes with a homogeneous penalty.
-* ``ap`` (adaptive penalty): each node ranks its own objective evaluated
-  at its own parameters vs. at each edge's midpoint
-  ``(theta_i + theta_j) / 2``; neighbors with better estimates receive a
-  larger penalty via ``eta0 * (1 + tau_ij)`` with ``tau_ij`` in
-  ``[-0.5, 1]``. Adapts while ``t < t_max``.
-* ``nap`` (network-adaptive penalty): like ``ap``, but each directed
-  edge holds a spending budget. Every update costs ``|tau_ij|``; an
-  exhausted edge falls back to ``eta0`` unless the node's objective is
-  still changing, in which case the budget ceiling grows geometrically
-  (never past ``budget / (1 - alpha)``).
-* ``vp_ap``: residual-balancing branches with the ranking weight folded
-  in multiplicatively (``* 2`` or ``* 1/2``), reset at ``t > t_max``.
-* ``vp_nap``: same branches gated by the spending budget instead of an
-  iteration cap.
+* ``fixed``: no edge adapts.
+* ``vp`` (varying penalty): every edge while ``t < t_max``; residual
+  balancing multiplies or divides ``eta`` by ``1 + tau_fixed``.
+* ``ap`` (adaptive penalty): every edge while ``t < t_max``; ranking
+  sets ``eta0 * (1 + tau_ij)``.
+* ``nap`` (network-adaptive penalty): an edge while it has budget left;
+  the proposal of ``ap``.
+* ``vp_ap``: every edge while ``t <= t_max``; residual balancing
+  multiplies or divides ``eta * (1 + tau_ij)`` by 2.
+* ``vp_nap``: an edge while it has budget left; the proposal of ``vp_ap``.
 
-Penalty ranges: ``ap`` and ``nap`` set ``eta0 * (1 + tau_ij)`` from a
-weight in ``[-0.5, 1]``, so they stay within ``[eta0/2, 2*eta0]``. ``vp``,
-``vp_ap`` and ``vp_nap`` multiply the running penalty and are unbounded.
-On the protocol data, run seeds 1-5 (README's knob study), they
-ranged as follows: on complete(20) at ``eta0 = 10`` over 150 iterations,
-``vp`` 2.5 to 20, ``vp_ap`` 0.35 to 40 and ``vp_nap`` 0.008 to 40; on
-ring(20) at ``eta0 = 320`` over 400 iterations, ``vp`` 0.63 to 640,
-``vp_ap`` 0.0096 to 1280 and ``vp_nap`` 31 to 1280.
+Residual balancing multiplies where the source node's primal residual
+dominates its dual one by a factor ``mu``, divides in the mirror case,
+and keeps ``eta`` otherwise. The ranking weight ``tau_ij`` in
+``[-0.5, 1]`` (:func:`rank_weights`) compares the node's objective at its
+own parameters with its objective at the edge's midpoint
+``(theta_i + theta_j) / 2``: neighbors with better estimates receive a
+larger penalty. The budget schemes charge an open edge ``|tau_ij|``
+(``vp_nap`` only where a branch fires); an edge exhausted after paying
+whose node's objective still changes earns another, geometrically
+shrinking, slice of ceiling (never past ``budget / (1 - alpha)``).
 
-The update rules are pure elementwise functions of arrays over edges (or
-nodes). :class:`PenaltyScheduler` keeps every directed edge's ledger in
-arrays and runs a round's whole penalty phase in one call: it measures
-the nodes' residuals from their broadcasts, asks for the ranking values
-it needs, and applies the scheme's rule to every edge at once.
+Penalty ranges: ``ap`` and ``nap`` stay within ``[eta0/2, 2*eta0]``.
+``vp``, ``vp_ap`` and ``vp_nap`` multiply the running penalty and are
+unbounded; README's table of the default runs gives the ranges they
+reached on the protocol data.
+
+:func:`scheme_step` applies a scheme's gate and proposal elementwise to
+arrays over edges. :class:`PenaltyScheduler` keeps every directed edge's
+ledger in arrays and runs a round's whole penalty phase in one call: it
+measures the nodes' residuals from their broadcasts, asks for the
+ranking values it needs, and steps every edge at once.
 
 Ranking values cost one objective evaluation per outgoing edge, so they
-are asked for only where a rule reads them, once per round: ``ap`` while
-``t < t_max``; ``nap`` at nodes with an edge that has budget left;
-``vp_ap`` (while ``t <= t_max``) and ``vp_nap`` (at nodes with budget
-left) only at nodes whose residual-balancing branch fires, since the
-weight multiplies nothing elsewhere.
+are asked for once per round and only where a proposal reads them: at
+nodes with an open edge, and under ``vp_ap`` and ``vp_nap`` only where
+the residual-balancing branch fires, since the weight multiplies nothing
+elsewhere.
 """
 
 from __future__ import annotations
@@ -61,12 +60,8 @@ __all__ = [
     "EdgePenaltyState",
     "ResidualPair",
     "local_residuals",
-    "vp_update",
     "rank_weights",
-    "ap_update",
-    "nap_update",
-    "vp_ap_update",
-    "vp_nap_update",
+    "scheme_step",
     "PenaltyScheduler",
 ]
 
@@ -88,9 +83,8 @@ class PenaltyConfig:
         eta0: Initial (and reset) penalty value.
         mu: Residual-ratio threshold for the balancing branches (> 1).
         tau_fixed: Multiplicative step of the residual-balancing rule.
-        t_max: Iteration cap of the capped schemes: ``ap`` adapts while
-            ``t < t_max`` and ``vp_ap`` while ``t <= t_max``, and ``vp``
-            resets every penalty to ``eta0`` at ``t >= t_max``.
+        t_max: Iteration cap of ``vp``, ``ap`` and ``vp_ap``, whose edges
+            take ``eta0`` once it closes their gate (module docstring).
         budget: Initial per-edge spending budget of the ``nap`` family.
         alpha: Geometric growth factor of the budget ceiling, in (0, 1).
         beta: Threshold on the objective's change relative to its
@@ -200,19 +194,6 @@ def local_residuals(theta, neighbor_avg, neighbor_avg_prev, eta_i) -> ResidualPa
     return ResidualPair(primal_sq, dual_sq)
 
 
-def vp_update(state: EdgePenaltyState, res: ResidualPair, cfg: PenaltyConfig, t: int) -> EdgePenaltyState:
-    """Varying-penalty step at iteration ``t``, from each edge's source residuals.
-
-    Balances the residuals while ``t < t_max``; from ``t_max`` on the
-    penalty snaps back to ``eta0`` and stays there (heterogeneous frozen
-    penalties would otherwise oscillate near the saddle point).
-    """
-    step = 1.0 + cfg.tau_fixed
-    grow, shrink = _branches(res, cfg.mu)
-    eta = np.where(grow, state.eta * step, np.where(shrink, state.eta / step, state.eta))
-    return replace(state, eta=np.where(t >= cfg.t_max, cfg.eta0, eta))
-
-
 def rank_weights(f_self, f_neighbor, f_min, f_max):
     """Ranking weights ``tau_ij``, elementwise over edges.
 
@@ -233,79 +214,66 @@ def rank_weights(f_self, f_neighbor, f_min, f_max):
     return np.where(tie, 0.0, tau)
 
 
-def ap_update(tau_ij, cfg: PenaltyConfig, t: int):
-    """Adaptive-penalty values: ``eta0 * (1 + tau_ij)`` until ``t_max``."""
-    return np.where(t < cfg.t_max, cfg.eta0 * (1.0 + tau_ij), cfg.eta0)
-
-
-def _budget_step(state: EdgePenaltyState, eta, cost, f_curr, f_prev, cfg: PenaltyConfig) -> EdgePenaltyState:
-    # A live edge takes ``eta`` and pays ``cost``, an exhausted one falls
-    # back to eta0; an edge exhausted after paying whose objective still
-    # moves earns another, geometrically shrinking, slice of budget. The
-    # slices use Python's float power: numpy's rounds some differently.
-    live = np.logical_not(state.exhausted)
-    spent = np.where(live, state.spent + cost, state.spent)
-    change = abs(f_curr - f_prev) / (abs(f_prev) + 1e-12)
-    grow = (spent >= state.ceiling) & (change > cfg.beta)
-    top = int(np.max(state.growth_count, initial=0))
-    slices = np.array([cfg.alpha**n * cfg.budget for n in range(top + 1)])
-    return EdgePenaltyState(
-        eta=np.where(live, eta, cfg.eta0),
-        spent=spent,
-        ceiling=np.where(grow, state.ceiling + slices[state.growth_count], state.ceiling),
-        growth_count=np.where(grow, state.growth_count + 1, state.growth_count),
-    )
-
-
-def nap_update(state: EdgePenaltyState, tau_ij, f_curr, f_prev, cfg: PenaltyConfig) -> EdgePenaltyState:
-    """Budgeted adaptive-penalty step, elementwise over directed edges.
-
-    While budget remains, behaves like ``ap_update`` and pays ``|tau_ij|``
-    from the budget; once exhausted, the penalty falls back to ``eta0``.
-    Afterwards the ceiling may grow when the node's objective still
-    changes by more than ``beta`` relative, which re-enables updates.
-    """
-    return _budget_step(state, cfg.eta0 * (1.0 + tau_ij), abs(tau_ij), f_curr, f_prev, cfg)
-
-
 def _branches(res: ResidualPair, mu: float):
     # Which residual-balancing branch fires: grow where the primal residual
     # dominates, shrink where the dual one does.
     return res.primal_norm > mu * res.dual_norm, res.dual_norm > mu * res.primal_norm
 
 
-def _ranked_balance(eta, tau_ij, res: ResidualPair, mu: float):
-    # Residual-balancing branches with the ranking weight folded in;
-    # also reports whether a branch fired.
-    grow, shrink = _branches(res, mu)
-    scaled = eta * (1.0 + tau_ij)
-    return np.where(grow, scaled * 2.0, np.where(shrink, scaled * 0.5, eta)), grow | shrink
+def _open_edges(scheme: str, state: EdgePenaltyState, t: int, cfg: PenaltyConfig) -> np.ndarray:
+    # The gate: which edges of ``state`` adapt at iteration t.
+    if scheme in _BUDGET_SCHEMES:
+        return np.logical_not(state.exhausted)
+    if scheme == "vp_ap":
+        adapt = t <= cfg.t_max
+    else:
+        adapt = scheme != "fixed" and t < cfg.t_max
+    return np.full(state.eta.shape, adapt)
 
 
-def vp_ap_update(
-    state: EdgePenaltyState, tau_ij, res: ResidualPair, cfg: PenaltyConfig, t: int
+def scheme_step(
+    scheme: str, state: EdgePenaltyState, t: int, tau, res, f_curr, f_prev, cfg: PenaltyConfig
 ) -> EdgePenaltyState:
-    """Combined residual-balancing and ranking step, capped at ``t_max``.
+    """One penalty step of ``scheme`` at iteration ``t``, elementwise over directed edges.
 
-    The residual branches double or halve the running penalty with the
-    ranking weight folded in multiplicatively; past ``t_max`` the penalty
-    is reset to ``eta0``.
+    ``tau`` holds each edge's ranking weight, ``res`` its source node's
+    residuals, and ``f_curr`` and ``f_prev`` the source's objective this
+    round and last; each scheme reads only what its rule needs, so the
+    rest may be None. An edge open under the scheme's gate takes its
+    proposal and a closed one ``eta0`` (see the module docstring). The
+    budget schemes then charge every open edge ``|tau|`` (``vp_nap`` only
+    where a branch fires), and an edge exhausted after paying whose
+    objective changed by more than ``beta``, relative to ``f_prev``, earns
+    the next slice ``alpha**n * budget`` of ceiling.
     """
-    eta, _ = _ranked_balance(state.eta, tau_ij, res, cfg.mu)
-    return replace(state, eta=np.where(t > cfg.t_max, cfg.eta0, eta))
-
-
-def vp_nap_update(
-    state: EdgePenaltyState, tau_ij, f_curr, f_prev, res: ResidualPair, cfg: PenaltyConfig
-) -> EdgePenaltyState:
-    """Combined residual-balancing step gated by the spending budget.
-
-    Same branches as ``vp_ap_update`` while budget remains; a branch that
-    fires pays ``|tau_ij|``. An exhausted edge falls back to ``eta0``
-    until (and unless) the ceiling grows again.
-    """
-    eta, fired = _ranked_balance(state.eta, tau_ij, res, cfg.mu)
-    return _budget_step(state, eta, np.where(fired, abs(tau_ij), 0.0), f_curr, f_prev, cfg)
+    if scheme == "fixed":
+        return state
+    adapt = _open_edges(scheme, state, t, cfg)
+    if scheme in ("ap", "nap"):
+        proposal, fired = cfg.eta0 * (1.0 + tau), True
+    else:
+        grow, shrink = _branches(res, cfg.mu)
+        if scheme == "vp":
+            base, step = state.eta, 1.0 + cfg.tau_fixed
+        else:  # the combined schemes step by 2 whatever tau_fixed is
+            base, step = state.eta * (1.0 + tau), 2.0
+        proposal = np.where(grow, base * step, np.where(shrink, base / step, state.eta))
+        fired = grow | shrink
+    eta = np.where(adapt, proposal, cfg.eta0)
+    if scheme not in _BUDGET_SCHEMES:
+        return replace(state, eta=eta)
+    spent = np.where(adapt & fired, state.spent + abs(tau), state.spent)
+    change = abs(f_curr - f_prev) / (abs(f_prev) + 1e-12)
+    earn = (spent >= state.ceiling) & (change > cfg.beta)
+    # The slices use Python's float power: numpy's rounds some differently.
+    top = int(np.max(state.growth_count, initial=0))
+    slices = np.array([cfg.alpha**n * cfg.budget for n in range(top + 1)])
+    return EdgePenaltyState(
+        eta=eta,
+        spent=spent,
+        ceiling=np.where(earn, state.ceiling + slices[state.growth_count], state.ceiling),
+        growth_count=np.where(earn, state.growth_count + 1, state.growth_count),
+    )
 
 
 class PenaltyScheduler:
@@ -383,19 +351,15 @@ class PenaltyScheduler:
 
     def _ranking_nodes(self, t: int, residuals: ResidualPair) -> np.ndarray:
         # Nodes, ascending, whose ranking weights the update at t reads:
-        # ap ranks every node while t < t_max and nap a node while one of
-        # its edges has budget. vp_ap (while t <= t_max) and vp_nap (a node
-        # with budget left) rank only the nodes whose residual-balancing
-        # branch fires: elsewhere their weight multiplies nothing.
-        cfg, scheme = self.cfg, self.scheme
-        if scheme in _BUDGET_SCHEMES:
-            rank = np.zeros(self.graph.num_nodes, dtype=bool)
-            rank[self.sources[np.logical_not(self.edge_state.exhausted)]] = True
-        else:
-            live = (scheme == "ap" and t < cfg.t_max) or (scheme == "vp_ap" and t <= cfg.t_max)
-            rank = np.full(self.graph.num_nodes, live)
-        if scheme in ("vp_ap", "vp_nap"):
-            rank &= np.logical_or(*_branches(residuals, cfg.mu))
+        # those with an edge open under the scheme's gate, and under vp_ap
+        # and vp_nap only those whose residual-balancing branch fires, since
+        # elsewhere the weight multiplies nothing. fixed and vp read none.
+        if self.scheme in ("fixed", "vp"):
+            return np.zeros(0, dtype=int)
+        rank = np.zeros(self.graph.num_nodes, dtype=bool)
+        rank[self.sources[_open_edges(self.scheme, self.edge_state, t, self.cfg)]] = True
+        if self.scheme in ("vp_ap", "vp_nap"):
+            rank &= np.logical_or(*_branches(residuals, self.cfg.mu))
         return np.flatnonzero(rank)
 
     def _ranking_taus(self, nodes: np.ndarray, theta, f_self, score) -> np.ndarray:
@@ -432,19 +396,9 @@ class PenaltyScheduler:
         """
         res = self._residuals(theta)
         tau = self._ranking_taus(self._ranking_nodes(t, res), theta, f_self, score)
-        cfg, src = self.cfg, self.sources
+        src = self.sources
         edge_res = ResidualPair(res.primal_sq[src], res.dual_sq[src])
-        f_curr, f_prev = f_self[src], f_prev_self[src]
-        state = self.edge_state
-        if self.scheme == "vp":
-            state = vp_update(state, edge_res, cfg, t)
-        elif self.scheme == "ap":
-            state = replace(state, eta=ap_update(tau, cfg, t))
-        elif self.scheme == "nap":
-            state = nap_update(state, tau, f_curr, f_prev, cfg)
-        elif self.scheme == "vp_ap":
-            state = vp_ap_update(state, tau, edge_res, cfg, t)
-        elif self.scheme == "vp_nap":
-            state = vp_nap_update(state, tau, f_curr, f_prev, edge_res, cfg)
-        self.edge_state = state
+        self.edge_state = scheme_step(
+            self.scheme, self.edge_state, t, tau, edge_res, f_self[src], f_prev_self[src], self.cfg
+        )
         return res

@@ -417,6 +417,19 @@ def test_sfm_rejects_more_nodes_than_frames(tmp_path, capsys):
     assert "frames" in capsys.readouterr().err
 
 
+def test_sweep_row_reports_its_worst_angle(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert _run_cli(["sweep", "--schemes", "fixed", *FAST, "--seeds", "1,2,3", "--output-dir", out]) == 0
+    (row,) = json.loads((out / "comparison.json").read_text())["cells"]
+    angles = [
+        json.loads((out / f"fixed_complete_n6_seed{seed}" / "summary.json").read_text())["max_angle_deg"]
+        for seed in (1, 2, 3)
+    ]
+    assert row["worst_max_angle_deg"] == max(angles)
+    assert row["median_max_angle_deg"] == sorted(angles)[1]
+    assert f"worst {max(angles):.2f} deg" in capsys.readouterr().out
+
+
 def test_sfm_requires_measurements(tmp_path, capsys):
     code = _run_cli(["sfm", "--output-dir", tmp_path])
     assert code == 1
@@ -510,10 +523,16 @@ SURFACE = {
     "jobs": ("--jobs", 1, "2", 2),
 }
 SWEEP_ONLY = {"schemes", "topologies", "node_counts", "seeds", "jobs"}
+SYNTHETIC = {"num_samples", "ambient_dim", "latent_dim", "noise_variance", "data_seed"}
 
 
-def _command_of(key):
-    return "sweep" if key in SWEEP_ONLY else "sfm" if key == "measurements" else "run"
+def _commands_of(key):
+    # the subcommands that take the key as a flag
+    if key in SWEEP_ONLY:
+        return ("sweep",)
+    if key == "measurements":
+        return ("sfm",)
+    return ("run", "sweep") if key in SYNTHETIC else ("run", "sweep", "sfm")
 
 
 def test_config_surface_keys_flags_and_defaults(monkeypatch):
@@ -523,18 +542,31 @@ def test_config_surface_keys_flags_and_defaults(monkeypatch):
     parser = cli.build_parser()
     for key, (flag, _, text, _) in SURFACE.items():
         for command in ("run", "sweep", "sfm"):
-            if key in SWEEP_ONLY | {"measurements"} and command != _command_of(key):
+            if command not in _commands_of(key):
                 with pytest.raises(SystemExit):
                     parser.parse_args([command, flag, text])
             else:
                 assert getattr(parser.parse_args([command, flag, text]), key) is not None
 
 
+@pytest.mark.parametrize("key", sorted(SYNTHETIC))
+def test_sfm_rejects_the_synthetic_data_flags(tmp_path, capsys, key):
+    # sfm's data is the measurement file: a synthetic-data flag would be
+    # echoed in its summary while describing no data that the run read
+    meas = tmp_path / "meas.csv"
+    _write_measurements(meas)
+    flag, _, text, _ = SURFACE[key]
+    out = tmp_path / "sfm"
+    assert _exit_code(["sfm", "--measurements", meas, flag, text, "--output-dir", out]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", list(SURFACE))
 def test_config_key_by_file_equals_key_by_flag(tmp_path, monkeypatch, key):
     monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
     flag, default, text, echoed = SURFACE[key]
-    command = _command_of(key)
+    command = _commands_of(key)[0]
     parser = cli.build_parser()
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(f"{key} = {text}\n")
@@ -604,10 +636,11 @@ def test_sweep_comparison_csv_rows_carry_the_json_cells(tmp_path):
     assert [row["num_nodes"] for row in rows] == ["6", "300", "6", "300"]
     for row, cell in zip(rows, cells, strict=True):
         assert row.pop("errors") == "; ".join(cell["errors"])
-        angle = row.pop("median_max_angle_deg")
-        if "median_max_angle_deg" in cell:
-            assert float(angle) == pytest.approx(cell["median_max_angle_deg"], rel=1e-11)
-        else:
-            assert angle == ""
+        for key in ("median_max_angle_deg", "worst_max_angle_deg"):
+            angle = row.pop(key)
+            if key in cell:
+                assert float(angle) == pytest.approx(cell[key], rel=1e-11)
+            else:
+                assert angle == ""
         assert row.pop("runs") == str(cell["runs"])
         assert row == {key: str(cell.get(key, "")) for key in row}

@@ -11,7 +11,6 @@ from netadmm.metrics import (
     largest_angles_deg,
     lower_median,
     run_report,
-    speedup,
     subspace_angle,
 )
 from netadmm.penalty import PenaltyConfig, PenaltyScheduler
@@ -196,22 +195,18 @@ def test_lower_median():
 
 
 def test_aggregate_reports_medians():
-    # An 88-degree run counts in the medians like any other.
+    # An 88-degree run counts in the medians like any other, and the worst
+    # angle reports what the lower median hides.
     reports = [
         {"iterations": 10, "max_angle_deg": 2.0, "converged": True},
         {"iterations": 30, "max_angle_deg": 4.0, "converged": True},
         {"iterations": 20, "max_angle_deg": 88.0, "converged": False},
     ]
     assert aggregate_reports(reports) == {
-        "runs": 3, "median_iterations": 20, "median_max_angle_deg": 4.0, "all_converged": False,
+        "runs": 3,
+        "median_iterations": 20,
+        "median_max_angle_deg": 4.0,
+        "worst_max_angle_deg": 88.0,
+        "all_converged": False,
     }
     assert aggregate_reports([]) == {"runs": 0}
-
-
-def test_speedup_quoted_values():
-    assert speedup(100, 59.8) == pytest.approx(40.2)
-    assert speedup(100, 62.7) == pytest.approx(37.3)
-    assert speedup(7, 7) == 0.0
-    assert speedup(100, 50) == pytest.approx(50.0)
-    with pytest.raises(ValueError):
-        speedup(0, 10)

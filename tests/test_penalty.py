@@ -9,13 +9,9 @@ from netadmm.penalty import (
     PenaltyConfig,
     PenaltyScheduler,
     ResidualPair,
-    ap_update,
     local_residuals,
-    nap_update,
     rank_weights,
-    vp_ap_update,
-    vp_nap_update,
-    vp_update,
+    scheme_step,
 )
 from netadmm.topology import build_cluster, build_complete
 
@@ -28,6 +24,17 @@ def _ledger(eta, spent=0.0, ceiling=1.0, growth_count=1):
     return EdgePenaltyState(
         eta, np.full(eta.shape, spent), np.full(eta.shape, ceiling), np.full(eta.shape, growth_count)
     )
+
+
+def _step(scheme, state, t=0, tau=None, res=None, f_curr=None, f_prev=None, cfg=CFG):
+    # scheme_step, leaving out the signals that the scheme's rule does not read
+    return scheme_step(scheme, state, t, tau, res, f_curr, f_prev, cfg)
+
+
+def _ap(tau, t, cfg=CFG):
+    # ap's penalties for ranking weights tau at iteration t
+    tau = np.asarray(tau, dtype=float)
+    return _step("ap", _ledger(np.full(tau.shape, cfg.eta0)), t=t, tau=tau, cfg=cfg).eta
 
 
 # ---------------------------------------------------------------- config
@@ -107,29 +114,34 @@ def _pair(primal_norm, dual_norm):
     return ResidualPair(np.array([primal_norm**2]), np.array([dual_norm**2]))
 
 
+def test_fixed_step_returns_its_ledger():
+    state = _ledger([3.0, 40.0], spent=0.5)
+    assert _step("fixed", state, t=3, tau=np.ones(2), res=_pair(5.0, 0.2)) is state
+
+
 def test_vp_grows_on_primal_dominance():
-    out = vp_update(_ledger(10.0), _pair(5.0, 0.2), CFG, t=3)
+    out = _step("vp", _ledger(10.0), t=3, res=_pair(5.0, 0.2))
     assert out.eta == pytest.approx(20.0)
 
 
 def test_vp_shrinks_on_dual_dominance():
-    out = vp_update(_ledger(10.0), _pair(0.1, 5.0), CFG, t=3)
+    out = _step("vp", _ledger(10.0), t=3, res=_pair(0.1, 5.0))
     assert out.eta == pytest.approx(5.0)
 
 
 def test_vp_unchanged_in_dead_zone():
-    assert vp_update(_ledger(10.0), _pair(1.0, 1.0), CFG, t=3).eta == 10.0
+    assert _step("vp", _ledger(10.0), t=3, res=_pair(1.0, 1.0)).eta == 10.0
 
 
 def test_vp_resets_after_reset_iteration():
     # vp resets at t >= t_max, on every edge at once
     state = _ledger([37.5, 0.3, 10.0])
     res = ResidualPair(np.array([81.0, 0.01, 1.0]), np.array([0.01, 81.0, 1.0]))
-    assert np.all(vp_update(state, res, CFG, t=49).eta == [75.0, 0.15, 10.0])
+    assert np.all(_step("vp", state, t=49, res=res).eta == [75.0, 0.15, 10.0])
     for t in (50, 51, 200):
-        assert np.all(vp_update(state, res, CFG, t=t).eta == 10.0)
+        assert np.all(_step("vp", state, t=t, res=res).eta == 10.0)
     early = PenaltyConfig(t_max=20)
-    assert np.all(vp_update(state, res, early, t=20).eta == 10.0)
+    assert np.all(_step("vp", state, t=20, res=res, cfg=early).eta == 10.0)
 
 
 # -------------------------------------------------- objective ranking (ap)
@@ -155,7 +167,7 @@ def test_ap_taus_extreme_weight():
     # self at the worst value, one neighbor at the best: maximal weight 1
     taus = _taus(9.0, [3.0, 9.0])
     assert taus[0] == pytest.approx(1.0)
-    assert ap_update(taus, CFG, t=0)[0] == pytest.approx(2 * CFG.eta0)
+    assert _ap(taus, t=0)[0] == pytest.approx(2 * CFG.eta0)
 
 
 def test_ap_taus_rejects_non_finite():
@@ -176,17 +188,19 @@ def test_ap_taus_bounds_and_ordering():
         f_nb = rng.normal(size=rng.integers(1, 6))
         taus = _taus(f_self, f_nb)
         assert np.all((-0.5 <= taus) & (taus <= 1.0))
-        eta = ap_update(taus, CFG, 0)
+        eta = _ap(taus, t=0)
         assert np.all((0.5 * CFG.eta0 <= eta) & (eta <= 2.0 * CFG.eta0))
         assert np.all(taus[f_nb < f_self] > 0.0)
         assert np.all(taus[f_nb > f_self] < 0.0)
 
 
-def test_ap_update_examples():
+def test_ap_step_examples():
     tau = np.array([0.5, 0.0, -0.5])
-    np.testing.assert_allclose(ap_update(tau, CFG, t=3), [15.0, 10.0, 5.0])
+    np.testing.assert_allclose(_ap(tau, t=3), [15.0, 10.0, 5.0])
+    # boundary: still adapting at t == t_max - 1
+    np.testing.assert_allclose(_ap(tau, t=49), [15.0, 10.0, 5.0])
     for t in (50, 51, 1000):
-        assert np.all(ap_update(tau, CFG, t) == 10.0)
+        assert np.all(_ap(tau, t) == 10.0)
 
 
 # ------------------------------------------------------ budgeted (nap)
@@ -194,7 +208,7 @@ def test_ap_update_examples():
 
 def test_nap_spends_while_budget_remains():
     state = _ledger(10.0, spent=0.0, ceiling=1.0)
-    out = nap_update(state, 0.4, f_curr=5.0, f_prev=5.0, cfg=CFG)
+    out = _step("nap", state, tau=0.4, f_curr=5.0, f_prev=5.0)
     assert out.eta == pytest.approx(14.0)
     assert out.spent == pytest.approx(0.4)
     assert out.ceiling == 1.0
@@ -203,7 +217,7 @@ def test_nap_spends_while_budget_remains():
 def test_nap_grows_ceiling_when_objective_moves():
     # a 20% change clears beta = 0.1
     state = _ledger(13.0, spent=1.2, ceiling=1.0, growth_count=1)
-    out = nap_update(state, 0.3, f_curr=6.0, f_prev=5.0, cfg=CFG)
+    out = _step("nap", state, tau=0.3, f_curr=6.0, f_prev=5.0)
     assert out.eta == pytest.approx(10.0)
     assert out.ceiling == pytest.approx(1.5)
     assert out.growth_count == 2
@@ -211,7 +225,7 @@ def test_nap_grows_ceiling_when_objective_moves():
 
 def test_nap_frozen_when_objective_stable():
     state = _ledger(13.0, spent=1.2, ceiling=1.0)
-    out = nap_update(state, 0.3, f_curr=5.01, f_prev=5.0, cfg=CFG)
+    out = _step("nap", state, tau=0.3, f_curr=5.01, f_prev=5.0)
     assert out.eta == pytest.approx(10.0)
     assert out.ceiling == 1.0
     assert out.spent == pytest.approx(1.2)
@@ -222,7 +236,7 @@ def test_nap_relative_beta_mode():
     # clears it however small, a 5% one does not however large
     state = _ledger([10.0, 10.0], spent=1.2)
     f_prev, f_curr = np.array([0.01, 1000.0]), np.array([0.005, 1050.0])
-    out = nap_update(state, np.zeros(2), f_curr=f_curr, f_prev=f_prev, cfg=CFG)
+    out = _step("nap", state, tau=np.zeros(2), f_curr=f_curr, f_prev=f_prev)
     np.testing.assert_array_equal(out.ceiling, [1.5, 1.0])
 
 
@@ -231,7 +245,7 @@ def test_nap_ceiling_never_exceeds_geometric_bound():
     state = _ledger(10.0, spent=0.0, ceiling=cfg.budget)
     for _ in range(200):
         previous_spent = state.spent
-        state = nap_update(state, 0.7, f_curr=1.0, f_prev=2.0, cfg=cfg)
+        state = _step("nap", state, tau=0.7, f_curr=1.0, f_prev=2.0, cfg=cfg)
         assert state.spent >= previous_spent
         assert state.ceiling <= cfg.ceiling_bound + 1e-12
     # budget cap reached: penalty pinned at eta0 from here on
@@ -241,9 +255,9 @@ def test_nap_ceiling_never_exceeds_geometric_bound():
 
 def test_nap_resumes_after_growth():
     state = _ledger(10.0, spent=1.0, ceiling=1.0)
-    grown = nap_update(state, 0.4, f_curr=6.0, f_prev=5.0, cfg=CFG)
+    grown = _step("nap", state, tau=0.4, f_curr=6.0, f_prev=5.0)
     assert grown.eta == 10.0 and grown.ceiling == pytest.approx(1.5)
-    resumed = nap_update(grown, 0.4, f_curr=6.0, f_prev=6.0, cfg=CFG)
+    resumed = _step("nap", grown, tau=0.4, f_curr=6.0, f_prev=6.0)
     assert resumed.eta == pytest.approx(14.0)
     assert resumed.spent == pytest.approx(1.4)
 
@@ -253,31 +267,34 @@ def test_nap_resumes_after_growth():
 
 def test_vp_ap_branches():
     state = _ledger(10.0)
-    out = vp_ap_update(state, 0.5, _pair(5.0, 0.2), CFG, t=3)
+    out = _step("vp_ap", state, t=3, tau=0.5, res=_pair(5.0, 0.2))
     assert out.eta == pytest.approx(30.0)
-    out = vp_ap_update(state, -0.25, _pair(0.1, 5.0), CFG, t=3)
+    # the combined step is 2 whatever tau_fixed is
+    half = PenaltyConfig(tau_fixed=0.5)
+    assert _step("vp_ap", state, t=3, tau=0.5, res=_pair(5.0, 0.2), cfg=half).eta == out.eta
+    out = _step("vp_ap", state, t=3, tau=-0.25, res=_pair(0.1, 5.0))
     assert out.eta == pytest.approx(3.75)
-    out = vp_ap_update(state, 0.5, _pair(1.0, 1.0), CFG, t=3)
+    out = _step("vp_ap", state, t=3, tau=0.5, res=_pair(1.0, 1.0))
     assert out.eta == pytest.approx(10.0)
 
 
 def test_vp_ap_resets_past_t_max():
     state = _ledger(31.0)
-    assert vp_ap_update(state, 0.5, _pair(5.0, 0.2), CFG, t=51).eta == 10.0
+    assert _step("vp_ap", state, t=51, tau=0.5, res=_pair(5.0, 0.2)).eta == 10.0
     # boundary: still adapting at t == t_max
-    assert vp_ap_update(state, 0.5, _pair(5.0, 0.2), CFG, t=50).eta != 10.0
+    assert _step("vp_ap", state, t=50, tau=0.5, res=_pair(5.0, 0.2)).eta != 10.0
 
 
 def test_vp_nap_fresh_state_spends():
     state = _ledger(10.0, spent=0.0, ceiling=1.0)
-    out = vp_nap_update(state, 0.5, 5.0, 5.0, _pair(5.0, 0.2), CFG)
+    out = _step("vp_nap", state, tau=0.5, res=_pair(5.0, 0.2), f_curr=5.0, f_prev=5.0)
     assert out.eta == pytest.approx(30.0)
     assert out.spent == pytest.approx(0.5)
 
 
 def test_vp_nap_no_spend_in_dead_zone():
     state = _ledger(12.0, spent=0.3, ceiling=1.0)
-    out = vp_nap_update(state, 0.5, 5.0, 5.0, _pair(1.0, 1.0), CFG)
+    out = _step("vp_nap", state, tau=0.5, res=_pair(1.0, 1.0), f_curr=5.0, f_prev=5.0)
     assert out.eta == pytest.approx(12.0)
     assert out.spent == pytest.approx(0.3)
 
@@ -285,15 +302,15 @@ def test_vp_nap_no_spend_in_dead_zone():
 def test_vp_nap_exhausted_resets_permanently_when_stable():
     state = _ledger(25.0, spent=1.2, ceiling=1.0, growth_count=5)
     for _ in range(10):
-        state = vp_nap_update(state, 0.5, 5.0, 5.0, _pair(5.0, 0.2), CFG)
+        state = _step("vp_nap", state, tau=0.5, res=_pair(5.0, 0.2), f_curr=5.0, f_prev=5.0)
         assert state.eta == 10.0
 
 
 def test_vp_nap_growth_resumes_updates():
     state = _ledger(25.0, spent=1.2, ceiling=1.0)
-    grown = vp_nap_update(state, 0.5, 6.0, 5.0, _pair(5.0, 0.2), CFG)
+    grown = _step("vp_nap", state, tau=0.5, res=_pair(5.0, 0.2), f_curr=6.0, f_prev=5.0)
     assert grown.eta == 10.0 and grown.ceiling == pytest.approx(1.5)
-    resumed = vp_nap_update(grown, 0.5, 6.0, 6.0, _pair(5.0, 0.2), CFG)
+    resumed = _step("vp_nap", grown, tau=0.5, res=_pair(5.0, 0.2), f_curr=6.0, f_prev=6.0)
     assert resumed.eta == pytest.approx(30.0)
 
 
@@ -393,7 +410,7 @@ def test_scheduler_determinism():
 def test_scheduler_matches_scalar_rules_on_ragged_graph(scheme):
     # cluster(6) has degrees 2, 2, 3, 3, 2, 2, so every node's edges sit
     # at a different offset of the scheduler's edge arrays; the reference
-    # applies the rules to one node's edges at a time, with residuals from
+    # steps one node's edges at a time through scheme_step, with residuals from
     # local_residuals at the reference ledger's per-node penalty means
     g = build_cluster(6)
     cfg = PenaltyConfig(t_max=12, budget=0.8)
@@ -419,15 +436,7 @@ def test_scheduler_matches_scalar_rules_on_ragged_graph(scheme):
         for i in range(6):
             tau = _taus(f_self[i], [f_neighbors[i][j] for j in g.neighbors[i]])
             res = ResidualPair(residuals.primal_sq[[i]], residuals.dual_sq[[i]])
-            s = ref[i]
-            ref[i] = {
-                "fixed": lambda: s,
-                "vp": lambda: vp_update(s, res, cfg, t),
-                "ap": lambda: dataclasses.replace(s, eta=ap_update(tau, cfg, t)),
-                "nap": lambda: nap_update(s, tau, f_self[i], f_prev[i], cfg),
-                "vp_ap": lambda: vp_ap_update(s, tau, res, cfg, t),
-                "vp_nap": lambda: vp_nap_update(s, tau, f_self[i], f_prev[i], res, cfg),
-            }[scheme]()
+            ref[i] = scheme_step(scheme, ref[i], t, tau, res, f_self[i], f_prev[i], cfg)
         for i, expected in enumerate(ref):
             for k, j in enumerate(g.neighbors[i]):
                 state = sched.state(i, j)
