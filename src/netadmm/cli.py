@@ -4,9 +4,10 @@ Three subcommands drive the simulator end to end:
 
 * ``run``: one synthetic experiment; writes ``trace.csv`` and
   ``summary.json`` into the output directory.
-* ``sweep``: cross product of schemes, topologies, node counts, and
-  seeds; per-cell artifacts plus an aggregate comparison table
-  (median iterations and subspace angles over seeds).
+* ``sweep``: cross product of the grid keys ``scheme``, ``topology``,
+  ``num_nodes`` and ``seed``, each a comma list; per-cell artifacts plus
+  an aggregate comparison table (median iterations and subspace angles
+  over seeds).
 * ``sfm``: distributed affine factorization of a measurement-matrix
   CSV across camera nodes, scored against the centralized rank-3 SVD
   structure.
@@ -15,9 +16,10 @@ Settings come from built-in defaults, overridden by a ``key = value``
 config file, overridden by command-line flags. The keys are the fields
 of ``engine.RunConfig``, ``penalty.PenaltyConfig`` and
 ``data.SyntheticSpec`` (its seed as ``data_seed``) plus the command's
-own settings in ``ExperimentConfig``. Each key is also a flag of the
-commands that read it (``sfm`` takes no synthetic-data flag), spelled
-with dashes, or by the short spelling in ``FLAG_ALIASES``. The output
+own settings in ``ExperimentConfig``. A command takes the keys that it
+reads (``sfm`` takes no synthetic-data key), each as a config-file line
+and as a flag, spelled with dashes or by the short spelling in
+``FLAG_ALIASES``, and its summaries echo them. The output
 directory may also be set through the ``NETADMM_OUTPUT_DIR`` environment
 variable. Exit codes: 0 converged, 2 iteration cap reached, 1 any error,
 usage errors included, or a run that diverged or failed mid-run.
@@ -27,11 +29,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import os
 import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
@@ -43,7 +47,7 @@ __all__ = ["ExperimentConfig", "SETTINGS", "cmd_run", "cmd_sweep", "cmd_sfm", "m
 
 OUTPUT_DIR_ENV = "NETADMM_OUTPUT_DIR"
 SFM_LATENT_DIM = 3  # affine structure from motion factorizes into 3-D structure
-_SWEEP = {"commands": ("sweep",)}
+GRID = ("scheme", "topology", "num_nodes", "seed")  # sweep's axes, seeds varying fastest
 COMPARISON_COLUMNS = (
     "scheme",
     "topology",
@@ -62,34 +66,23 @@ class ExperimentConfig:
     """Fully-resolved settings of a run, sweep, or factorization."""
 
     run: engine.RunConfig = engine.RunConfig(num_nodes=20, seed=1)
-    # sfm reads its data from ``measurements`` and takes no synthetic flag
+    # sfm reads its data from ``measurements`` and takes no synthetic-data key
     synthetic: data.SyntheticSpec = field(
         default=data.SyntheticSpec(), metadata={"commands": ("run", "sweep")}
     )
     # measurement ingestion (sfm)
     measurements: str | None = field(default=None, metadata={"commands": ("sfm",)})
-    # sweep lists (None = sweep over the single value in ``run``)
-    schemes: tuple[str, ...] | None = field(default=None, metadata=_SWEEP)
-    topologies: tuple[str, ...] | None = field(default=None, metadata=_SWEEP)
-    node_counts: tuple[int, ...] | None = field(default=None, metadata=_SWEEP)
-    seeds: tuple[int, ...] | None = field(default=None, metadata=_SWEEP)
     # execution
     output_dir: str = "runs"
-    jobs: int = field(default=1, metadata=_SWEEP)
+    jobs: int = field(default=1, metadata={"commands": ("sweep",)})
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
-    def echo(self) -> dict:
-        """The settings as one flat ``key: value`` dictionary."""
-        out = {}
-        for key, setting in SETTINGS.items():
-            value = self
-            for name in setting.path:
-                value = getattr(value, name)
-            out[key] = list(value) if isinstance(value, tuple) else value
-        return out
+    def echo(self, command: str) -> dict:
+        """The settings that ``command`` takes, as one flat ``key: value`` dictionary."""
+        return {key: reduce(getattr, SETTINGS[key].path, self) for key in _keys(command)}
 
 
 class Setting(NamedTuple):
@@ -97,7 +90,7 @@ class Setting(NamedTuple):
 
     path: tuple[str, ...]  # attribute names from ExperimentConfig down to the field
     parse: Callable[[str], object]
-    commands: tuple[str, ...] | None  # the subcommands that take it as a flag, if not all
+    commands: tuple[str, ...] | None  # the subcommands that take it, if not all
 
 
 # Keys are field names; this one would clash with RunConfig.seed.
@@ -112,28 +105,17 @@ FLAG_ALIASES = {
 def _value_parser(kind) -> Callable[[str], object]:
     """Parse text into a value of the annotated type.
 
-    ``X | None`` also takes ``none`` or an empty value; a tuple is a comma
-    list, where an empty value is the empty list.
+    ``X | None`` also takes ``none`` or an empty value.
     """
     args = typing.get_args(kind)
-    if typing.get_origin(kind) is tuple:
-        item = _value_parser(args[0])
+    if type(None) not in args:
+        return kind
+    (inner,) = (arg for arg in args if arg is not type(None))
 
-        def parse_list(text: str) -> tuple:
-            return tuple(item(part.strip()) for part in text.split(",") if part.strip())
+    def parse_optional(text: str):
+        return None if text.strip().lower() in ("none", "") else inner(text)
 
-        return parse_list
-    if type(None) in args:
-        (inner,) = (arg for arg in args if arg is not type(None))
-        parse = _value_parser(inner)
-        if typing.get_origin(inner) is tuple:
-            return parse
-
-        def parse_optional(text: str):
-            return None if text.strip().lower() in ("none", "") else parse(text)
-
-        return parse_optional
-    return kind
+    return parse_optional
 
 
 def _settings(cls, prefix: tuple[str, ...] = (), commands=None) -> Iterator[tuple[str, Setting]]:
@@ -150,6 +132,26 @@ def _settings(cls, prefix: tuple[str, ...] = (), commands=None) -> Iterator[tupl
 
 
 SETTINGS: dict[str, Setting] = dict(_settings(ExperimentConfig))
+
+
+def _list_parser(parse: Callable[[str], object]) -> Callable[[str], tuple]:
+    def parse_list(text: str) -> tuple:
+        return tuple(parse(part.strip()) for part in text.split(",") if part.strip())
+
+    return parse_list
+
+
+def _keys(command: str) -> dict[str, Callable[[str], object]]:
+    """The keys that ``command`` takes, each with its parser.
+
+    Flags, config-file lines and the summary's ``config`` all read it.
+    Under ``sweep`` each grid key takes a comma list.
+    """
+    return {
+        key: _list_parser(setting.parse) if command == "sweep" and key in GRID else setting.parse
+        for key, setting in SETTINGS.items()
+        if setting.commands is None or command in setting.commands
+    }
 
 
 def _replace_nested(obj, changes: dict):
@@ -178,8 +180,9 @@ def _with_settings(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
     return _replace_nested(cfg, changes)
 
 
-def load_config_file(path: str | Path) -> dict:
-    """Read ``key = value`` lines; errors name the file, line and key."""
+def load_config_file(path: str | Path, command: str) -> dict:
+    """Read ``key = value`` lines of ``command``'s keys; errors name the file, line and key."""
+    keys = _keys(command)
     overrides: dict = {}
     text = Path(path).read_text(encoding="utf-8-sig")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -190,10 +193,10 @@ def load_config_file(path: str | Path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in SETTINGS:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key not in keys:
+            raise ValueError(f"{path}:{lineno}: unknown {command} config key {key!r}")
         try:
-            overrides[key] = SETTINGS[key].parse(value.strip())
+            overrides[key] = keys[key](value.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return overrides
@@ -201,39 +204,46 @@ def load_config_file(path: str | Path) -> dict:
 
 def resolve_config(
     args: argparse.Namespace, command_defaults: dict | None = None
-) -> ExperimentConfig:
-    """Command defaults, then config file, then explicit command-line flags."""
+) -> tuple[ExperimentConfig, dict]:
+    """Command defaults, then config file, then explicit command-line flags.
+
+    Returns the config and the grid: under ``sweep``, each grid key given,
+    with its list of values; the config holds every other key.
+    """
     overrides: dict = dict(command_defaults or {})
-    if getattr(args, "config", None):
-        overrides.update(load_config_file(args.config))
-    for key in SETTINGS:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+    if args.config:
+        overrides.update(load_config_file(args.config, args.command))
+    for key in _keys(args.command):
+        if getattr(args, key) is not None:
+            overrides[key] = getattr(args, key)
     if "output_dir" not in overrides and os.environ.get(OUTPUT_DIR_ENV):
         overrides["output_dir"] = os.environ[OUTPUT_DIR_ENV]
-    return _with_settings(ExperimentConfig(), overrides)
+    grid = {key: overrides.pop(key) for key in GRID if args.command == "sweep" and key in overrides}
+    return _with_settings(ExperimentConfig(), overrides), grid
 
 
-def _run_and_write(cfg: ExperimentConfig, shards, reference: np.ndarray, out_dir: Path, **extra) -> dict:
-    """Run D-PPCA on ``shards`` and write its artifacts however it ended; return its summary.
+def _run_and_write(
+    cfg: ExperimentConfig, command: str, latent_dim: int, shards, reference: np.ndarray, **extra
+) -> dict:
+    """Run D-PPCA with ``latent_dim`` on ``shards`` and write its artifacts however it ended.
 
-    The summary is :func:`metrics.run_report`'s, scored against ``reference``, plus ``extra``.
+    The summary returned is :func:`metrics.run_report`'s, scored against
+    ``reference`` and echoing the keys of ``command``, plus ``extra``.
     """
-    result = engine.run(cfg.run, ppca.make_dppca_factory(cfg.synthetic.latent_dim), shards)
-    summary = {**metrics.run_report(result, reference, cfg.echo()), **extra}
-    metrics.write_run(out_dir, result, summary)
+    result = engine.run(cfg.run, ppca.make_dppca_factory(latent_dim), shards)
+    summary = {**metrics.run_report(result, reference, cfg.echo(command)), **extra}
+    metrics.write_run(Path(cfg.output_dir), result, summary)
     return summary
 
 
-def execute_synthetic_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
+def execute_synthetic_run(cfg: ExperimentConfig) -> dict:
     """Run one synthetic experiment and write its artifacts.
 
     Returns the summary dictionary (also written to ``summary.json``).
     """
     observations, ground_truth = data.generate_synthetic(cfg.synthetic)
     shards = data.partition_even(observations, cfg.run.num_nodes)
-    return _run_and_write(cfg, shards, ground_truth, out_dir)
+    return _run_and_write(cfg, "run", cfg.synthetic.latent_dim, shards, ground_truth)
 
 
 def _failed(summary: dict) -> bool:
@@ -256,7 +266,7 @@ def _finish(cfg: ExperimentConfig, summary: dict, line: str) -> int:
 
 
 def cmd_run(cfg: ExperimentConfig) -> int:
-    summary = execute_synthetic_run(cfg, Path(cfg.output_dir))
+    summary = execute_synthetic_run(cfg)
     return _finish(
         cfg,
         summary,
@@ -270,36 +280,26 @@ def _cell_dir(root: Path, scheme: str, topology: str, n: int, seed: int) -> Path
     return root / f"{scheme}_{topology}_n{n}_seed{seed}"
 
 
-def _sweep_list(name: str, explicit, fallback) -> tuple:
-    if explicit is None:
-        return (fallback,)
-    if len(explicit) == 0:
-        raise ValueError(f"{name} list must not be empty")
-    for i, value in enumerate(explicit):
-        if value in explicit[:i]:
-            raise ValueError(f"{name} list repeats {value!r}")
-    return explicit
+def _sweep_list(key: str, values: tuple) -> tuple:
+    if not values:
+        raise ValueError(f"{key} list must not be empty")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{key} list repeats {value!r}")
+    return values
 
 
-def cmd_sweep(cfg: ExperimentConfig) -> int:
-    schemes = _sweep_list("schemes", cfg.schemes, cfg.run.scheme)
-    topologies = _sweep_list("topologies", cfg.topologies, cfg.run.topology)
-    node_counts = _sweep_list("node_counts", cfg.node_counts, cfg.run.num_nodes)
-    seeds = _sweep_list("seeds", cfg.seeds, cfg.run.seed)
+def cmd_sweep(cfg: ExperimentConfig, grid: dict) -> int:
+    """Run the cells of ``grid``'s lists; a grid key not in it sweeps its one value in ``cfg``."""
+    echo = cfg.echo("sweep")
+    axes = {key: _sweep_list(key, grid[key]) if key in grid else (echo[key],) for key in GRID}
 
     # Building every cell first validates each one's RunConfig, so a value
     # that no run accepts fails the sweep before any cell runs.
     root = Path(cfg.output_dir)
     cells = [
-        replace(
-            cfg,
-            run=replace(cfg.run, scheme=scheme, topology=topology, num_nodes=n, seed=seed),
-            output_dir=str(_cell_dir(root, scheme, topology, n, seed)),
-        )
-        for scheme in schemes
-        for topology in topologies
-        for n in node_counts
-        for seed in seeds
+        _with_settings(cfg, dict(zip(GRID, values), output_dir=str(_cell_dir(root, *values))))
+        for values in itertools.product(*axes.values())
     ]
     root.mkdir(parents=True, exist_ok=True)
 
@@ -309,16 +309,18 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     else:
         results = [_sweep_cell_safe(cell) for cell in cells]
 
-    # Seeds vary fastest in ``cells``, so each row's cells are consecutive.
+    # Seeds, the last axis, vary fastest, so each row's cells are consecutive.
     rows = []
-    for start in range(0, len(cells), len(seeds)):
-        run, group = cells[start].run, results[start : start + len(seeds)]
+    seeds = len(axes["seed"])
+    for start in range(0, len(cells), seeds):
+        run, group = cells[start].run, results[start : start + seeds]
         row: dict = {"scheme": run.scheme, "topology": run.topology, "num_nodes": run.num_nodes}
         row.update(metrics.aggregate_reports([g for g in group if "error" not in g]))
         row["errors"] = [g["error"] for g in group if "error" in g]
         rows.append(row)
 
-    metrics.write_artifact(root / "comparison.json", {"config": cfg.echo(), "cells": rows})
+    # The config echoes each grid key as the list that was swept.
+    metrics.write_artifact(root / "comparison.json", {"config": {**echo, **axes}, "cells": rows})
     aggregates = COMPARISON_COLUMNS[4:-1]  # absent from a row whose every cell failed
     table = [
         [row["scheme"], row["topology"], row["num_nodes"], row["runs"]]
@@ -344,7 +346,7 @@ def _sweep_cell_safe(cell: ExperimentConfig) -> dict:
     # The cell's summary, or its error; a run that diverged or failed
     # mid-run has written its artifacts.
     try:
-        summary = execute_synthetic_run(cell, Path(cell.output_dir))
+        summary = execute_synthetic_run(cell)
     except ValueError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     return {"error": summary["message"]} if _failed(summary) else summary
@@ -365,14 +367,10 @@ def svd_structure_basis(values: np.ndarray, rank: int = SFM_LATENT_DIM) -> np.nd
 def cmd_sfm(cfg: ExperimentConfig) -> int:
     if not cfg.measurements:
         raise ValueError("measurements file is required (flag --measurements)")
-    cfg = replace(cfg, synthetic=replace(cfg.synthetic, latent_dim=SFM_LATENT_DIM))
     mm = data.load_measurements(cfg.measurements)
     shards = data.sfm_node_shards(mm, cfg.run.num_nodes)
     summary = _run_and_write(
-        cfg,
-        shards,
-        svd_structure_basis(mm.values),
-        Path(cfg.output_dir),
+        cfg, "sfm", SFM_LATENT_DIM, shards, svd_structure_basis(mm.values),
         measurements={"num_frames": mm.num_frames, "num_points": mm.num_points},
     )
     return _finish(
@@ -404,10 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="key = value config file")
-        for key, setting in SETTINGS.items():
-            if setting.commands is None or command in setting.commands:
-                flag = FLAG_ALIASES.get(key, "--" + key.replace("_", "-"))
-                p.add_argument(flag, dest=key, type=setting.parse)
+        for key, parse in _keys(command).items():
+            flag = FLAG_ALIASES.get(key, "--" + key.replace("_", "-"))
+            p.add_argument(flag, dest=key, type=parse)
     return parser
 
 
@@ -417,11 +414,11 @@ def main(argv: list[str] | None = None) -> int:
     # Five cameras on a complete graph is the factorization default.
     command_defaults = {"num_nodes": 5} if args.command == "sfm" else None
     try:
-        cfg = resolve_config(args, command_defaults)
+        cfg, grid = resolve_config(args, command_defaults)
         if args.command == "run":
             return cmd_run(cfg)
         if args.command == "sweep":
-            return cmd_sweep(cfg)
+            return cmd_sweep(cfg, grid)
         return cmd_sfm(cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

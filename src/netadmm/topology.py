@@ -37,10 +37,11 @@ class Graph:
             tuple of node i's one-hop neighbors.
 
     Directed edges are ordered as ``directed_edges()`` yields them, node by
-    node; ``degrees``, ``offsets``, ``edge_arrays()``, ``by_slot`` and
-    ``node_sums`` give that layout as arrays, computed once per graph, and
-    ``out_edges`` finds a node set's edges in it. ``weights`` lays per-edge
-    values out as a node-by-node matrix, and ``adjacency`` is its 0/1 form.
+    node; ``degrees``, ``offsets`` and ``edge_arrays()`` give that layout
+    as arrays, computed once per graph, ``out_edges`` finds a node set's
+    edges in it, and ``node_sums`` sums each node's edges. ``weights``
+    lays per-edge values out as a node-by-node matrix, and ``adjacency``
+    is its 0/1 form.
     """
 
     num_nodes: int
@@ -83,24 +84,6 @@ class Graph:
         shift = np.repeat(self.offsets[nodes] - np.cumsum(counts) + counts, counts)
         return shift + np.arange(counts.sum())
 
-    @cached_property
-    def _slots(self) -> np.ndarray:
-        # _slots[s, i] is node i's s-th outgoing edge, or the out-of-range
-        # index len(sources) past its degree.
-        sources, _ = self._edges
-        slots = np.full((self.degrees.max(initial=0), self.num_nodes), len(sources))
-        slots[np.arange(len(sources)) - self.offsets[sources], sources] = np.arange(len(sources))
-        return _frozen(slots)
-
-    def by_slot(self, values: np.ndarray) -> np.ndarray:
-        """Per-edge values (leading axis in edge order) laid out by node.
-
-        Entry ``[s, i]`` of the (max degree, num_nodes, ...) result is the
-        value of node i's s-th outgoing edge, or zero past its degree.
-        """
-        padded = np.concatenate([values, np.zeros((1,) + values.shape[1:])])
-        return padded[self._slots]
-
     def weights(self, values: np.ndarray) -> np.ndarray:
         """Per-edge values as a (num_nodes, num_nodes) matrix.
 
@@ -120,10 +103,15 @@ class Graph:
     def node_sums(self, values: np.ndarray) -> np.ndarray:
         """Sum each node's outgoing-edge values (leading axis) in edge order.
 
-        The sum runs left to right, one slot at a time, as Python's ``sum``
-        over the node's edges would; an isolated node sums to 0.
+        Entry ``[j, i]`` of the (target, source) layout is edge (i, j)'s
+        value, and numpy sums its rows one at a time, so each node's sum
+        runs left to right over its edges, as Python's ``sum`` would; an
+        isolated node sums to 0.
         """
-        return self.by_slot(values).sum(axis=0)
+        sources, targets = self._edges
+        out = np.zeros((self.num_nodes, self.num_nodes) + values.shape[1:])
+        out[targets, sources] = values
+        return out.sum(axis=0)
 
     def num_undirected_edges(self) -> int:
         return sum(self.degree(i) for i in range(self.num_nodes)) // 2

@@ -156,6 +156,25 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert "learning_rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,line",
+    [("sfm", "num_samples = 7"), ("run", "jobs = 2"), ("sweep", "schemes = fixed,vp")],
+    ids=["synthetic-key-under-sfm", "sweep-key-under-run", "removed-list-key"],
+)
+def test_config_file_rejects_a_key_that_its_command_does_not_take(tmp_path, capsys, command, line):
+    # the same keys as the command's flags, so the file cannot set what no flag can
+    meas = tmp_path / "meas.csv"
+    _write_measurements(meas)
+    cfg_file = tmp_path / "f.cfg"
+    cfg_file.write_text(f"max_iterations = 3\n{line}\n")
+    out = tmp_path / "out"
+    args = [command, "--config", cfg_file, "--output-dir", out]
+    assert _run_cli([*args, "--measurements", meas] if command == "sfm" else args) == 1
+    key = line.split(" = ")[0]
+    assert f"{cfg_file}:2: unknown {command} config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_rejects_malformed_line(tmp_path, capsys):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text("scheme vp\n")
@@ -176,7 +195,7 @@ def test_config_file_reports_where_a_value_does_not_parse(tmp_path, capsys):
 def test_config_file_ignores_byte_order_mark(tmp_path):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_bytes(b"\xef\xbb\xbfscheme = vp\nnum_nodes = 6\n")
-    assert cli.load_config_file(cfg_file) == {"scheme": "vp", "num_nodes": 6}
+    assert cli.load_config_file(cfg_file, "run") == {"scheme": "vp", "num_nodes": 6}
 
 def test_output_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "envout"))
@@ -190,10 +209,10 @@ def test_sweep_grid_and_aggregates(tmp_path):
     code = _run_cli(
         [
             "sweep",
-            "--schemes", "fixed,vp",
-            "--topologies", "complete",
-            "--node-counts", "6",
-            "--seeds", "1,2",
+            "--scheme", "fixed,vp",
+            "--topology", "complete",
+            "--nodes", "6",
+            "--seed", "1,2",
             "--samples", "120",
             "--ambient-dim", "8",
             "--latent-dim", "2",
@@ -215,6 +234,35 @@ def test_sweep_grid_and_aggregates(tmp_path):
     assert (out / "vp_complete_n6_seed2" / "summary.json").exists()
 
 
+def test_sweep_grid_keys_take_lists(tmp_path):
+    # scheme, nodes and seed as lists, topology at its one default; seeds
+    # vary fastest and are aggregated within each row
+    out = tmp_path / "sweep"
+    data_flags = ["--samples", "120", "--ambient-dim", "8", "--latent-dim", "2"]
+    args = ["sweep", "--scheme", "fixed,vp", "--nodes", "6,8", "--seed", "1,2", *data_flags]
+    assert _run_cli([*args, "--max-iterations", "40", "--output-dir", out]) == 0
+    comparison = json.loads((out / "comparison.json").read_text())
+    config = comparison["config"]
+    assert (config["scheme"], config["topology"], config["num_nodes"], config["seed"]) == (
+        ["fixed", "vp"], ["complete"], [6, 8], [1, 2],
+    )
+    assert set(config) == {key for key in SURFACE if "sweep" in _commands_of(key)}
+    cells = [(c["scheme"], c["topology"], c["num_nodes"], c["runs"]) for c in comparison["cells"]]
+    assert cells == [
+        ("fixed", "complete", 6, 2), ("fixed", "complete", 8, 2),
+        ("vp", "complete", 6, 2), ("vp", "complete", 8, 2),
+    ]
+    with (out / "comparison.csv").open(newline="") as fh:
+        assert tuple(next(csv.reader(fh))) == cli.COMPARISON_COLUMNS
+    for scheme in ("fixed", "vp"):
+        for n in (6, 8):
+            for seed in (1, 2):
+                summary = json.loads((out / f"{scheme}_complete_n{n}_seed{seed}" / "summary.json").read_text())
+                echoed = summary["config"]
+                assert (echoed["scheme"], echoed["num_nodes"], echoed["seed"]) == (scheme, n, seed)
+                assert set(echoed) == {key for key in SURFACE if "run" in _commands_of(key)}
+
+
 def test_sweep_single_cell_matches_run(tmp_path):
     run_out = tmp_path / "single"
     sweep_out = tmp_path / "sweep"
@@ -223,8 +271,8 @@ def test_sweep_single_cell_matches_run(tmp_path):
         _run_cli(
             [
                 "sweep",
-                "--schemes", "fixed",
-                "--seeds", "1",
+                "--scheme", "fixed",
+                "--seed", "1",
                 *FAST,
                 "--output-dir", sweep_out,
             ]
@@ -241,8 +289,8 @@ def test_sweep_all_six_schemes_one_row_each(tmp_path):
     code = _run_cli(
         [
             "sweep",
-            "--schemes", "fixed,vp,ap,nap,vp_ap,vp_nap",
-            "--seeds", "1",
+            "--scheme", "fixed,vp,ap,nap,vp_ap,vp_nap",
+            "--seed", "1",
             "--nodes", "6",
             "--samples", "120",
             "--ambient-dim", "8",
@@ -264,8 +312,8 @@ def test_sweep_parallel_jobs_matches_serial(tmp_path):
     parallel = tmp_path / "parallel"
     base = [
         "sweep",
-        "--schemes", "fixed,vp",
-        "--seeds", "1",
+        "--scheme", "fixed,vp",
+        "--seed", "1",
         *FAST,
     ]
     assert _run_cli([*base, "--output-dir", serial]) == 0
@@ -286,7 +334,7 @@ def test_sweep_rejects_jobs_below_one(tmp_path, capsys, source):
     else:
         extra = ["--jobs", "0" if source == "flag-0" else "-5"]
     out = tmp_path / "sweep"
-    flags = ["--schemes", "fixed", "--seeds", "1", "--max-iterations", "3", "--nodes", "4"]
+    flags = ["--scheme", "fixed", "--seed", "1", "--max-iterations", "3", "--nodes", "4"]
     code = _run_cli(["sweep", *flags, "--samples", "40", *extra, "--output-dir", out])
     assert code == 1
     assert "jobs must be >= 1" in capsys.readouterr().err
@@ -306,10 +354,10 @@ def _flag_or_file(tmp_path, source, key, flag, value):
 @pytest.mark.parametrize(
     "key,flag,value,repeated",
     [
-        ("schemes", "--schemes", "fixed,vp,fixed", "'fixed'"),
-        ("topologies", "--topologies", "ring,ring", "'ring'"),
-        ("node_counts", "--node-counts", "4,6,4", "4"),
-        ("seeds", "--seeds", "1,1", "1"),
+        ("scheme", "--scheme", "fixed,vp,fixed", "'fixed'"),
+        ("topology", "--topology", "ring,ring", "'ring'"),
+        ("num_nodes", "--nodes", "4,6,4", "4"),
+        ("seed", "--seed", "1,1", "1"),
     ],
 )
 def test_sweep_rejects_a_repeated_value(tmp_path, capsys, source, key, flag, value, repeated):
@@ -338,9 +386,9 @@ def test_run_rejects_an_infinite_penalty_setting(tmp_path, capsys, source, key, 
 
 
 def test_sweep_rejects_empty_scheme_list(tmp_path, capsys):
-    code = _run_cli(["sweep", "--schemes", "", "--output-dir", tmp_path])
+    code = _run_cli(["sweep", "--scheme", "", "--output-dir", tmp_path])
     assert code == 1
-    assert "schemes" in capsys.readouterr().err
+    assert "scheme list must not be empty" in capsys.readouterr().err
 
 
 def test_sweep_records_per_cell_errors(tmp_path):
@@ -350,9 +398,9 @@ def test_sweep_records_per_cell_errors(tmp_path):
     code = _run_cli(
         [
             "sweep",
-            "--schemes", "fixed",
-            "--node-counts", "6,300",
-            "--seeds", "1",
+            "--scheme", "fixed",
+            "--nodes", "6,300",
+            "--seed", "1",
             "--samples", "120",
             "--ambient-dim", "8",
             "--latent-dim", "2",
@@ -372,7 +420,7 @@ def test_sweep_records_a_diverged_cell_and_aggregates_the_rest(tmp_path, monkeyp
     # errors, its artifacts stay, and seed 2 is aggregated alone.
     _explode_first_run(monkeypatch)
     out = tmp_path / "sweep"
-    assert _run_cli(["sweep", "--schemes", "fixed", *FAST, "--seeds", "1,2", "--output-dir", out]) == 0
+    assert _run_cli(["sweep", "--scheme", "fixed", *FAST, "--seed", "1,2", "--output-dir", out]) == 0
     (row,) = json.loads((out / "comparison.json").read_text())["cells"]
     diverged = json.loads((out / "fixed_complete_n6_seed1" / "summary.json").read_text())
     assert diverged["outcome"] == "diverged"
@@ -419,7 +467,7 @@ def test_sfm_rejects_more_nodes_than_frames(tmp_path, capsys):
 
 def test_sweep_row_reports_its_worst_angle(tmp_path, capsys):
     out = tmp_path / "sweep"
-    assert _run_cli(["sweep", "--schemes", "fixed", *FAST, "--seeds", "1,2,3", "--output-dir", out]) == 0
+    assert _run_cli(["sweep", "--scheme", "fixed", *FAST, "--seed", "1,2,3", "--output-dir", out]) == 0
     (row,) = json.loads((out / "comparison.json").read_text())["cells"]
     angles = [
         json.loads((out / f"fixed_complete_n6_seed{seed}" / "summary.json").read_text())["max_angle_deg"]
@@ -447,11 +495,12 @@ def _exit_code(args):
     "args,message",
     [
         (["run", "--scheme", "bogus"], "scheme must be one of"),
+        (["run", "--scheme", "fixed,vp"], "scheme must be one of"),
         (["run", "--nodes", "abc"], "argument --nodes: invalid int value"),
         (["run", "--bogus-flag", "1"], "unrecognized arguments: --bogus-flag"),
         (["sweep", "--measurements", "tracks.csv"], "unrecognized arguments: --measurements"),
     ],
-    ids=["bad-scheme", "bad-int", "unknown-flag", "flag-of-other-command"],
+    ids=["bad-scheme", "list-under-run", "bad-int", "unknown-flag", "flag-of-other-command"],
 )
 def test_usage_errors_exit_one(tmp_path, capsys, args, message):
     # exit code 2 means "iteration cap reached", so a usage error must not use it
@@ -467,13 +516,13 @@ def test_help_exits_zero(capsys):
 @pytest.mark.parametrize(
     "flags,message",
     [
-        (["--node-counts", "6,0"], "num_nodes must be >= 1"),
-        (["--schemes", "fixed,bogus"], "scheme must be one of"),
+        (["--nodes", "6,0"], "num_nodes must be >= 1"),
+        (["--scheme", "fixed,bogus"], "scheme must be one of"),
         (["--samples", "0"], "num_samples must be >= 1"),
         (["--noise-variance", "nan"], "noise_variance must be finite and >= 0"),
         (["--noise-variance", "inf"], "noise_variance must be finite and >= 0"),
-        (["--topologies", "complete,ring", "--node-counts", "6,2"], "ring graph needs n >= 3, got 2"),
-        (["--topologies", "cluster", "--node-counts", "4,5"], "cluster graph needs even n >= 4, got 5"),
+        (["--topology", "complete,ring", "--nodes", "6,2"], "ring graph needs n >= 3, got 2"),
+        (["--topology", "cluster", "--nodes", "4,5"], "cluster graph needs even n >= 4, got 5"),
     ],
     ids=[
         "zero-nodes",
@@ -487,7 +536,7 @@ def test_help_exits_zero(capsys):
 )
 def test_sweep_fails_before_any_cell_on_a_value_no_run_accepts(tmp_path, capsys, flags, message):
     out = tmp_path / "sweep"
-    code = _run_cli(["sweep", "--seeds", "1", *FAST, *flags, "--output-dir", out])
+    code = _run_cli(["sweep", "--seed", "1", *FAST, *flags, "--output-dir", out])
     assert code == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -515,14 +564,10 @@ SURFACE = {
     "noise_variance": ("--noise-variance", 0.2, "0.1", 0.1),
     "data_seed": ("--data-seed", 0, "4", 4),
     "measurements": ("--measurements", None, "tracks.csv", "tracks.csv"),
-    "schemes": ("--schemes", None, "fixed, vp", ["fixed", "vp"]),
-    "topologies": ("--topologies", None, "complete,ring", ["complete", "ring"]),
-    "node_counts": ("--node-counts", None, "6,8", [6, 8]),
-    "seeds": ("--seeds", None, "1,2", [1, 2]),
     "output_dir": ("--output-dir", "runs", "elsewhere", "elsewhere"),
     "jobs": ("--jobs", 1, "2", 2),
 }
-SWEEP_ONLY = {"schemes", "topologies", "node_counts", "seeds", "jobs"}
+SWEEP_ONLY = {"jobs"}
 SYNTHETIC = {"num_samples", "ambient_dim", "latent_dim", "noise_variance", "data_seed"}
 
 
@@ -538,7 +583,9 @@ def _commands_of(key):
 def test_config_surface_keys_flags_and_defaults(monkeypatch):
     monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
     assert set(cli.SETTINGS) == set(SURFACE)
-    assert cli.ExperimentConfig().echo() == {k: v[1] for k, v in SURFACE.items()}
+    for command in ("run", "sweep", "sfm"):
+        defaults = {k: v[1] for k, v in SURFACE.items() if command in _commands_of(k)}
+        assert cli.ExperimentConfig().echo(command) == defaults
     parser = cli.build_parser()
     for key, (flag, _, text, _) in SURFACE.items():
         for command in ("run", "sweep", "sfm"):
@@ -565,34 +612,44 @@ def test_sfm_rejects_the_synthetic_data_flags(tmp_path, capsys, key):
 @pytest.mark.parametrize("key", list(SURFACE))
 def test_config_key_by_file_equals_key_by_flag(tmp_path, monkeypatch, key):
     monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    # under every command that takes the key; sweep takes a grid key as a list
     flag, default, text, echoed = SURFACE[key]
-    command = _commands_of(key)[0]
     parser = cli.build_parser()
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text(f"{key} = {text}\n")
-    by_file = cli.resolve_config(parser.parse_args([command, "--config", str(cfg_file)]))
-    by_flag = cli.resolve_config(parser.parse_args([command, flag, text]))
-    assert by_file == by_flag != cli.ExperimentConfig()
-    assert by_flag.echo() == {**cli.ExperimentConfig().echo(), key: echoed}
+    for command in _commands_of(key):
+        by_file = cli.resolve_config(parser.parse_args([command, "--config", str(cfg_file)]))
+        by_flag = cli.resolve_config(parser.parse_args([command, flag, text]))
+        assert by_file == by_flag
+        cfg, grid = by_flag
+        if command == "sweep" and key in cli.GRID:
+            assert (cfg, grid) == (cli.ExperimentConfig(), {key: (echoed,)})
+        else:
+            assert grid == {} and cfg != cli.ExperimentConfig()
+            assert cfg.echo(command) == {**cli.ExperimentConfig().echo(command), key: echoed}
 
 
 def test_config_none_and_empty_values():
     assert cli.SETTINGS["measurements"].parse("none") is None
     assert cli.SETTINGS["measurements"].parse("") is None
-    assert cli.SETTINGS["schemes"].parse("") == ()
+    assert cli.build_parser().parse_args(["sweep", "--scheme", ""]).scheme == ()
 
 
 def test_summary_config_echoes_every_key(tmp_path):
+    # every key of the summary's command, and no other
     out = tmp_path / "out"
     assert _run_cli(["run", *FAST, "--max-iterations", "3", "--output-dir", out]) in (0, 2)
-    assert set(json.loads((out / "summary.json").read_text())["config"]) == set(SURFACE)
+    echoed = json.loads((out / "summary.json").read_text())["config"]
+    assert set(echoed) == {key for key in SURFACE if "run" in _commands_of(key)}
+    assert len(echoed) == 19
     meas = tmp_path / "meas.csv"
     _write_measurements(meas)
     sfm_out = tmp_path / "sfm"
     assert _run_cli(["sfm", "--measurements", meas, "--max-iterations", "3", "--output-dir", sfm_out]) in (0, 2)
     echoed = json.loads((sfm_out / "summary.json").read_text())["config"]
-    assert set(echoed) == set(SURFACE)
-    assert (echoed["latent_dim"], echoed["num_nodes"]) == (3, 5)
+    assert set(echoed) == {key for key in SURFACE if "sfm" in _commands_of(key)}
+    assert len(echoed) == 15 and not SYNTHETIC & set(echoed)
+    assert echoed["num_nodes"] == 5
 
 
 def test_summary_holds_each_fact_once(tmp_path):
@@ -628,7 +685,7 @@ def test_summary_holds_each_fact_once(tmp_path):
 
 def test_sweep_comparison_csv_rows_carry_the_json_cells(tmp_path):
     out = tmp_path / "sweep"
-    args = ["sweep", "--schemes", "fixed,vp", *FAST, "--node-counts", "6,300", "--seeds", "1,2"]
+    args = ["sweep", "--scheme", "fixed,vp", *FAST, "--nodes", "6,300", "--seed", "1,2"]
     assert _run_cli([*args, "--output-dir", out]) == 0
     cells = json.loads((out / "comparison.json").read_text())["cells"]
     with (out / "comparison.csv").open(newline="") as fh:

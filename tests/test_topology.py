@@ -128,12 +128,17 @@ def test_edge_layout_and_node_sums_on_ragged_graph():
     values = [0.1 * k + 1.0 / (k + 3) for k in range(len(edges))]
     want = [sum(v for (i, _), v in zip(edges, values) if i == node) for node in range(6)]
     assert g.node_sums(np.array(values)).tolist() == want
-    laid = g.by_slot(np.array(values))
-    assert laid.shape == (3, 6)
-    assert laid[2].tolist() == [0.0, 0.0, values[6], values[9], 0.0, 0.0]
     matrix = np.zeros((6, 6))
     for (i, j), v in zip(edges, values):
         matrix[i, j] = v
     np.testing.assert_array_equal(g.weights(np.array(values)), matrix)
     np.testing.assert_array_equal(g.adjacency, matrix != 0)
+    # On complete(20) the sums of 19 log-normal values tell summation
+    # orders apart: a row-wise sum of the weight matrix differs from
+    # Python's left-to-right sum on some nodes, node_sums on none.
+    g = build_complete(20)
+    values = np.random.default_rng(1).lognormal(size=20 * 19)
+    want = [sum(values[g.offsets[i] : g.offsets[i + 1]].tolist()) for i in range(20)]
+    assert g.node_sums(values).tolist() == want
+    assert g.weights(values).sum(axis=1).tolist() != want
 
