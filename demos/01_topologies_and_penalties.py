@@ -10,6 +10,9 @@ it; here the arrays hold one node's edges.
 import numpy as np
 
 from netadmm.penalty import (
+    ALPHA,
+    BETA,
+    MU,
     EdgePenaltyState,
     PenaltyConfig,
     ResidualPair,
@@ -38,12 +41,12 @@ def ledger(num_edges):
     )
 
 
-print(f"\n=== Residual balancing (vp), eta0={cfg.eta0}, mu={cfg.mu} ===")
+print(f"\n=== Residual balancing (vp), eta0={cfg.eta0}, MU={MU} ===")
 state = ledger(1)
 for t, (r, s) in enumerate([(5.0, 0.2), (4.0, 0.3), (0.1, 6.0), (1.0, 1.0)]):
     res = ResidualPair(np.array([r**2]), np.array([s**2]))
     state = scheme_step("vp", state, t, None, res, None, None, cfg)
-    branch = "grow" if r > cfg.mu * s else ("shrink" if s > cfg.mu * r else "hold")
+    branch = "grow" if r > MU * s else ("shrink" if s > MU * r else "hold")
     print(f"t={t}: |r|={r:4.1f} |s|={s:4.1f} -> {branch:6s} eta={state.eta[0]:.2f}")
 res = ResidualPair(np.array([25.0]), np.array([0.01]))
 state = scheme_step("vp", state, cfg.t_max, None, res, None, None, cfg)
@@ -61,7 +64,7 @@ for j, tau, eta in zip(neighbors, taus, etas):
     print(f"  edge ->{j}: tau={tau:+.3f}  eta={eta:.2f}")
 print("better neighbors (lower objective) draw a larger penalty")
 
-print("\n=== Spending budget (nap), budget=1, alpha=0.5, beta=0.1 ===")
+print(f"\n=== Spending budget (nap), budget={cfg.budget}, ALPHA={ALPHA}, BETA={BETA} ===")
 state = ledger(1)
 steps = [(0.6, 100.0, 50.0), (0.5, 50.0, 40.0), (0.4, 40.0, 39.9), (0.3, 39.9, 39.9)]
 for tau, f_prev, f_curr in steps:
@@ -71,4 +74,4 @@ for tau, f_prev, f_curr in steps:
         f"eta={state.eta[0]:5.2f} spent={state.spent[0]:.2f} "
         f"ceiling={state.ceiling[0]:.2f} exhausted={state.exhausted[0]}"
     )
-print(f"ceiling can never pass budget/(1-alpha) = {cfg.ceiling_bound}")
+print(f"ceiling can never pass budget/(1-ALPHA) = {cfg.ceiling_bound}")

@@ -79,7 +79,6 @@ CONFIG_TEXT = """\
 scheme = vp_nap
 topology = cluster
 eta0 = 3
-tau_fixed = 0.5
 seed = 3
 """
 

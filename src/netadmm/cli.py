@@ -138,6 +138,7 @@ def _list_parser(parse: Callable[[str], object]) -> Callable[[str], tuple]:
     def parse_list(text: str) -> tuple:
         return tuple(parse(part.strip()) for part in text.split(",") if part.strip())
 
+    parse_list.__name__ = parse.__name__  # argparse's errors name the type by it
     return parse_list
 
 

@@ -51,6 +51,8 @@ class SyntheticSpec:
             raise ValueError("need ambient_dim >= latent_dim >= 1")
         if not 0 <= self.noise_variance < np.inf:
             raise ValueError("noise_variance must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("data seed must be >= 0")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -199,6 +199,8 @@ class RunConfig:
             raise ValueError("max_iterations must be >= 1")
         if not 0 <= self.convergence_tol < math.inf:
             raise ValueError("convergence_tol must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ schemes finish with a homogeneous penalty.
 
 * ``fixed``: no edge adapts.
 * ``vp`` (varying penalty): every edge while ``t < t_max``; residual
-  balancing multiplies or divides ``eta`` by ``1 + tau_fixed``.
+  balancing multiplies or divides ``eta`` by 2.
 * ``ap`` (adaptive penalty): every edge while ``t < t_max``; ranking
   sets ``eta0 * (1 + tau_ij)``.
 * ``nap`` (network-adaptive penalty): an edge while it has budget left;
@@ -18,7 +18,7 @@ schemes finish with a homogeneous penalty.
 * ``vp_nap``: an edge while it has budget left; the proposal of ``vp_ap``.
 
 Residual balancing multiplies where the source node's primal residual
-dominates its dual one by a factor ``mu``, divides in the mirror case,
+dominates its dual one by a factor :data:`MU`, divides in the mirror case,
 and keeps ``eta`` otherwise. The ranking weight ``tau_ij`` in
 ``[-0.5, 1]`` (:func:`rank_weights`) compares the node's objective at its
 own parameters with its objective at the edge's midpoint
@@ -26,7 +26,7 @@ own parameters with its objective at the edge's midpoint
 larger penalty. The budget schemes charge an open edge ``|tau_ij|``
 (``vp_nap`` only where a branch fires); an edge exhausted after paying
 whose node's objective still changes earns another, geometrically
-shrinking, slice of ceiling (never past ``budget / (1 - alpha)``).
+shrinking, slice of ceiling (never past ``budget / (1 - ALPHA)``).
 
 Penalty ranges: ``ap`` and ``nap`` stay within ``[eta0/2, 2*eta0]``.
 ``vp``, ``vp_ap`` and ``vp_nap`` multiply the running penalty and are
@@ -74,6 +74,16 @@ _BUDGET_SCHEMES = ("nap", "vp_nap")
 #: falls back to ``eta0``.
 TIE_EPSILON = 1e-12
 
+#: Residual ratio that fires a balancing branch, which steps the penalty
+#: by 2 (He, Yang & Wang 2000; Boyd et al. 2011, §3.4.1).
+MU = 10.0
+#: Ceiling growth factor: the n-th growth adds ``ALPHA**n * budget`` (the
+#: source paper's budget extension).
+ALPHA = 0.5
+#: Relative objective change above which an exhausted edge's ceiling grows
+#: (the source paper's budget extension).
+BETA = 0.1
+
 
 @dataclass(frozen=True)
 class PenaltyConfig:
@@ -81,44 +91,27 @@ class PenaltyConfig:
 
     Attributes:
         eta0: Initial (and reset) penalty value.
-        mu: Residual-ratio threshold for the balancing branches (> 1).
-        tau_fixed: Multiplicative step of the residual-balancing rule.
         t_max: Iteration cap of ``vp``, ``ap`` and ``vp_ap``, whose edges
             take ``eta0`` once it closes their gate (module docstring).
         budget: Initial per-edge spending budget of the ``nap`` family.
-        alpha: Geometric growth factor of the budget ceiling, in (0, 1).
-        beta: Threshold on the objective's change relative to its
-            previous value that allows ceiling growth, in (0, 1).
     """
 
     eta0: float = 10.0
-    mu: float = 10.0
-    tau_fixed: float = 1.0
     t_max: int = 50
     budget: float = 1.0
-    alpha: float = 0.5
-    beta: float = 0.1
 
     def __post_init__(self) -> None:
         if not 0 < self.eta0 < np.inf:
             raise ValueError("eta0 must be finite and > 0")
-        if not 1 < self.mu < np.inf:
-            raise ValueError("mu must be finite and > 1")
-        if not 0 < self.tau_fixed < np.inf:
-            raise ValueError("tau_fixed must be finite and > 0")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
         if not 0 < self.budget < np.inf:
             raise ValueError("budget must be finite and > 0")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must be in (0, 1)")
-        if not 0 < self.beta < 1:
-            raise ValueError("beta must be in (0, 1)")
 
     @property
     def ceiling_bound(self) -> float:
-        """Upper bound ``budget / (1 - alpha)`` on any budget ceiling."""
-        return self.budget / (1.0 - self.alpha)
+        """Upper bound ``budget / (1 - ALPHA)`` on any budget ceiling."""
+        return self.budget / (1.0 - ALPHA)
 
 
 @dataclass(frozen=True)
@@ -127,8 +120,8 @@ class EdgePenaltyState:
 
     ``spent`` accumulates the absolute ranking weights charged so far,
     ``ceiling`` is the current budget allowance, and ``growth_count``
-    counts ceiling increases (the n-th increase adds ``alpha**n *
-    budget``, so the ceiling stays below ``budget / (1 - alpha)``).
+    counts ceiling increases (the n-th increase adds ``ALPHA**n *
+    budget``, so the ceiling stays below ``budget / (1 - ALPHA)``).
     """
 
     eta: np.ndarray
@@ -214,10 +207,10 @@ def rank_weights(f_self, f_neighbor, f_min, f_max):
     return np.where(tie, 0.0, tau)
 
 
-def _branches(res: ResidualPair, mu: float):
+def _branches(res: ResidualPair):
     # Which residual-balancing branch fires: grow where the primal residual
     # dominates, shrink where the dual one does.
-    return res.primal_norm > mu * res.dual_norm, res.dual_norm > mu * res.primal_norm
+    return res.primal_norm > MU * res.dual_norm, res.dual_norm > MU * res.primal_norm
 
 
 def _open_edges(scheme: str, state: EdgePenaltyState, t: int, cfg: PenaltyConfig) -> np.ndarray:
@@ -243,8 +236,8 @@ def scheme_step(
     proposal and a closed one ``eta0`` (see the module docstring). The
     budget schemes then charge every open edge ``|tau|`` (``vp_nap`` only
     where a branch fires), and an edge exhausted after paying whose
-    objective changed by more than ``beta``, relative to ``f_prev``, earns
-    the next slice ``alpha**n * budget`` of ceiling.
+    objective changed by more than :data:`BETA`, relative to ``f_prev``,
+    earns the next slice ``ALPHA**n * budget`` of ceiling.
     """
     if scheme == "fixed":
         return state
@@ -252,22 +245,19 @@ def scheme_step(
     if scheme in ("ap", "nap"):
         proposal, fired = cfg.eta0 * (1.0 + tau), True
     else:
-        grow, shrink = _branches(res, cfg.mu)
-        if scheme == "vp":
-            base, step = state.eta, 1.0 + cfg.tau_fixed
-        else:  # the combined schemes step by 2 whatever tau_fixed is
-            base, step = state.eta * (1.0 + tau), 2.0
-        proposal = np.where(grow, base * step, np.where(shrink, base / step, state.eta))
+        grow, shrink = _branches(res)
+        base = state.eta if scheme == "vp" else state.eta * (1.0 + tau)
+        proposal = np.where(grow, base * 2.0, np.where(shrink, base / 2.0, state.eta))
         fired = grow | shrink
     eta = np.where(adapt, proposal, cfg.eta0)
     if scheme not in _BUDGET_SCHEMES:
         return replace(state, eta=eta)
     spent = np.where(adapt & fired, state.spent + abs(tau), state.spent)
     change = abs(f_curr - f_prev) / (abs(f_prev) + 1e-12)
-    earn = (spent >= state.ceiling) & (change > cfg.beta)
+    earn = (spent >= state.ceiling) & (change > BETA)
     # The slices use Python's float power: numpy's rounds some differently.
     top = int(np.max(state.growth_count, initial=0))
-    slices = np.array([cfg.alpha**n * cfg.budget for n in range(top + 1)])
+    slices = np.array([ALPHA**n * cfg.budget for n in range(top + 1)])
     return EdgePenaltyState(
         eta=eta,
         spent=spent,
@@ -359,7 +349,7 @@ class PenaltyScheduler:
         rank = np.zeros(self.graph.num_nodes, dtype=bool)
         rank[self.sources[_open_edges(self.scheme, self.edge_state, t, self.cfg)]] = True
         if self.scheme in ("vp_ap", "vp_nap"):
-            rank &= np.logical_or(*_branches(residuals, self.cfg.mu))
+            rank &= np.logical_or(*_branches(residuals))
         return np.flatnonzero(rank)
 
     def _ranking_taus(self, nodes: np.ndarray, theta, f_self, score) -> np.ndarray:

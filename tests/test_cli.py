@@ -158,8 +158,13 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command,line",
-    [("sfm", "num_samples = 7"), ("run", "jobs = 2"), ("sweep", "schemes = fixed,vp")],
-    ids=["synthetic-key-under-sfm", "sweep-key-under-run", "removed-list-key"],
+    [
+        ("sfm", "num_samples = 7"),
+        ("run", "jobs = 2"),
+        ("sweep", "schemes = fixed,vp"),
+        ("run", "alpha = 0.25"),
+    ],
+    ids=["synthetic-key-under-sfm", "sweep-key-under-run", "removed-list-key", "published-constant"],
 )
 def test_config_file_rejects_a_key_that_its_command_does_not_take(tmp_path, capsys, command, line):
     # the same keys as the command's flags, so the file cannot set what no flag can
@@ -373,8 +378,7 @@ def test_sweep_rejects_a_repeated_value(tmp_path, capsys, source, key, flag, val
 @pytest.mark.parametrize("source", ["flag", "file"])
 @pytest.mark.parametrize(
     "key,flag,bound",
-    [("eta0", "--eta0", "> 0"), ("mu", "--mu", "> 1"), ("tau_fixed", "--tau-fixed", "> 0"),
-     ("budget", "--budget", "> 0"), ("convergence_tol", "--tol", ">= 0")],
+    [("eta0", "--eta0", "> 0"), ("budget", "--budget", "> 0"), ("convergence_tol", "--tol", ">= 0")],
 )
 def test_run_rejects_an_infinite_penalty_setting(tmp_path, capsys, source, key, flag, bound):
     out = tmp_path / "out"
@@ -497,10 +501,24 @@ def _exit_code(args):
         (["run", "--scheme", "bogus"], "scheme must be one of"),
         (["run", "--scheme", "fixed,vp"], "scheme must be one of"),
         (["run", "--nodes", "abc"], "argument --nodes: invalid int value"),
+        (["sweep", "--nodes", "6,abc"], "argument --nodes: invalid int value: '6,abc'"),
         (["run", "--bogus-flag", "1"], "unrecognized arguments: --bogus-flag"),
         (["sweep", "--measurements", "tracks.csv"], "unrecognized arguments: --measurements"),
+        (["run", "--mu", "5"], "unrecognized arguments: --mu"),
+        (["run", "--seed", "-1"], "error: seed must be >= 0"),
+        (["run", "--data-seed", "-1"], "error: data seed must be >= 0"),
     ],
-    ids=["bad-scheme", "list-under-run", "bad-int", "unknown-flag", "flag-of-other-command"],
+    ids=[
+        "bad-scheme",
+        "list-under-run",
+        "bad-int",
+        "bad-int-in-list",
+        "unknown-flag",
+        "flag-of-other-command",
+        "published-constant",
+        "negative-seed",
+        "negative-data-seed",
+    ],
 )
 def test_usage_errors_exit_one(tmp_path, capsys, args, message):
     # exit code 2 means "iteration cap reached", so a usage error must not use it
@@ -521,6 +539,7 @@ def test_help_exits_zero(capsys):
         (["--samples", "0"], "num_samples must be >= 1"),
         (["--noise-variance", "nan"], "noise_variance must be finite and >= 0"),
         (["--noise-variance", "inf"], "noise_variance must be finite and >= 0"),
+        (["--seed=-1,2"], "seed must be >= 0"),
         (["--topology", "complete,ring", "--nodes", "6,2"], "ring graph needs n >= 3, got 2"),
         (["--topology", "cluster", "--nodes", "4,5"], "cluster graph needs even n >= 4, got 5"),
     ],
@@ -530,6 +549,7 @@ def test_help_exits_zero(capsys):
         "zero-samples",
         "nan-noise-variance",
         "inf-noise-variance",
+        "negative-seed",
         "small-ring",
         "odd-cluster",
     ],
@@ -552,12 +572,8 @@ SURFACE = {
     "max_iterations": ("--max-iterations", 300, "40", 40),
     "convergence_tol": ("--tol", 1e-3, "1e-4", 1e-4),
     "eta0": ("--eta0", 10.0, "3", 3.0),
-    "mu": ("--mu", 10.0, "5", 5.0),
-    "tau_fixed": ("--tau-fixed", 1.0, "0.5", 0.5),
     "t_max": ("--t-max", 50, "20", 20),
     "budget": ("--budget", 1.0, "2", 2.0),
-    "alpha": ("--alpha", 0.5, "0.25", 0.25),
-    "beta": ("--beta", 0.1, "0.2", 0.2),
     "num_samples": ("--samples", 500, "120", 120),
     "ambient_dim": ("--ambient-dim", 20, "8", 8),
     "latent_dim": ("--latent-dim", 5, "2", 2),
@@ -641,14 +657,14 @@ def test_summary_config_echoes_every_key(tmp_path):
     assert _run_cli(["run", *FAST, "--max-iterations", "3", "--output-dir", out]) in (0, 2)
     echoed = json.loads((out / "summary.json").read_text())["config"]
     assert set(echoed) == {key for key in SURFACE if "run" in _commands_of(key)}
-    assert len(echoed) == 19
+    assert len(echoed) == 15
     meas = tmp_path / "meas.csv"
     _write_measurements(meas)
     sfm_out = tmp_path / "sfm"
     assert _run_cli(["sfm", "--measurements", meas, "--max-iterations", "3", "--output-dir", sfm_out]) in (0, 2)
     echoed = json.loads((sfm_out / "summary.json").read_text())["config"]
     assert set(echoed) == {key for key in SURFACE if "sfm" in _commands_of(key)}
-    assert len(echoed) == 15 and not SYNTHETIC & set(echoed)
+    assert len(echoed) == 11 and not SYNTHETIC & set(echoed)
     assert echoed["num_nodes"] == 5
 
 

@@ -61,6 +61,7 @@ def test_sample_mean_near_zero():
         {"noise_variance": -1.0},
         {"noise_variance": float("nan")},
         {"noise_variance": float("inf")},
+        {"seed": -1},
     ],
 )
 def test_spec_validation(kwargs):

@@ -13,7 +13,7 @@ from netadmm.engine import (
     step,
 )
 from netadmm.metrics import write_run
-from netadmm.penalty import PenaltyConfig, local_residuals
+from netadmm.penalty import MU, PenaltyConfig, local_residuals
 from netadmm.topology import build_cluster, build_complete
 
 
@@ -42,6 +42,7 @@ def test_convergence_check_examples():
         {"convergence_tol": -1e-3},
         {"convergence_tol": float("inf")},
         {"convergence_tol": float("nan")},
+        {"seed": -1},
         {"topology": "ring", "num_nodes": 2},
         {"topology": "cluster", "num_nodes": 7},
     ],
@@ -349,14 +350,14 @@ def test_vp_ranking_schemes_score_only_firing_nodes(monkeypatch, scheme):
         return residuals[-1]
 
     monkeypatch.setattr(penalty_module, "local_residuals", recorded)
-    penalty = PenaltyConfig(t_max=14, budget=2.0, mu=3.0)
+    penalty = PenaltyConfig(t_max=14, budget=2.0)
     evals, live_nodes = _per_iteration_evals(scheme, "cluster", 6, penalty, 20)
     degrees = [2, 2, 3, 3, 2, 2]  # cluster(6)
     partial = 0
     for t, per_node in enumerate(evals):
         res = residuals[t]
         primal, dual = np.sqrt(res.primal_sq), np.sqrt(res.dual_sq)
-        fires = (primal > penalty.mu * dual) | (dual > penalty.mu * primal)
+        fires = (primal > MU * dual) | (dual > MU * primal)
         if scheme == "vp_ap":
             ranked = fires & (t <= penalty.t_max)
         else:

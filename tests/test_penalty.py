@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from netadmm.penalty import (
+    ALPHA,
+    BETA,
+    MU,
     TIE_EPSILON,
     EdgePenaltyState,
     PenaltyConfig,
@@ -42,35 +45,30 @@ def _ap(tau, t, cfg=CFG):
 
 def test_defaults():
     assert CFG.eta0 == 10.0
-    assert CFG.mu == 10.0
-    assert CFG.tau_fixed == 1.0
     assert CFG.t_max == 50
     assert CFG.budget == 1.0
-    assert CFG.alpha == 0.5
-    assert CFG.beta == 0.1
+    assert (MU, ALPHA, BETA) == (10.0, 0.5, 0.1)
     assert CFG.ceiling_bound == pytest.approx(2.0)
     assert TIE_EPSILON == 1e-12
-    assert [f.name for f in dataclasses.fields(PenaltyConfig)] == [
-        "eta0", "mu", "tau_fixed", "t_max", "budget", "alpha", "beta"
-    ]
+    assert [f.name for f in dataclasses.fields(PenaltyConfig)] == ["eta0", "t_max", "budget"]
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
         {"eta0": 0.0},
-        {"mu": 1.0},
-        {"tau_fixed": 0.0},
+        {"eta0": -1.0},
+        {"budget": -1.0},
         {"t_max": 0},
         {"budget": 0.0},
-        {"alpha": 1.0},
-        {"beta": 0.0},
-        {"alpha": 0.0},
-        {"beta": 1.0},
+        {"t_max": -1},
+        {"budget": float("nan")},
+        {"eta0": float("-inf")},
+        {"budget": float("-inf")},
         {"eta0": float("nan")},
         {"eta0": float("inf")},
-        {"mu": float("inf")},
-        {"tau_fixed": float("inf")},
+        {"eta0": -0.0},
+        {"budget": -0.0},
         {"budget": float("inf")},
     ],
 )
@@ -269,9 +267,6 @@ def test_vp_ap_branches():
     state = _ledger(10.0)
     out = _step("vp_ap", state, t=3, tau=0.5, res=_pair(5.0, 0.2))
     assert out.eta == pytest.approx(30.0)
-    # the combined step is 2 whatever tau_fixed is
-    half = PenaltyConfig(tau_fixed=0.5)
-    assert _step("vp_ap", state, t=3, tau=0.5, res=_pair(5.0, 0.2), cfg=half).eta == out.eta
     out = _step("vp_ap", state, t=3, tau=-0.25, res=_pair(0.1, 5.0))
     assert out.eta == pytest.approx(3.75)
     out = _step("vp_ap", state, t=3, tau=0.5, res=_pair(1.0, 1.0))
@@ -361,10 +356,10 @@ def _reference_residuals(graph, theta, prev_theta, node_etas):
     return local_residuals(theta, navg, prev, node_etas)
 
 
-def _fires(res, mu):
+def _fires(res):
     # whether each node's residual-balancing branch fires: grow, shrink
     primal, dual = np.sqrt(res.primal_sq), np.sqrt(res.dual_sq)
-    return primal > mu * dual, dual > mu * primal
+    return primal > MU * dual, dual > MU * primal
 
 
 def test_vp_scheduler_is_per_node():
@@ -431,7 +426,7 @@ def test_scheduler_matches_scalar_rules_on_ragged_graph(scheme):
         )
         np.testing.assert_allclose(got.primal_sq, residuals.primal_sq, rtol=1e-12)
         np.testing.assert_allclose(got.dual_sq, residuals.dual_sq, rtol=1e-12)
-        grow, shrink = _fires(residuals, cfg.mu)
+        grow, shrink = _fires(residuals)
         grew, shrank = grew + grow.sum(), shrank + shrink.sum()
         for i in range(6):
             tau = _taus(f_self[i], [f_neighbors[i][j] for j in g.neighbors[i]])
@@ -472,7 +467,7 @@ def test_update_reads_ranking_weights_only_of_ranking_nodes(scheme):
         calls = []
         score = _score(g, rng.uniform(0.5, 3.0, size=len(sources)), calls)
         res = sched.update(t, _spread_theta(rng, 6), f_self, f_prev, score)
-        fires = np.logical_or(*_fires(res, cfg.mu))
+        fires = np.logical_or(*_fires(res))
         expected = np.flatnonzero(
             {
                 "ap": np.full(6, t < cfg.t_max),
